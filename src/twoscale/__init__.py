@@ -27,7 +27,6 @@ from .operators import (
     assouad_spectrum,
     commuting_deviation,
     cone_extension,
-    direct_upper_spectrum,
     monotone_envelope,
     plateau_curve,
     scaling_limit,
@@ -58,7 +57,6 @@ from .covering import (
     spectrum_estimate,
 )
 from .ifs import (
-    AttractorSample,
     DimensionRange,
     FormulaReport,
     SelectionResult,

@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import io as tsio
 from .covering import average_profile, box_dims, empirical_branching, spectrum_estimate
 from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
@@ -25,10 +23,6 @@ EXIT_OK = 0
 EXIT_CRITERIA = 1
 EXIT_USER = 2
 EXIT_CAP = 3
-
-
-def _grid_spec(args) -> GridSpec:
-    return GridSpec(args.u_max, args.grid_step)
 
 
 def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
@@ -44,38 +38,27 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    try:
-        grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
-        grid = _load_target_grid(args.psi_spec, grid_spec)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
+    grid = _load_target_grid(args.psi_spec, grid_spec)
     report = validate_branching(grid, args.dimension, tol=args.grid_step * args.dimension)
     if not report.passed:
         print(f"error: target grid fails the branching axioms: {report.summary()}", file=sys.stderr)
         for v in report.violations[:10]:
             print(f"  {v.prop} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
         return EXIT_USER
-    try:
-        composite = synthesize_set(grid, args.dimension, args.depth)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    composite = synthesize_set(grid, args.dimension, args.depth)
     points = export_points(composite, args.depth)
-    tsio.atomic_write(out / "points.csv", tsio.points_to_csv(points))
     trees = "\n".join(
         f"# part {b}\n{tsio.tree_to_text(tree)}" for b, tree in composite.parts
     )
+    tsio.atomic_write(out / "points.csv", tsio.points_to_csv(points))
     tsio.atomic_write(out / "tree.txt", trees)
     tsio.write_set_metadata(
         out / "metadata.json",
         args.dimension,
         args.depth,
         points.rescale_exponent,
-        {"parts": len(composite.parts), "seed": args.seed},
+        {"parts": len(composite.parts)},
     )
     print(f"wrote {out}/points.csv, tree.txt, metadata.json")
     return EXIT_OK
@@ -83,31 +66,21 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     out = Path(args.out)
-    try:
-        meta = json.loads(Path(args.metadata).read_text()) if args.metadata else {}
-        depth = int(meta.get("depth", args.depth))
-        pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
-        spec = _grid_spec(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    meta = json.loads(Path(args.metadata).read_text()) if args.metadata else {}
+    depth = int(meta.get("depth", args.depth))
+    pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+    spec = GridSpec(args.u_max, args.grid_step)
     if spec.u_max > pts.max_covering_level:
-        print(
-            f"error: u_max {spec.u_max} exceeds the sample depth {pts.max_covering_level}; "
-            "pass a deeper sample or a smaller --u-max",
-            file=sys.stderr,
+        raise ValueError(
+            f"u_max {spec.u_max} exceeds the sample depth {pts.max_covering_level}; "
+            "pass a deeper sample or a smaller --u-max"
         )
-        return EXIT_USER
-    try:
-        coverage = empirical_branching(pts, spec)
-        us, gs = average_profile(pts, int(spec.u_max))
-        curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
-        lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    tsio.atomic_write(out / "beta_emp.csv", tsio.grid_to_csv(coverage.grid))
+    coverage = empirical_branching(pts, spec)
+    us, gs = average_profile(pts, int(spec.u_max))
+    curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
+    lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
     profile = PiecewiseLinear.from_samples(us, gs)
+    tsio.atomic_write(out / "beta_emp.csv", tsio.grid_to_csv(coverage.grid))
     tsio.atomic_write(out / "g_profile.csv", tsio.profile_to_csv(profile))
     tsio.atomic_write(out / "spectrum.csv", tsio.curve_to_csv(curve))
     box = {
@@ -125,19 +98,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_attractor(args) -> int:
     out = Path(args.out)
-    try:
-        ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
-        sample = generate_attractor(ifs, None, args.depth)
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    lines = [",".join(f"coord_{q}" for q in range(ifs.dimension))]
-    for p in sample.points:
-        lines.append(",".join(f"{x:.17g}" for x in p))
-    tsio.atomic_write(out / "attractor_points.csv", "\n".join(lines) + "\n")
+    ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
+    sample = generate_attractor(ifs, None, args.depth)
     info = {
         "moran_exponent": critical_exponent(ifs, "moran"),
         "counting_exponent": critical_exponent(ifs, "counting", resolution=min(args.depth, 24.0)),
@@ -146,17 +108,17 @@ def cmd_attractor(args) -> int:
         "depth": args.depth,
     }
     info.update(sample.metadata)
+    lines = [",".join(f"coord_{q}" for q in range(ifs.dimension))]
+    for p in sample.points:
+        lines.append(",".join(f"{x:.17g}" for x in p))
+    tsio.atomic_write(out / "attractor_points.csv", "\n".join(lines) + "\n")
     tsio.atomic_write(out / "attractor_info.json", json.dumps(info, sort_keys=True) + "\n")
     print(f"wrote {out}/attractor_points.csv, attractor_info.json")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_suite(args.suite, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
+    results = run_suite(args.suite, args.seed)
     payload = {
         "suite": args.suite,
         "seed": args.seed,
@@ -175,14 +137,19 @@ def cmd_verify(args) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_CRITERIA
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-step", type=float, default=0.25)
-    p.add_argument("--u-max", type=float, default=64.0)
-    p.add_argument("--theta-step", type=float, default=1.0 / 64.0)
-    p.add_argument("--u-min", type=float, default=16.0)
-    p.add_argument("--depth", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+_OPTIONS = {
+    "--grid-step": {"type": float, "default": 0.25},
+    "--u-max": {"type": float, "default": 64.0},
+    "--theta-step": {"type": float, "default": 1.0 / 64.0},
+    "--u-min": {"type": float, "default": 16.0},
+    "--depth": {"type": int, "default": 20},
+    "--out": {"default": "out"},
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def main(argv=None) -> int:
@@ -192,18 +159,18 @@ def main(argv=None) -> int:
     p = sub.add_parser("synth", help="materialize a dyadic set realizing a target grid")
     p.add_argument("psi_spec", help="grid CSV, gamma_inverse:<curve.csv>, or h_kappa_lambda:k,l")
     p.add_argument("-d", "--dimension", type=int, default=1)
-    _add_common(p)
+    _add_options(p, "--grid-step", "--u-max", "--depth", "--out")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("estimate", help="covering statistics and spectra of a point sample")
     p.add_argument("points", help="point list CSV")
     p.add_argument("--metadata", help="metadata JSON sidecar", default=None)
-    _add_common(p)
+    _add_options(p, "--grid-step", "--u-max", "--theta-step", "--u-min", "--depth", "--out")
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("attractor", help="sample an inhomogeneous attractor from an IFS spec")
     p.add_argument("ifs", help="IFS spec JSON")
-    _add_common(p)
+    _add_options(p, "--depth", "--out")
     p.set_defaults(fn=cmd_attractor)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -213,7 +180,14 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USER
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import GridSpec, TwoScaleGrid, ValidationReport, validate_branching
+from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, validate_branching
 from .operators import (
     DEFAULT_THETA_STEP,
     AssouadSpectrum,
@@ -27,15 +27,23 @@ MAX_CENTERS = 100_000
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Finite point sample in [0, 1]^d measured through its occupied cells."""
+    """Finite point sample in [0, 1]^d measured through its occupied cells.
+
+    ``depth`` is the finest level whose cell counts the sample resolves.
+    Coordinates may leave the cube by ``EXACT_TOL``, the rounding slack of
+    float attractor images; anything further out is rejected.
+    """
 
     points: np.ndarray
     depth: int
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             raise ValueError("point set must be nonempty")
+        if not np.all((pts >= -EXACT_TOL) & (pts <= 1.0 + EXACT_TOL)):
+            raise ValueError("points must lie in the unit cube [0, 1]^d")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -56,10 +64,11 @@ def occupied_cells(points: np.ndarray, level: int) -> np.ndarray:
     """Distinct level-``level`` cells of points in the closed unit cube.
 
     The top face x = 1 belongs to the last cell, so counts of sets touching
-    the boundary stay at the geometric value.
+    the boundary stay at the geometric value; points within the rounding
+    slack outside the cube count in the boundary cell they touch.
     """
     cells = np.floor(points * np.exp2(level)).astype(np.int64)
-    cells = np.minimum(cells, (1 << level) - 1)
+    cells = np.clip(cells, 0, (1 << level) - 1)
     return np.unique(cells, axis=0)
 
 
@@ -74,16 +83,14 @@ class CoverageGrid:
 
 def cell_count(obj, level: int) -> int:
     """Number of level-``level`` dyadic cells meeting the set."""
-    if level < 0 or level > obj.max_covering_level:
-        raise ValueError(f"level {level} outside the materialized range")
     return int(obj.cells_at_level(level).shape[0])
 
 
-def local_covering(obj, u: int, v: int, max_centers: int = MAX_CENTERS) -> int:
+def local_covering(obj, u: int, v: int) -> int:
     """Worst-case number of level-u cells of the set near one of its points.
 
     Centers run over the set's level-u cell corners (uniformly strided above
-    ``max_centers``); for each center the level-u cells meeting the closed
+    ``MAX_CENTERS``); for each center the level-u cells meeting the closed
     ball of radius 2^-v around it are counted, and the maximum is returned.
     At u == v the count is pinned to one cell, the scale-matched convention
     that keeps empirical grids inside the branching class.
@@ -95,7 +102,7 @@ def local_covering(obj, u: int, v: int, max_centers: int = MAX_CENTERS) -> int:
     if u == v:
         return 1
     cells = obj.cells_at_level(u)
-    return _max_ball_count(cells, cells, 1 << (u - v), max_centers)
+    return _max_ball_count(cells, cells, 1 << (u - v), MAX_CENTERS)
 
 
 def _max_ball_count(cells: np.ndarray, centers: np.ndarray, radius: int, max_centers: int) -> int:
@@ -128,12 +135,7 @@ def _max_ball_count(cells: np.ndarray, centers: np.ndarray, radius: int, max_cen
     return best
 
 
-def empirical_branching(
-    obj,
-    spec: GridSpec,
-    max_centers: int = MAX_CENTERS,
-    membership_slack: float | None = None,
-) -> CoverageGrid:
+def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     """Measure the two-scale branching grid of a materialized set.
 
     Counts are taken on the integer level sublattice and interpolated onto
@@ -153,22 +155,21 @@ def empirical_branching(
     for u in range(top + 1):
         cells = obj.cells_at_level(u)
         total_centers += cells.shape[0]
-        max_stride = max(max_stride, -(-cells.shape[0] // max_centers))
+        max_stride = max(max_stride, -(-cells.shape[0] // MAX_CENTERS))
         for v in range(u):
-            table[u, v] = np.log2(_max_ball_count(cells, cells, 1 << (u - v), max_centers))
+            table[u, v] = np.log2(_max_ball_count(cells, cells, 1 << (u - v), MAX_CENTERS))
     integer_grid = TwoScaleGrid(GridSpec(float(top), 1.0), table)
     coords = spec.coords
     uu, vv = np.meshgrid(coords, coords, indexing="ij")
-    vals = np.where(vv <= uu, integer_grid.evaluate(np.maximum(uu, vv), np.minimum(vv, uu)), 0.0)
-    grid = TwoScaleGrid(spec, vals)
-    slack = (2.0 + d) if membership_slack is None else membership_slack
+    # the upper triangle evaluates the mirrored point; the grid drops it
+    grid = TwoScaleGrid(spec, integer_grid.evaluate(np.maximum(uu, vv), np.minimum(vv, uu)))
+    slack = 2.0 + d
     report = validate_branching(grid, np.inf, tol=slack)
     meta = {
         "depth_used": int(obj.max_covering_level),
         "centers_sampled": int(total_centers),
-        "center_cap": int(max_centers),
+        "center_cap": MAX_CENTERS,
         "center_stride": int(max_stride),
-        "rescale_exponent": int(getattr(obj, "rescale_exponent", 0)),
         "membership_slack": slack,
     }
     return CoverageGrid(grid, meta, report)

@@ -18,18 +18,24 @@ from .operators import (
     plateau_curve,
 )
 
+# Plateau components per random curve, and the bump sizes of the grids.
+KINKS = 3
+BUMP_HEIGHT = 0.3
+STEEPNESS = 3.0
+MAX_HEIGHT = 1.5
+
 
 def random_monotone_limit_curve(
     rng: np.random.Generator,
     lipschitz: float,
     growth: float = 0.0,
-    theta_step: float = DEFAULT_THETA_STEP,
 ) -> SpectrumGrid:
     """Random monotone-class curve via increasing-ratio sampling.
 
     The spectrum ratio is sampled nondecreasing while the curve itself stays
     decreasing and lipschitz-bounded; the value at 0 is at least ``growth``.
     """
+    theta_step = DEFAULT_THETA_STEP
     m = round(1.0 / theta_step)
     th = np.arange(m + 1) * theta_step
     vals = np.empty(m + 1)
@@ -47,18 +53,13 @@ def random_monotone_limit_curve(
     return SpectrumGrid(theta_step, vals)
 
 
-def random_limit_curve(
-    rng: np.random.Generator,
-    lipschitz: float,
-    theta_step: float = DEFAULT_THETA_STEP,
-    kinks: int = 3,
-) -> SpectrumGrid:
+def random_limit_curve(rng: np.random.Generator, lipschitz: float) -> SpectrumGrid:
     """Random limit-class curve as a maximum of plateau curves."""
     pieces = [
-        plateau_curve(rng.uniform(0.1, 1.0) * lipschitz, rng.uniform(0.0, 1.0), theta_step)
-        for _ in range(max(1, kinks))
+        plateau_curve(rng.uniform(0.1, 1.0) * lipschitz, rng.uniform(0.0, 1.0))
+        for _ in range(KINKS)
     ]
-    return SpectrumGrid(theta_step, np.maximum.reduce([p.values for p in pieces]))
+    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([p.values for p in pieces]))
 
 
 def random_bounded_bump(
@@ -79,13 +80,7 @@ def random_bounded_bump(
     return profile_extension(ramp, anchor, spec)
 
 
-def random_branching_grid(
-    rng: np.random.Generator,
-    spec: GridSpec,
-    lipschitz: float,
-    bump_height: float = 0.3,
-    theta_step: float = DEFAULT_THETA_STEP,
-) -> TwoScaleGrid:
+def random_branching_grid(rng: np.random.Generator, spec: GridSpec, lipschitz: float) -> TwoScaleGrid:
     """Random lipschitz-bounded branching grid.
 
     A maximum of one or two homogeneous lifts of random limit curves plus up
@@ -94,21 +89,15 @@ def random_branching_grid(
     limits remain sharp.
     """
     parts = [
-        cone_extension(random_limit_curve(rng, lipschitz * rng.uniform(0.4, 1.0), theta_step), spec)
+        cone_extension(random_limit_curve(rng, lipschitz * rng.uniform(0.4, 1.0)), spec)
         for _ in range(int(rng.integers(1, 3)))
     ]
     for _ in range(int(rng.integers(0, 3))):
-        parts.append(random_bounded_bump(rng, spec, lipschitz, bump_height))
+        parts.append(random_bounded_bump(rng, spec, lipschitz, BUMP_HEIGHT))
     return pointwise_max(parts)
 
 
-def random_perturbed_branching(
-    rng: np.random.Generator,
-    spec: GridSpec,
-    lipschitz: float,
-    steepness: float = 3.0,
-    max_height: float = 1.5,
-) -> TwoScaleGrid:
+def random_perturbed_branching(rng: np.random.Generator, spec: GridSpec, lipschitz: float) -> TwoScaleGrid:
     """Branching grid that exceeds the lipschitz bound on a bounded region.
 
     The base grid is lipschitz-bounded; adding steeper anchored bumps keeps
@@ -119,17 +108,13 @@ def random_perturbed_branching(
     base = random_branching_grid(rng, spec, lipschitz)
     vals = base.values.copy()
     for _ in range(int(rng.integers(1, 4))):
-        bump = random_bounded_bump(rng, spec, steepness * lipschitz, max_height)
+        bump = random_bounded_bump(rng, spec, STEEPNESS * lipschitz, MAX_HEIGHT)
         vals = vals + bump.values
     return TwoScaleGrid(spec, vals)
 
 
 def random_monotone_majorant_curve(
-    rng: np.random.Generator,
-    lipschitz: float,
-    growth: float,
-    theta_step: float = DEFAULT_THETA_STEP,
-    kinks: int = 3,
+    rng: np.random.Generator, lipschitz: float, growth: float
 ) -> SpectrumGrid:
     """Random monotone-class curve dominating every lipschitz-bounded curve.
 
@@ -137,25 +122,14 @@ def random_monotone_majorant_curve(
     growth * (1 - theta) among its plateau components, so it majorizes any
     curve in the lipschitz class and any grid's normalized values.
     """
-    comps = [
-        plateau_curve(lipschitz, 0.0, theta_step),
-        plateau_curve(growth, 0.0, theta_step),
-    ]
-    for _ in range(max(0, kinks)):
-        comps.append(
-            plateau_curve(rng.uniform(growth, lipschitz), rng.uniform(0.0, 1.0), theta_step)
-        )
-    return SpectrumGrid(theta_step, np.maximum.reduce([c.values for c in comps]))
+    comps = [plateau_curve(lipschitz, 0.0), plateau_curve(growth, 0.0)]
+    for _ in range(KINKS):
+        comps.append(plateau_curve(rng.uniform(growth, lipschitz), rng.uniform(0.0, 1.0)))
+    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([c.values for c in comps]))
 
 
 def random_monotone_majorant_grid(
-    rng: np.random.Generator,
-    spec: GridSpec,
-    lipschitz: float,
-    growth: float,
-    theta_step: float = DEFAULT_THETA_STEP,
+    rng: np.random.Generator, spec: GridSpec, lipschitz: float, growth: float
 ) -> TwoScaleGrid:
     """Homogeneous lift of a majorant curve: a monotone-class grid above the class."""
-    return cone_extension(
-        random_monotone_majorant_curve(rng, lipschitz, growth, theta_step), spec
-    )
+    return cone_extension(random_monotone_majorant_curve(rng, lipschitz, growth), spec)

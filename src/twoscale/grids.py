@@ -10,7 +10,7 @@ results are deterministic and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,9 +98,7 @@ class TwoScaleGrid:
     def from_function(cls, spec: GridSpec, fn: Callable) -> "TwoScaleGrid":
         u = spec.coords
         uu, vv = np.meshgrid(u, u, indexing="ij")
-        vals = np.asarray(fn(uu, vv), dtype=float)
-        vals = np.where(vv <= uu, vals, 0.0)
-        return cls(spec, vals)
+        return cls(spec, np.asarray(fn(uu, vv), dtype=float))
 
     def evaluate(self, u, v):
         """Interpolate at (u, v) with 0 <= v <= u <= u_max.
@@ -215,15 +213,8 @@ class PiecewiseLinear:
         out = base + seg_slope * (x - bp[idx])
         return out if out.shape else float(out)
 
-    def max_slope(self) -> float:
-        return float(np.max(self.slopes)) if self.slopes.size else 0.0
-
     def is_increasing(self, tol: float = EXACT_TOL) -> bool:
         return bool(np.all(self.slopes >= -tol))
-
-    def in_lipschitz_class(self, lipschitz: float, tol: float = EXACT_TOL) -> bool:
-        """Membership in the increasing lipschitz-bounded class with f(0) = 0."""
-        return self.is_increasing(tol) and bool(np.all(self.slopes <= lipschitz + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +374,7 @@ def profile_extension(profile: PiecewiseLinear, anchor: float, spec: GridSpec) -
         raise ValueError("anchor must be nonnegative")
     coords = spec.coords
     g = profile.evaluate(np.maximum(coords, anchor)) - profile.evaluate(anchor)
-    vals = g[:, None] - g[None, :]
-    return TwoScaleGrid(spec, np.where(coords[None, :] <= coords[:, None], vals, 0.0))
+    return TwoScaleGrid(spec, g[:, None] - g[None, :])
 
 
 def lipschitz_minorant(
@@ -470,8 +460,7 @@ def lipschitz_approximation(
     for b in range(n + 1):
         g[:b] = 0.0
         g[b:] = _anchored_minorant(V[b:, b], cap)
-        np.maximum(out, g[:, None] - g[None, :], out)
-    out[np.triu_indices(n + 1, k=1)] = 0.0
+        np.maximum(out, g[:, None] - g[None, :], out=out)
     return TwoScaleGrid(grid.spec, out)
 
 
@@ -493,5 +482,4 @@ def rescale(grid: TwoScaleGrid, shift: float) -> TwoScaleGrid:
         m = n + 1 - k
         out[k:, k:] = V[:m, :m]
         out[k:, :k] = V[:m, 0][:, None]
-    out[np.triu_indices(n + 1, k=1)] = 0.0
     return TwoScaleGrid(grid.spec, out)

@@ -9,17 +9,18 @@ breadth-first word expansion down to a scale cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .covering import CoverageGrid, PointSet, empirical_branching, occupied_cells
+from .covering import CoverageGrid, PointSet, empirical_branching
 from .grids import CapExceeded, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid
 from .operators import monotone_envelope
 from .synthesis import DyadicTree
 
 DEFAULT_WORD_CAP = 2_000_000
+MORAN_TOL = 1e-9
 
 Word = tuple  # sequence of map indices; () is the identity
 
@@ -182,13 +183,12 @@ def critical_exponent(
     ifs: SimilarityIFS,
     method: str = "moran",
     *,
-    tol: float = 1e-9,
     resolution: float = 24.0,
     cap: int = DEFAULT_WORD_CAP,
 ) -> float:
     """Growth exponent of the resolution families.
 
-    method="moran" solves sum r_i^h = 1 by bisection to ``tol``;
+    method="moran" solves sum r_i^h = 1 by bisection to ``MORAN_TOL``;
     method="counting" returns log2(#family(resolution)) / resolution.  The two
     agree in the limit, with a gap shrinking in the resolution.
     """
@@ -211,7 +211,7 @@ def critical_exponent(
         hi *= 2.0
         if hi > 1e6:
             raise RuntimeError("moran bisection failed to bracket")
-    while hi - lo > tol:
+    while hi - lo > MORAN_TOL:
         mid = 0.5 * (lo + hi)
         if deficit(mid) > 0.0:
             lo = mid
@@ -223,33 +223,6 @@ def critical_exponent(
 # ---------------------------------------------------------------------------
 # Attractor sampling
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class AttractorSample:
-    """Finite sample of an inhomogeneous attractor, within 2^-depth of it.
-
-    Covering statistics are valid one level short of the generation depth,
-    where the neighbourhood slack stays below a cell.
-    """
-
-    points: np.ndarray
-    depth: float
-    condensation: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def max_covering_level(self) -> int:
-        return int(np.floor(self.depth + 1e-9)) - 1
-
-    def cells_at_level(self, level: int) -> np.ndarray:
-        if not 0 <= level <= self.max_covering_level:
-            raise ValueError(f"level {level} exceeds usable depth {self.max_covering_level}")
-        return occupied_cells(self.points, level)
-
 
 class _CondensationSampler:
     """Point batches for a condensation set, resolved no finer than needed.
@@ -284,13 +257,15 @@ def generate_attractor(
     condensation=None,
     depth: float = 20.0,
     cap: int = DEFAULT_WORD_CAP,
-) -> AttractorSample:
+) -> PointSet:
     """Union of word images of the condensation set down to weight ``depth``.
 
     Fixed points are adjoined to the condensation set.  Tree condensation
     sets are sampled adaptively: a word of weight rho only needs the tree
     resolved to depth - rho before its image drops below the target scale.
-    The result is within 2^-depth Hausdorff distance of the attractor.
+    The result is within 2^-depth Hausdorff distance of the attractor, so its
+    covering statistics are valid one level short of the depth, where the
+    neighbourhood slack stays below a cell.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -313,10 +288,9 @@ def generate_attractor(
             if crho <= depth + EXACT_TOL:
                 stack.append((crho, r * ifs.ratios[i], t + r * ifs.translations[i]))
     points = np.unique(np.vstack(batches), axis=0)
-    return AttractorSample(
+    return PointSet(
         points,
-        depth,
-        sampler.at_budget(depth),
+        int(np.floor(depth + 1e-9)) - 1,
         {"word_count": n_words, "raw_points": n_points, "fixed_points_adjoined": True},
     )
 
@@ -437,7 +411,6 @@ def verify_dimension_formula(
     prediction = monotone_envelope(psi_condensation, growth)
     coords = spec.coords
     dev = np.abs(coverage.grid.values - prediction.values)
-    dev[np.triu_indices(spec.n + 1, k=1)] = 0.0
     norm = dev / np.maximum(1.0, coords)[:, None]
     lo = (depth - 4.0) if u_min is None else u_min
     rows = coords >= lo - EXACT_TOL

@@ -16,7 +16,7 @@ import numpy as np
 from .grids import GridSpec, PiecewiseLinear, TwoScaleGrid
 from .operators import SpectrumGrid
 from .covering import PointSet
-from .synthesis import CompositeDyadicSet, DyadicTree, ExportedPoints
+from .synthesis import DyadicTree, ExportedPoints
 from .ifs import SimilarityIFS
 
 
@@ -138,8 +138,10 @@ def points_from_csv(text: str, depth: int) -> PointSet:
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
     d = (lines[0].count(",") + 1) // 2
     pts = []
-    for ln in lines[1:]:
+    for k, ln in enumerate(lines[1:], start=2):
         parts = [int(tok) for tok in ln.split(",")]
+        if len(parts) != 2 * d:
+            raise ValueError(f"point list row {k} has {len(parts)} fields, expected {2 * d}")
         pts.append([parts[2 * q] / 2.0 ** parts[2 * q + 1] for q in range(d)])
     if not pts:
         raise ValueError("point list is empty")
@@ -212,9 +214,12 @@ def _read_rows(text: str, header: str) -> list[tuple[float, ...]]:
 
 def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
-    "condensation": "point" | "interval" | <point CSV path> | omitted}.
+    "condensation": "point" | <point CSV path> | omitted}.
 
-    Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".
+    Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".  An
+    omitted condensation means the maps' fixed points; a point-list path must
+    end in .csv and is read relative to ``base_dir``.  Any other value is
+    rejected.
     """
     data = json.loads(text)
     d = int(data["d"])
@@ -229,10 +234,10 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     F = None
     if cond == "point":
         F = np.zeros((1, d))
-    elif cond == "interval":
-        F = None  # handled by callers that want a full tree; fixed points here
-    elif isinstance(cond, str) and cond:
+    elif isinstance(cond, str) and cond.endswith(".csv"):
         path = Path(base_dir or ".") / cond
         depth = int(data.get("condensation_depth", 20))
         F = points_from_csv(path.read_text(), depth).points
+    elif cond is not None:
+        raise ValueError(f'condensation must be "point" or a path ending in .csv, got {cond!r}')
     return SimilarityIFS(d, np.array(ratios), np.array(translations), F)

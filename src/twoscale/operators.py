@@ -10,7 +10,7 @@ measures at finite window.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .grids import (
     GridSpec,
     TwoScaleGrid,
     ValidationReport,
-    Violation,
     _Collector,
     validate_branching,
 )
@@ -191,18 +190,17 @@ def scaling_limit(
     grid: TwoScaleGrid,
     u_min: float | None = None,
     theta_step: float = DEFAULT_THETA_STEP,
-    u_max: float | None = None,
 ) -> SpectrumGrid:
     """Finite-window surrogate of the normalized scaling limit.
 
     For each theta on the grid returns max over lattice u in [u_min, u_max] of
-    value(u, theta * u) / u.  The true limit is a limsup in u; the window is
-    reported by callers alongside estimates.  ``u_min`` defaults to a quarter
-    of the grid's scale range.
+    value(u, theta * u) / u, with u_max the grid's scale range.  The true
+    limit is a limsup in u; the window is reported by callers alongside
+    estimates.  ``u_min`` defaults to a quarter of the grid's scale range.
     """
-    top = grid.spec.u_max if u_max is None else min(u_max, grid.spec.u_max)
+    top = grid.spec.u_max
     if u_min is None:
-        u_min = grid.spec.u_max / 4.0
+        u_min = top / 4.0
     if not 0 < u_min < top:
         raise ValueError("need 0 < u_min < u_max within the grid")
     coords = grid.spec.coords
@@ -225,13 +223,12 @@ def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
     if not report.passed:
         raise ValueError(f"invalid limit curve: {report.summary()}")
     coords = spec.coords
-    n = spec.n
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = coords[None, :] / coords[:, None]
     ratio[0, :] = 1.0
     ratio = np.clip(ratio, 0.0, 1.0)
     vals = coords[:, None] * curve.evaluate(ratio)
-    vals[np.triu_indices(n + 1, k=1)] = 0.0
+    # the endpoint is only checked to 1e-7, the diagonal must be exactly zero
     np.fill_diagonal(vals, 0.0)
     return TwoScaleGrid(spec, vals)
 
@@ -317,36 +314,6 @@ def upper_spectrum(curve: AssouadSpectrum) -> AssouadSpectrum:
     return AssouadSpectrum(curve.theta_step, np.maximum.accumulate(curve.values))
 
 
-def direct_upper_spectrum(
-    grid: TwoScaleGrid,
-    u_min: float,
-    theta_step: float = DEFAULT_THETA_STEP,
-    u_max: float | None = None,
-) -> AssouadSpectrum:
-    """Upper spectrum estimated by a direct double supremum.
-
-    For each theta takes max over grid lambdas <= theta (lambda < 1) and
-    window u of value(u, lambda*u) / (u * (1 - lambda)); independent of the
-    composed running-max pipeline it cross-checks.
-    """
-    top = grid.spec.u_max if u_max is None else min(u_max, grid.spec.u_max)
-    if not 0 < u_min < top:
-        raise ValueError("need 0 < u_min < u_max within the grid")
-    coords = grid.spec.coords
-    us = coords[(coords >= u_min - EXACT_TOL) & (coords <= top + EXACT_TOL) & (coords > 0)]
-    m = round(1.0 / theta_step)
-    lams = np.arange(m) * theta_step  # lambda < 1
-    uu = np.repeat(us, m)
-    ll = np.tile(lams, us.size)
-    table = grid.evaluate(uu, ll * uu).reshape(us.size, m)
-    per_lam = (table / (us[:, None] * (1.0 - lams[None, :]))).max(axis=0)
-    out = np.empty(m + 1)
-    for k in range(m):
-        out[k] = per_lam[: k + 1].max()
-    out[m] = per_lam.max()
-    return AssouadSpectrum(theta_step, out)
-
-
 # ---------------------------------------------------------------------------
 # Commuting-diagram deviation
 # ---------------------------------------------------------------------------
@@ -356,7 +323,6 @@ class DeviationReport:
     sup_deviation: float
     witness_theta: float
     window: tuple
-    extra: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -364,7 +330,6 @@ class DeviationReport:
             "witness_theta": self.witness_theta,
             "window": list(self.window),
         }
-        payload.update(self.extra)
         return json.dumps(payload, sort_keys=True)
 
 

@@ -114,11 +114,6 @@ class DyadicTree:
     def max_covering_level(self) -> int:
         return self.depth
 
-    def count(self, level: int) -> int:
-        if not 0 <= level <= self.depth:
-            raise ValueError("level out of range")
-        return int(self.levels[level].size)
-
     def corner_ints(self, level: int) -> np.ndarray:
         """Integer corner coordinates (count, d) at resolution 2^-level."""
         codes = self.levels[level]

@@ -13,8 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .covering import CoverageGrid, PointSet, box_dims, empirical_branching, spectrum_estimate
+from .covering import box_dims, empirical_branching, spectrum_estimate
 from .grids import (
+    EXACT_TOL,
     GridSpec,
     PiecewiseLinear,
     TwoScaleGrid,
@@ -29,9 +30,11 @@ from .ifs import (
     verify_dimension_formula,
 )
 from .operators import (
+    DEFAULT_THETA_STEP,
+    AssouadSpectrum,
     assouad_spectrum,
+    commuting_deviation,
     cone_extension,
-    direct_upper_spectrum,
     monotone_envelope,
     plateau_curve,
     scaling_limit,
@@ -205,9 +208,7 @@ def criterion_3(ctx: VerifyContext) -> CriterionResult:
     for _ in range(100):
         psi = families.random_branching_grid(rng, spec, lips)
         for growth in (0.0, 0.3, 0.7, 1.0):
-            via_grid = scaling_limit(monotone_envelope(psi, growth), u_min)
-            via_curve = spectrum_envelope(scaling_limit(psi, u_min), growth)
-            worst = max(worst, float(np.abs(via_grid.values - via_curve.values).max()))
+            worst = max(worst, commuting_deviation(psi, growth, u_min).sup_deviation)
     return CriterionResult(
         3,
         "commuting diagram",
@@ -378,6 +379,32 @@ def _block_profile(lower: float, upper: float, blocks: int = 7) -> PiecewiseLine
     return PiecewiseLinear(np.array(bps), np.array(slopes))
 
 
+def direct_upper_spectrum(grid: TwoScaleGrid, u_min: float) -> AssouadSpectrum:
+    """Upper spectrum estimated by a direct double supremum.
+
+    For each theta takes max over grid lambdas <= theta (lambda < 1) and
+    window u of value(u, lambda*u) / (u * (1 - lambda)); independent of the
+    composed running-max pipeline it cross-checks.
+    """
+    top = grid.spec.u_max
+    if not 0 < u_min < top:
+        raise ValueError("need 0 < u_min < u_max within the grid")
+    coords = grid.spec.coords
+    us = coords[(coords >= u_min - EXACT_TOL) & (coords <= top + EXACT_TOL) & (coords > 0)]
+    theta_step = DEFAULT_THETA_STEP
+    m = round(1.0 / theta_step)
+    lams = np.arange(m) * theta_step  # lambda < 1
+    uu = np.repeat(us, m)
+    ll = np.tile(lams, us.size)
+    table = grid.evaluate(uu, ll * uu).reshape(us.size, m)
+    per_lam = (table / (us[:, None] * (1.0 - lams[None, :]))).max(axis=0)
+    out = np.empty(m + 1)
+    for k in range(m):
+        out[k] = per_lam[: k + 1].max()
+    out[m] = per_lam.max()
+    return AssouadSpectrum(theta_step, out)
+
+
 def criterion_9(ctx: VerifyContext) -> CriterionResult:
     """Composed upper spectrum equals the direct double supremum."""
     rng = ctx.rng(9)
@@ -396,13 +423,13 @@ def criterion_9(ctx: VerifyContext) -> CriterionResult:
 def criterion_10(ctx: VerifyContext) -> CriterionResult:
     """Monotone-class curves are automatically subadditive."""
     rng = ctx.rng(10)
-    theta_step = 1.0 / 64.0
+    theta_step = DEFAULT_THETA_STEP
     failures = 0
     worst = 0.0
     for _ in range(1000):
         lips = rng.uniform(0.2, 2.0)
         growth = rng.uniform(0.0, lips)
-        curve = families.random_monotone_limit_curve(rng, lips, growth, theta_step)
+        curve = families.random_monotone_limit_curve(rng, lips, growth)
         tol = 2.0 * theta_step * lips
         report = validate_limit_curve(curve, lips, tol)
         if not report.passed:

@@ -5,13 +5,20 @@ Criterion 5 is a strict expected failure: the windowed spectrum estimator's
 finite-depth bias exceeds the stated tolerance at the reference depth (see
 README, "Known limits of the estimators"); the test documents the defect
 rather than recalibrating it away.
+
+The last test hashes the report `twoscale verify all --seed 0` would write,
+built from the criterion runs above, against the golden digest.
 """
+
+import hashlib
+import json
 
 import pytest
 
-from twoscale.verify import CRITERIA, VerifyContext
+from twoscale.verify import CRITERIA, VerifyContext, run_suite
 
 SEED = 0
+RESULTS = {}  # criterion id -> result of its run in this module
 
 
 @pytest.fixture(scope="module")
@@ -21,6 +28,7 @@ def ctx():
 
 def _run(ctx, cid):
     result = CRITERIA[cid](ctx)
+    RESULTS[cid] = result
     print(result.line())
     return result
 
@@ -97,3 +105,21 @@ def test_criterion_11_empirical_membership(ctx):
     r = _run(ctx, 11)
     assert r.passed, r.details
     assert r.details["failures"] == 0
+
+
+def test_verify_all_report_matches_golden_digest(golden):
+    if list(RESULTS) == list(CRITERIA):
+        results = [RESULTS[cid] for cid in CRITERIA]
+    else:  # some criteria were deselected: run the suite as the CLI does
+        results = run_suite("all", SEED)
+    payload = {
+        "suite": "all",
+        "seed": SEED,
+        "all_passed": all(r.passed for r in results),
+        "criteria": [
+            {"id": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
+            for r in results
+        ],
+    }
+    report = json.dumps(payload, sort_keys=True, default=float) + "\n"
+    assert hashlib.sha256(report.encode()).hexdigest() == golden["verify/verify_report.json"]

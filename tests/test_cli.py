@@ -101,9 +101,56 @@ def test_verify_unknown_suite_exits_2():
 
 def test_synth_outputs_are_byte_identical(tmp_path):
     args = ["synth", "h_kappa_lambda:0.7,0.25", "-d", "1", "--depth", "10",
-            "--u-max", "10", "--seed", "3"]
+            "--u-max", "10"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     for name in ("points.csv", "tree.txt", "metadata.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("row", ["5", "9,3", "-9,3"])
+def test_estimate_rejects_bad_point_rows_with_one_error_line(tmp_path, capsys, row):
+    # a ragged row, a point beyond x = 1 and a negative point
+    bad = tmp_path / "points.csv"
+    bad.write_text(f"coord_0_num,coord_0_exp\n1,1\n{row}\n")
+    code = main(["estimate", str(bad), "--depth", "8", "--u-max", "4", "--u-min", "2",
+                 "--out", str(tmp_path / "est")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "est").exists()
+
+
+def test_attractor_rejects_unknown_condensation(tmp_path, capsys):
+    spec = tmp_path / "ifs.json"
+    spec.write_text(json.dumps({
+        "d": 1,
+        "maps": [{"ratio_exp": 2, "translation": [0.0]}, {"ratio_exp": 2, "translation": [0.75]}],
+        "condensation": "interval",
+    }))
+    assert main(["attractor", str(spec), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
+    assert capsys.readouterr().err.startswith("error: condensation")
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "h_kappa_lambda:0.8,0.5", "--seed", "3"],
+    ["synth", "h_kappa_lambda:0.8,0.5", "--u-min", "4"],
+    ["estimate", "points.csv", "--seed", "3"],
+    ["attractor", "ifs.json", "--u-min", "99"],
+    ["attractor", "ifs.json", "--theta-step", "7"],
+])
+def test_commands_reject_options_they_do_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
+    # tree files hold single-digit children, so d = 4 fails after synthesis
+    out = tmp_path / "x"
+    code = main(["synth", "h_kappa_lambda:0.5,0.5", "-d", "4", "--depth", "4", "--u-max", "4",
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tree files")
+    assert not out.exists()

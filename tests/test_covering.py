@@ -41,6 +41,15 @@ def test_cell_count_monotone_in_level():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+def test_point_set_rejects_points_outside_the_unit_cube():
+    for bad in ([[1.125]], [[-0.5]], [[0.5, 1.0 + 1e-6]], [[np.nan]]):
+        with pytest.raises(ValueError, match="unit cube"):
+            PointSet(np.array(bad), 8)
+    # float rounding slack at the faces is accepted and counted in the face cell
+    edge = PointSet(np.array([[1.0 + 1e-12], [-1e-12]]), 4)
+    assert edge.cells_at_level(4).ravel().tolist() == [0, 15]
+
+
 def test_cell_count_out_of_range():
     with pytest.raises(ValueError):
         cell_count(full_interval_tree(4), 9)

@@ -86,6 +86,18 @@ def test_ifs_json_variants(tmp_path):
     ifs = tsio.ifs_from_json(json.dumps(spec))
     assert ifs.condensation is None
 
+    for bad in ("interval", "", 5):
+        spec["condensation"] = bad
+        with pytest.raises(ValueError, match="condensation"):
+            tsio.ifs_from_json(json.dumps(spec))
+
+
+def test_points_from_csv_rejects_ragged_rows():
+    with pytest.raises(ValueError, match="row 3"):
+        tsio.points_from_csv("coord_0_num,coord_0_exp\n1,1\n5\n", depth=8)
+    with pytest.raises(ValueError, match="row 2"):
+        tsio.points_from_csv("coord_0_num,coord_0_exp\n1,1,7\n", depth=8)
+
 
 def test_atomic_write_replaces_whole_file(tmp_path):
     target = tmp_path / "sub" / "file.txt"

@@ -8,7 +8,6 @@ from twoscale import (
     assouad_spectrum,
     commuting_deviation,
     cone_extension,
-    direct_upper_spectrum,
     monotone_envelope,
     plateau_curve,
     pointwise_max,
@@ -24,6 +23,7 @@ from twoscale.families import (
     random_monotone_limit_curve,
 )
 from twoscale.operators import AssouadSpectrum
+from twoscale.verify import direct_upper_spectrum
 
 STEP = 1.0 / 64.0
 

@@ -67,13 +67,13 @@ def test_full_binary_tree_counts():
     eta = StepFunction(1.0, np.arange(7, dtype=float))
     tree = subdivision_tree(eta, 1)
     for n in range(7):
-        assert tree.count(n) == 2**n
+        assert tree.levels[n].size == 2**n
 
 
 def test_chain_tree_is_single_point():
     eta = StepFunction(1.0, np.zeros(9))
     tree = subdivision_tree(eta, 1)
-    assert all(tree.count(n) == 1 for n in range(9))
+    assert all(tree.levels[n].size == 1 for n in range(9))
     pts = export_points(tree, 8)
     assert pts.numerators.shape == (1, 1) and pts.numerators[0, 0] == 0
 
@@ -85,7 +85,7 @@ def test_tree_counts_match_step_function_exactly():
         eta = StepFunction(float(d), float(d) * np.concatenate([[0], np.cumsum(incs)]))
         tree = subdivision_tree(eta, d)
         for n in range(11):
-            assert tree.count(n) == 2 ** int(eta.cumulative[n])
+            assert tree.levels[n].size == 2 ** int(eta.cumulative[n])
 
 
 def test_prefix_count_inside_coarse_cube():
@@ -112,7 +112,7 @@ def test_synthesize_zero_grid_gives_point_chains():
     zero = TwoScaleGrid(spec, np.zeros((spec.n + 1, spec.n + 1)))
     comp = synthesize_set(zero, 1, 10)
     for b, tree in comp.parts:
-        assert tree.count(10) == 1
+        assert tree.levels[10].size == 1
     for u in range(11):
         assert comp.cells_at_level(u).shape[0] <= 2 * (u + 2)
 
@@ -160,7 +160,7 @@ def test_export_count_matches_cube_count():
     eta = StepFunction(2.0, np.array([0.0, 2.0, 2.0, 4.0]))
     tree = subdivision_tree(eta, 2)
     for level in range(4):
-        assert export_points(tree, level).numerators.shape[0] == tree.count(level)
+        assert export_points(tree, level).numerators.shape[0] == tree.levels[level].size
 
 
 def test_export_composite_rescales_into_unit_cube():
@@ -172,7 +172,7 @@ def test_export_composite_rescales_into_unit_cube():
     assert pts.rescale_exponent == 3
     assert floats.min() >= 0.0 and floats.max() <= 5.0 / 8.0
     # origin plus one representative per part cube
-    assert floats.shape[0] == 1 + sum(tree.count(6) for _, tree in comp.parts)
+    assert floats.shape[0] == 1 + sum(tree.levels[6].size for _, tree in comp.parts)
 
 
 def test_export_level_beyond_depth_errors():
