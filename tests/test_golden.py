@@ -14,6 +14,15 @@ TWO_MAP_SPEC = {
     "d": 1,
     "maps": [{"ratio_exp": 2, "translation": [0.0]}, {"ratio_exp": 2, "translation": [0.75]}],
 }
+# float ratios in d = 2: pins the row dedup order and the %.17g point rows
+THREE_MAP_D2_SPEC = {
+    "d": 2,
+    "maps": [
+        {"ratio": 0.3, "translation": [0.0, 0.0]},
+        {"ratio": 0.4, "translation": [0.6, 0.1]},
+        {"ratio": 0.25, "translation": [0.2, 0.7]},
+    ],
+}
 
 
 def digests(out, run: str) -> dict:
@@ -34,9 +43,18 @@ def test_readme_synth_estimate_outputs(tmp_path, golden):
     assert digests(est, "estimate") == expected(golden, "estimate")
 
 
+def attractor_digests(tmp_path, spec: dict, run: str) -> dict:
+    path = tmp_path / f"{run}.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / run
+    assert main(["attractor", str(path), "--depth", "12", "--out", str(out)]) == 0
+    return digests(out, run)
+
+
 def test_two_map_attractor_outputs(tmp_path, golden):
-    spec = tmp_path / "ifs.json"
-    spec.write_text(json.dumps(TWO_MAP_SPEC))
-    out = tmp_path / "attractor"
-    assert main(["attractor", str(spec), "--depth", "12", "--out", str(out)]) == 0
-    assert digests(out, "attractor") == expected(golden, "attractor")
+    assert attractor_digests(tmp_path, TWO_MAP_SPEC, "attractor") == expected(golden, "attractor")
+
+
+def test_three_map_d2_float_attractor_outputs(tmp_path, golden):
+    run = "attractor_d2"
+    assert attractor_digests(tmp_path, THREE_MAP_D2_SPEC, run) == expected(golden, run)

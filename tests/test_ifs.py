@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,9 @@ from twoscale import (
     separated_subfamily,
     words_at_resolution,
 )
+from twoscale.grids import EXACT_TOL, CapExceeded
 from twoscale.ifs import count_words_at_resolution
+from twoscale.synthesis import DyadicTree
 
 
 def binary_full():
@@ -223,3 +227,109 @@ def test_dimension_range_cases():
         dimension_range(0.5, 0.8, 0.4, 1.0)
     with pytest.raises(ValueError):
         dimension_range(1.5, 0.2, 0.4, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# brute-force oracles for attractor sampling and word counting
+# ---------------------------------------------------------------------------
+
+def brute_force_attractor(ifs, condensation, depth):
+    """Every word of weight <= depth, its condensation image, then row dedup.
+
+    The condensation per word follows the documented rule: point arrays and
+    the default fixed points are used whole, a tree is resolved to level
+    ceil(depth - weight) (clamped to [0, tree.depth]); fixed points are
+    always adjoined.
+    """
+    fixed = ifs.fixed_points
+    if isinstance(condensation, DyadicTree):
+        def base(rho):
+            level = int(min(condensation.depth, max(0, np.ceil(depth - rho - 1e-9))))
+            return np.vstack([condensation.corner_ints(level) / np.exp2(level), fixed])
+    else:
+        pts = ifs.base_points() if condensation is None else np.atleast_2d(condensation)
+        flat = np.unique(np.vstack([pts, fixed]), axis=0)
+
+        def base(rho):
+            return flat
+
+    longest = int(np.floor((depth + EXACT_TOL) / ifs.weights.min())) + 1
+    images, n_words = [], 0
+    for length in range(longest + 1):
+        for word in itertools.product(range(ifs.n_maps), repeat=length):
+            rho = log_contraction(ifs, word)
+            if rho > depth + EXACT_TOL:
+                continue
+            r, t = ifs.apply_word(word)
+            images.append(base(rho) * r + t)
+            n_words += 1
+    raw = np.vstack(images)
+    return np.unique(raw, axis=0), n_words, raw.shape[0]
+
+
+RATIOS = st.one_of(st.sampled_from([0.5, 0.25, 0.125]), st.floats(0.2, 0.6))
+
+
+@st.composite
+def small_systems(draw):
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, 3))
+    ratios = np.array([draw(RATIOS) for _ in range(n)])
+    translations = np.array(
+        [[draw(st.floats(0.0, 1.0)) * (1.0 - r) for _ in range(d)] for r in ratios]
+    )
+    return SimilarityIFS(d, ratios, translations)
+
+
+def small_tree(d, rng):
+    """Random DyadicTree of depth 3: each cube keeps a random nonempty set of children."""
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(3):
+        kids = [(int(c) << d) | k for c in levels[-1] for k in range(1 << d)]
+        keep = rng.random(len(kids)) < 0.6
+        keep[:: 1 << d] = True
+        levels.append(np.array(sorted(np.array(kids)[keep]), dtype=np.int64))
+    return DyadicTree(d, 3, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.sampled_from(["none", "points", "tree"]),
+       st.one_of(st.integers(1, 5).map(float), st.floats(0.5, 5.0)), st.integers(0, 2**16))
+def test_generate_attractor_matches_brute_force(ifs, kind, depth, seed):
+    rng = np.random.default_rng(seed)
+    condensation = {
+        "none": None,
+        "points": rng.random((3, ifs.dimension)),
+        "tree": small_tree(ifs.dimension, rng),
+    }[kind]
+    points, n_words, raw = brute_force_attractor(ifs, condensation, depth)
+    sample = generate_attractor(ifs, condensation, depth)
+    assert np.array_equal(sample.points, points)
+    assert sample.metadata["word_count"] == n_words
+    assert sample.metadata["raw_points"] == raw
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.15, 0.7), min_size=1, max_size=3), st.floats(0.5, 7.0))
+def test_count_words_matches_enumeration_for_float_ratios(ratios, u):
+    ifs = SimilarityIFS(1, np.array(ratios), np.zeros((len(ratios), 1)))
+    assert count_words_at_resolution(ifs, u) == len(words_at_resolution(ifs, u))
+
+
+def test_count_words_cap_boundary():
+    ifs = SimilarityIFS(1, np.array([0.3, 0.45, 0.2]), np.zeros((3, 1)))
+    family = len(words_at_resolution(ifs, 9.0))
+    assert count_words_at_resolution(ifs, 9.0, cap=family) == family
+    with pytest.raises(CapExceeded):
+        count_words_at_resolution(ifs, 9.0, cap=family - 1)
+
+
+@pytest.mark.parametrize("condensation", [None, np.linspace(0.0, 1.0, 11)[:, None]])
+def test_generate_attractor_cap_boundary(condensation):
+    # word-bound with the fixed points only, point-bound with 11 condensation points
+    ifs = SimilarityIFS(1, np.array([0.3, 0.45]), np.array([[0.0], [0.55]]))
+    meta = generate_attractor(ifs, condensation, 8.0).metadata
+    cap = max(meta["word_count"], -(-meta["raw_points"] // 4))
+    assert generate_attractor(ifs, condensation, 8.0, cap=cap).metadata == meta
+    with pytest.raises(CapExceeded):
+        generate_attractor(ifs, condensation, 8.0, cap=cap - 1)
