@@ -108,10 +108,10 @@ def cmd_attractor(args) -> int:
         "depth": args.depth,
     }
     info.update(sample.metadata)
-    lines = [",".join(f"coord_{q}" for q in range(ifs.dimension))]
-    for p in sample.points:
-        lines.append(",".join(f"{x:.17g}" for x in p))
-    tsio.atomic_write(out / "attractor_points.csv", "\n".join(lines) + "\n")
+    header = ",".join(f"coord_{q}" for q in range(ifs.dimension)) + "\n"
+    row = ",".join(["%.17g"] * ifs.dimension) + "\n"
+    text = (header + row * sample.points.shape[0]) % tuple(sample.points.ravel().tolist())
+    tsio.atomic_write(out / "attractor_points.csv", text)
     tsio.atomic_write(out / "attractor_info.json", json.dumps(info, sort_keys=True) + "\n")
     print(f"wrote {out}/attractor_points.csv, attractor_info.json")
     return EXIT_OK

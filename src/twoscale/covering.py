@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, validate_branching
+from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, unique_rows, validate_branching
 from .operators import (
     DEFAULT_THETA_STEP,
     AssouadSpectrum,
@@ -69,7 +69,7 @@ def occupied_cells(points: np.ndarray, level: int) -> np.ndarray:
     """
     cells = np.floor(points * np.exp2(level)).astype(np.int64)
     cells = np.clip(cells, 0, (1 << level) - 1)
-    return np.unique(cells, axis=0)
+    return unique_rows(cells)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .covering import CoverageGrid, PointSet, empirical_branching
-from .grids import CapExceeded, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid
+from .grids import CapExceeded, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid, unique_rows
 from .operators import monotone_envelope
 from .synthesis import DyadicTree
 
@@ -92,7 +92,7 @@ class SimilarityIFS:
 
     def base_points(self) -> np.ndarray:
         F = self.fixed_points if self.condensation is None else self.condensation
-        return np.unique(np.vstack([F, self.fixed_points]), axis=0)
+        return unique_rows(np.vstack([F, self.fixed_points]))
 
     def apply_word(self, word: Iterable[int]) -> tuple[float, np.ndarray]:
         """Composite similarity (ratio, translation) of a word, leftmost outermost."""
@@ -157,14 +157,31 @@ def _integer_weights(ifs: SimilarityIFS) -> np.ndarray | None:
 
 
 def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_WORD_CAP) -> int:
-    """Size of the resolution family, via exact integer recursion when possible.
+    """Size of the resolution family, counted without listing its words.
 
     For dyadic ratios the weights are integers and word counts by weight obey
-    c[j] = sum_i c[j - k_i], so the family size needs no enumeration.
+    c[j] = sum_i c[j - k_i], an exact integer recursion.  Otherwise the words
+    are expanded level by level as an array of weights only: each level adds
+    every map's weight to every frontier weight, counts the children that
+    reach ``u`` and keeps the rest as the next frontier.  The sums are the
+    ones ``words_at_resolution`` forms, so the count is the same, and
+    ``CapExceeded`` is raised at the same peak of counted plus frontier words.
     """
+    if u <= 0:
+        raise ValueError("resolution must be positive")
     ks = _integer_weights(ifs)
     if ks is None:
-        return len(words_at_resolution(ifs, u, cap))
+        w = ifs.weights
+        total = 0
+        rho = np.zeros(1)
+        while rho.size:
+            crho = (rho[:, None] + w[None, :]).ravel()
+            done = crho >= u - EXACT_TOL
+            total += int(np.count_nonzero(done))
+            rho = crho[~done]
+            if total + rho.size > cap:
+                raise CapExceeded(f"resolution family exceeds {cap} words")
+        return total
     top = int(np.ceil(u - 1e-9))
     counts = [0] * top
     if top > 0:
@@ -193,8 +210,6 @@ def critical_exponent(
     agree in the limit, with a gap shrinking in the resolution.
     """
     if method == "counting":
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
         n = count_words_at_resolution(ifs, resolution, cap)
         return float(np.log2(n) / resolution)
     if method != "moran":
@@ -238,14 +253,18 @@ class _CondensationSampler:
         self._cache: dict[int, np.ndarray] = {}
         if self.tree is None:
             pts = ifs.base_points() if F is None else np.atleast_2d(np.asarray(F, dtype=float))
-            self.flat = np.unique(np.vstack([pts, ifs.fixed_points]), axis=0)
+            self.flat = unique_rows(np.vstack([pts, ifs.fixed_points]))
         else:
             self.flat = None
 
-    def at_budget(self, budget: float) -> np.ndarray:
+    def groups(self, budgets: np.ndarray) -> list[tuple[np.ndarray, np.ndarray | slice]]:
+        """(points, selector) pairs that give every word its batch for its budget."""
         if self.tree is None:
-            return self.flat
-        level = int(min(self.tree.depth, max(0, np.ceil(budget - 1e-9))))
+            return [(self.flat, slice(None))]
+        levels = np.minimum(self.tree.depth, np.maximum(0, np.ceil(budgets - 1e-9))).astype(np.int64)
+        return [(self._at_level(int(lv)), levels == lv) for lv in np.unique(levels)]
+
+    def _at_level(self, level: int) -> np.ndarray:
         if level not in self._cache:
             pts = self.tree.corner_ints(level) / np.exp2(level)
             self._cache[level] = np.vstack([pts, self.ifs.fixed_points])
@@ -260,12 +279,17 @@ def generate_attractor(
 ) -> PointSet:
     """Union of word images of the condensation set down to weight ``depth``.
 
-    Fixed points are adjoined to the condensation set.  Tree condensation
-    sets are sampled adaptively: a word of weight rho only needs the tree
-    resolved to depth - rho before its image drops below the target scale.
-    The result is within 2^-depth Hausdorff distance of the attractor, so its
-    covering statistics are valid one level short of the depth, where the
-    neighbourhood slack stays below a cell.
+    Words are expanded level by level: a level holds the weights, ratios and
+    translations of all its words as arrays, its images are one broadcast
+    F * r + t per condensation batch, and its children are every word-map
+    pair whose weight stays within ``depth``.  Fixed points are adjoined to
+    the condensation set.  Tree condensation sets are sampled adaptively: a
+    word of weight rho only needs the tree resolved to depth - rho before its
+    image drops below the target scale, so a level is grouped by that tree
+    level.  The cap on words (and on 4 * cap raw points) is checked before a
+    level's images are built.  The result is within 2^-depth Hausdorff
+    distance of the attractor, so its covering statistics are valid one level
+    short of the depth, where the neighbourhood slack stays below a cell.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
@@ -274,20 +298,19 @@ def generate_attractor(
     batches: list[np.ndarray] = []
     n_words = 0
     n_points = 0
-    stack: list[tuple[float, float, np.ndarray]] = [(0.0, 1.0, np.zeros(ifs.dimension))]
-    while stack:
-        rho, r, t = stack.pop()
-        n_words += 1
-        batch = sampler.at_budget(depth - rho) * r + t
-        n_points += batch.shape[0]
+    rho, r, t = np.zeros(1), np.ones(1), np.zeros((1, ifs.dimension))
+    while rho.size:
+        groups = sampler.groups(depth - rho)
+        n_words += rho.size
+        n_points += sum(F.shape[0] * r[sel].size for F, sel in groups)
         if n_words > cap or n_points > 4 * cap:
             raise CapExceeded(f"attractor sample exceeds the cap ({cap} words)")
-        batches.append(batch)
-        for i in range(ifs.n_maps):
-            crho = rho + w[i]
-            if crho <= depth + EXACT_TOL:
-                stack.append((crho, r * ifs.ratios[i], t + r * ifs.translations[i]))
-    points = np.unique(np.vstack(batches), axis=0)
+        for F, sel in groups:
+            batches.append((F[None] * r[sel, None, None] + t[sel, None, :]).reshape(-1, ifs.dimension))
+        crho = rho[:, None] + w[None, :]
+        idx, i = np.nonzero(crho <= depth + EXACT_TOL)
+        rho, r, t = crho[idx, i], r[idx] * ifs.ratios[i], t[idx] + r[idx, None] * ifs.translations[i]
+    points = unique_rows(np.concatenate(batches))
     return PointSet(
         points,
         int(np.floor(depth + 1e-9)) - 1,

@@ -19,6 +19,9 @@ from .covering import PointSet
 from .synthesis import DyadicTree, ExportedPoints
 from .ifs import SimilarityIFS
 
+# Exponents e for which 2.0 ** e is a finite nonzero float.
+MIN_EXP, MAX_EXP = -1074, 1023
+
 
 def atomic_write(path, text: str) -> None:
     path = Path(path)
@@ -142,7 +145,12 @@ def points_from_csv(text: str, depth: int) -> PointSet:
         parts = [int(tok) for tok in ln.split(",")]
         if len(parts) != 2 * d:
             raise ValueError(f"point list row {k} has {len(parts)} fields, expected {2 * d}")
-        pts.append([parts[2 * q] / 2.0 ** parts[2 * q + 1] for q in range(d)])
+        if not all(MIN_EXP <= e <= MAX_EXP for e in parts[1::2]):
+            raise ValueError(f"point list row {k} has an exponent outside [{MIN_EXP}, {MAX_EXP}]")
+        try:
+            pts.append([parts[2 * q] / 2.0 ** parts[2 * q + 1] for q in range(d)])
+        except OverflowError:
+            raise ValueError(f"point list row {k} has a numerator beyond the float range") from None
     if not pts:
         raise ValueError("point list is empty")
     # snap to the nearest depth-level dyadic point; records the quantization
@@ -222,22 +230,25 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     rejected.
     """
     data = json.loads(text)
-    d = int(data["d"])
-    ratios, translations = [], []
-    for m in data["maps"]:
-        if "ratio_exp" in m:
-            ratios.append(2.0 ** (-int(m["ratio_exp"])))
-        else:
-            ratios.append(float(m["ratio"]))
-        translations.append([float(x) for x in m["translation"]])
+    try:
+        d = int(data["d"])
+        ratios, translations = [], []
+        for m in data["maps"]:
+            if "ratio_exp" in m:
+                ratios.append(2.0 ** (-int(m["ratio_exp"])))
+            else:
+                ratios.append(float(m["ratio"]))
+            translations.append([float(x) for x in m["translation"]])
+        cond_depth = int(data.get("condensation_depth", 20))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed IFS spec: {exc}") from None
     cond = data.get("condensation")
     F = None
     if cond == "point":
         F = np.zeros((1, d))
     elif isinstance(cond, str) and cond.endswith(".csv"):
         path = Path(base_dir or ".") / cond
-        depth = int(data.get("condensation_depth", 20))
-        F = points_from_csv(path.read_text(), depth).points
+        F = points_from_csv(path.read_text(), cond_depth).points
     elif cond is not None:
         raise ValueError(f'condensation must be "point" or a path ending in .csv, got {cond!r}')
     return SimilarityIFS(d, np.array(ratios), np.array(translations), F)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import CapExceeded, EXACT_TOL, PiecewiseLinear, TwoScaleGrid
+from .grids import CapExceeded, EXACT_TOL, PiecewiseLinear, TwoScaleGrid, unique_rows
 
 DEFAULT_CUBE_CAP = 2_500_000
 
@@ -201,7 +201,7 @@ class CompositeDyadicSet:
                 cells[:, 0] += PART_OFFSET_NUM << (level - b) if level >= b else PART_OFFSET_NUM >> (b - level)
                 chunks.append(cells)
             # else: the whole part sits in the origin cell already counted
-        return np.unique(np.concatenate(chunks, axis=0), axis=0)
+        return unique_rows(np.concatenate(chunks))
 
 
 def synthesize_set(

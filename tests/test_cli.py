@@ -154,3 +154,30 @@ def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: tree files")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    {"d": 1, "maps": 3},
+    {"d": 1, "maps": [{"ratio_exp": 2, "translation": 0.5}]},
+    {"d": [1], "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
+    {"d": 1, "maps": [{"ratio_exp": -2000, "translation": [0.0]}]},
+])
+def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec):
+    path = tmp_path / "ifs.json"
+    path.write_text(json.dumps(spec))
+    assert main(["attractor", str(path), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed IFS spec")
+    assert not (tmp_path / "att").exists()
+
+
+@pytest.mark.parametrize("row", ["1,1024", "1,-1075"])
+def test_estimate_rejects_out_of_range_exponents(tmp_path, capsys, row):
+    # 2.0 ** 1024 overflows and 2.0 ** -1075 rounds to zero
+    bad = tmp_path / "points.csv"
+    bad.write_text(f"coord_0_num,coord_0_exp\n1,1\n{row}\n")
+    code = main(["estimate", str(bad), "--depth", "8", "--u-max", "4", "--u-min", "2",
+                 "--out", str(tmp_path / "est")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: point list row 3 has an exponent")

@@ -15,6 +15,7 @@ from twoscale import (
     rescale,
     validate_branching,
 )
+from twoscale.grids import unique_rows
 
 
 def linear_grid(spec, slope=1.0):
@@ -334,3 +335,23 @@ def test_rescale_preserves_validation():
 def test_rescale_requires_aligned_shift():
     with pytest.raises(ValueError):
         rescale(linear_grid(GridSpec(2.0, 0.5)), 0.3)
+
+
+# ---------------------------------------------------------------------------
+# row deduplication
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([np.int64, np.float64]), st.integers(1, 3), st.integers(0, 40),
+       st.integers(0, 2**16))
+def test_unique_rows_matches_numpy_unique(dtype, d, n, seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values per column, so duplicates and ties on leading columns are common
+    a = rng.integers(-3, 4, size=(n, d)).astype(dtype)
+    if dtype is np.float64:
+        a = a * 0.1 + rng.choice([0.0, 1e-17, 0.3], size=(n, d))
+    a = np.vstack([a, a[: n // 2]])
+    expected = np.unique(a, axis=0)
+    got = unique_rows(a)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)

@@ -310,8 +310,10 @@ def test_generate_attractor_matches_brute_force(ifs, kind, depth, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.floats(0.15, 0.7), min_size=1, max_size=3), st.floats(0.5, 7.0))
+@given(st.lists(st.one_of(st.sampled_from([0.5, 0.25]), st.floats(0.15, 0.7)), min_size=1, max_size=3),
+       st.one_of(st.integers(1, 7).map(float), st.floats(0.5, 7.0)))
 def test_count_words_matches_enumeration_for_float_ratios(ratios, u):
+    # dyadic ratios beside float ones put word weights exactly on integer u
     ifs = SimilarityIFS(1, np.array(ratios), np.zeros((len(ratios), 1)))
     assert count_words_at_resolution(ifs, u) == len(words_at_resolution(ifs, u))
 

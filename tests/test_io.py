@@ -105,3 +105,14 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     tsio.atomic_write(target, "two\n")
     assert target.read_text() == "two\n"
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+
+def test_points_from_csv_exponent_range():
+    # the extreme exponents that still give a finite nonzero 2.0 ** e are accepted
+    pts = tsio.points_from_csv(f"coord_0_num,coord_0_exp\n{2**1023},1023\n0,-1074\n", 4)
+    assert pts.points.tolist() == [[1.0], [0.0]]
+    for exp in (1024, -1075):
+        with pytest.raises(ValueError, match="exponent outside"):
+            tsio.points_from_csv(f"coord_0_num,coord_0_exp\n1,{exp}\n", 4)
+    with pytest.raises(ValueError, match="beyond the float range"):
+        tsio.points_from_csv(f"coord_0_num,coord_0_exp\n{10**400},1023\n", 4)
