@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoscale import (
     GridSpec,
@@ -104,6 +106,40 @@ def test_local_covering_two_dimensional():
     from twoscale.covering import _max_ball_count
 
     assert _max_ball_count(cells[:1], cells, 16, 10) in (1, 2)
+
+
+def exact_ball_count(cells, u, v):
+    """Direct O(n^2) ball test in Python integers, in units of 2^-u.
+
+    The closed ball of radius 2^(u-v) around a cell's corner c meets the cell
+    [k, k+1]^d when the nearest point of that cell lies within the radius.
+    """
+    r2 = 4 ** (u - v)
+    rows = [[int(x) for x in row] for row in cells]
+    best = 0
+    for c in rows:
+        hits = 0
+        for k in rows:
+            dist2 = sum((min(max(x, a), a + 1) - x) ** 2 for a, x in zip(k, c))
+            hits += dist2 <= r2
+        best = max(best, hits)
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 12), st.integers(1, 12), st.data())
+def test_local_covering_matches_exact_ball_oracle(d, spread, u, data):
+    # points on the level-``spread`` lattice, so small sets still cluster
+    side = 1 << spread
+    rows = data.draw(st.lists(st.lists(st.integers(0, side), min_size=d, max_size=d),
+                              min_size=1, max_size=12))
+    pts = PointSet(np.array(rows, dtype=float) / side, 12)
+    cells = pts.cells_at_level(u)
+    grid = empirical_branching(pts, GridSpec(float(u), 1.0)).grid
+    for v in range(u):
+        count = exact_ball_count(cells, u, v)
+        assert local_covering(pts, u, v) == count
+        assert grid.values[u, v] == np.log2(count)
 
 
 # ---------------------------------------------------------------------------
