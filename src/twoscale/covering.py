@@ -10,6 +10,7 @@ every downstream quantity normalizes away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,8 @@ from .operators import (
 )
 
 MAX_CENTERS = 100_000
+# (center, cell) pairs measured at once by the d >= 2 ball count
+BALL_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +96,8 @@ def local_covering(obj, u: int, v: int) -> int:
     ``MAX_CENTERS``); for each center the level-u cells meeting the closed
     ball of radius 2^-v around it are counted, and the maximum is returned.
     At u == v the count is pinned to one cell, the scale-matched convention
-    that keeps empirical grids inside the branching class.
+    that keeps empirical grids inside the branching class.  The count comes
+    from ``_max_ball_count``, which measures every radius of level u at once.
     """
     if not 0 <= v <= u:
         raise ValueError("need 0 <= v <= u")
@@ -101,37 +105,52 @@ def local_covering(obj, u: int, v: int) -> int:
         raise ValueError(f"level {u} exceeds usable depth {obj.max_covering_level}")
     if u == v:
         return 1
-    cells = obj.cells_at_level(u)
-    return _max_ball_count(cells, cells, 1 << (u - v), MAX_CENTERS)
+    return int(_max_ball_count(obj.cells_at_level(u), u)[u - v])
 
 
-def _max_ball_count(cells: np.ndarray, centers: np.ndarray, radius: int, max_centers: int) -> int:
-    """Max over centers of cells with closed-box/closed-ball intersection.
+def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
+    """Max over centers of the cells meeting the closed ball of radius 2^s, s = 0..level.
 
-    All geometry is integral: a cell [k, k+1] meets the ball of integer radius
-    R around corner c exactly when every coordinate gap max(k-c, c-k-1, 0)
-    keeps the squared distance within R^2.
+    Cells and centers are the same level-``level`` cells, the centers at
+    their corners and strided to at most ``MAX_CENTERS``; all geometry is in
+    integer units of 2^-level.  A cell [k, k+1] meets the ball around corner
+    c exactly when the squared gap sum D2 of max(k-c, c-k-1, 0) is at most
+    4^s.  D2 does not depend on the radius, so in d >= 2 each (center, cell)
+    pair is measured once, ``BALL_PAIRS`` pairs at a time: the pair's
+    smallest s with D2 <= 4^s is binned per center, and the cumulative bins
+    count every radius at once.  D2 is exact in int64 only while
+    d (2^level - 1)^2 fits, so deeper levels raise ``ValueError``.
     """
-    stride = max(1, -(-centers.shape[0] // max_centers))
-    centers = centers[::stride]
+    stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
+    centers = cells[::stride]
     d = cells.shape[1]
     if d == 1:
         flat = np.sort(cells[:, 0])
         c = centers[:, 0]
-        lo = np.searchsorted(flat, c - radius - 1, side="left")
-        hi = np.searchsorted(flat, c + radius, side="right")
-        return int((hi - lo).max())
-    order = np.argsort(cells[:, 0], kind="stable")
-    cells = cells[order]
-    first = cells[:, 0]
-    best = 0
-    r2 = radius * radius
-    for c in centers:
-        a = np.searchsorted(first, c[0] - radius - 1, side="left")
-        b = np.searchsorted(first, c[0] + radius, side="right")
-        block = cells[a:b]
-        gaps = np.maximum(np.maximum(block - c, c - block - 1), 0)
-        best = max(best, int(np.count_nonzero(np.sum(gaps * gaps, axis=1) <= r2)))
+        return np.array([
+            (np.searchsorted(flat, c + r, side="right") - np.searchsorted(flat, c - r - 1, side="left")).max()
+            for r in (1 << s for s in range(level + 1))
+        ])
+    if d * ((1 << level) - 1) ** 2 > np.iinfo(np.int64).max:
+        deepest = (math.isqrt(np.iinfo(np.int64).max // d) + 1).bit_length() - 1
+        raise ValueError(f"ball counts in d = {d} are exact only up to level {deepest}, not {level}")
+    pow4 = 4 ** np.arange(level + 1, dtype=np.int64)
+    best = np.zeros(level + 1, dtype=np.int64)
+    chunk = max(1, BALL_PAIRS // cells.shape[0])
+    for start in range(0, centers.shape[0], chunk):
+        c = centers[start:start + chunk]
+        n = c.shape[0]
+        d2 = np.zeros((n, cells.shape[0]), dtype=np.int64)
+        for q in range(d):
+            k, cq = cells[:, q], c[:, q, None]
+            gap = np.maximum(k - cq, cq - k - 1)
+            np.maximum(gap, 0, out=gap)
+            d2 += gap * gap
+        s = np.searchsorted(pow4, d2)
+        # level + 2 bins per center; the last one holds the cells beyond every radius
+        bins = np.bincount((s + (level + 2) * np.arange(n)[:, None]).ravel(), minlength=n * (level + 2))
+        counts = np.cumsum(bins.reshape(n, level + 2)[:, :-1], axis=1)
+        np.maximum(best, counts.max(axis=0), out=best)
     return best
 
 
@@ -156,8 +175,7 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
         cells = obj.cells_at_level(u)
         total_centers += cells.shape[0]
         max_stride = max(max_stride, -(-cells.shape[0] // MAX_CENTERS))
-        for v in range(u):
-            table[u, v] = np.log2(_max_ball_count(cells, cells, 1 << (u - v), MAX_CENTERS))
+        table[u, :u] = np.log2(_max_ball_count(cells, u)[u:0:-1])
     integer_grid = TwoScaleGrid(GridSpec(float(top), 1.0), table)
     coords = spec.coords
     uu, vv = np.meshgrid(coords, coords, indexing="ij")

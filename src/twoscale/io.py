@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .ifs import SimilarityIFS
 
 # Exponents e for which 2.0 ** e is a finite nonzero float.
 MIN_EXP, MAX_EXP = -1074, 1023
+# point-list rows parsed at once
+ROW_BLOCK = 8192
 
 
 def atomic_write(path, text: str) -> None:
@@ -127,35 +130,77 @@ def curve_from_csv(text: str) -> SpectrumGrid:
 # ---------------------------------------------------------------------------
 
 def points_to_csv(points: ExportedPoints) -> str:
-    d = points.numerators.shape[1]
-    header = ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d))
-    lines = [header]
-    for num, e in zip(points.numerators, points.exponents):
-        lines.append(",".join(f"{num[q]},{e}" for q in range(d)))
-    return "\n".join(lines) + "\n"
+    """Header plus one row per point: numerator and exponent for each coordinate.
+
+    The rows are one ``%`` format over the interleaved (m, 2d) integer table.
+    """
+    m, d = points.numerators.shape
+    header = ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d)) + "\n"
+    row = ",".join(["%d,%d"] * d) + "\n"
+    table = np.empty((m, 2 * d), dtype=np.int64)
+    table[:, 0::2] = points.numerators
+    table[:, 1::2] = points.exponents[:, None]
+    return (header + row * m) % tuple(table.ravel().tolist())
 
 
 def points_from_csv(text: str, depth: int) -> PointSet:
-    lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
+    """Read a point list, snapped to the nearest depth-level dyadic point.
+
+    Rows are numbered from the header (row 1), blank lines skipped, and
+    parsed in blocks of ``ROW_BLOCK``; a bad row is reported by its number,
+    the first one in file order when there are several.
+    """
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].startswith("coord_0_num"):
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
     d = (lines[0].count(",") + 1) // 2
-    pts = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = [int(tok) for tok in ln.split(",")]
-        if len(parts) != 2 * d:
-            raise ValueError(f"point list row {k} has {len(parts)} fields, expected {2 * d}")
-        if not all(MIN_EXP <= e <= MAX_EXP for e in parts[1::2]):
-            raise ValueError(f"point list row {k} has an exponent outside [{MIN_EXP}, {MAX_EXP}]")
-        try:
-            pts.append([parts[2 * q] / 2.0 ** parts[2 * q + 1] for q in range(d)])
-        except OverflowError:
-            raise ValueError(f"point list row {k} has a numerator beyond the float range") from None
-    if not pts:
+    rows = lines[1:]
+    if not rows:
         raise ValueError("point list is empty")
+    pts = np.empty((len(rows), d))
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        pts[start:start + len(block)] = _rows_to_points(block, d, start + 2)
     # snap to the nearest depth-level dyadic point; records the quantization
-    arr = np.round(np.asarray(pts) * 2.0**depth) / 2.0**depth
+    arr = np.round(pts * 2.0**depth) / 2.0**depth
     return PointSet(arr, depth)
+
+
+def _rows_to_points(rows: list[str], d: int, first: int) -> np.ndarray:
+    """Coordinates (len(rows), d) of point-list rows; ``first`` numbers rows[0].
+
+    A failing block is halved until the failing row is alone, so the error
+    names the first bad row and gives the message a row-by-row reader would.
+    """
+    try:
+        return _parse_rows(rows, d, first)
+    except ValueError:
+        if len(rows) == 1:
+            raise
+        half = len(rows) // 2
+        _rows_to_points(rows[:half], d, first)
+        _rows_to_points(rows[half:], d, first + half)
+        raise
+
+
+def _parse_rows(rows: list[str], d: int, first: int) -> np.ndarray:
+    """Check and convert rows in the order a row is checked: integer fields,
+    field count, exponent range, numerator range.  Messages name row ``first``,
+    which ``_rows_to_points`` makes the failing row."""
+    values = list(map(int, ",".join(rows).split(",")))
+    fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows)) + 1
+    if np.any(fields != 2 * d):
+        raise ValueError(f"point list row {first} has {fields[0]} fields, expected {2 * d}")
+    exps = values[1::2]
+    if min(exps) < MIN_EXP or max(exps) > MAX_EXP:
+        raise ValueError(f"point list row {first} has an exponent outside [{MIN_EXP}, {MAX_EXP}]")
+    try:
+        nums = np.array(values[0::2], dtype=float)
+    except OverflowError:
+        raise ValueError(f"point list row {first} has a numerator beyond the float range") from None
+    # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
+    with np.errstate(over="ignore"):
+        return (nums / np.ldexp(1.0, np.array(exps))).reshape(len(rows), d)
 
 
 def write_set_metadata(path, d: int, depth: int, rescale_exponent: int, extra: dict | None = None) -> None:
@@ -169,16 +214,25 @@ def write_set_metadata(path, d: int, depth: int, rescale_exponent: int, extra: d
 # ---------------------------------------------------------------------------
 
 def tree_to_text(tree: DyadicTree) -> str:
-    if tree.dimension > 3:
+    """Level headers, then each code as its n base-2^d digits, root first.
+
+    Each level is one (codes, n + 1) byte array of digit characters and
+    newlines, decoded at once; the level-0 root is written ``-``.
+    """
+    d = tree.dimension
+    if d > 3:
         raise ValueError("tree files use single-digit children (d <= 3)")
-    lines = []
+    parts = []
     for n, codes in enumerate(tree.levels):
-        lines.append(f"# level {n}")
-        for code in codes:
-            digits = [(int(code) >> (tree.dimension * (n - pos))) & ((1 << tree.dimension) - 1)
-                      for pos in range(1, n + 1)]
-            lines.append("".join(str(x) for x in digits) if digits else "-")
-    return "\n".join(lines) + "\n"
+        parts.append(f"# level {n}\n")
+        if n == 0:
+            parts.append("-\n" * codes.size)
+            continue
+        shifts = d * np.arange(n - 1, -1, -1, dtype=np.int64)
+        chars = np.full((codes.size, n + 1), ord("\n"), dtype=np.uint8)
+        chars[:, :n] = ((codes[:, None] >> shifts) & ((1 << d) - 1)) + ord("0")
+        parts.append(chars.tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def tree_from_text(text: str, dimension: int) -> DyadicTree:
@@ -220,10 +274,18 @@ def _read_rows(text: str, header: str) -> list[tuple[float, ...]]:
     return rows
 
 
+def _json_int(value, key: str) -> int:
+    """An integer field of a JSON spec; floats and booleans are rejected, not truncated."""
+    if type(value) is not int:
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
 
+    "d", "ratio_exp" and "condensation_depth" must be JSON integers.
     Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
@@ -231,15 +293,15 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """
     data = json.loads(text)
     try:
-        d = int(data["d"])
+        d = _json_int(data["d"], "d")
         ratios, translations = [], []
         for m in data["maps"]:
             if "ratio_exp" in m:
-                ratios.append(2.0 ** (-int(m["ratio_exp"])))
+                ratios.append(2.0 ** -_json_int(m["ratio_exp"], "ratio_exp"))
             else:
                 ratios.append(float(m["ratio"]))
             translations.append([float(x) for x in m["translation"]])
-        cond_depth = int(data.get("condensation_depth", 20))
+        cond_depth = _json_int(data.get("condensation_depth", 20), "condensation_depth")
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed IFS spec: {exc}") from None
     cond = data.get("condensation")

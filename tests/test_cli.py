@@ -162,6 +162,10 @@ def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
     {"d": 1, "maps": [{"ratio_exp": 2, "translation": 0.5}]},
     {"d": [1], "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
     {"d": 1, "maps": [{"ratio_exp": -2000, "translation": [0.0]}]},
+    # integer fields are rejected, not truncated, when they are not JSON integers
+    {"d": 1.9, "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
+    {"d": 1, "maps": [{"ratio_exp": 2.9, "translation": [0.0]}]},
+    {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation_depth": 8.5},
 ])
 def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec):
     path = tmp_path / "ifs.json"
@@ -171,3 +175,18 @@ def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, 
     assert len(lines) == 1 and lines[0].startswith("error: malformed IFS spec")
     assert not (tmp_path / "att").exists()
 
+
+
+def test_estimate_rejects_levels_beyond_exact_ball_counts(tmp_path, capsys):
+    # (1, 1) lies beyond distance 1 of the origin, so beta(u, 0) = 0 at every level;
+    # from level 32 on, d = 2 squared gaps no longer fit in int64
+    points = tmp_path / "two.csv"
+    points.write_text("coord_0_num,coord_0_exp,coord_1_num,coord_1_exp\n0,0,0,0\n1,0,1,0\n")
+    argv = ["estimate", str(points), "--depth", "40", "--u-min", "20", "--grid-step", "1"]
+    assert main(argv + ["--u-max", "34", "--out", str(tmp_path / "deep")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: ball counts in d = 2 are exact only up to level 31, not 32"]
+    assert not (tmp_path / "deep").exists()
+
+    assert main(argv + ["--u-max", "31", "--out", str(tmp_path / "est")]) == 0
+    assert "31,0,0\n" in (tmp_path / "est" / "beta_emp.csv").read_text()

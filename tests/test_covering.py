@@ -105,7 +105,8 @@ def test_local_covering_two_dimensional():
     cells = pts.cells_at_level(4)
     from twoscale.covering import _max_ball_count
 
-    assert _max_ball_count(cells[:1], cells, 16, 10) in (1, 2)
+    # corners (1, 1), (6, 6), (14, 14) in units of 1/16: squared gaps 32, 50, 98 and beyond 256
+    assert _max_ball_count(cells, 4).tolist() == [1, 1, 1, 2, 3]
 
 
 def exact_ball_count(cells, u, v):
