@@ -105,7 +105,8 @@ def test_local_covering_two_dimensional():
     cells = pts.cells_at_level(4)
     from twoscale.covering import _max_ball_count
 
-    # corners (1, 1), (6, 6), (14, 14) in units of 1/16: squared gaps 32, 50, 98 and beyond 256
+    # cells (1, 1), (6, 6), (14, 14) in units of 1/16: from corner (6, 6) the squared gaps
+    # are 32 and 128, so radius 8 reaches two cells and radius 16 all three
     assert _max_ball_count(cells, 4).tolist() == [1, 1, 1, 2, 3]
 
 
