@@ -10,6 +10,7 @@ results are deterministic and reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,25 +77,31 @@ class GridSpec:
         return i
 
 
+@lru_cache(maxsize=8)
+def _lower_mask(n: int) -> np.ndarray:
+    """Read-only mask of the lattice entries j <= i of an (n + 1)^2 table."""
+    mask = np.tri(n + 1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _clean_triangle(spec: GridSpec, values) -> np.ndarray:
     """Validate and normalize a lower-triangular value table."""
-    vals = np.array(values, dtype=float)
+    vals = np.asarray(values, dtype=float)
     n = spec.n
     if vals.shape != (n + 1, n + 1):
         raise ValueError(f"values must have shape {(n + 1, n + 1)}, got {vals.shape}")
-    ii, jj = np.tril_indices(n + 1)
-    tri = vals[ii, jj]
-    if not np.all(np.isfinite(tri)):
+    # entries above the diagonal are unused; pin them so equality checks are stable
+    vals = np.where(_lower_mask(n), vals, 0.0)
+    lo, hi = vals.min(), vals.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("values must be finite on the lattice")
-    if np.any(tri < -EXACT_TOL):
+    if lo < -EXACT_TOL:
         raise ValueError("values must be nonnegative on the lattice")
-    vals[ii, jj] = np.maximum(tri, 0.0)
-    diag = np.diagonal(vals)
-    if np.any(np.abs(diag) > EXACT_TOL):
+    np.maximum(vals, 0.0, out=vals)
+    if (np.abs(np.diagonal(vals)) > EXACT_TOL).any():
         raise ValueError("diagonal values (u, u) must be zero")
     np.fill_diagonal(vals, 0.0)
-    # entries above the diagonal are unused; pin them so equality checks are stable
-    vals[np.triu_indices(n + 1, k=1)] = 0.0
     vals.flags.writeable = False
     return vals
 
@@ -123,30 +130,13 @@ class TwoScaleGrid:
         zero, lattice points reproduce stored values exactly, and functions that
         are affine in (u, v) are reproduced exactly.
         """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        if np.any(v < -EXACT_TOL) or np.any(v > u + EXACT_TOL) or np.any(u > self.spec.u_max + EXACT_TOL):
-            raise ValueError("point outside the domain 0 <= v <= u <= u_max")
-        n = self.spec.n
-        s = u / self.spec.step
-        t = v / self.spec.step
-        # snap float dust so lattice-aligned queries stay exact
-        s = np.where(np.abs(s - np.rint(s)) < 1e-9, np.rint(s), s)
-        t = np.where(np.abs(t - np.rint(t)) < 1e-9, np.rint(t), t)
-        t = np.minimum(t, s)
-        i = np.minimum(np.floor(s), n - 1).astype(np.int64)
-        j = np.minimum(np.floor(t), n - 1).astype(np.int64)
-        i = np.maximum(i, 0)
-        j = np.maximum(j, 0)
-        ls = s - i
-        lt = t - j
-        V = self.values
-        lower = lt <= ls
-        out = np.where(
-            lower,
-            (1.0 - ls) * V[i, j] + (ls - lt) * V[np.minimum(i + 1, n), j] + lt * V[np.minimum(i + 1, n), np.minimum(j + 1, n)],
-            (1.0 - lt) * V[i, j] + (lt - ls) * V[i, np.minimum(j + 1, n)] + ls * V[np.minimum(i + 1, n), np.minimum(j + 1, n)],
-        )
+        return self._gather(_grid_weights(self.spec, u, v))
+
+    def _gather(self, weights):
+        """Interpolated values at the queries whose ``_grid_weights`` are given."""
+        corners, coeffs = weights
+        V = self.values.ravel()
+        out = coeffs[0] * V[corners[0]] + coeffs[1] * V[corners[1]] + coeffs[2] * V[corners[2]]
         return out if out.shape else float(out)
 
     def lipschitz_bound(self) -> float:
@@ -161,6 +151,36 @@ class TwoScaleGrid:
 
     def allclose(self, other: "TwoScaleGrid", tol: float = EXACT_TOL) -> bool:
         return self.spec == other.spec and bool(np.max(np.abs(self.values - other.values)) <= tol)
+
+
+def _grid_weights(spec: GridSpec, u, v):
+    """Flat positions of the three corners around each query (u, v), and their weights.
+
+    The weights are those of the cell's lower triangle (lt <= ls) or upper
+    triangle, and a value is c0 * V[p0] + c1 * V[p1] + c2 * V[p2] summed in
+    that order.
+    """
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if (v < -EXACT_TOL).any() or (v > u + EXACT_TOL).any() or (u > spec.u_max + EXACT_TOL).any():
+        raise ValueError("point outside the domain 0 <= v <= u <= u_max")
+    n = spec.n
+    s = u / spec.step
+    t = v / spec.step
+    # snap float dust so lattice-aligned queries stay exact
+    s = np.where(np.abs(s - np.rint(s)) < 1e-9, np.rint(s), s)
+    t = np.where(np.abs(t - np.rint(t)) < 1e-9, np.rint(t), t)
+    t = np.minimum(t, s)
+    i = np.maximum(np.minimum(np.floor(s), n - 1).astype(np.int64), 0)
+    j = np.maximum(np.minimum(np.floor(t), n - 1).astype(np.int64), 0)
+    ls = s - i
+    lt = t - j
+    i1 = np.minimum(i + 1, n)
+    j1 = np.minimum(j + 1, n)
+    lower = lt <= ls
+    corners = (i * (n + 1) + j, np.where(lower, i1 * (n + 1) + j, i * (n + 1) + j1), i1 * (n + 1) + j1)
+    coeffs = (np.where(lower, 1.0 - ls, 1.0 - lt), np.where(lower, ls - lt, lt - ls), np.where(lower, lt, ls))
+    return corners, coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +297,9 @@ class _Collector:
         if room <= 0:
             return
         idx = np.argwhere(mask)
-        order = np.argsort(-np.asarray(magnitudes)[mask])
-        for flat in order[:room]:
-            w = tuple(idx[flat])
-            self.violations.append(Violation(prop, witness_fn(*w), float(np.asarray(magnitudes)[mask][flat])))
+        mags = np.asarray(magnitudes)[mask]
+        for flat in np.argsort(-mags)[:room]:
+            self.violations.append(Violation(prop, witness_fn(*idx[flat]), float(mags[flat])))
 
     def report(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations), dict(self.counts))
@@ -308,9 +327,7 @@ def validate_branching(
     diag = np.abs(np.diagonal(V))
     col.add_array("diagonal_zero", diag > tol, diag, lambda i: (coords[i],))
 
-    ii, jj = np.tril_indices(n + 1)
-    mask_lower = np.zeros_like(V, dtype=bool)
-    mask_lower[ii, jj] = True
+    mask_lower = _lower_mask(n)
 
     gap = V[:-1, :] - V[1:, :]  # increase in u
     bad = (gap > tol) & mask_lower[:-1, :]
@@ -321,8 +338,7 @@ def validate_branching(
     col.add_array("decreasing_v", bad, gap, lambda i, j: (coords[i], coords[j + 1]))
 
     if np.isfinite(lipschitz):
-        uu, vv = np.meshgrid(coords, coords, indexing="ij")
-        gap = V - lipschitz * (uu - vv)
+        gap = V - lipschitz * (coords[:, None] - coords)
         bad = (gap > tol) & mask_lower
         col.add_array("lipschitz_bound", bad, gap, lambda i, j: (coords[i], coords[j]))
 
@@ -332,16 +348,16 @@ def validate_branching(
 
 def _check_subadditivity(V, n, coords, tol, col, rng):
     if n <= SUBADD_EXHAUSTIVE_LIMIT:
+        buf = np.empty((n + 2) ** 2 // 4)
         for k in range(n + 1):
-            # V[i, j] <= V[i, k] + V[k, j] for j <= k <= i
-            i = np.arange(k, n + 1)
-            j = np.arange(0, k + 1)
-            gap = V[np.ix_(i, j)] - (V[i, k][:, None] + V[k, j][None, :])
-            bad = gap > tol
-            if bad.any():
+            # V[i, j] <= V[i, k] + V[k, j] for j <= k <= i; the values are finite
+            gap = buf[: (n + 1 - k) * (k + 1)].reshape(n + 1 - k, k + 1)
+            np.add(V[k:, k, None], V[k, : k + 1], out=gap)
+            np.subtract(V[k:, : k + 1], gap, out=gap)
+            if gap.max() > tol:
                 col.add_array(
                     "subadditivity",
-                    bad,
+                    gap > tol,
                     gap,
                     lambda a, b, k=k: (coords[a + k], coords[k], coords[b]),
                 )
@@ -455,11 +471,18 @@ def lipschitz_approximation(
     """Nearest lipschitz-bounded branching grid, built by anchored extensions.
 
     For each lattice anchor b the column u -> value(u, b) is replaced by its
-    largest increasing lipschitz-bounded minorant, extended to two scales by
-    differencing, and the pointwise maximum over anchors is returned.  The
+    largest increasing lipschitz-bounded minorant g_b, extended to two scales
+    by differencing, and the pointwise maximum over anchors is returned.  The
     output deviates from the input by at most the derived bound of
     :func:`excess_bound` at every lattice point, and reproduces the input
     exactly when that bound vanishes.
+
+    All minorants come from one running minimum over the (n + 1)^2 table
+    G[b, i] = g_b(i), with the float operations of the one-anchor scan.  At a
+    lattice point (i, j) the anchors split three ways: b > i adds 0; for
+    j < b <= i, g_b(j) = 0, so the term is G[b, i] and its maximum over b is
+    one reversed running maximum; only the anchors b <= j need the pairwise
+    differences, about n^3 / 6 work in all.
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
@@ -470,13 +493,24 @@ def lipschitz_approximation(
     V = grid.values
     n = grid.spec.n
     cap = lipschitz * grid.spec.step
-    out = np.zeros_like(V)
-    g = np.empty(n + 1)
-    for b in range(n + 1):
-        g[:b] = 0.0
-        g[b:] = _anchored_minorant(V[b:, b], cap)
-        np.maximum(out, g[:, None] - g[None, :], out=out)
-    return TwoScaleGrid(grid.spec, out)
+    if np.isfinite(cap):
+        # entries i < b of V.T are V's upper-triangle zeros; minus cap * (i - b)
+        # they stay >= 0, the scan's start value at i = b, so the running
+        # minimum from b on is the one-anchor scan's
+        steps = cap * (np.arange(n + 1) - np.arange(n + 1)[:, None])
+        G = np.minimum.accumulate(V.T - steps, axis=1) + steps
+        G = np.where(_lower_mask(n).T, G, 0.0)
+    else:
+        G = V.T
+    # out.T[j, i] = out[i, j], so each anchor class fills rows of a contiguous table
+    out_t = np.zeros_like(V)
+    np.maximum(out_t[:n], np.maximum.accumulate(G[:0:-1], axis=0)[::-1], out=out_t[:n])
+    buf = np.empty((n + 2) ** 2 // 4)
+    for j in range(n + 1):
+        near = buf[: (j + 1) * (n + 1 - j)].reshape(j + 1, n + 1 - j)
+        np.subtract(G[: j + 1, j:], G[: j + 1, j, None], out=near)
+        np.maximum(out_t[j, j:], near.max(axis=0), out=out_t[j, j:])
+    return TwoScaleGrid(grid.spec, out_t.T)
 
 
 def rescale(grid: TwoScaleGrid, shift: float) -> TwoScaleGrid:

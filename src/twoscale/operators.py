@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .grids import (
     TwoScaleGrid,
     ValidationReport,
     _Collector,
+    _grid_weights,
     validate_branching,
 )
 
@@ -44,9 +46,9 @@ class SpectrumGrid:
         vals = np.array(self.values, dtype=float)
         if vals.shape != (m + 1,):
             raise ValueError(f"need {m + 1} samples, got {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("curve values must be finite")
-        if np.any(vals < -EXACT_TOL):
+        if (vals < -EXACT_TOL).any():
             raise ValueError("curve values must be nonnegative")
         vals = np.maximum(vals, 0.0)
         vals.flags.writeable = False
@@ -61,14 +63,12 @@ class SpectrumGrid:
         return np.arange(self.m + 1) * self.theta_step
 
     def evaluate(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if np.any(theta < -EXACT_TOL) or np.any(theta > 1 + EXACT_TOL):
-            raise ValueError("theta must lie in [0, 1]")
-        x = np.clip(theta, 0.0, 1.0) * self.m
-        x = np.where(np.abs(x - np.rint(x)) < 1e-9, np.rint(x), x)
-        i = np.minimum(np.floor(x), self.m - 1).astype(np.int64)
-        frac = x - i
-        out = (1 - frac) * self.values[i] + frac * self.values[i + 1]
+        return self._gather(_curve_weights(self.m, theta))
+
+    def _gather(self, weights):
+        """Interpolated values at the queries whose ``_curve_weights`` are given."""
+        i, left, right = weights
+        out = left * self.values[i] + right * self.values[1:][i]
         return out if out.shape else float(out)
 
     def allclose(self, other: "SpectrumGrid", tol: float = EXACT_TOL) -> bool:
@@ -85,6 +85,39 @@ class AssouadSpectrum(SpectrumGrid):
     @property
     def endpoint(self) -> float:
         return float(self.values[-1])
+
+
+def _curve_weights(m: int, theta):
+    """Linear interpolation on {0, 1/m, ..., 1}: left sample index and both weights."""
+    theta = np.asarray(theta, dtype=float)
+    if (theta < -EXACT_TOL).any() or (theta > 1 + EXACT_TOL).any():
+        raise ValueError("theta must lie in [0, 1]")
+    x = np.clip(theta, 0.0, 1.0) * m
+    x = np.where(np.abs(x - np.rint(x)) < 1e-9, np.rint(x), x)
+    i = np.minimum(np.floor(x), m - 1).astype(np.int64)
+    frac = x - i
+    return i, 1 - frac, frac
+
+
+# Fixed query lattices, keyed by the exact theta_step: two steps that round to
+# the same m still place their samples, and so the queries, differently.
+
+@lru_cache(maxsize=4)
+def _subadditivity_weights(theta_step: float):
+    """Weights at the products lam * theta of the samples, and at the samples."""
+    m = round(1.0 / theta_step)
+    th = np.arange(m + 1) * theta_step
+    return _curve_weights(m, th[:, None] * th), _curve_weights(m, th)
+
+
+@lru_cache(maxsize=4)
+def _cone_weights(spec: GridSpec, theta_step: float):
+    """Weights at the lattice ratios v / u, with u = 0 read as ratio 1."""
+    coords = spec.coords
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = coords[None, :] / coords[:, None]
+    ratio[0, :] = 1.0
+    return _curve_weights(round(1.0 / theta_step), np.clip(ratio, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +147,10 @@ def validate_limit_curve(
         drop = -np.diff(v) - lipschitz * curve.theta_step
         col.add_array("lipschitz", drop > tol, drop, lambda i: (th[i + 1],))
 
-    lam, theta = np.meshgrid(th, th, indexing="ij")
-    gap = curve.evaluate(lam * theta) - (curve.evaluate(theta) + theta * curve.evaluate(lam))
+    # gap[a, b] = gamma(lam * theta) - (gamma(theta) + theta * gamma(lam)), lam = th[a], theta = th[b]
+    at_products, at_samples = _subadditivity_weights(curve.theta_step)
+    at = curve._gather(at_samples)
+    gap = curve._gather(at_products) - (at + th * at[:, None])
     col.add_array("subadditivity", gap > tol, gap, lambda a, b: (th[a], th[b]))
     return col.report()
 
@@ -203,14 +238,20 @@ def scaling_limit(
         u_min = top / 4.0
     if not 0 < u_min < top:
         raise ValueError("need 0 < u_min < u_max within the grid")
-    coords = grid.spec.coords
-    us = coords[(coords >= u_min - EXACT_TOL) & (coords <= top + EXACT_TOL) & (coords > 0)]
-    m = round(1.0 / theta_step)
-    thetas = np.arange(m + 1) * theta_step
-    uu = np.repeat(us, m + 1)
-    tt = np.tile(thetas, us.size)
-    vals = grid.evaluate(uu, tt * uu).reshape(us.size, m + 1)
+    us, weights = _window_weights(grid.spec, u_min, theta_step)
+    vals = grid._gather(weights).reshape(us.size, -1)
     return SpectrumGrid(theta_step, (vals / us[:, None]).max(axis=0))
+
+
+@lru_cache(maxsize=4)
+def _window_weights(spec: GridSpec, u_min: float, theta_step: float):
+    """The window's lattice u, and grid weights at (u, theta * u) for every sample theta."""
+    coords = spec.coords
+    us = coords[(coords >= u_min - EXACT_TOL) & (coords <= spec.u_max + EXACT_TOL) & (coords > 0)]
+    m = round(1.0 / theta_step)
+    uu = np.repeat(us, m + 1)
+    tt = np.tile(np.arange(m + 1) * theta_step, us.size)
+    return us, _grid_weights(spec, uu, tt * uu)
 
 
 def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
@@ -222,12 +263,7 @@ def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
     report = validate_limit_curve(curve, np.inf, tol=1e-7)
     if not report.passed:
         raise ValueError(f"invalid limit curve: {report.summary()}")
-    coords = spec.coords
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = coords[None, :] / coords[:, None]
-    ratio[0, :] = 1.0
-    ratio = np.clip(ratio, 0.0, 1.0)
-    vals = coords[:, None] * curve.evaluate(ratio)
+    vals = spec.coords[:, None] * curve._gather(_cone_weights(spec, curve.theta_step))
     # the endpoint is only checked to 1e-7, the diagonal must be exactly zero
     np.fill_diagonal(vals, 0.0)
     return TwoScaleGrid(spec, vals)
@@ -255,6 +291,11 @@ def monotone_envelope(
     out(u, v) = max over lattice z in [0, u] of value(u-z, v-z) for z <= v and
     growth * (z - v) + value(u-z, 0) for z >= v.  The map is idempotent, is
     the identity on its range, and dominates the input.
+
+    The first branch is a running maximum along each diagonal u - v = d.  The
+    diagonals are the rows of one skewed table S[d, k] = value(d + k, k), so
+    a single running maximum along its rows serves every diagonal; the
+    second branch depends on d alone and is one column added to S.
     """
     if growth < 0:
         raise ValueError("growth must be nonnegative")
@@ -262,16 +303,30 @@ def monotone_envelope(
         raise ValueError("growth must not exceed the lipschitz bound")
     V = grid.values
     n = grid.spec.n
-    step = grid.spec.step
+    slope = growth * grid.spec.step * np.arange(n + 1)
+    # branch two: growth*(u-v) + running max of (first column minus growth * u)
+    ramp = slope + np.maximum.accumulate(V[:, 0] - slope)
+    src, keep, dst = _diagonal_index(n)
+    skew = np.maximum.accumulate(V.take(src), axis=1)
+    np.maximum(skew, ramp[:, None], out=skew)
     out = np.zeros_like(V)
-    # branch two depends only on u - v: growth*(u-v) + running max of
-    # (first column minus growth * u)
-    ramp = np.maximum.accumulate(V[:, 0] - growth * step * np.arange(n + 1))
-    for d in range(n + 1):
-        idx = np.arange(0, n + 1 - d)
-        diag = np.maximum.accumulate(V[idx + d, idx])
-        out[idx + d, idx] = np.maximum(diag, growth * step * d + ramp[d])
+    out.put(dst, skew[keep])
     return TwoScaleGrid(grid.spec, out)
+
+
+@lru_cache(maxsize=4)
+def _diagonal_index(n: int):
+    """Flat (n + 1)^2 positions of the skewed table S[d, k] = V[d + k, k].
+
+    Returns the source position of every S entry, the mask of the entries
+    k <= n - d on the lattice, and their positions in V.  Rows run past the
+    lattice into the zeros above V's diagonal, after the entries they follow,
+    so running maxima along the rows are unchanged.
+    """
+    d, k = np.indices((n + 1, n + 1))
+    src = (d + k) % (n + 1) * (n + 1) + k
+    keep = k <= n - d
+    return src, keep, src[keep]
 
 
 def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
