@@ -66,8 +66,8 @@ def cmd_synth(args) -> int:
 
 def cmd_estimate(args) -> int:
     out = Path(args.out)
-    meta = json.loads(Path(args.metadata).read_text()) if args.metadata else {}
-    depth = int(meta.get("depth", args.depth))
+    meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
+    depth = meta.get("depth", args.depth)
     pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
     spec = GridSpec(args.u_max, args.grid_step)
     if spec.u_max > pts.max_covering_level:

@@ -24,6 +24,8 @@ from .operators import (
 )
 
 MAX_CENTERS = 100_000
+# deepest level whose cell indices and d = 1 ball reach c + 2^level fit in int64
+MAX_CELL_LEVEL = 62
 # (center, cell) pairs measured at once by the d >= 2 ball count
 BALL_PAIRS = 1 << 16
 
@@ -68,8 +70,12 @@ def occupied_cells(points: np.ndarray, level: int) -> np.ndarray:
 
     The top face x = 1 belongs to the last cell, so counts of sets touching
     the boundary stay at the geometric value; points within the rounding
-    slack outside the cube count in the boundary cell they touch.
+    slack outside the cube count in the boundary cell they touch.  Levels
+    beyond ``MAX_CELL_LEVEL`` raise ``ValueError``: their cell indices wrap
+    int64.
     """
+    if level > MAX_CELL_LEVEL:
+        raise ValueError(f"point cells are exact only up to level {MAX_CELL_LEVEL}, not {level}")
     cells = np.floor(points * np.exp2(level)).astype(np.int64)
     cells = np.clip(cells, 0, (1 << level) - 1)
     return unique_rows(cells)
@@ -119,12 +125,15 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     pair is measured once, ``BALL_PAIRS`` pairs at a time: the pair's
     smallest s with D2 <= 4^s is binned per center, and the cumulative bins
     count every radius at once.  D2 is exact in int64 only while
-    d (2^level - 1)^2 fits, so deeper levels raise ``ValueError``.
+    d (2^level - 1)^2 fits, and in d = 1 the reach c + 2^level only up to
+    ``MAX_CELL_LEVEL``, so deeper levels raise ``ValueError``.
     """
     stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
     centers = cells[::stride]
     d = cells.shape[1]
     if d == 1:
+        if level > MAX_CELL_LEVEL:
+            raise ValueError(f"ball counts in d = 1 are exact only up to level {MAX_CELL_LEVEL}, not {level}")
         flat = np.sort(cells[:, 0])
         c = centers[:, 0]
         return np.array([

@@ -48,11 +48,12 @@ class SimilarityIFS:
         t = np.atleast_2d(np.asarray(self.translations, dtype=float))
         if r.ndim != 1 or r.size == 0:
             raise ValueError("need at least one map")
-        if np.any(r <= 0) or np.any(r >= 1):
+        # written so that NaN fails every bound
+        if not np.all((r > 0) & (r < 1)):
             raise ValueError("ratios must lie in (0, 1)")
         if t.shape != (r.size, self.dimension):
             raise ValueError("translations must be (n_maps, dimension)")
-        if np.any(t < -EXACT_TOL) or np.any(t + r[:, None] > 1 + EXACT_TOL):
+        if not np.all((t >= -EXACT_TOL) & (t + r[:, None] <= 1 + EXACT_TOL)):
             raise ValueError("map images must stay inside the unit cube")
         r.flags.writeable = False
         t.flags.writeable = False

@@ -148,8 +148,11 @@ def points_from_csv(text: str, depth: int) -> PointSet:
 
     Rows are numbered from the header (row 1), blank lines skipped, and
     parsed in blocks of ``ROW_BLOCK``; a bad row is reported by its number,
-    the first one in file order when there are several.
+    the first one in file order when there are several.  ``depth`` must lie
+    in [0, ``MAX_EXP``], where 2^depth is a finite float.
     """
+    if not 0 <= depth <= MAX_EXP:
+        raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].startswith("coord_0_num"):
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
@@ -161,8 +164,10 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     for start in range(0, len(rows), ROW_BLOCK):
         block = rows[start:start + ROW_BLOCK]
         pts[start:start + len(block)] = _rows_to_points(block, d, start + 2)
-    # snap to the nearest depth-level dyadic point; records the quantization
-    arr = np.round(pts * 2.0**depth) / 2.0**depth
+    # snap to the nearest depth-level dyadic point; records the quantization.
+    # Only points far outside the cube overflow, and PointSet rejects them
+    with np.errstate(over="ignore"):
+        arr = np.round(pts * 2.0**depth) / 2.0**depth
     return PointSet(arr, depth)
 
 
@@ -201,6 +206,16 @@ def _parse_rows(rows: list[str], d: int, first: int) -> np.ndarray:
     # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
     with np.errstate(over="ignore"):
         return (nums / np.ldexp(1.0, np.array(exps))).reshape(len(rows), d)
+
+
+def read_set_metadata(text: str) -> dict:
+    """Parse a metadata sidecar: a JSON object whose "depth", if given, is an integer."""
+    meta = json.loads(text)
+    if not isinstance(meta, dict):
+        raise ValueError("metadata must be a JSON object")
+    if "depth" in meta and type(meta["depth"]) is not int:
+        raise ValueError(f"metadata depth must be an integer, got {meta['depth']!r}")
+    return meta
 
 
 def write_set_metadata(path, d: int, depth: int, rescale_exponent: int, extra: dict | None = None) -> None:

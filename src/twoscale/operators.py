@@ -32,6 +32,16 @@ DEFAULT_THETA_STEP = 1.0 / 64.0
 # Curve containers
 # ---------------------------------------------------------------------------
 
+def theta_count(theta_step: float) -> int:
+    """The number m = 1 / theta_step of theta steps, which must be a positive integer."""
+    if not theta_step > 0:
+        raise ValueError(f"theta_step must be positive, got {theta_step}")
+    m = round(1.0 / theta_step)
+    if m < 1 or abs(m * theta_step - 1.0) > 1e-12:
+        raise ValueError("1/theta_step must be an integer")
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class SpectrumGrid:
     """Function sampled on the uniform theta grid {0, step, ..., 1}."""
@@ -40,9 +50,7 @@ class SpectrumGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        m = round(1.0 / self.theta_step)
-        if m < 1 or abs(m * self.theta_step - 1.0) > 1e-12:
-            raise ValueError("1/theta_step must be an integer")
+        m = theta_count(self.theta_step)
         vals = np.array(self.values, dtype=float)
         if vals.shape != (m + 1,):
             raise ValueError(f"need {m + 1} samples, got {vals.shape}")
@@ -238,6 +246,7 @@ def scaling_limit(
         u_min = top / 4.0
     if not 0 < u_min < top:
         raise ValueError("need 0 < u_min < u_max within the grid")
+    theta_count(theta_step)
     us, weights = _window_weights(grid.spec, u_min, theta_step)
     vals = grid._gather(weights).reshape(us.size, -1)
     return SpectrumGrid(theta_step, (vals / us[:, None]).max(axis=0))

@@ -190,3 +190,44 @@ def test_estimate_rejects_levels_beyond_exact_ball_counts(tmp_path, capsys):
 
     assert main(argv + ["--u-max", "31", "--out", str(tmp_path / "est")]) == 0
     assert "31,0,0\n" in (tmp_path / "est" / "beta_emp.csv").read_text()
+
+
+def test_estimate_rejects_levels_beyond_int64_cells(tmp_path, capsys):
+    # x = 1 lies in the last cell at every level; at level 63 floor(2^63) wraps int64
+    points = tmp_path / "one.csv"
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1,0\n")
+    argv = ["estimate", str(points), "--depth", "70", "--u-min", "20", "--grid-step", "1"]
+    assert main(argv + ["--u-max", "63", "--out", str(tmp_path / "deep")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: point cells are exact only up to level 62, not 63"]
+    assert not (tmp_path / "deep").exists()
+
+    assert main(argv + ["--u-max", "62", "--out", str(tmp_path / "est")]) == 0
+    assert "62,0,1\n" in (tmp_path / "est" / "beta_emp.csv").read_text()
+
+
+@pytest.mark.parametrize("depth", [1024, 2000, -1])
+def test_estimate_rejects_depths_without_a_float_scale(tmp_path, capsys, depth):
+    points = tmp_path / "one.csv"
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1,0\n")
+    code = main(["estimate", str(points), "--depth", str(depth), "--u-max", "4", "--u-min", "2",
+                 "--out", str(tmp_path / "est")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: point depth must lie in [0, 1023], got {depth}"]
+
+
+@pytest.mark.parametrize("meta, message", [
+    ("[20]", "metadata must be a JSON object"),
+    ('{"depth": 12.5}', "metadata depth must be an integer, got 12.5"),
+    ('{"depth": null}', "metadata depth must be an integer, got None"),
+    ('{"depth": 2000}', "point depth must lie in [0, 1023], got 2000"),
+])
+def test_estimate_rejects_malformed_metadata_with_one_error_line(tmp_path, capsys, meta, message):
+    points = tmp_path / "one.csv"
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1,0\n")
+    (tmp_path / "meta.json").write_text(meta)
+    code = main(["estimate", str(points), "--metadata", str(tmp_path / "meta.json"), "--u-max", "4",
+                 "--u-min", "2", "--out", str(tmp_path / "est")])
+    assert code == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]

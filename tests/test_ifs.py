@@ -47,6 +47,10 @@ def test_ifs_validation():
         SimilarityIFS(1, np.array([1.0]), np.array([[0.0]]))
     with pytest.raises(ValueError):
         SimilarityIFS(1, np.array([0.5]), np.array([[0.8]]))  # image leaves the cube
+    with pytest.raises(ValueError, match="ratios"):
+        SimilarityIFS(1, np.array([np.nan]), np.array([[0.0]]))
+    with pytest.raises(ValueError, match="inside the unit cube"):
+        SimilarityIFS(1, np.array([0.5]), np.array([[np.nan]]))
     assert quarter_cantor().strongly_separated
     assert not binary_full().strongly_separated
 
