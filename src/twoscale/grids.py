@@ -77,12 +77,23 @@ class GridSpec:
         return i
 
 
+def _frozen(obj):
+    """``obj`` with every array in it, through nested tuples, made read-only.
+
+    Cached results are shared by every caller, so none may write to them.
+    """
+    if isinstance(obj, tuple):
+        for item in obj:
+            _frozen(item)
+    else:
+        obj.flags.writeable = False
+    return obj
+
+
 @lru_cache(maxsize=8)
 def _lower_mask(n: int) -> np.ndarray:
-    """Read-only mask of the lattice entries j <= i of an (n + 1)^2 table."""
-    mask = np.tri(n + 1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
+    """Mask of the lattice entries j <= i of an (n + 1)^2 table."""
+    return _frozen(np.tri(n + 1, dtype=bool))
 
 
 def _clean_triangle(spec: GridSpec, values) -> np.ndarray:

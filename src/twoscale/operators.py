@@ -21,6 +21,7 @@ from .grids import (
     TwoScaleGrid,
     ValidationReport,
     _Collector,
+    _frozen,
     _grid_weights,
     validate_branching,
 )
@@ -32,7 +33,7 @@ DEFAULT_THETA_STEP = 1.0 / 64.0
 # Curve containers
 # ---------------------------------------------------------------------------
 
-def theta_count(theta_step: float) -> int:
+def _theta_count(theta_step: float) -> int:
     """The number m = 1 / theta_step of theta steps, which must be a positive integer."""
     if not theta_step > 0:
         raise ValueError(f"theta_step must be positive, got {theta_step}")
@@ -50,7 +51,7 @@ class SpectrumGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        m = theta_count(self.theta_step)
+        m = _theta_count(self.theta_step)
         vals = np.array(self.values, dtype=float)
         if vals.shape != (m + 1,):
             raise ValueError(f"need {m + 1} samples, got {vals.shape}")
@@ -115,7 +116,7 @@ def _subadditivity_weights(theta_step: float):
     """Weights at the products lam * theta of the samples, and at the samples."""
     m = round(1.0 / theta_step)
     th = np.arange(m + 1) * theta_step
-    return _curve_weights(m, th[:, None] * th), _curve_weights(m, th)
+    return _frozen((_curve_weights(m, th[:, None] * th), _curve_weights(m, th)))
 
 
 @lru_cache(maxsize=4)
@@ -125,7 +126,7 @@ def _cone_weights(spec: GridSpec, theta_step: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = coords[None, :] / coords[:, None]
     ratio[0, :] = 1.0
-    return _curve_weights(round(1.0 / theta_step), np.clip(ratio, 0.0, 1.0))
+    return _frozen(_curve_weights(round(1.0 / theta_step), np.clip(ratio, 0.0, 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +247,7 @@ def scaling_limit(
         u_min = top / 4.0
     if not 0 < u_min < top:
         raise ValueError("need 0 < u_min < u_max within the grid")
-    theta_count(theta_step)
+    _theta_count(theta_step)
     us, weights = _window_weights(grid.spec, u_min, theta_step)
     vals = grid._gather(weights).reshape(us.size, -1)
     return SpectrumGrid(theta_step, (vals / us[:, None]).max(axis=0))
@@ -260,7 +261,7 @@ def _window_weights(spec: GridSpec, u_min: float, theta_step: float):
     m = round(1.0 / theta_step)
     uu = np.repeat(us, m + 1)
     tt = np.tile(np.arange(m + 1) * theta_step, us.size)
-    return us, _grid_weights(spec, uu, tt * uu)
+    return _frozen((us, _grid_weights(spec, uu, tt * uu)))
 
 
 def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
@@ -335,7 +336,7 @@ def _diagonal_index(n: int):
     d, k = np.indices((n + 1, n + 1))
     src = (d + k) % (n + 1) * (n + 1) + k
     keep = k <= n - d
-    return src, keep, src[keep]
+    return _frozen((src, keep, src[keep]))
 
 
 def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
