@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grids import (
     EXACT_TOL,
@@ -76,8 +77,8 @@ class SpectrumGrid:
 
     def _gather(self, weights):
         """Interpolated values at the queries whose ``_curve_weights`` are given."""
-        i, left, right = weights
-        out = left * self.values[i] + right * self.values[1:][i]
+        i, frac = weights
+        out = (1 - frac) * self.values[i] + frac * self.values[1:][i]
         return out if out.shape else float(out)
 
     def allclose(self, other: "SpectrumGrid", tol: float = EXACT_TOL) -> bool:
@@ -97,15 +98,14 @@ class AssouadSpectrum(SpectrumGrid):
 
 
 def _curve_weights(m: int, theta):
-    """Linear interpolation on {0, 1/m, ..., 1}: left sample index and both weights."""
+    """Linear interpolation on {0, 1/m, ..., 1}: left sample index and fraction past it."""
     theta = np.asarray(theta, dtype=float)
     if (theta < -EXACT_TOL).any() or (theta > 1 + EXACT_TOL).any():
         raise ValueError("theta must lie in [0, 1]")
     x = np.clip(theta, 0.0, 1.0) * m
     x = np.where(np.abs(x - np.rint(x)) < 1e-9, np.rint(x), x)
     i = np.minimum(np.floor(x), m - 1).astype(np.int64)
-    frac = x - i
-    return i, 1 - frac, frac
+    return i, x - i
 
 
 # Fixed query lattices, keyed by the exact theta_step: two steps that round to
@@ -303,9 +303,10 @@ def monotone_envelope(
     the identity on its range, and dominates the input.
 
     The first branch is a running maximum along each diagonal u - v = d.  The
-    diagonals are the rows of one skewed table S[d, k] = value(d + k, k), so
-    a single running maximum along its rows serves every diagonal; the
-    second branch depends on d alone and is one column added to S.
+    diagonals are the rows of one skewed table S[d, k] = value(d + k, k), a
+    strided view of the values stacked on a block of zeros, so a single
+    running maximum along its rows serves every diagonal; the second branch
+    depends on d alone and is one column maxed into S.
     """
     if growth < 0:
         raise ValueError("growth must be nonnegative")
@@ -316,27 +317,17 @@ def monotone_envelope(
     slope = growth * grid.spec.step * np.arange(n + 1)
     # branch two: growth*(u-v) + running max of (first column minus growth * u)
     ramp = slope + np.maximum.accumulate(V[:, 0] - slope)
-    src, keep, dst = _diagonal_index(n)
-    skew = np.maximum.accumulate(V.take(src), axis=1)
+    # S[d, k] = pad[d + k, k] is a strided view; past the lattice (d + k > n)
+    # its rows run into the zero rows, after the entries they follow
+    pad = np.zeros((2 * n + 2, n + 1))
+    pad[: n + 1] = V
+    rows, cols = pad.strides
+    skew = np.maximum.accumulate(as_strided(pad, (n + 1, n + 1), (rows, rows + cols)), axis=1)
     np.maximum(skew, ramp[:, None], out=skew)
-    out = np.zeros_like(V)
-    out.put(dst, skew[keep])
-    return TwoScaleGrid(grid.spec, out)
-
-
-@lru_cache(maxsize=4)
-def _diagonal_index(n: int):
-    """Flat (n + 1)^2 positions of the skewed table S[d, k] = V[d + k, k].
-
-    Returns the source position of every S entry, the mask of the entries
-    k <= n - d on the lattice, and their positions in V.  Rows run past the
-    lattice into the zeros above V's diagonal, after the entries they follow,
-    so running maxima along the rows are unchanged.
-    """
-    d, k = np.indices((n + 1, n + 1))
-    src = (d + k) % (n + 1) * (n + 1) + k
-    keep = k <= n - d
-    return _frozen((src, keep, src[keep]))
+    # writing back through the view sets every lattice entry d + k <= n exactly
+    # once and leaves the zeros above the diagonal
+    as_strided(pad, (n + 1, n + 1), (rows, rows + cols))[...] = skew
+    return TwoScaleGrid(grid.spec, pad[: n + 1])
 
 
 def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
