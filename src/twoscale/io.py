@@ -208,9 +208,17 @@ def _parse_rows(rows: list[str], d: int, first: int) -> np.ndarray:
         return (nums / np.ldexp(1.0, np.array(exps))).reshape(len(rows), d)
 
 
+def _load_json(text: str, what: str):
+    """``json.loads``, with nesting too deep for its recursion reported as ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"malformed {what}: nested too deeply") from None
+
+
 def read_set_metadata(text: str) -> dict:
     """Parse a metadata sidecar: a JSON object whose "depth", if given, is an integer."""
-    meta = json.loads(text)
+    meta = _load_json(text, "metadata")
     if not isinstance(meta, dict):
         raise ValueError("metadata must be a JSON object")
     if "depth" in meta and type(meta["depth"]) is not int:
@@ -306,7 +314,7 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     end in .csv and is read relative to ``base_dir``.  Any other value is
     rejected.
     """
-    data = json.loads(text)
+    data = _load_json(text, "IFS spec")
     try:
         d = _json_int(data["d"], "d")
         ratios, translations = [], []

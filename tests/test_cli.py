@@ -219,6 +219,7 @@ def test_estimate_rejects_depths_without_a_float_scale(tmp_path, capsys, depth):
 
 @pytest.mark.parametrize("meta, message", [
     ("[20]", "metadata must be a JSON object"),
+    pytest.param("[" * 100_000, "malformed metadata: nested too deeply", id="nested"),
     ('{"depth": 12.5}', "metadata depth must be an integer, got 12.5"),
     ('{"depth": null}', "metadata depth must be an integer, got None"),
     ('{"depth": 2000}', "point depth must lie in [0, 1023], got 2000"),
@@ -231,3 +232,10 @@ def test_estimate_rejects_malformed_metadata_with_one_error_line(tmp_path, capsy
                  "--u-min", "2", "--out", str(tmp_path / "est")])
     assert code == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+
+
+def test_attractor_rejects_deeply_nested_spec_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "ifs.json"
+    path.write_text("[" * 100_000)
+    assert main(["attractor", str(path), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["error: malformed IFS spec: nested too deeply"]
