@@ -513,9 +513,11 @@ def lipschitz_approximation(
         G = np.where(_lower_mask(n).T, G, 0.0)
     else:
         G = V.T
-    # out.T[j, i] = out[i, j], so each anchor class fills rows of a contiguous table
+    # out_t[j, i] = out[i, j], so each anchor class fills rows of a contiguous table
     out_t = np.zeros_like(V)
+    # anchors b > j: row j takes the running maximum of G[b, :] from b = n down to j + 1
     np.maximum(out_t[:n], np.maximum.accumulate(G[:0:-1], axis=0)[::-1], out=out_t[:n])
+    # anchors b <= j: the pairwise differences G[b, i] - G[b, j]
     buf = np.empty((n + 2) ** 2 // 4)
     for j in range(n + 1):
         near = buf[: (j + 1) * (n + 1 - j)].reshape(j + 1, n + 1 - j)
