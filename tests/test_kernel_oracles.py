@@ -1,7 +1,8 @@
 """Grid and curve kernels against their per-index loop formulations.
 
 Each ``ref_*`` function below is the straightforward loop (or per-call
-index-array) form of a kernel in ``grids.py`` or ``operators.py``.  The
+index-array) form of a kernel in ``grids.py`` or ``operators.py``, or the
+per-draw, per-component form of a random family in ``families.py``.  The
 kernels must agree with them exactly: equal values including the sign of
 zero, equal error messages, and equal ``repr`` of validation reports, which
 also pins the order of the witnesses kept under ``MAX_WITNESSES``.
@@ -19,14 +20,17 @@ from twoscale import (
     cone_extension,
     lipschitz_approximation,
     monotone_envelope,
+    plateau_curve,
     scaling_limit,
     validate_branching,
     validate_limit_curve,
 )
 from twoscale.families import (
+    KINKS,
     random_branching_grid,
     random_limit_curve,
     random_monotone_limit_curve,
+    random_monotone_majorant_curve,
     random_perturbed_branching,
 )
 from twoscale.grids import (
@@ -36,6 +40,7 @@ from twoscale.grids import (
     ValidationReport,
     Violation,
 )
+from twoscale.operators import DEFAULT_THETA_STEP
 
 # ---------------------------------------------------------------------------
 # Reference formulations
@@ -575,3 +580,113 @@ def test_grid_evaluate_matches_reference(params, seed):
             assert got == expected
         else:
             assert same_bits(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Random families against their per-component formulations
+# ---------------------------------------------------------------------------
+
+
+def ref_random_monotone_limit_curve(rng, lipschitz, growth=0.0):
+    theta_step = DEFAULT_THETA_STEP
+    m = round(1.0 / theta_step)
+    th = np.arange(m + 1) * theta_step
+    vals = np.empty(m + 1)
+    ratio_prev = rng.uniform(growth, max(growth, lipschitz))
+    vals[0] = ratio_prev
+    for k in range(1, m):
+        prev = vals[k - 1]
+        rest = 1.0 - th[k]
+        hi = min(prev / rest, lipschitz)
+        lo = max(ratio_prev, (prev - lipschitz * theta_step) / rest)
+        lo = min(lo, hi)
+        ratio_prev = rng.uniform(lo, hi)
+        vals[k] = ratio_prev * rest
+    vals[m] = 0.0
+    return SpectrumGrid(theta_step, vals)
+
+
+def ref_random_limit_curve(rng, lipschitz):
+    pieces = [
+        plateau_curve(rng.uniform(0.1, 1.0) * lipschitz, rng.uniform(0.0, 1.0))
+        for _ in range(KINKS)
+    ]
+    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([p.values for p in pieces]))
+
+
+def ref_random_monotone_majorant_curve(rng, lipschitz, growth):
+    comps = [plateau_curve(lipschitz, 0.0), plateau_curve(growth, 0.0)]
+    for _ in range(KINKS):
+        comps.append(plateau_curve(rng.uniform(growth, lipschitz), rng.uniform(0.0, 1.0)))
+    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([c.values for c in comps]))
+
+
+# lipschitz, then growth as a share of it: the endpoints 0 and 1 are drawn
+# often, so growth == 0 and growth == lipschitz are both exercised
+class_params = st.tuples(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+)
+
+
+def class_bounds(params):
+    lipschitz, share = params
+    growth = lipschitz if share == 1.0 else share * lipschitz
+    return lipschitz, growth
+
+
+def assert_same_draws(family, reference, seed, *args):
+    """Equal curves, sign of zero included, and the same stream position after."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got, expected = family(rng, *args), reference(ref_rng, *args)
+        assert got.theta_step == expected.theta_step
+        assert same_bits(got.values, expected.values)
+    assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), class_params)
+def test_random_monotone_limit_curve_matches_per_draw_loop(seed, params):
+    lipschitz, growth = class_bounds(params)
+    assert_same_draws(random_monotone_limit_curve, ref_random_monotone_limit_curve, seed, lipschitz, growth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), class_params)
+def test_random_monotone_majorant_curve_matches_plateau_maximum(seed, params):
+    lipschitz, growth = class_bounds(params)
+    assert_same_draws(
+        random_monotone_majorant_curve, ref_random_monotone_majorant_curve, seed, lipschitz, growth
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 4.0)))
+def test_random_limit_curve_matches_plateau_maximum(seed, lipschitz):
+    assert_same_draws(random_limit_curve, ref_random_limit_curve, seed, lipschitz)
+
+
+def test_random_families_match_their_loops_on_the_verify_draws():
+    """The parameter draws of criteria 2 and 10, and of the branching grids."""
+    for seed in range(3):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for growth in (0.0, 0.3, 0.7, 1.0):
+            for _ in range(20):
+                assert same_bits(
+                    random_monotone_majorant_curve(rng, 1.0, growth).values,
+                    ref_random_monotone_majorant_curve(ref_rng, 1.0, growth).values,
+                )
+        for _ in range(50):
+            lips = rng.uniform(0.2, 2.0)
+            assert lips == ref_rng.uniform(0.2, 2.0)
+            growth = rng.uniform(0.0, lips)
+            assert growth == ref_rng.uniform(0.0, lips)
+            assert same_bits(
+                random_monotone_limit_curve(rng, lips, growth).values,
+                ref_random_monotone_limit_curve(ref_rng, lips, growth).values,
+            )
+            scale = rng.uniform(0.4, 1.0)
+            assert scale == ref_rng.uniform(0.4, 1.0)
+            assert same_bits(random_limit_curve(rng, scale).values, ref_random_limit_curve(ref_rng, scale).values)
+        assert rng.random() == ref_rng.random()
