@@ -3,7 +3,11 @@
 Everything here is constructive: curves come from increasing-ratio sampling
 or maxima of plateau curves, grids from homogeneous lifts and anchored
 profile bumps, so class membership holds by construction rather than by
-rejection.
+rejection.  A curve is built as one table of its plateau components, one
+row each, and one validated ``SpectrumGrid`` of the table's maximum; the
+random draws come in one array per curve, scaled by hand the way
+``Generator.uniform`` scales them, so the stream and the values are those of
+one ``uniform`` call per parameter.
 """
 
 from __future__ import annotations
@@ -11,18 +15,26 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridSpec, PiecewiseLinear, TwoScaleGrid, pointwise_max, profile_extension
-from .operators import (
-    DEFAULT_THETA_STEP,
-    SpectrumGrid,
-    cone_extension,
-    plateau_curve,
-)
+from .operators import DEFAULT_THETA_STEP, SpectrumGrid, cone_extension
 
 # Plateau components per random curve, and the bump sizes of the grids.
 KINKS = 3
 BUMP_HEIGHT = 0.3
 STEEPNESS = 3.0
 MAX_HEIGHT = 1.5
+
+
+def _check_class(lipschitz: float, growth: float = 0.0) -> None:
+    if not 0 <= growth <= lipschitz < np.inf:
+        raise ValueError(f"need 0 <= growth <= lipschitz < inf, got growth {growth}, lipschitz {lipschitz}")
+
+
+def _plateau_maximum(heights: np.ndarray, kinks: np.ndarray) -> SpectrumGrid:
+    """Maximum of the plateau curves height * (1 - max(theta, kink)), one per pair."""
+    m = round(1.0 / DEFAULT_THETA_STEP)
+    th = np.arange(m + 1) * DEFAULT_THETA_STEP
+    table = heights[:, None] * (1.0 - np.maximum(th, kinks[:, None]))
+    return SpectrumGrid(DEFAULT_THETA_STEP, table.max(axis=0))
 
 
 def random_monotone_limit_curve(
@@ -35,31 +47,27 @@ def random_monotone_limit_curve(
     The spectrum ratio is sampled nondecreasing while the curve itself stays
     decreasing and lipschitz-bounded; the value at 0 is at least ``growth``.
     """
+    _check_class(lipschitz, growth)
     theta_step = DEFAULT_THETA_STEP
     m = round(1.0 / theta_step)
-    th = np.arange(m + 1) * theta_step
-    vals = np.empty(m + 1)
-    ratio_prev = rng.uniform(growth, max(growth, lipschitz))
-    vals[0] = ratio_prev
-    for k in range(1, m):
+    vals = [0.0] * (m + 1)
+    ratio_prev = vals[0] = rng.uniform(growth, lipschitz)
+    for k, draw in enumerate(rng.random(m - 1).tolist(), start=1):
         prev = vals[k - 1]
-        rest = 1.0 - th[k]
+        rest = 1.0 - k * theta_step
         hi = min(prev / rest, lipschitz)
         lo = max(ratio_prev, (prev - lipschitz * theta_step) / rest)
         lo = min(lo, hi)
-        ratio_prev = rng.uniform(lo, hi)
+        ratio_prev = lo + (hi - lo) * draw
         vals[k] = ratio_prev * rest
-    vals[m] = 0.0
     return SpectrumGrid(theta_step, vals)
 
 
 def random_limit_curve(rng: np.random.Generator, lipschitz: float) -> SpectrumGrid:
     """Random limit-class curve as a maximum of plateau curves."""
-    pieces = [
-        plateau_curve(rng.uniform(0.1, 1.0) * lipschitz, rng.uniform(0.0, 1.0))
-        for _ in range(KINKS)
-    ]
-    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([p.values for p in pieces]))
+    _check_class(lipschitz)
+    draws = rng.random((KINKS, 2))
+    return _plateau_maximum((0.1 + (1.0 - 0.1) * draws[:, 0]) * lipschitz, draws[:, 1])
 
 
 def random_bounded_bump(
@@ -122,14 +130,8 @@ def random_monotone_majorant_curve(
     growth * (1 - theta) among its plateau components, so it majorizes any
     curve in the lipschitz class and any grid's normalized values.
     """
-    comps = [plateau_curve(lipschitz, 0.0), plateau_curve(growth, 0.0)]
-    for _ in range(KINKS):
-        comps.append(plateau_curve(rng.uniform(growth, lipschitz), rng.uniform(0.0, 1.0)))
-    return SpectrumGrid(DEFAULT_THETA_STEP, np.maximum.reduce([c.values for c in comps]))
-
-
-def random_monotone_majorant_grid(
-    rng: np.random.Generator, spec: GridSpec, lipschitz: float, growth: float
-) -> TwoScaleGrid:
-    """Homogeneous lift of a majorant curve: a monotone-class grid above the class."""
-    return cone_extension(random_monotone_majorant_curve(rng, lipschitz, growth), spec)
+    _check_class(lipschitz, growth)
+    draws = rng.random((KINKS, 2))
+    heights = np.concatenate(([lipschitz, growth], growth + (lipschitz - growth) * draws[:, 0]))
+    kinks = np.concatenate(([0.0, 0.0], draws[:, 1]))
+    return _plateau_maximum(heights, kinks)

@@ -96,6 +96,16 @@ def _lower_mask(n: int) -> np.ndarray:
     return _frozen(np.tri(n + 1, dtype=bool))
 
 
+def _clamp_nonnegative(vals: np.ndarray) -> np.ndarray:
+    """Lattice values, checked finite and nonnegative to ``EXACT_TOL``, clamped at 0 in place."""
+    lo, hi = vals.min(), vals.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("values must be finite on the lattice")
+    if lo < -EXACT_TOL:
+        raise ValueError("values must be nonnegative on the lattice")
+    return np.maximum(vals, 0.0, out=vals)
+
+
 def _clean_triangle(spec: GridSpec, values) -> np.ndarray:
     """Validate and normalize a lower-triangular value table."""
     vals = np.asarray(values, dtype=float)
@@ -103,13 +113,7 @@ def _clean_triangle(spec: GridSpec, values) -> np.ndarray:
     if vals.shape != (n + 1, n + 1):
         raise ValueError(f"values must have shape {(n + 1, n + 1)}, got {vals.shape}")
     # entries above the diagonal are unused; pin them so equality checks are stable
-    vals = np.where(_lower_mask(n), vals, 0.0)
-    lo, hi = vals.min(), vals.max()
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise ValueError("values must be finite on the lattice")
-    if lo < -EXACT_TOL:
-        raise ValueError("values must be nonnegative on the lattice")
-    np.maximum(vals, 0.0, out=vals)
+    vals = _clamp_nonnegative(np.where(_lower_mask(n), vals, 0.0))
     if (np.abs(np.diagonal(vals)) > EXACT_TOL).any():
         raise ValueError("diagonal values (u, u) must be zero")
     np.fill_diagonal(vals, 0.0)

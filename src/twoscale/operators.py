@@ -22,8 +22,10 @@ from .grids import (
     TwoScaleGrid,
     ValidationReport,
     _Collector,
+    _clamp_nonnegative,
     _frozen,
     _grid_weights,
+    _lower_mask,
     validate_branching,
 )
 
@@ -121,12 +123,15 @@ def _subadditivity_weights(theta_step: float):
 
 @lru_cache(maxsize=4)
 def _cone_weights(spec: GridSpec, theta_step: float):
-    """Weights at the lattice ratios v / u, with u = 0 read as ratio 1."""
+    """The lattice entries j <= i in row order: their u, the weights at their
+    ratios v / u (u = 0 read as ratio 1), and the positions of the diagonal."""
+    ii, jj = np.tril_indices(spec.n + 1)
     coords = spec.coords
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = coords[None, :] / coords[:, None]
-    ratio[0, :] = 1.0
-    return _frozen(_curve_weights(round(1.0 / theta_step), np.clip(ratio, 0.0, 1.0)))
+        ratio = coords[jj] / coords[ii]
+    ratio[0] = 1.0  # the entry (0, 0), the only one with u = 0
+    weights = _curve_weights(round(1.0 / theta_step), np.clip(ratio, 0.0, 1.0))
+    return _frozen((coords[ii], weights, np.flatnonzero(ii == jj)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +275,21 @@ def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
     This is the largest branching grid whose scaling limit equals the curve;
     any branching grid with a dominated limit is dominated by it up to o(u).
     """
+    vals = np.zeros((spec.n + 1, spec.n + 1))
+    vals[_lower_mask(spec.n)] = _cone_triangle(curve, spec)
+    return TwoScaleGrid(spec, vals)
+
+
+def _cone_triangle(curve: SpectrumGrid, spec: GridSpec) -> np.ndarray:
+    """The values of ``cone_extension(curve, spec)`` at the lattice entries j <= i, row by row."""
     report = validate_limit_curve(curve, np.inf, tol=1e-7)
     if not report.passed:
         raise ValueError(f"invalid limit curve: {report.summary()}")
-    vals = spec.coords[:, None] * curve._gather(_cone_weights(spec, curve.theta_step))
+    us, weights, diagonal = _cone_weights(spec, curve.theta_step)
+    vals = us * curve._gather(weights)
     # the endpoint is only checked to 1e-7, the diagonal must be exactly zero
-    np.fill_diagonal(vals, 0.0)
-    return TwoScaleGrid(spec, vals)
+    vals[diagonal] = 0.0
+    return _clamp_nonnegative(vals)
 
 
 def assouad_spectrum(curve: SpectrumGrid) -> AssouadSpectrum:

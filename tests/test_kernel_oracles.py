@@ -40,7 +40,7 @@ from twoscale.grids import (
     ValidationReport,
     Violation,
 )
-from twoscale.operators import DEFAULT_THETA_STEP
+from twoscale.operators import DEFAULT_THETA_STEP, _cone_triangle
 
 # ---------------------------------------------------------------------------
 # Reference formulations
@@ -542,6 +542,21 @@ def test_cone_extension_matches_reference(params, n, step):
         assert same_bits(got, expected)
 
 
+@settings(max_examples=120, deadline=None)
+@given(curves, st.integers(1, 40), st.sampled_from(STEPS))
+def test_cone_triangle_is_the_lower_triangle_of_cone_extension(params, n, step):
+    curve = make_curve(params)
+    spec = GridSpec(n * step, step)
+    lower = np.tril_indices(n + 1)
+    expected = outcome(lambda: cone_extension(curve, spec).values[lower])
+    got = outcome(_cone_triangle, curve, spec)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert same_bits(got, expected)
+        assert same_bits(got, ref_cone_extension(curve, spec)[lower])
+
+
 def test_cone_extension_matches_reference_at_n_256():
     rng = np.random.default_rng(6)
     spec = GridSpec(64.0, 0.25)
@@ -659,6 +674,16 @@ def test_random_monotone_majorant_curve_matches_plateau_maximum(seed, params):
     assert_same_draws(
         random_monotone_majorant_curve, ref_random_monotone_majorant_curve, seed, lipschitz, growth
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), class_params)
+def test_cone_triangle_of_majorant_curves_matches_cone_extension(seed, params):
+    lipschitz, growth = class_bounds(params)
+    curve = random_monotone_majorant_curve(np.random.default_rng(seed), lipschitz, growth)
+    spec = GridSpec(32.0, 0.25)
+    expected = cone_extension(curve, spec).values[np.tril_indices(spec.n + 1)]
+    assert same_bits(_cone_triangle(curve, spec), expected)
 
 
 @settings(max_examples=150, deadline=None)

@@ -21,6 +21,7 @@ from twoscale import (
 from twoscale.families import (
     random_branching_grid,
     random_monotone_limit_curve,
+    random_monotone_majorant_curve,
 )
 from twoscale.operators import AssouadSpectrum
 from twoscale.verify import direct_upper_spectrum
@@ -255,6 +256,20 @@ def test_spectrum_envelope_examples_and_oracle():
         assert np.allclose(env.values, brute_spectrum_envelope(mixed, growth), atol=1e-12)
         assert np.all(env.values >= mixed.values - 1e-12)
         assert spectrum_envelope(env, growth).allclose(env, tol=1e-12)
+
+
+@pytest.mark.parametrize("family", [random_monotone_limit_curve, random_monotone_majorant_curve])
+@pytest.mark.parametrize("lipschitz, growth", [(1.0, 2.0), (1.0, -0.5), (np.nan, 0.0), (1.0, np.nan)])
+def test_monotone_families_reject_out_of_class_parameters(family, lipschitz, growth):
+    # a growth above the lipschitz bound gave a limit curve outside its class
+    with pytest.raises(ValueError):
+        family(np.random.default_rng(0), lipschitz, growth)
+
+
+@pytest.mark.parametrize("family", [random_monotone_limit_curve, random_monotone_majorant_curve])
+def test_monotone_families_reject_an_infinite_lipschitz_bound(family):
+    with pytest.raises(ValueError, match="lipschitz < inf"):
+        family(np.random.default_rng(0), np.inf, 0.5)
 
 
 # ---------------------------------------------------------------------------
