@@ -164,7 +164,9 @@ def per_row_points_reader(text, depth):
             raise ValueError(f"point list row {k} has a numerator beyond the float range") from None
     if not pts:
         raise ValueError("point list is empty")
-    arr = np.round(np.asarray(pts) * 2.0**depth) / 2.0**depth
+    # as in the reader, only points far outside the cube overflow, and PointSet rejects them
+    with np.errstate(over="ignore"):
+        arr = np.round(np.asarray(pts) * 2.0**depth) / 2.0**depth
     return PointSet(arr, depth)
 
 
