@@ -187,6 +187,10 @@ def test_estimate_rejects_levels_beyond_exact_ball_counts(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: ball counts in d = 2 are exact only up to level 31, not 32"]
     assert not (tmp_path / "deep").exists()
+    # a deeper request still names the shallowest level beyond the exact range
+    assert main(argv + ["--u-max", "40", "--out", str(tmp_path / "deep")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: ball counts in d = 2 are exact only up to level 31, not 32"]
 
     assert main(argv + ["--u-max", "31", "--out", str(tmp_path / "est")]) == 0
     assert "31,0,0\n" in (tmp_path / "est" / "beta_emp.csv").read_text()
@@ -201,6 +205,9 @@ def test_estimate_rejects_levels_beyond_int64_cells(tmp_path, capsys):
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: point cells are exact only up to level 62, not 63"]
     assert not (tmp_path / "deep").exists()
+    assert main(argv + ["--u-max", "70", "--out", str(tmp_path / "deep")]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == ["error: point cells are exact only up to level 62, not 63"]
 
     assert main(argv + ["--u-max", "62", "--out", str(tmp_path / "est")]) == 0
     assert "62,0,1\n" in (tmp_path / "est" / "beta_emp.csv").read_text()

@@ -18,6 +18,8 @@ from twoscale import (
     synthesize_set,
     average_profile,
 )
+from twoscale import covering
+from twoscale.grids import EXACT_TOL
 
 
 def full_interval_tree(depth):
@@ -142,6 +144,70 @@ def test_local_covering_matches_exact_ball_oracle(d, spread, u, data):
         count = exact_ball_count(cells, u, v)
         assert local_covering(pts, u, v) == count
         assert grid.values[u, v] == np.log2(count)
+
+
+# ---------------------------------------------------------------------------
+# Point-sample cells and counts against per-level flooring
+# ---------------------------------------------------------------------------
+
+def ref_occupied_cells(points, level):
+    """Distinct level-``level`` cells of a point sample, floored directly at that level."""
+    cells = np.floor(points * np.exp2(level)).astype(np.int64)
+    return np.unique(np.clip(cells, 0, (1 << level) - 1), axis=0)
+
+
+def ref_branching(points, top):
+    """Ball-count table, cells per level and center stride, counted level by level from 0."""
+    table = np.zeros((top + 1, top + 1))
+    counts = []
+    for u in range(top + 1):
+        cells = ref_occupied_cells(points, u)
+        counts.append(cells.shape[0])
+        table[u, :u] = np.log2(covering._max_ball_count(cells, u)[u:0:-1])
+    stride = max(-(-c // covering.MAX_CENTERS) for c in counts)
+    return table, counts, stride
+
+
+def assert_matches_per_level_flooring(pts, top):
+    for u in range(min(pts.depth, covering.MAX_CELL_LEVEL) + 1):
+        got = pts.cells_at_level(u)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, ref_occupied_cells(pts.points, u))
+    table, counts, stride = ref_branching(pts.points, top)
+    cov = empirical_branching(pts, GridSpec(float(top), 1.0))
+    assert np.array_equal(cov.grid.values, table)
+    assert cov.metadata["centers_sampled"] == sum(counts)
+    assert cov.metadata["center_stride"] == stride
+
+
+# the faces, the rounding slack just outside them, dyadic and arbitrary floats
+SAMPLE_COORDS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, -EXACT_TOL, -EXACT_TOL / 3, 1.0 + EXACT_TOL, 1.0 + EXACT_TOL / 3]),
+    st.integers(0, 1 << 20).map(lambda k: k / (1 << 20)),
+    st.floats(0.0, 1.0),
+)
+# deepest level with exact d >= 2 ball counts: d (2^u - 1)^2 must fit in int64
+DEEPEST_BALL_LEVEL = {1: 62, 2: 31, 3: 30}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_point_cells_and_counts_match_per_level_flooring(d, data):
+    rows = data.draw(st.lists(st.lists(SAMPLE_COORDS, min_size=d, max_size=d), min_size=1, max_size=12))
+    top = data.draw(st.integers(1, DEEPEST_BALL_LEVEL[d]))
+    depth = data.draw(st.integers(top, 70))
+    assert_matches_per_level_flooring(PointSet(np.array(rows), depth), top)
+
+
+@pytest.mark.parametrize("d, top", [(1, 9), (2, 8), (3, 6)])
+def test_strided_centers_come_in_lexicographic_order(monkeypatch, d, top):
+    # with at most 3 centers per level, most levels are strided, and the counts
+    # depend on which cells the stride keeps
+    monkeypatch.setattr(covering, "MAX_CENTERS", 3)
+    rng = np.random.default_rng(40 + d)
+    pts = PointSet(np.vstack([rng.random((30, d)) ** 3, np.eye(d)]), 12)
+    assert_matches_per_level_flooring(pts, top)
+    assert empirical_branching(pts, GridSpec(float(top), 1.0)).metadata["center_stride"] > 1
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,17 @@ def test_readme_synth_estimate_outputs(tmp_path, golden):
     assert digests(est, "estimate") == expected(golden, "estimate")
 
 
+def test_d2_synth_estimate_outputs(tmp_path, golden):
+    # d >= 2 ball counts and the whole-set profile of a d = 2 sample
+    synth, est = tmp_path / "synth_d2", tmp_path / "estimate_d2"
+    assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12",
+                 "--out", str(synth)]) == 0
+    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                 "--u-max", "10", "--u-min", "5", "--out", str(est)]) == 0
+    assert digests(synth, "synth_d2") == expected(golden, "synth_d2")
+    assert digests(est, "estimate_d2") == expected(golden, "estimate_d2")
+
+
 def attractor_digests(tmp_path, spec: dict, run: str) -> dict:
     path = tmp_path / f"{run}.json"
     path.write_text(json.dumps(spec))
