@@ -49,9 +49,7 @@ from .synthesis import (
 from .covering import (
     CoverageGrid,
     PointSet,
-    average_profile,
     box_dims,
-    cell_count,
     empirical_branching,
     local_covering,
     spectrum_estimate,

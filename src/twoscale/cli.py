@@ -11,8 +11,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as tsio
-from .covering import average_profile, box_dims, empirical_branching, spectrum_estimate
+from .covering import box_dims, empirical_branching, spectrum_estimate
 from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import critical_exponent, generate_attractor
 from .operators import cone_extension, plateau_curve
@@ -76,7 +78,9 @@ def cmd_estimate(args) -> int:
             "pass a deeper sample or a smaller --u-max"
         )
     coverage = empirical_branching(pts, spec)
-    us, gs = average_profile(pts, int(spec.u_max))
+    # the whole-set profile: log2 of the cells of each level up to u_max
+    gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])
+    us = np.arange(gs.size, dtype=float)
     curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
     lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
     profile = PiecewiseLinear.from_samples(us, gs)

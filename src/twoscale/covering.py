@@ -3,9 +3,14 @@
 Any object exposing ``dimension``, ``max_covering_level`` and
 ``cells_at_level(u) -> (m, d) int array`` can be measured: trees and
 composite sets count their materialized cubes, point samples count occupied
-cells after flooring.  Covering numbers use dyadic cells rather than minimal
-ball covers; the discrepancy is a dimension-dependent additive constant that
-every downstream quantity normalizes away.
+cells.  A point sample holds its cells at one fine level, exact from the
+integer form of a point file or floored from float coordinates on first use,
+and every coarser level is a shift of them.  ``empirical_branching`` walks
+the levels of a point sample once, finest first, and takes from the same
+pass the ball counts of ``beta(u, v)`` and the whole-set cell counts of the
+box-dimension profile.  Covering numbers use dyadic cells rather than
+minimal ball covers; the discrepancy is a dimension-dependent additive
+constant that every downstream quantity normalizes away.
 """
 
 from __future__ import annotations
@@ -36,12 +41,16 @@ class PointSet:
 
     ``depth`` is the finest level whose cell counts the sample resolves.
     Coordinates may leave the cube by ``EXACT_TOL``, the rounding slack of
-    float attractor images; anything further out is rejected.
+    float attractor images; anything further out is rejected.  ``cells``
+    holds the points' level-``cell_level`` cells, one row per point; a
+    reader that knows the points exactly passes them, otherwise they are
+    floored from ``points`` when a level is first requested.
     """
 
     points: np.ndarray
     depth: int
     metadata: dict = field(default_factory=dict)
+    cells: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -49,6 +58,8 @@ class PointSet:
             raise ValueError("point set must be nonempty")
         if not np.all((pts >= -EXACT_TOL) & (pts <= 1.0 + EXACT_TOL)):
             raise ValueError("points must lie in the unit cube [0, 1]^d")
+        if self.cells is not None and self.cells.shape != pts.shape:
+            raise ValueError("cells must hold one row per point")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -59,26 +70,31 @@ class PointSet:
     def max_covering_level(self) -> int:
         return self.depth
 
+    @property
+    def cell_level(self) -> int:
+        """Level of ``cells``: the depth, or the deepest level whose cell indices fit in int64."""
+        return min(self.depth, MAX_CELL_LEVEL)
+
     def cells_at_level(self, level: int) -> np.ndarray:
+        """Distinct level-``level`` cells in lexicographic order.
+
+        The top face x = 1 belongs to the last cell, so counts of sets
+        touching the boundary stay at the geometric value; points within the
+        rounding slack outside the cube count in the boundary cell they touch.
+        floor(x 2^(u-s)) = floor(x 2^u) >> s, and the clip to the cube
+        commutes with the shift, so every level is a shift of ``cells``.
+        Levels beyond ``MAX_CELL_LEVEL`` raise ``ValueError``: their cell
+        indices wrap int64.
+        """
         if not 0 <= level <= self.max_covering_level:
             raise ValueError(f"level {level} exceeds usable depth {self.max_covering_level}")
-        return occupied_cells(self.points, level)
-
-
-def occupied_cells(points: np.ndarray, level: int) -> np.ndarray:
-    """Distinct level-``level`` cells of points in the closed unit cube.
-
-    The top face x = 1 belongs to the last cell, so counts of sets touching
-    the boundary stay at the geometric value; points within the rounding
-    slack outside the cube count in the boundary cell they touch.  Levels
-    beyond ``MAX_CELL_LEVEL`` raise ``ValueError``: their cell indices wrap
-    int64.
-    """
-    if level > MAX_CELL_LEVEL:
-        raise ValueError(f"point cells are exact only up to level {MAX_CELL_LEVEL}, not {level}")
-    cells = np.floor(points * np.exp2(level)).astype(np.int64)
-    cells = np.clip(cells, 0, (1 << level) - 1)
-    return unique_rows(cells)
+        if level > MAX_CELL_LEVEL:
+            raise ValueError(f"point cells are exact only up to level {MAX_CELL_LEVEL}, not {level}")
+        if self.cells is None:
+            # scaling by 2^cell_level and flooring are exact in floats
+            cells = np.floor(self.points * np.exp2(self.cell_level)).astype(np.int64)
+            object.__setattr__(self, "cells", np.clip(cells, 0, (1 << self.cell_level) - 1))
+        return unique_rows(self.cells >> (self.cell_level - level))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,11 +104,6 @@ class CoverageGrid:
     grid: TwoScaleGrid
     metadata: dict = field(default_factory=dict)
     membership: ValidationReport | None = None
-
-
-def cell_count(obj, level: int) -> int:
-    """Number of level-``level`` dyadic cells meeting the set."""
-    return int(obj.cells_at_level(level).shape[0])
 
 
 def local_covering(obj, u: int, v: int) -> int:
@@ -114,6 +125,23 @@ def local_covering(obj, u: int, v: int) -> int:
     return int(_max_ball_count(obj.cells_at_level(u), u)[u - v])
 
 
+def _deepest_ball_level(d: int) -> int:
+    """Deepest level of exact ball counts in dimension d.
+
+    In d = 1 it is ``MAX_CELL_LEVEL``, where the reach c + 2^level fits in
+    int64; in d >= 2 the squared gaps d (2^level - 1)^2 must fit.
+    """
+    if d == 1:
+        return MAX_CELL_LEVEL
+    return (math.isqrt(np.iinfo(np.int64).max // d) + 1).bit_length() - 1
+
+
+def _check_ball_level(d: int, level: int) -> None:
+    deepest = _deepest_ball_level(d)
+    if level > deepest:
+        raise ValueError(f"ball counts in d = {d} are exact only up to level {deepest}, not {level}")
+
+
 def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     """Max over centers of the cells meeting the closed ball of radius 2^s, s = 0..level.
 
@@ -131,18 +159,14 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
     centers = cells[::stride]
     d = cells.shape[1]
+    _check_ball_level(d, level)
     if d == 1:
-        if level > MAX_CELL_LEVEL:
-            raise ValueError(f"ball counts in d = 1 are exact only up to level {MAX_CELL_LEVEL}, not {level}")
         flat = np.sort(cells[:, 0])
         c = centers[:, 0]
         return np.array([
             (np.searchsorted(flat, c + r, side="right") - np.searchsorted(flat, c - r - 1, side="left")).max()
             for r in (1 << s for s in range(level + 1))
         ])
-    if d * ((1 << level) - 1) ** 2 > np.iinfo(np.int64).max:
-        deepest = (math.isqrt(np.iinfo(np.int64).max // d) + 1).bit_length() - 1
-        raise ValueError(f"ball counts in d = {d} are exact only up to level {deepest}, not {level}")
     pow4 = 4 ** np.arange(level + 1, dtype=np.int64)
     best = np.zeros(level + 1, dtype=np.int64)
     chunk = max(1, BALL_PAIRS // cells.shape[0])
@@ -163,13 +187,30 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     return best
 
 
+def _cells_by_level(obj, top: int):
+    """Distinct cells of levels top, top - 1, ..., 0, finest first.
+
+    A point sample floors or shifts its cells once, at ``top``; each coarser
+    level is the distinct parents, one shift, of the level above.  Other sets
+    are asked level by level: a tree may hold cubes without children, so its
+    cells at one level need not be the parents of the next.
+    """
+    cells = obj.cells_at_level(top)
+    yield cells
+    for u in range(top - 1, -1, -1):
+        cells = unique_rows(cells >> 1) if isinstance(obj, PointSet) else obj.cells_at_level(u)
+        yield cells
+
+
 def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     """Measure the two-scale branching grid of a materialized set.
 
-    Counts are taken on the integer level sublattice and interpolated onto
-    ``spec``.  The result is checked against the branching axioms with slack
-    2 + d (ball/cell discrepancy plus the covering product constant); the
-    report is attached, not raised.
+    Counts are taken on the integer level sublattice, in one pass over the
+    levels, and interpolated onto ``spec``.  The result is checked against
+    the branching axioms with slack 2 + d (ball/cell discrepancy plus the
+    covering product constant); the report is attached, not raised.  The
+    metadata records the distinct cells of every level 0..top as
+    ``cells_per_level``, the whole-set profile of the sample.
     """
     d = obj.dimension
     top = int(np.ceil(spec.u_max - 1e-9))
@@ -177,13 +218,15 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
         raise ValueError(
             f"spec.u_max {spec.u_max} exceeds usable depth {obj.max_covering_level}"
         )
+    first_bad = _deepest_ball_level(d) + 1
+    if top >= first_bad:
+        # the error of the shallowest failing level: its cells, then its ball count
+        obj.cells_at_level(first_bad)
+        _check_ball_level(d, first_bad)
     table = np.zeros((top + 1, top + 1))
-    total_centers = 0
-    max_stride = 1
-    for u in range(top + 1):
-        cells = obj.cells_at_level(u)
-        total_centers += cells.shape[0]
-        max_stride = max(max_stride, -(-cells.shape[0] // MAX_CENTERS))
+    counts = np.zeros(top + 1, dtype=np.int64)
+    for u, cells in zip(range(top, -1, -1), _cells_by_level(obj, top)):
+        counts[u] = cells.shape[0]
         table[u, :u] = np.log2(_max_ball_count(cells, u)[u:0:-1])
     integer_grid = TwoScaleGrid(GridSpec(float(top), 1.0), table)
     coords = spec.coords
@@ -194,20 +237,13 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     report = validate_branching(grid, np.inf, tol=slack)
     meta = {
         "depth_used": int(obj.max_covering_level),
-        "centers_sampled": int(total_centers),
+        "cells_per_level": counts.tolist(),
+        "centers_sampled": int(counts.sum()),
         "center_cap": MAX_CENTERS,
-        "center_stride": int(max_stride),
+        "center_stride": int(-(-counts.max() // MAX_CENTERS)),
         "membership_slack": slack,
     }
     return CoverageGrid(grid, meta, report)
-
-
-def average_profile(obj, top: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Whole-set branching profile: levels u and log2 cell counts."""
-    top = obj.max_covering_level if top is None else top
-    us = np.arange(top + 1)
-    counts = np.array([cell_count(obj, int(u)) for u in us], dtype=float)
-    return us.astype(float), np.log2(counts)
 
 
 def box_dims(us, values, window: tuple[float, float]) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grids import GridSpec, PiecewiseLinear, TwoScaleGrid
 from .operators import SpectrumGrid
-from .covering import PointSet
+from .covering import MAX_CELL_LEVEL, PointSet
 from .synthesis import DyadicTree, ExportedPoints
 from .ifs import SimilarityIFS
 
@@ -149,7 +149,9 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     Rows are numbered from the header (row 1), blank lines skipped, and
     parsed in blocks of ``ROW_BLOCK``; a bad row is reported by its number,
     the first one in file order when there are several.  ``depth`` must lie
-    in [0, ``MAX_EXP``], where 2^depth is a finite float.
+    in [0, ``MAX_EXP``], where 2^depth is a finite float.  The sample's cells
+    come from the integer numerators and exponents, so they are exact for
+    every numerator, not only for those a float holds.
     """
     if not 0 <= depth <= MAX_EXP:
         raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
@@ -160,19 +162,46 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     rows = lines[1:]
     if not rows:
         raise ValueError("point list is empty")
+    level = min(depth, MAX_CELL_LEVEL)
     pts = np.empty((len(rows), d))
+    cells = np.empty((len(rows), d), dtype=np.int64)
     for start in range(0, len(rows), ROW_BLOCK):
         block = rows[start:start + ROW_BLOCK]
-        pts[start:start + len(block)] = _rows_to_points(block, d, start + 2)
+        coords, nums, exps = _rows_to_points(block, d, start + 2)
+        pts[start:start + len(block)] = coords
+        cells[start:start + len(block)] = _snapped_cells(nums, exps, depth, level)
     # snap to the nearest depth-level dyadic point; records the quantization.
     # Only points far outside the cube overflow, and PointSet rejects them
     with np.errstate(over="ignore"):
         arr = np.round(pts * 2.0**depth) / 2.0**depth
-    return PointSet(arr, depth)
+    return PointSet(arr, depth, cells=cells)
 
 
-def _rows_to_points(rows: list[str], d: int, first: int) -> np.ndarray:
-    """Coordinates (len(rows), d) of point-list rows; ``first`` numbers rows[0].
+def _snapped_cells(nums: np.ndarray, exps: np.ndarray, depth: int, level: int) -> np.ndarray:
+    """Level-``level`` cells (``level <= depth``) of the points nums / 2^exps
+    snapped half to even onto the depth lattice, clipped to the unit cube.
+
+    Integer shifts only, on int64 arrays or on object arrays of Python ints
+    alike; numpy fills shifts past the word width with the sign to the right
+    and with zeros to the left, which is the floor the formulas need.
+    """
+    # points with exps <= depth lie on the depth lattice: the cell is floor(n 2^(level - e))
+    cells = np.where(exps >= level, nums >> np.maximum(exps - level, 0), nums << np.maximum(level - exps, 0))
+    coarse = exps > depth
+    if coarse.any():
+        n = nums[coarse]
+        j = exps[coarse] - depth - 1  # bits below the half bit of n / 2^(e - depth)
+        t = n >> j
+        q = t >> 1
+        # round up when the half bit is set and a lower bit is, or q is odd
+        up = ((t & 1) == 1) & ((n != t << j) | ((q & 1) == 1))
+        cells[coarse] = (q + up) >> (depth - level)
+    return np.clip(cells, 0, (1 << level) - 1).astype(np.int64)
+
+
+def _rows_to_points(rows: list[str], d: int, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinates, numerators and exponents of point-list rows, each (len(rows), d);
+    ``first`` numbers rows[0].
 
     A failing block is halved until the failing row is alone, so the error
     names the first bad row and gives the message a row-by-row reader would.
@@ -188,10 +217,11 @@ def _rows_to_points(rows: list[str], d: int, first: int) -> np.ndarray:
         raise
 
 
-def _parse_rows(rows: list[str], d: int, first: int) -> np.ndarray:
+def _parse_rows(rows: list[str], d: int, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Check and convert rows in the order a row is checked: integer fields,
     field count, exponent range, numerator range.  Messages name row ``first``,
-    which ``_rows_to_points`` makes the failing row."""
+    which ``_rows_to_points`` makes the failing row.  Numerators are int64,
+    or Python ints in an object array when one does not fit."""
     values = list(map(int, ",".join(rows).split(",")))
     fields = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.int64, count=len(rows)) + 1
     if np.any(fields != 2 * d):
@@ -199,13 +229,20 @@ def _parse_rows(rows: list[str], d: int, first: int) -> np.ndarray:
     exps = values[1::2]
     if min(exps) < MIN_EXP or max(exps) > MAX_EXP:
         raise ValueError(f"point list row {first} has an exponent outside [{MIN_EXP}, {MAX_EXP}]")
+    exps = np.array(exps, dtype=np.int64)
     try:
-        nums = np.array(values[0::2], dtype=float)
+        nums = np.array(values[0::2], dtype=np.int64)
+    except OverflowError:
+        nums = np.array(values[0::2], dtype=object)
+    try:
+        floats = nums.astype(float)
     except OverflowError:
         raise ValueError(f"point list row {first} has a numerator beyond the float range") from None
     # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
     with np.errstate(over="ignore"):
-        return (nums / np.ldexp(1.0, np.array(exps))).reshape(len(rows), d)
+        coords = floats / np.ldexp(1.0, exps)
+    shape = (len(rows), d)
+    return coords.reshape(shape), nums.reshape(shape), exps.reshape(shape)
 
 
 def _load_json(text: str, what: str):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from twoscale.cli import main
@@ -211,6 +212,20 @@ def test_estimate_rejects_levels_beyond_int64_cells(tmp_path, capsys):
 
     assert main(argv + ["--u-max", "62", "--out", str(tmp_path / "est")]) == 0
     assert "62,0,1\n" in (tmp_path / "est" / "beta_emp.csv").read_text()
+
+
+@pytest.mark.parametrize("numerators, cells", [
+    ([2**60 - 1, 2**60 - 2, 2**60 - 3], 3),
+    ([2**59 + 1, 2**59], 2),
+])
+def test_estimate_counts_cells_of_numerators_beyond_float_precision(tmp_path, numerators, cells):
+    # as floats these points round onto one level-60 cell; their exact cells are adjacent
+    points = tmp_path / "close.csv"
+    points.write_text("coord_0_num,coord_0_exp\n" + "".join(f"{n},60\n" for n in numerators))
+    assert main(["estimate", str(points), "--depth", "60", "--u-max", "60", "--u-min", "20",
+                 "--grid-step", "1", "--out", str(tmp_path / "est")]) == 0
+    rows = (tmp_path / "est" / "beta_emp.csv").read_text().splitlines()
+    assert f"60,0,{np.log2(cells):.15g}" in rows
 
 
 @pytest.mark.parametrize("depth", [1024, 2000, -1])

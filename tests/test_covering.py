@@ -8,7 +8,6 @@ from twoscale import (
     PointSet,
     StepFunction,
     box_dims,
-    cell_count,
     cone_extension,
     empirical_branching,
     local_covering,
@@ -16,7 +15,6 @@ from twoscale import (
     spectrum_estimate,
     subdivision_tree,
     synthesize_set,
-    average_profile,
 )
 from twoscale import covering
 from twoscale.grids import EXACT_TOL
@@ -24,6 +22,11 @@ from twoscale.grids import EXACT_TOL
 
 def full_interval_tree(depth):
     return subdivision_tree(StepFunction(1.0, np.arange(depth + 1, dtype=float)), 1)
+
+
+def cell_count(obj, level):
+    """Number of level-``level`` dyadic cells meeting the set."""
+    return obj.cells_at_level(level).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +55,11 @@ def test_point_set_rejects_points_outside_the_unit_cube():
     # float rounding slack at the faces is accepted and counted in the face cell
     edge = PointSet(np.array([[1.0 + 1e-12], [-1e-12]]), 4)
     assert edge.cells_at_level(4).ravel().tolist() == [0, 15]
+
+
+def test_point_set_rejects_cells_of_another_shape():
+    with pytest.raises(ValueError, match="one row per point"):
+        PointSet(np.array([[0.25], [0.5]]), 4, cells=np.array([[4]]))
 
 
 def test_cell_count_out_of_range():
@@ -174,8 +182,11 @@ def assert_matches_per_level_flooring(pts, top):
         assert got.dtype == np.int64
         assert np.array_equal(got, ref_occupied_cells(pts.points, u))
     table, counts, stride = ref_branching(pts.points, top)
+    walked = list(covering._cells_by_level(pts, top))[::-1]
+    assert all(np.array_equal(a, ref_occupied_cells(pts.points, u)) for u, a in enumerate(walked))
     cov = empirical_branching(pts, GridSpec(float(top), 1.0))
     assert np.array_equal(cov.grid.values, table)
+    assert cov.metadata["cells_per_level"] == counts
     assert cov.metadata["centers_sampled"] == sum(counts)
     assert cov.metadata["center_stride"] == stride
 
@@ -268,10 +279,10 @@ def test_box_dims_empty_window():
         box_dims(np.array([1.0]), np.array([1.0]), (3.0, 2.0))
 
 
-def test_average_profile_matches_cell_counts():
+def test_cells_per_level_matches_cell_counts():
     tree = full_interval_tree(6)
-    us, gs = average_profile(tree)
-    assert np.allclose(gs, us)
+    counts = empirical_branching(tree, GridSpec(6.0, 1.0)).metadata["cells_per_level"]
+    assert counts == [cell_count(tree, u) for u in range(7)] == [2**u for u in range(7)]
 
 
 # ---------------------------------------------------------------------------

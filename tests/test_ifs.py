@@ -10,7 +10,6 @@ from twoscale import (
     PiecewiseLinear,
     SimilarityIFS,
     TwoScaleGrid,
-    cell_count,
     critical_exponent,
     cylinder_hits,
     dimension_range,
@@ -119,7 +118,7 @@ def test_critical_exponent_closed_forms():
 def test_attractor_of_full_binary_fills_the_interval():
     sample = generate_attractor(binary_full(), np.array([[0.0]]), 10.0)
     for u in range(9):
-        assert cell_count(sample, u) == 2**u
+        assert sample.cells_at_level(u).shape[0] == 2**u
 
 
 def test_attractor_deeper_is_superset():

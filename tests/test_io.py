@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -279,3 +280,38 @@ def test_points_from_csv_names_the_first_bad_row(faults):
     first = min(faults)
     with pytest.raises(ValueError, match=f"row {first} " if "x" not in faults[first] else "invalid literal"):
         tsio.points_from_csv(text, 30)
+
+
+def fraction_cells(rows, depth, level):
+    """Distinct level-``level`` cells of exact points snapped half to even to the depth lattice."""
+    cells = set()
+    for row in rows:
+        snapped = [round(Fraction(n, 2**e) * 2**depth) for n, e in row]
+        cells.add(tuple(min(max(s * 2**level // 2**depth, 0), 2**level - 1) for s in snapped))
+    return np.array(sorted(cells), dtype=np.int64)
+
+
+@st.composite
+def exact_coordinates(draw):
+    """(numerator, exponent) of a point of [0, 1], often with more bits than a float holds."""
+    e = draw(st.integers(0, 80))
+    half = 1 << max(e - 1, 0)
+    n = draw(st.one_of(
+        st.integers(0, 1 << e),
+        st.sampled_from([0, 1, half - 1, half, half + 1, (1 << e) - 1, 1 << e]),
+        # points of a level-50..71 lattice and their neighbours: ties and near-ties of the snap
+        st.tuples(st.integers(50, 71), st.integers(0, 1 << 71), st.integers(-1, 1)).map(
+            lambda mkt: ((mkt[1] >> max(71 - e, 0)) << max(e - mkt[0], 0)) + mkt[2]),
+    ))
+    return min(max(n, 0), 1 << e), e
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 2), st.integers(50, 70), st.data())
+def test_point_cells_match_fraction_oracle_at_deep_levels(d, depth, data):
+    rows = data.draw(st.lists(st.lists(exact_coordinates(), min_size=d, max_size=d), min_size=1, max_size=8))
+    header = ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d))
+    text = "\n".join([header] + [",".join(f"{n},{e}" for n, e in row) for row in rows]) + "\n"
+    pts = tsio.points_from_csv(text, depth)
+    for level in range(50, min(depth, 62) + 1):
+        assert np.array_equal(pts.cells_at_level(level), fraction_cells(rows, depth, level))
