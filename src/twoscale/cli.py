@@ -112,10 +112,7 @@ def cmd_attractor(args) -> int:
         "depth": args.depth,
     }
     info.update(sample.metadata)
-    header = ",".join(f"coord_{q}" for q in range(ifs.dimension)) + "\n"
-    row = ",".join(["%.17g"] * ifs.dimension) + "\n"
-    text = (header + row * sample.points.shape[0]) % tuple(sample.points.ravel().tolist())
-    tsio.atomic_write(out / "attractor_points.csv", text)
+    tsio.atomic_write(out / "attractor_points.csv", tsio.float_points_to_csv(sample.points))
     tsio.atomic_write(out / "attractor_info.json", json.dumps(info, sort_keys=True) + "\n")
     print(f"wrote {out}/attractor_points.csv, attractor_info.json")
     return EXIT_OK

@@ -26,12 +26,12 @@ MIN_EXP, MAX_EXP = -1074, 1023
 ROW_BLOCK = 8192
 
 
-def atomic_write(path, text: str) -> None:
+def atomic_write(path, text: str | bytes) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -141,6 +141,15 @@ def points_to_csv(points: ExportedPoints) -> str:
     table[:, 0::2] = points.numerators
     table[:, 1::2] = points.exponents[:, None]
     return (header + row * m) % tuple(table.ravel().tolist())
+
+
+def float_points_to_csv(points: np.ndarray) -> bytes:
+    """Header ``coord_<q>`` plus one row per point of an (m, d) float array,
+    each coordinate in its ``%.17g`` form."""
+    m, d = points.shape
+    header = ",".join(f"coord_{q}" for q in range(d)) + "\n"
+    row = ",".join(["%.17g"] * d) + "\n"
+    return ((header + row * m) % tuple(points.ravel().tolist())).encode("ascii")
 
 
 def points_from_csv(text: str, depth: int) -> PointSet:

@@ -109,6 +109,8 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     tsio.atomic_write(target, "one\n")
     tsio.atomic_write(target, "two\n")
     assert target.read_text() == "two\n"
+    tsio.atomic_write(target, b"three\n")
+    assert target.read_bytes() == b"three\n"
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
 
 
@@ -316,3 +318,93 @@ def test_point_cells_match_fraction_oracle_at_deep_levels(d, depth, data):
     # every level of a shallow sample, levels 50..62 of a deep one
     for level in range(50 if depth >= 50 else 0, min(depth, 62) + 1):
         assert np.array_equal(pts.cells_at_level(level), fraction_cells(rows, depth, level))
+
+
+# ---------------------------------------------------------------------------
+# Float point rows against the one-format join
+# ---------------------------------------------------------------------------
+
+FLOAT_BLOCK = 65536
+
+
+def percent_float_csv(points):
+    """Header and rows as one ``%.17g`` format over every coordinate."""
+    m, d = points.shape
+    header = ",".join(f"coord_{q}" for q in range(d)) + "\n"
+    row = ",".join(["%.17g"] * d) + "\n"
+    return ((header + row * m) % tuple(points.ravel().tolist())).encode("ascii")
+
+
+def assert_float_rows_match(values, d=1):
+    points = np.asarray(values, dtype=float).reshape(-1, d)
+    assert tsio.float_points_to_csv(points) == percent_float_csv(points)
+
+
+def ulp_neighbours(x, k):
+    """x and the k floats on either side of it."""
+    steps = [x]
+    for direction in (np.inf, -np.inf):
+        y = x
+        for _ in range(k):
+            y = np.nextafter(y, direction)
+            steps.append(y)
+    return steps
+
+
+def test_float_rows_match_around_powers_of_ten():
+    values = np.array([y for k in range(-8, 20) for y in ulp_neighbours(10.0**k, 40)])
+    assert_float_rows_match(np.concatenate([values, -values]))
+
+
+def test_float_rows_match_on_binary_ties():
+    rng = np.random.default_rng(3)
+    odd = 2 * rng.integers(0, 2**52, (60, 40)) + 1
+    values = (odd / 2.0 ** np.arange(60)[:, None]).ravel()
+    # m / 2^j is a tie of the 17th digit when m 5^j has exactly 18 digits
+    ties = [(m | 1) / 2.0**j for j in range(2, 26)
+            for m in rng.integers(-(-10**17 // 5**j), min(10**18 // 5**j, 2**53), 200).tolist()]
+    assert_float_rows_match(np.concatenate([values, ties, np.negative(ties)]))
+
+
+def test_float_rows_match_on_integers():
+    rng = np.random.default_rng(4)
+    edges = [10**k + s for k in range(15, 18) for s in (-2, -1, 0, 1, 2)] + [2**53 - 1, 2**53, 2**53 + 2]
+    values = np.concatenate([rng.integers(-10**17, 10**17, 20_000), rng.integers(-999, 1000, 2_000),
+                             edges, np.negative(edges)]).astype(float)
+    assert_float_rows_match(values)
+
+
+def test_float_rows_match_on_uniform_and_dyadic_grids():
+    rng = np.random.default_rng(5)
+    assert_float_rows_match(rng.random(30_000), d=3)
+    assert_float_rows_match(np.arange(2**15) / 2**15, d=2)
+    assert_float_rows_match(np.arange(3**9) / 3**9)
+
+
+def test_float_rows_match_on_random_bit_patterns():
+    bits = np.random.default_rng(6).integers(-2**63, 2**63, 30_000, dtype=np.int64)
+    assert_float_rows_match(bits.view(np.float64), d=2)
+
+
+def test_float_rows_match_on_special_values():
+    big = np.finfo(float).max
+    values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, big, -big, 1e16, 1e17, 1e-4, 1e-5,
+              9.999999999999999e-05, 99999999999999984.0, 0.1, 1.0, -1.0]
+    assert_float_rows_match(values)
+    assert_float_rows_match(np.empty((0, 2)), d=2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("m", [FLOAT_BLOCK - 1, FLOAT_BLOCK, FLOAT_BLOCK + 1])
+def test_float_rows_match_across_block_boundaries(d, m):
+    rng = np.random.default_rng(m * 4 + d)
+    values = rng.random((m, d)) * 10.0 ** rng.integers(-7, 19, (m, d))
+    values[rng.random((m, d)) < 0.01] = np.nan
+    assert_float_rows_match(values, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_float_rows_match_on_any_floats(d, data):
+    values = data.draw(st.lists(st.floats(), max_size=30 * d).map(lambda v: v[:len(v) - len(v) % d]))
+    assert_float_rows_match(values, d)
