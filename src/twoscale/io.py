@@ -6,6 +6,7 @@ land under the target name.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -24,6 +25,10 @@ from .ifs import SimilarityIFS
 MIN_EXP, MAX_EXP = -1074, 1023
 # point-list rows parsed at once
 ROW_BLOCK = 8192
+# coordinates formatted at once by float_points_to_csv, and the bytes of one
+# coordinate's row before its NULs are deleted
+FLOAT_BLOCK = 16384
+_FLOAT_ROW = 40
 
 
 def atomic_write(path, text: str | bytes) -> None:
@@ -145,11 +150,149 @@ def points_to_csv(points: ExportedPoints) -> str:
 
 def float_points_to_csv(points: np.ndarray) -> bytes:
     """Header ``coord_<q>`` plus one row per point of an (m, d) float array,
-    each coordinate in its ``%.17g`` form."""
+    each coordinate in its ``%.17g`` form, byte for byte.
+
+    Coordinates are formatted ``FLOAT_BLOCK`` at a time by ``_float_rows``.
+    """
     m, d = points.shape
-    header = ",".join(f"coord_{q}" for q in range(d)) + "\n"
-    row = ",".join(["%.17g"] * d) + "\n"
-    return ((header + row * m) % tuple(points.ravel().tolist())).encode("ascii")
+    flat = np.asarray(points, dtype=np.float64).ravel()
+    parts = [",".join(f"coord_{q}" for q in range(d)).encode("ascii") + b"\n"]
+    for start in range(0, flat.size, FLOAT_BLOCK):
+        x = flat[start:start + FLOAT_BLOCK]
+        last = np.arange(start, start + x.size) % d == d - 1
+        parts.append(_float_rows(x, np.where(last, ord("\n"), ord(",")).astype(np.uint8)))
+    return b"".join(parts)
+
+
+def _float_rows(x: np.ndarray, seps: np.ndarray) -> bytes:
+    """``%.17g`` of each value of ``x``, each followed by its separator byte.
+
+    Values in fixed notation get their exact row from ``_fixed_rows``.
+    Zeros, non-finite values and e-notation go through one ``%`` format,
+    padded with spaces to the row width; the spaces and the NULs the masks
+    leave are deleted at the end (``%.17g`` writes neither).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(np.abs(x)))
+    # zeros, NaN and inf fail this; for the rest, the guess is off by at most one
+    near = (guess >= -6) & (guess <= 17)
+    if not near.any():
+        fmt = np.empty((x.size, 6), dtype=np.uint8)
+        fmt[:] = np.frombuffer(b"%.17g\n", dtype=np.uint8)
+        fmt[:, -1] = seps
+        return fmt.tobytes() % tuple(x.tolist())
+    at = slice(None) if near.all() else np.flatnonzero(near)
+    rows = np.empty((x.size, _FLOAT_ROW // 8), dtype=np.uint64)
+    fixed = np.zeros(x.size, dtype=bool)
+    rows[at], fixed[at] = _fixed_rows(x[at], guess[at])
+    other = np.flatnonzero(~fixed)
+    if other.size:
+        fmt = b"%%-%d.17g" % _FLOAT_ROW
+        text = (fmt * other.size) % tuple(x[other].tolist())
+        rows[other] = np.frombuffer(text, dtype=np.uint64).reshape(other.size, -1)
+    chars = rows.view(np.uint8)
+    chars[:, -1] = seps
+    return chars.tobytes().translate(None, b"\0 ")
+
+
+def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masked rows of the nonzero finite values ``x`` in fixed notation, and
+    which values that notation fits; ``guess`` is floor(log10|x|) in [-6, 17].
+
+    With s = 16 - X for the decimal exponent X, Dekker's product gives
+    |x| 10^s exactly as hi + lo; the exponent guess is corrected on hi + lo,
+    not on hi alone, and the 17-digit integer is hi (an even integer, being
+    above 2^53) plus lo rounded half to even.  Fixed notation is X in
+    [-4, 16], after rounding.
+    """
+    words, trailing, masks = _float_tables()
+    a = np.abs(x)
+    s = np.clip(16 - guess.astype(np.intp), 0, 22)
+    hi, lo = _times_pow10(a, s)
+    above, below = _out_of_decade(hi, lo)
+    redo = np.flatnonzero(above | below)
+    if redo.size:
+        s = np.clip(s + below - above, 0, 22)
+        hi[redo], lo[redo] = _times_pow10(a[redo], s[redo])
+        above, below = _out_of_decade(hi, lo)
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    carry = digits == 10**17
+    exponent = 16 - s + carry
+    fixed = ~above & ~below & (exponent >= -4) & (exponent <= 16)
+    digits[~fixed | carry] = 10**16
+    # the leading digit and four groups of four, one row each
+    groups = np.empty((5, a.size), dtype=np.intp)
+    high = digits // 10**8
+    low = digits - high * 10**8
+    np.floor_divide(high, 10**8, out=groups[0])
+    high -= groups[0] * 10**8
+    for k, part in ((1, high), (3, low)):
+        np.floor_divide(part, 10**4, out=groups[k])
+        np.subtract(part, groups[k] * 10**4, out=groups[k + 1])
+    zeros = trailing.take(groups[1])
+    for k in (2, 3, 4):
+        z = trailing.take(groups[k])
+        zeros = np.where(z == 4, zeros + 4, z)
+    groups[1:] += 10
+    which = (np.signbit(x) * 21 + np.clip(exponent + 4, 0, 20)) * 17 + 16 - zeros
+    rows = masks.take(which, axis=0)
+    rows &= words.take(groups.T)
+    return rows, fixed
+
+
+# 10^s is an exact double for the scales s = 16 - X in [0, 22] of fixed notation
+_POW10 = np.array([10.0**s for s in range(23)])
+_SPLITTER = 2.0**27 + 1  # Veltkamp's constant: splits a double into 26- and 27-bit halves
+
+
+def _times_pow10(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's product: hi = fl(a 10^s) and lo with hi + lo = a 10^s exactly."""
+    p = _POW10.take(s)
+    c = p * _SPLITTER
+    p_hi = c - (c - p)
+    p_lo = p - p_hi
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    hi = a * p
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _out_of_decade(hi: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether hi + lo is at least 1e17, and whether it is below 1e16 (both exact doubles)."""
+    return (hi > 1e17) | ((hi == 1e17) & (lo >= 0)), (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+
+
+@functools.cache
+def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words of the 40-byte row and the masks that cut a row to its ``%.17g`` form.
+
+    A row is ``-0.000`` then the 17 significant digits, each followed by a
+    point, the last point's byte holding the separator.  ``words`` holds the
+    10 leading words ``-0.000<digit>.``, then the 10,000 four-digit words
+    ``d.d.d.d.``; ``trailing`` counts the trailing zeros of a four-digit
+    group (4 for 0000); ``masks[sign, X + 4, last]`` keeps the sign, the
+    ``0.000`` prefix of X < 0, the digits up to the last nonzero one and the
+    units digit, and the point after the units digit when digits follow it.
+    """
+    g = np.arange(10_000)
+    quad = np.full((10_000, 8), ord("."), dtype=np.uint8)
+    for k in range(4):
+        quad[:, 2 * k] = g // 10 ** (3 - k) % 10 + ord("0")
+    lead = np.frombuffer(b"".join(b"-0.000%d." % k for k in range(10)), dtype=np.uint8)
+    words = np.concatenate([lead, quad.ravel()]).view(np.uint64)
+    trailing = sum(g % 10**k == 0 for k in range(1, 5)).astype(np.int8)
+    j = np.arange(_FLOAT_ROW)
+    negative = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 17)[None, :, None, None]
+    last = np.arange(17)[None, None, :, None]
+    keep = np.select(
+        [j == 0, j < 3, j < 6, j == _FLOAT_ROW - 1, j % 2 == 0],
+        [negative == 1, x < 0, j - 3 < -x - 1, True, (j - 6) // 2 <= np.maximum(last, x)],
+        ((j - 7) // 2 == x) & (last > x),
+    )
+    masks = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64).reshape(-1, _FLOAT_ROW // 8)
+    return words, trailing, masks
 
 
 def points_from_csv(text: str, depth: int) -> PointSet:

@@ -324,7 +324,7 @@ def test_point_cells_match_fraction_oracle_at_deep_levels(d, depth, data):
 # Float point rows against the one-format join
 # ---------------------------------------------------------------------------
 
-FLOAT_BLOCK = 65536
+FLOAT_BLOCK = tsio.FLOAT_BLOCK
 
 
 def percent_float_csv(points):
