@@ -1,7 +1,7 @@
 """Command-line front end: synthesize sets, estimate dimensions, verify.
 
 Exit codes: 0 success, 1 failed verification criteria, 2 user error,
-3 resource cap exceeded.
+3 resource cap exceeded or out of memory.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
 
 
 def cmd_synth(args) -> int:
+    if args.dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {args.dimension}")
     out = Path(args.out)
     grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
     grid = _load_target_grid(args.psi_spec, grid_spec)
@@ -185,6 +187,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

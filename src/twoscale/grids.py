@@ -56,8 +56,8 @@ class GridSpec:
     step: float = 0.25
 
     def __post_init__(self):
-        if not (self.step > 0 and self.u_max > 0):
-            raise ValueError("u_max and step must be positive")
+        if not (0 < self.step < np.inf and 0 < self.u_max < np.inf):
+            raise ValueError(f"u_max and step must be positive and finite, got {self.u_max} and {self.step}")
         n = round(self.u_max / self.step)
         if n < 1 or abs(n * self.step - self.u_max) > 1e-9 * max(1.0, self.u_max):
             raise ValueError(f"step {self.step} does not divide u_max {self.u_max}")
@@ -314,7 +314,8 @@ class _Collector:
         idx = np.argwhere(mask)
         mags = np.asarray(magnitudes)[mask]
         for flat in np.argsort(-mags)[:room]:
-            self.violations.append(Violation(prop, witness_fn(*idx[flat]), float(mags[flat])))
+            witness = tuple(map(float, witness_fn(*idx[flat])))
+            self.violations.append(Violation(prop, witness, float(mags[flat])))
 
     def report(self) -> ValidationReport:
         return ValidationReport(tuple(self.violations), dict(self.counts))

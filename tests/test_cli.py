@@ -38,6 +38,14 @@ def test_synth_rejects_invalid_target(tmp_path):
     assert code == 2
 
 
+def test_synth_witness_lines_print_plain_floats(tmp_path, capsys):
+    code = main(["synth", "h_kappa_lambda:5,0.5", "--depth", "6", "--u-max", "8", "--out", str(tmp_path / "x")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[1] == "  lipschitz_bound at (8.0, 4.0): 16"
+    assert len(lines) == 11 and not any("np." in ln for ln in lines)
+
+
 def test_synth_cap_exit_code(tmp_path):
     code = main([
         "synth", "h_kappa_lambda:1.0,0.0", "-d", "1",

@@ -64,7 +64,8 @@ class RefCollector:
         order = np.argsort(-np.asarray(magnitudes)[mask])
         for flat in order[:room]:
             w = tuple(idx[flat])
-            self.violations.append(Violation(prop, witness_fn(*w), float(np.asarray(magnitudes)[mask][flat])))
+            witness = tuple(map(float, witness_fn(*w)))
+            self.violations.append(Violation(prop, witness, float(np.asarray(magnitudes)[mask][flat])))
 
     def report(self):
         return ValidationReport(tuple(self.violations), dict(self.counts))
