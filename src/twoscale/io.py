@@ -154,7 +154,7 @@ def float_points_to_csv(points: np.ndarray) -> bytes:
 
     Coordinates are formatted ``FLOAT_BLOCK`` at a time by ``_float_rows``.
     """
-    m, d = points.shape
+    d = points.shape[1]
     flat = np.asarray(points, dtype=np.float64).ravel()
     parts = [",".join(f"coord_{q}" for q in range(d)).encode("ascii") + b"\n"]
     for start in range(0, flat.size, FLOAT_BLOCK):
@@ -177,6 +177,7 @@ def _float_rows(x: np.ndarray, seps: np.ndarray) -> bytes:
     # zeros, NaN and inf fail this; for the rest, the guess is off by at most one
     near = (guess >= -6) & (guess <= 17)
     if not near.any():
+        # nothing in fixed notation: one plain format is the cheaper way
         fmt = np.empty((x.size, 6), dtype=np.uint8)
         fmt[:] = np.frombuffer(b"%.17g\n", dtype=np.uint8)
         fmt[:, -1] = seps
@@ -203,7 +204,7 @@ def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarra
     |x| 10^s exactly as hi + lo; the exponent guess is corrected on hi + lo,
     not on hi alone, and the 17-digit integer is hi (an even integer, being
     above 2^53) plus lo rounded half to even.  Fixed notation is X in
-    [-4, 16], after rounding.
+    [-4, 16].
     """
     words, trailing, masks = _float_tables()
     a = np.abs(x)
@@ -216,11 +217,12 @@ def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarra
         hi[redo], lo[redo] = _times_pow10(a[redo], s[redo])
         above, below = _out_of_decade(hi, lo)
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    carry = digits == 10**17
-    exponent = 16 - s + carry
-    fixed = ~above & ~below & (exponent >= -4) & (exponent <= 16)
-    digits[~fixed | carry] = 10**16
-    # the leading digit and four groups of four, one row each
+    # rounding up to 10^17 would raise the exponent; no double between 1e-5
+    # and 1e17 lies that close below a power of ten, and the format takes one if it did
+    fixed = ~above & ~below & (s <= 20) & (digits < 10**17)
+    digits[~fixed] = 10**16
+    exponent = 16 - s
+    # the 17 digits as the leading one and four groups of four, a row of groups each
     groups = np.empty((5, a.size), dtype=np.intp)
     high = digits // 10**8
     low = digits - high * 10**8
@@ -229,6 +231,7 @@ def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarra
     for k, part in ((1, high), (3, low)):
         np.floor_divide(part, 10**4, out=groups[k])
         np.subtract(part, groups[k] * 10**4, out=groups[k + 1])
+    # trailing zeros of the 17 digits, whose leading one is nonzero
     zeros = trailing.take(groups[1])
     for k in (2, 3, 4):
         z = trailing.take(groups[k])
@@ -292,6 +295,9 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ((j - 7) // 2 == x) & (last > x),
     )
     masks = np.where(keep, 0xFF, 0).astype(np.uint8).view(np.uint64).reshape(-1, _FLOAT_ROW // 8)
+    # cached and shared by every call, so none may write to them
+    for table in (words, trailing, masks):
+        table.flags.writeable = False
     return words, trailing, masks
 
 

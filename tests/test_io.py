@@ -391,6 +391,8 @@ def test_float_rows_match_on_special_values():
     values = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, big, -big, 1e16, 1e17, 1e-4, 1e-5,
               9.999999999999999e-05, 99999999999999984.0, 0.1, 1.0, -1.0]
     assert_float_rows_match(values)
+    # a block with no value in fixed notation
+    assert_float_rows_match([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, big, -1e-7, 1e18], d=3)
     assert_float_rows_match(np.empty((0, 2)), d=2)
 
 
