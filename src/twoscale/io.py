@@ -1,4 +1,4 @@
-"""File formats: grid/profile/curve CSVs, point lists, tree files, IFS specs.
+"""File formats: grid/profile/curve CSVs, point lists (integer and float), tree files, IFS specs.
 
 All writers go through an atomic temp-file rename so partial outputs never
 land under the target name.
