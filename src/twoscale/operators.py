@@ -30,9 +30,10 @@ from .grids import (
 )
 
 DEFAULT_THETA_STEP = 1.0 / 64.0
-# Most theta steps a curve may have: a curve's subadditivity check builds an
-# (m + 1)^2 table, 16.8 million entries at this bound
-MAX_THETA_COUNT = 4096
+# Most theta steps a curve may have: above 2^53 the double 1 / theta_step no
+# longer holds every integer count.  Counts up to it that are too large to
+# allocate fail with MemoryError where their arrays are built.
+MAX_THETA_COUNT = 2**53
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ def _theta_count(theta_step: float) -> int:
     [1, ``MAX_THETA_COUNT``]."""
     if not theta_step > 0:
         raise ValueError(f"theta_step must be positive, got {theta_step}")
-    if 1.0 / theta_step > MAX_THETA_COUNT + 0.5:
+    if 1.0 / theta_step > MAX_THETA_COUNT:
         raise ValueError(f"1/theta_step must be at most {MAX_THETA_COUNT}, got theta_step {theta_step}")
     m = round(1.0 / theta_step)
     if m < 1 or abs(m * theta_step - 1.0) > 1e-12:

@@ -42,26 +42,28 @@ def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, co
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("options, message", [
-    (["--u-max", "inf"], "positive and finite"),
-    (["--u-max", "nan"], "positive and finite"),
-    (["--grid-step", "inf"], "positive and finite"),
-    (["--theta-step", "1e-300"], f"at most {MAX_THETA_COUNT}"),
-    (["--theta-step", "5e-324"], f"at most {MAX_THETA_COUNT}"),
-    (["--theta-step", str(1 / (MAX_THETA_COUNT + 1))], f"at most {MAX_THETA_COUNT}"),
+@pytest.mark.parametrize("options, code, message", [
+    (["--u-max", "inf"], EXIT_USER, "positive and finite"),
+    (["--u-max", "nan"], EXIT_USER, "positive and finite"),
+    (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
+    (["--theta-step", "1e-300"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
+    (["--theta-step", "5e-324"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
+    (["--theta-step", str(0.5 / MAX_THETA_COUNT)], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
+    # 2^51 theta samples per window scale, 16 PiB of floats: more than any address space maps
+    (["--theta-step", str(4.0 / MAX_THETA_COUNT)], EXIT_CAP, "out of memory"),
 ])
-def test_estimate_rejects_lattice_options_beyond_their_limits(tmp_path, options, message):
+def test_estimate_rejects_lattice_options_beyond_their_limits(tmp_path, options, code, message):
     (tmp_path / "points.csv").write_text(POINTS)
     argv = ["estimate", str(tmp_path / "points.csv"), "--depth", "4", "--u-max", "4", "--u-min", "1",
             "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
-    assert got == EXIT_USER and message in line
+    assert got == code and message in line
 
 
-def test_estimate_accepts_the_largest_theta_count(tmp_path):
+def test_estimate_accepts_fine_theta_steps(tmp_path):
     (tmp_path / "points.csv").write_text(POINTS)
     argv = ["estimate", str(tmp_path / "points.csv"), "--depth", "4", "--u-max", "4", "--u-min", "1",
-            "--theta-step", str(1 / MAX_THETA_COUNT), "--out", str(tmp_path / "out")]
+            "--theta-step", str(1 / 8192), "--out", str(tmp_path / "out")]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
-    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == MAX_THETA_COUNT + 2
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 8192 + 2
