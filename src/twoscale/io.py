@@ -152,41 +152,36 @@ def float_points_to_csv(points: np.ndarray) -> bytes:
     """Header ``coord_<q>`` plus one row per point of an (m, d) float array,
     each coordinate in its ``%.17g`` form, byte for byte.
 
-    Coordinates are formatted ``FLOAT_BLOCK`` at a time by ``_float_rows``.
+    Coordinates are formatted ``FLOAT_BLOCK`` at a time by ``_float_rows``,
+    every block in the same work arrays.
     """
+    # the cached tables come first: built after the work arrays, they would
+    # stay above the arrays' freed space and keep the heap from shrinking
+    tables = _float_tables()
     d = points.shape[1]
     flat = np.asarray(points, dtype=np.float64).ravel()
+    seps = np.full(flat.size, ord(","), dtype=np.uint8)
+    seps[d - 1::d] = ord("\n")
+    rows = np.empty((min(flat.size, FLOAT_BLOCK), _FLOAT_ROW // 8), dtype=np.uint64)
+    groups = np.empty((5, rows.shape[0]), dtype=np.intp)
     parts = [",".join(f"coord_{q}" for q in range(d)).encode("ascii") + b"\n"]
     for start in range(0, flat.size, FLOAT_BLOCK):
         x = flat[start:start + FLOAT_BLOCK]
-        last = np.arange(start, start + x.size) % d == d - 1
-        parts.append(_float_rows(x, np.where(last, ord("\n"), ord(",")).astype(np.uint8)))
+        parts.append(_float_rows(x, seps[start:start + x.size], tables, rows[:x.size], groups[:, :x.size]))
     return b"".join(parts)
 
 
-def _float_rows(x: np.ndarray, seps: np.ndarray) -> bytes:
+def _float_rows(x: np.ndarray, seps: np.ndarray, tables: tuple,
+                rows: np.ndarray, groups: np.ndarray) -> bytes:
     """``%.17g`` of each value of ``x``, each followed by its separator byte.
 
     Values in fixed notation get their exact row from ``_fixed_rows``.
     Zeros, non-finite values and e-notation go through one ``%`` format,
     padded with spaces to the row width; the spaces and the NULs the masks
-    leave are deleted at the end (``%.17g`` writes neither).
+    leave are deleted at the end (``%.17g`` writes neither).  ``rows`` and
+    ``groups`` are work arrays of ``x.size`` rows and columns.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        guess = np.floor(np.log10(np.abs(x)))
-    # zeros, NaN and inf fail this; for the rest, the guess is off by at most one
-    near = (guess >= -6) & (guess <= 17)
-    if not near.any():
-        # nothing in fixed notation: one plain format is the cheaper way
-        fmt = np.empty((x.size, 6), dtype=np.uint8)
-        fmt[:] = np.frombuffer(b"%.17g\n", dtype=np.uint8)
-        fmt[:, -1] = seps
-        return fmt.tobytes() % tuple(x.tolist())
-    at = slice(None) if near.all() else np.flatnonzero(near)
-    rows = np.empty((x.size, _FLOAT_ROW // 8), dtype=np.uint64)
-    fixed = np.zeros(x.size, dtype=bool)
-    rows[at], fixed[at] = _fixed_rows(x[at], guess[at])
-    other = np.flatnonzero(~fixed)
+    other = np.flatnonzero(~_fixed_rows(x, tables, rows, groups))
     if other.size:
         fmt = b"%%-%d.17g" % _FLOAT_ROW
         text = (fmt * other.size) % tuple(x[other].tolist())
@@ -196,18 +191,26 @@ def _float_rows(x: np.ndarray, seps: np.ndarray) -> bytes:
     return chars.tobytes().translate(None, b"\0 ")
 
 
-def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masked rows of the nonzero finite values ``x`` in fixed notation, and
-    which values that notation fits; ``guess`` is floor(log10|x|) in [-6, 17].
+def _fixed_rows(x: np.ndarray, tables: tuple, rows: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Write the masked rows of the values ``x`` in fixed notation to ``rows``,
+    and return which values that notation fits.
 
     With s = 16 - X for the decimal exponent X, Dekker's product gives
     |x| 10^s exactly as hi + lo; the exponent guess is corrected on hi + lo,
     not on hi alone, and the 17-digit integer is hi (an even integer, being
     above 2^53) plus lo rounded half to even.  Fixed notation is X in
-    [-4, 16].
+    [-4, 16].  ``tables`` are those of ``_float_tables``.
     """
-    words, trailing, masks = _float_tables()
+    words, trailing, masks = tables
     a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        guess = np.floor(np.log10(a))
+    # zeros, NaN and inf fail this; for the rest, the guess is off by at most one
+    near = (guess >= -6) & (guess <= 17)
+    if not near.all():
+        # the rest stand in as 1.0 and are formatted elsewhere
+        a[~near] = 1.0
+        guess[~near] = 0.0
     s = np.clip(16 - guess.astype(np.intp), 0, 22)
     hi, lo = _times_pow10(a, s)
     above, below = _out_of_decade(hi, lo)
@@ -219,11 +222,10 @@ def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarra
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
     # rounding up to 10^17 would raise the exponent; no double between 1e-5
     # and 1e17 lies that close below a power of ten, and the format takes one if it did
-    fixed = ~above & ~below & (s <= 20) & (digits < 10**17)
+    fixed = near & ~above & ~below & (s <= 20) & (digits < 10**17)
     digits[~fixed] = 10**16
     exponent = 16 - s
     # the 17 digits as the leading one and four groups of four, a row of groups each
-    groups = np.empty((5, a.size), dtype=np.intp)
     high = digits // 10**8
     low = digits - high * 10**8
     np.floor_divide(high, 10**8, out=groups[0])
@@ -238,9 +240,9 @@ def _fixed_rows(x: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarra
         zeros = np.where(z == 4, zeros + 4, z)
     groups[1:] += 10
     which = (np.signbit(x) * 21 + np.clip(exponent + 4, 0, 20)) * 17 + 16 - zeros
-    rows = masks.take(which, axis=0)
+    masks.take(which, axis=0, out=rows)
     rows &= words.take(groups.T)
-    return rows, fixed
+    return fixed
 
 
 # 10^s is an exact double for the scales s = 16 - X in [0, 22] of fixed notation

@@ -1,4 +1,5 @@
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -337,7 +338,11 @@ def percent_float_csv(points):
 
 def assert_float_rows_match(values, d=1):
     points = np.asarray(values, dtype=float).reshape(-1, d)
-    assert tsio.float_points_to_csv(points) == percent_float_csv(points)
+    # the writer must not warn either, not even on NaN, inf or zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tsio.float_points_to_csv(points)
+    assert got == percent_float_csv(points)
 
 
 def ulp_neighbours(x, k):
