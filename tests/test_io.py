@@ -175,12 +175,17 @@ def per_row_points_reader(text, depth):
 
 
 def read_outcome(reader, text, depth):
-    """The points and depth a reader returns, or the message of its ValueError."""
+    """The points, depth and cells a reader returns, or the message of its ValueError.
+
+    The read must not warn.
+    """
     try:
-        pts = reader(text, depth)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = reader(text, depth)
     except ValueError as exc:
         return str(exc)
-    return pts.points, pts.depth
+    return pts.points, pts.depth, pts.cells
 
 
 def assert_same_outcome(text, depth):
@@ -191,6 +196,9 @@ def assert_same_outcome(text, depth):
     else:
         assert not isinstance(got, str), got
         assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+        # CRLF line ends are outside the canonical form, so the per-row reader reads them
+        crlf = read_outcome(tsio.points_from_csv, text.replace("\n", "\r\n"), depth)
+        assert np.array_equal(got[0], crlf[0]) and np.array_equal(got[2], crlf[2])
 
 
 @st.composite
@@ -232,11 +240,14 @@ def point_rows(draw, d):
         e = draw(st.one_of(st.integers(-3, 70), st.sampled_from([-1074, -1075, 1023, 1024])))
         top = 1 << max(e, 0)
         num = draw(st.one_of(st.integers(0, top), st.integers(-2, top + 2),
-                             st.sampled_from([2**1023, 2**1024, 10**400])))
-        fields += [str(num), str(e)]
+                             st.sampled_from([2**1023, 2**1024, 10**400, 10**17 + 1, 10**18, 2**63])))
+        num = draw(st.sampled_from([str(num), f"00{num}", f"+{num}", f"\t{num}"]))
+        fields += [num, str(e)]
     row = ",".join(fields)
-    return draw(st.one_of(st.just(row), st.just(f"  {row} "), st.just(row + ",7"),
-                          st.just(row.rpartition(",")[0]), st.just(row.replace("1", "x", 1))))
+    return draw(st.one_of(st.just(row), st.just(f"  {row} "), st.just(row + ",7"), st.just(row + "  "),
+                          st.just(row.rpartition(",")[0]), st.just(row.replace("1", "x", 1)),
+                          st.just(row.replace("0", "-0", 1)), st.just(row.replace("1", "1_0", 1)),
+                          st.just(row.replace("3", "\u0663", 1))))
 
 
 @settings(max_examples=100, deadline=None)
@@ -245,6 +256,41 @@ def test_points_from_csv_matches_per_row_reader(d, depth, data):
     rows = data.draw(st.lists(st.one_of(point_rows(d), st.just(""), st.just("   ")), max_size=12))
     header = ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d))
     assert_same_outcome("\n".join([header] + rows) + "\n", depth)
+
+
+H1 = "coord_0_num,coord_0_exp"
+H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
+
+
+@pytest.mark.parametrize("text", [
+    f"{H2}\n007,3,0001,2\n00,0,1,1\n",
+    f"{H2}\n-0,3,0,-0\n",
+    f"{H2}\n-1,3,2,3\n",
+    f"{H2}\n1,3,-0002,3\n",
+    f"{H1}\n999999999999999999,60\n{10**17 + 3},57\n",
+    f"{H1}\n1000000000000000000,60\n",
+    f"{H1}\n{2**63},63\n{2**63 - 1},63\n",
+    f"{H1}\n0,-1074\n{2**1022},1023\n",
+    f"{H1}\n1,2\n1,-1075\n",
+    f"{H1}\n1,2\n1,1024\n",
+    f"{H1}\n+7,3\n",
+    f"{H1}\n1_0,5\n",
+    f"{H1}\n\u0663,2\n",
+    f"{H2}\n1,\t3,1,2\n",
+    f"{H2}\n1,3,1,2   \n3,2,1,1 \n",
+    f"{H2}\n1,3,1,2\n3,2,1,1",
+    f"{H1},extra\n1,3\n",
+    f"coord_0_numerator,e\n1,3\n",
+    f"{H1}\n",
+    f"{H1}\n\n1,3\n",
+    f"{H1}\n1,3\r\n",
+    f"{H1}\n-,3\n",
+    f"{H1}\n1-,3\n",
+    f"{H1}\n1,,3\n",
+])
+@pytest.mark.parametrize("depth", [4, 70])
+def test_points_from_csv_matches_per_row_reader_on_edge_fields(text, depth):
+    assert_same_outcome(text, depth)
 
 
 def many_rows(m, seed):
