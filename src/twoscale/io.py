@@ -25,6 +25,12 @@ from .ifs import SimilarityIFS
 MIN_EXP, MAX_EXP = -1074, 1023
 # point-list rows parsed at once
 ROW_BLOCK = 8192
+# byte classes of the point-list form points_to_csv writes: digit, minus,
+# comma, newline, and 4 for any other byte
+_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
+_BYTE_CLASS[ord("0"):ord("9") + 1] = 0
+_BYTE_CLASS[[ord("-"), ord(","), ord("\n")]] = [1, 2, 3]
+_BYTE_CLASS.flags.writeable = False
 # coordinates formatted at once by float_points_to_csv, and the bytes of one
 # coordinate's row before its NULs are deleted
 FLOAT_BLOCK = 16384
@@ -140,12 +146,16 @@ def points_to_csv(points: ExportedPoints) -> str:
     The rows are one ``%`` format over the interleaved (m, 2d) integer table.
     """
     m, d = points.numerators.shape
-    header = ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d)) + "\n"
+    header = _points_header(d) + "\n"
     row = ",".join(["%d,%d"] * d) + "\n"
     table = np.empty((m, 2 * d), dtype=np.int64)
     table[:, 0::2] = points.numerators
     table[:, 1::2] = points.exponents[:, None]
     return (header + row * m) % tuple(table.ravel().tolist())
+
+
+def _points_header(d: int) -> str:
+    return ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d))
 
 
 def float_points_to_csv(points: np.ndarray) -> bytes:
@@ -306,15 +316,91 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def points_from_csv(text: str, depth: int) -> PointSet:
     """Read a point list, snapped to the nearest depth-level dyadic point.
 
-    Rows are numbered from the header (row 1), blank lines skipped, and
-    parsed in blocks of ``ROW_BLOCK``; a bad row is reported by its number,
-    the first one in file order when there are several.  ``depth`` must lie
-    in [0, ``MAX_EXP``], where 2^depth is a finite float.  The sample's cells
+    A list in the exact form ``points_to_csv`` writes is read in vectorized
+    blocks by ``_canonical_points``; any other text, or one whose exponents
+    leave the float range, goes to the per-row reader, with the same result
+    wherever both read a text.  Rows are numbered from the header (row 1),
+    blank lines skipped, and a bad row is reported by its number, the first
+    one in file order when there are several.  ``depth`` must lie in
+    [0, ``MAX_EXP``], where 2^depth is a finite float.  The sample's cells
     come from the integer numerators and exponents, so they are exact for
     every numerator, not only for those a float holds.
     """
     if not 0 <= depth <= MAX_EXP:
         raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
+    level = min(depth, MAX_CELL_LEVEL)
+    read = _canonical_points(text, depth, level)
+    pts, cells = read if read is not None else _points_by_row(text, depth, level)
+    # snap to the nearest depth-level dyadic point; records the quantization.
+    # Only points far outside the cube overflow, and PointSet rejects them
+    with np.errstate(over="ignore"):
+        arr = np.round(pts * 2.0**depth) / 2.0**depth
+    return PointSet(arr, depth, cells=cells)
+
+
+def _canonical_points(text: str, depth: int, level: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates and level-``level`` cells of a point list in the exact
+    form ``points_to_csv`` writes, or None for any other text.
+
+    The form: ASCII; the header of some d >= 1; then rows of 2d fields
+    ``-?[0-9]{1,18}`` joined by ``,``, each row ended by ``\n``, the last one
+    too.  Every exponent must lie in [``MIN_EXP``, ``MAX_EXP``].  Blocks of
+    about ``ROW_BLOCK`` rows are checked, parsed and written into arrays
+    allocated once, with the float operations of ``_parse_rows``.
+    """
+    head = text.find("\n")
+    if head < 0 or not text.isascii() or not text.endswith("\n"):
+        return None
+    d = (text.count(",", 0, head) + 1) // 2
+    m = text.count("\n") - 1
+    if d < 1 or m < 1 or text[:head] != _points_header(d):
+        return None
+    pts = np.empty((m, d))
+    cells = np.empty((m, d), dtype=np.int64)
+    # the classes of a row's separators: d - 1 pairs of commas, a comma and a newline
+    pattern = np.full(2 * d, 2, dtype=np.uint8)
+    pattern[-1] = 3
+    pos, row = head + 1, 0
+    chunk = max(1, (len(text) - pos) * ROW_BLOCK // m)
+    while pos < len(text):
+        end = text.find("\n", min(pos + chunk, len(text)) - 1) + 1
+        values = _canonical_values(text[pos:end], pattern)
+        if values is None:
+            return None
+        nums, exps = values[0::2].reshape(-1, d), values[1::2].reshape(-1, d)
+        if exps.min() < MIN_EXP or exps.max() > MAX_EXP:
+            return None
+        # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
+        with np.errstate(over="ignore"):
+            pts[row:row + len(nums)] = nums.astype(float) / np.ldexp(1.0, exps)
+        cells[row:row + len(nums)] = _snapped_cells(nums, exps, depth, level)
+        pos, row = end, row + len(nums)
+    return pts, cells
+
+
+def _canonical_values(block: str, pattern: np.ndarray) -> np.ndarray | None:
+    """The int64 fields of whole canonical rows, in order, or None when
+    ``block`` breaks the form; ``pattern`` is the byte class of each of a
+    row's separators.  Nothing is parsed before every check has passed."""
+    chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    kinds = _BYTE_CLASS.take(chars)
+    if kinds.max() > 3:
+        return None
+    seps = np.flatnonzero(kinds >= 2)
+    if seps.size % pattern.size or not (kinds.take(seps).reshape(-1, pattern.size) == pattern).all():
+        return None
+    starts = np.concatenate(([0], seps[:-1] + 1))
+    minus = kinds.take(starts) == 1
+    digits = seps - starts - minus
+    # a minus only where a field starts, and 1 to 18 digits, which int64 holds
+    if np.count_nonzero(kinds == 1) != np.count_nonzero(minus) or digits.min() < 1 or digits.max() > 18:
+        return None
+    return np.fromstring(block[:-1].replace("\n", ","), dtype=np.int64, sep=",")
+
+
+def _points_by_row(text: str, depth: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and level-``level`` cells of any point list ``int()`` reads,
+    ``ROW_BLOCK`` rows at a time by ``_rows_to_points``."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines or not lines[0].startswith("coord_0_num"):
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
@@ -322,7 +408,6 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     rows = lines[1:]
     if not rows:
         raise ValueError("point list is empty")
-    level = min(depth, MAX_CELL_LEVEL)
     pts = np.empty((len(rows), d))
     cells = np.empty((len(rows), d), dtype=np.int64)
     for start in range(0, len(rows), ROW_BLOCK):
@@ -330,11 +415,7 @@ def points_from_csv(text: str, depth: int) -> PointSet:
         coords, nums, exps = _rows_to_points(block, d, start + 2)
         pts[start:start + len(block)] = coords
         cells[start:start + len(block)] = _snapped_cells(nums, exps, depth, level)
-    # snap to the nearest depth-level dyadic point; records the quantization.
-    # Only points far outside the cube overflow, and PointSet rejects them
-    with np.errstate(over="ignore"):
-        arr = np.round(pts * 2.0**depth) / 2.0**depth
-    return PointSet(arr, depth, cells=cells)
+    return pts, cells
 
 
 def _snapped_cells(nums: np.ndarray, exps: np.ndarray, depth: int, level: int) -> np.ndarray:
