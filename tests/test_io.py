@@ -293,6 +293,27 @@ def test_points_from_csv_matches_per_row_reader_on_edge_fields(text, depth):
     assert_same_outcome(text, depth)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_points_from_csv_reads_canonical_lists_without_the_per_row_reader(monkeypatch, d):
+    rng = np.random.default_rng(d)
+    m = 2 * tsio.ROW_BLOCK + 7
+    # numerators up to 2^59, 18 digits, over exponents on both sides of the depth
+    exps = rng.integers(0, 60, m)
+    nums = rng.integers(0, 2**59, (m, d), endpoint=True) >> (59 - exps)[:, None]
+    nums[:5] = [[0] * d, [-0] * d, [1] * d, [2**59] * d, [10**17 + 1] * d]
+    exps[:5] = [0, 3, 1, 59, 57]
+    text = tsio.points_to_csv(ExportedPoints(nums, exps))
+    expected = tsio.points_from_csv(text.replace("\n", "\r\n"), 50)
+
+    def refuse(*args):
+        raise AssertionError("a canonical point list reached the per-row reader")
+
+    monkeypatch.setattr(tsio, "_parse_rows", refuse)
+    got = tsio.points_from_csv(text, 50)
+    assert np.array_equal(got.points, expected.points) and np.array_equal(got.cells, expected.cells)
+    assert got.cells.shape == (m, d)
+
+
 def many_rows(m, seed):
     rng = np.random.default_rng(seed)
     exps = rng.integers(0, 60, (m, 2))
