@@ -58,7 +58,12 @@ class GridSpec:
     def __post_init__(self):
         if not (0 < self.step < np.inf and 0 < self.u_max < np.inf):
             raise ValueError(f"u_max and step must be positive and finite, got {self.u_max} and {self.step}")
-        n = round(self.u_max / self.step)
+        ratio = self.u_max / self.step
+        # numpy refuses an (n + 1)^2 float table of more than intp-max bytes
+        if not ratio < np.inf or 8 * (round(ratio) + 1) ** 2 > np.iinfo(np.intp).max:
+            raise ValueError(f"u_max {self.u_max} and step {self.step} give a lattice whose "
+                             f"(u_max / step + 1)^2 float table exceeds {np.iinfo(np.intp).max} bytes")
+        n = round(ratio)
         if n < 1 or abs(n * self.step - self.u_max) > 1e-9 * max(1.0, self.u_max):
             raise ValueError(f"step {self.step} does not divide u_max {self.u_max}")
 

@@ -376,8 +376,8 @@ def plateau_curve(height: float, kink: float, theta_step: float = DEFAULT_THETA_
     These curves generate the monotone class under maxima; kink = 1 gives the
     zero curve.
     """
-    if height < 0:
-        raise ValueError("height must be nonnegative")
+    if not 0 <= height < np.inf:
+        raise ValueError(f"height must be nonnegative and finite, got {height}")
     if not 0 <= kink <= 1:
         raise ValueError("kink must lie in [0, 1]")
     m = round(1.0 / theta_step)

@@ -1,15 +1,18 @@
 """Lattice options at and beyond their limits end in one ``error:`` line.
 
-Non-finite scales and steps, theta counts above the documented bound and
-dimensions below 1 are user errors (exit 2); a lattice too large to allocate
-is a resource failure (exit 3).  None of them may end in a traceback.
+Non-finite scales and steps, lattices whose float table numpy cannot
+describe, theta counts above the documented bound, plateau heights that are
+not finite and nonnegative, and dimensions below 1 are user errors (exit 2);
+a lattice too large to allocate is a resource failure (exit 3).  None of them may end in a traceback.
 """
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
+from twoscale import GridSpec
 from twoscale.cli import EXIT_CAP, EXIT_USER, main
 from twoscale.operators import MAX_THETA_COUNT
 
@@ -34,12 +37,33 @@ def run(argv):
     (["-d", "-1"], EXIT_USER, "dimension must be at least 1"),
     # a (4e8 + 1)^2 float table, 1.1 EiB: more than any address space maps
     (["--u-max", "1e8"], EXIT_CAP, "out of memory"),
+    # tables numpy refuses to describe at all
+    (["--u-max", "1e10"], EXIT_USER, "u_max 10000000000.0 and step 0.25"),
+    (["--u-max", "1e300"], EXIT_USER, "u_max 1e+300 and step 0.25"),
+    (["--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
+    (["--u-max", "1e300", "--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
 ])
 def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, code, message):
     argv = ["synth", "h_kappa_lambda:0.8,0.5", "--depth", "6", "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
     assert got == code and message in line
     assert not (tmp_path / "out").exists()
+
+
+def test_lattice_bound_is_where_numpy_refuses_the_table():
+    # 8 (n + 1)^2 bytes against the largest intp; numpy refuses without allocating
+    GridSpec(2.0**30 - 2, 1.0)
+    with pytest.raises(ValueError, match="float table exceeds"):
+        GridSpec(2.0**30 - 1, 1.0)
+    with pytest.raises(ValueError, match="too big"):
+        np.empty((2**30, 2**30))
+
+
+@pytest.mark.parametrize("height", ["inf", "nan", "-inf", "-1"])
+def test_synth_rejects_plateau_heights_that_are_not_finite_and_nonnegative(tmp_path, height):
+    argv = ["synth", f"h_kappa_lambda:{height},0.5", "--depth", "6", "--out", str(tmp_path / "out")]
+    got, line = run(argv)
+    assert got == EXIT_USER and "height must be nonnegative and finite" in line
 
 
 @pytest.mark.parametrize("options, code, message", [
