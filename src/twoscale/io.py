@@ -143,15 +143,19 @@ def curve_from_csv(text: str) -> SpectrumGrid:
 def points_to_csv(points: ExportedPoints) -> str:
     """Header plus one row per point: numerator and exponent for each coordinate.
 
-    The rows are one ``%`` format over the interleaved (m, 2d) integer table.
+    The rows are one ``%`` format per ``ROW_BLOCK`` rows of the interleaved
+    (m, 2d) integer table, so only one block's values are Python ints at a time.
     """
     m, d = points.numerators.shape
-    header = _points_header(d) + "\n"
     row = ",".join(["%d,%d"] * d) + "\n"
     table = np.empty((m, 2 * d), dtype=np.int64)
     table[:, 0::2] = points.numerators
     table[:, 1::2] = points.exponents[:, None]
-    return (header + row * m) % tuple(table.ravel().tolist())
+    parts = [_points_header(d) + "\n"]
+    for start in range(0, m, ROW_BLOCK):
+        block = table[start:start + ROW_BLOCK]
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _points_header(d: int) -> str:

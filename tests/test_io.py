@@ -232,6 +232,15 @@ def test_points_csv_matches_per_row_formulation(d, m, data):
     assert tsio.points_to_csv(points) == per_row_points_csv(points)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("m", [tsio.ROW_BLOCK - 1, tsio.ROW_BLOCK, 2 * tsio.ROW_BLOCK + 1])
+def test_points_csv_matches_per_row_formulation_across_blocks(d, m):
+    rng = np.random.default_rng(m + d)
+    points = ExportedPoints(rng.integers(-2**63, 2**63, (m, d), dtype=np.int64),
+                            rng.integers(-2**63, 2**63, m, dtype=np.int64))
+    assert tsio.points_to_csv(points) == per_row_points_csv(points)
+
+
 @st.composite
 def point_rows(draw, d):
     """One CSV row: mostly points of the unit cube, some out of range or malformed."""
