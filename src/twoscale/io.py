@@ -26,7 +26,8 @@ MIN_EXP, MAX_EXP = -1074, 1023
 # point-list rows parsed at once
 ROW_BLOCK = 8192
 # byte classes of the point-list form points_to_csv writes: digit, minus,
-# comma, newline, and 4 for any other byte
+# comma, newline, and 4 for any other byte, which _canonical_values takes for
+# a separator that matches no row's pattern
 _BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
 _BYTE_CLASS[ord("0"):ord("9") + 1] = 0
 _BYTE_CLASS[[ord("-"), ord(","), ord("\n")]] = [1, 2, 3]
@@ -386,10 +387,7 @@ def _canonical_values(block: str, pattern: np.ndarray) -> np.ndarray | None:
     """The int64 fields of whole canonical rows, in order, or None when
     ``block`` breaks the form; ``pattern`` is the byte class of each of a
     row's separators.  Nothing is parsed before every check has passed."""
-    chars = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    kinds = _BYTE_CLASS.take(chars)
-    if kinds.max() > 3:
-        return None
+    kinds = _BYTE_CLASS.take(np.frombuffer(block.encode("ascii"), dtype=np.uint8))
     seps = np.flatnonzero(kinds >= 2)
     if seps.size % pattern.size or not (kinds.take(seps).reshape(-1, pattern.size) == pattern).all():
         return None
