@@ -279,7 +279,8 @@ H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
     f"{H1}\n999999999999999999,60\n{10**17 + 3},57\n",
     f"{H1}\n1000000000000000000,60\n",
     f"{H1}\n{2**63},63\n{2**63 - 1},63\n",
-    f"{H1}\n{2**63 + 2**62},64\n{10**19 + 5},66\n",
+    f"{H1}\n9999999999999999999,64\n{2**63},64\n",
+    f"{H1}\n{10**19 + 5},66\n",
     f"{H1}\n0,-1074\n{2**1022},1023\n",
     f"{H1}\n1,2\n1,-1075\n",
     f"{H1}\n1,2\n1,1024\n",
