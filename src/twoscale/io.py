@@ -353,9 +353,9 @@ def _canonical_points(text: str, depth: int, level: int) -> tuple[np.ndarray, np
     about ``ROW_BLOCK`` rows are checked, parsed and written into arrays
     allocated once, with the float operations of ``_parse_rows``.
     """
-    head = text.find("\n")
-    if head < 0 or not text.isascii() or not text.endswith("\n"):
+    if not text.isascii() or not text.endswith("\n"):
         return None
+    head = text.find("\n")
     d = (text.count(",", 0, head) + 1) // 2
     m = text.count("\n") - 1
     if d < 1 or m < 1 or text[:head] != _points_header(d):
@@ -366,6 +366,7 @@ def _canonical_points(text: str, depth: int, level: int) -> tuple[np.ndarray, np
     pattern = np.full(2 * d, 2, dtype=np.uint8)
     pattern[-1] = 3
     pos, row = head + 1, 0
+    # the mean bytes of ROW_BLOCK rows; each block ends at the next newline
     chunk = max(1, (len(text) - pos) * ROW_BLOCK // m)
     while pos < len(text):
         end = text.find("\n", min(pos + chunk, len(text)) - 1) + 1

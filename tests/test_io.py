@@ -294,7 +294,7 @@ H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
     f"{H2}\n1,3,1\n1,3,1,2,3\n",
     f"{H1}\n1, 3\n",
     "coord_1_num,coord_1_exp\n1,3\n",
-    f"coord_0_numerator,e\n1,3\n",
+    "coord_0_numerator,e\n1,3\n",
     f"{H1}\n",
     f"{H1}\n\n1,3\n",
     f"{H1}\n1,3\r\n",
@@ -314,8 +314,8 @@ def test_points_from_csv_reads_canonical_lists_without_the_per_row_reader(monkey
     # numerators up to 2^59, 18 digits, over exponents on both sides of the depth
     exps = rng.integers(0, 60, m)
     nums = rng.integers(0, 2**59, (m, d), endpoint=True) >> (59 - exps)[:, None]
-    nums[:5] = [[0] * d, [-0] * d, [1] * d, [2**59] * d, [10**17 + 1] * d]
-    exps[:5] = [0, 3, 1, 59, 57]
+    nums[:5] = [[0] * d, [2**59 - 1] * d, [1] * d, [2**59] * d, [10**17 + 1] * d]
+    exps[:5] = [0, 59, 1, 59, 57]
     text = tsio.points_to_csv(ExportedPoints(nums, exps))
     expected = tsio.points_from_csv(text.replace("\n", "\r\n"), 50)
 
