@@ -24,6 +24,7 @@ from twoscale import (
     scaling_limit,
     validate_branching,
     validate_limit_curve,
+    validate_monotone_grid,
 )
 from twoscale.families import (
     KINKS,
@@ -168,6 +169,32 @@ def ref_monotone_envelope(grid, growth):
         diag = np.maximum.accumulate(V[idx + d, idx])
         out[idx + d, idx] = np.maximum(diag, growth * step * d + ramp[d])
     return ref_clean_triangle(n, out)
+
+
+def ref_validate_monotone_grid(grid, lipschitz, growth, tol=EXACT_TOL):
+    """The per-diagonal loop: one witness batch per diagonal, in diagonal order."""
+    base = ref_validate_branching(grid, lipschitz, tol)
+    V = grid.values
+    n = grid.spec.n
+    coords = grid.spec.coords
+    col = RefCollector()
+    col.violations.extend(base.violations)
+    col.counts.update(base.counts)
+    for d in range(1, n + 1):
+        idx = np.arange(0, n + 1 - d)
+        diag = V[idx + d, idx]
+        drop = -np.diff(diag)
+        col.add_array(
+            "diagonal_monotone",
+            drop > tol,
+            drop,
+            lambda k, d=d: (coords[k + 1 + d], coords[k + 1]),
+        )
+    first = V[:, 0]
+    gap = growth * (coords[:, None] - coords[None, :]) - (first[:, None] - first[None, :])
+    bad = (gap > tol) & (coords[None, :] < coords[:, None])
+    col.add_array("column_growth", bad, gap, lambda a, b: (coords[a], coords[b]))
+    return col.report()
 
 
 def ref_curve_evaluate(curve, theta):
@@ -438,6 +465,63 @@ def test_monotone_envelope_matches_diagonal_loop_at_n_256():
     for grid in big_grids():
         for growth in (0.0, 0.3, 1.0):
             assert same_bits(monotone_envelope(grid, growth).values, ref_monotone_envelope(grid, growth))
+
+
+# ---------------------------------------------------------------------------
+# validate_monotone_grid
+# ---------------------------------------------------------------------------
+
+
+def planted_monotone_grid(params, growth, plant):
+    """A grid as drawn, its monotone envelope, or that envelope with some entries lowered.
+
+    Lowering an entry below its diagonal predecessor plants a diagonal drop.
+    """
+    grid = make_grid(params)
+    if plant == "raw":
+        return grid
+    env = monotone_envelope(grid, growth)
+    if plant == "envelope":
+        return env
+    rng = np.random.default_rng(params[-1] + 1)
+    vals = env.values.copy()
+    hit = rng.random(vals.shape) < 0.15
+    vals[hit] *= rng.uniform(0.0, 1.0, vals.shape)[hit]
+    return TwoScaleGrid(env.spec, vals)
+
+
+def assert_same_monotone_report(got, ref):
+    """Equal outcome and counts; equal witnesses for every property within the cap."""
+    assert got.passed == ref.passed
+    assert got.counts == ref.counts
+    for prop, count in ref.counts.items():
+        if count <= MAX_WITNESSES:
+            def witnesses(report):
+                return sorted((v.witness, v.magnitude) for v in report.violations if v.prop == prop)
+            assert witnesses(got) == witnesses(ref), prop
+
+
+# the class is checked at the envelope's growth, or above it, which plants
+# first-column growth failures
+@settings(max_examples=150, deadline=None)
+@given(grids, st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.5]), st.sampled_from([0.0, 0.5]),
+       st.sampled_from(["raw", "envelope", "drops"]), st.sampled_from(LIPSCHITZ),
+       st.sampled_from([EXACT_TOL, 0.05]))
+def test_validate_monotone_grid_matches_diagonal_loop(params, growth, extra, plant, lipschitz, tol):
+    grid = planted_monotone_grid(params, growth, plant)
+    got = validate_monotone_grid(grid, lipschitz, growth + extra, tol)
+    assert_same_monotone_report(got, ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol))
+
+
+def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice():
+    rng = np.random.default_rng(12)
+    spec = GridSpec(32.0, 0.25)
+    for plant in ("raw", "envelope", "drops"):
+        for growth in (0.0, 0.3, 0.7, 1.0):
+            grid = planted_monotone_grid((spec.n, spec.step, "branching", int(rng.integers(2**32))), growth, plant)
+            for extra in (0.0, 0.5):
+                got = validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
+                assert_same_monotone_report(got, ref_validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL))
 
 
 # ---------------------------------------------------------------------------
