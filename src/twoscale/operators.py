@@ -219,17 +219,11 @@ def validate_monotone_grid(
     col.counts.update(base.counts)
 
     # value(u + z, v + z) >= value(u, v) for every aligned z: each diagonal
-    # of constant u - v must be nondecreasing.
-    for d in range(1, n + 1):
-        idx = np.arange(0, n + 1 - d)
-        diag = V[idx + d, idx]
-        drop = -np.diff(diag)
-        col.add_array(
-            "diagonal_monotone",
-            drop > tol,
-            drop,
-            lambda k, d=d: (coords[k + 1 + d], coords[k + 1]),
-        )
+    # of constant u - v = d >= 1 must be nondecreasing along its n - d steps
+    drop = -np.diff(_diagonals(V)[1], axis=1)
+    d = np.arange(n + 1)[:, None]
+    bad = (drop > tol) & (d >= 1) & (d + np.arange(n) < n)
+    col.add_array("diagonal_monotone", bad, drop, lambda d, k: (coords[d + k + 1], coords[k + 1]))
 
     first = V[:, 0]
     gap = growth * (coords[:, None] - coords[None, :]) - (first[:, None] - first[None, :])
@@ -337,17 +331,27 @@ def monotone_envelope(
     slope = growth * grid.spec.step * np.arange(n + 1)
     # branch two: growth*(u-v) + running max of (first column minus growth * u)
     ramp = slope + np.maximum.accumulate(V[:, 0] - slope)
-    # S[d, k] = pad[d + k, k] is a strided view; past the lattice (d + k > n)
-    # its rows run into the zero rows, after the entries they follow
-    pad = np.zeros((2 * n + 2, n + 1))
-    pad[: n + 1] = V
-    rows, cols = pad.strides
-    skew = np.maximum.accumulate(as_strided(pad, (n + 1, n + 1), (rows, rows + cols)), axis=1)
+    pad, diagonals = _diagonals(V)
+    skew = np.maximum.accumulate(diagonals, axis=1)
     np.maximum(skew, ramp[:, None], out=skew)
     # writing back through the view sets every lattice entry d + k <= n exactly
     # once and leaves the zeros above the diagonal
-    as_strided(pad, (n + 1, n + 1), (rows, rows + cols))[...] = skew
+    diagonals[...] = skew
     return TwoScaleGrid(grid.spec, pad[: n + 1])
+
+
+def _diagonals(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values stacked on a block of zeros, and the skewed view S[d, k] = V[d + k, k].
+
+    Row d of S is the diagonal u - v = d; S is a strided view of the padded
+    table, so writes through it land in the table.  Past the lattice
+    (d + k > n) its rows run into the zero rows, after the entries they follow.
+    """
+    n = V.shape[0] - 1
+    pad = np.zeros((2 * n + 2, n + 1))
+    pad[: n + 1] = V
+    rows, cols = pad.strides
+    return pad, as_strided(pad, (n + 1, n + 1), (rows, rows + cols))
 
 
 def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:

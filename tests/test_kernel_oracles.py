@@ -490,8 +490,17 @@ def planted_monotone_grid(params, growth, plant):
     return TwoScaleGrid(env.spec, vals)
 
 
-def assert_same_monotone_report(got, ref):
-    """Equal outcome and counts; equal witnesses for every property within the cap."""
+def largest_drop(grid, tol):
+    """The largest step down along any diagonal u - v = d >= 1, if it exceeds ``tol``."""
+    V, n = grid.values, grid.spec.n
+    drops = [V[k + d, k] - V[k + 1 + d, k + 1] for d in range(1, n + 1) for k in range(n - d)]
+    return max((x for x in drops if x > tol), default=0.0)
+
+
+def assert_same_monotone_report(got, ref, grid, tol):
+    """Equal outcome and counts; equal witnesses for every property within the
+    cap; and the worst diagonal drop reported, however many drops there are."""
+    assert got.worst("diagonal_monotone") == largest_drop(grid, tol)
     assert got.passed == ref.passed
     assert got.counts == ref.counts
     for prop, count in ref.counts.items():
@@ -510,7 +519,7 @@ def assert_same_monotone_report(got, ref):
 def test_validate_monotone_grid_matches_diagonal_loop(params, growth, extra, plant, lipschitz, tol):
     grid = planted_monotone_grid(params, growth, plant)
     got = validate_monotone_grid(grid, lipschitz, growth + extra, tol)
-    assert_same_monotone_report(got, ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol))
+    assert_same_monotone_report(got, ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol), grid, tol)
 
 
 def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice():
@@ -521,7 +530,24 @@ def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice
             grid = planted_monotone_grid((spec.n, spec.step, "branching", int(rng.integers(2**32))), growth, plant)
             for extra in (0.0, 0.5):
                 got = validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
-                assert_same_monotone_report(got, ref_validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL))
+                ref = ref_validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
+                assert_same_monotone_report(got, ref, grid, EXACT_TOL)
+
+
+def test_validate_monotone_grid_reports_a_late_drop_beyond_the_witness_cap():
+    # 40 small drops on diagonal 1 fill the witness slots; a larger drop on
+    # diagonal 10 must still be the worst one reported
+    spec = GridSpec(80.0, 1.0)
+    vals = 0.5 * np.subtract.outer(spec.coords, spec.coords)
+    vals[np.arange(2, 81, 2), np.arange(1, 80, 2)] = 0.4
+    vals[30, 20] -= 0.3
+    grid = TwoScaleGrid(spec, np.tril(vals))
+    got = validate_monotone_grid(grid, np.inf, 0.0, EXACT_TOL)
+    assert got.counts["diagonal_monotone"] == 41
+    assert got.worst("diagonal_monotone") == pytest.approx(0.3)
+    assert (30.0, 20.0) in [v.witness for v in got.violations]
+    ref = ref_validate_monotone_grid(grid, np.inf, 0.0, EXACT_TOL)
+    assert ref.worst("diagonal_monotone") == pytest.approx(0.1)
 
 
 # ---------------------------------------------------------------------------
