@@ -14,10 +14,8 @@ from .grids import (
     Violation,
     excess_bound,
     lipschitz_approximation,
-    lipschitz_minorant,
     pointwise_max,
     profile_extension,
-    rescale,
     validate_branching,
 )
 from .operators import (
@@ -51,23 +49,17 @@ from .covering import (
     PointSet,
     box_dims,
     empirical_branching,
-    local_covering,
     spectrum_estimate,
 )
 from .ifs import (
     DimensionRange,
     FormulaReport,
-    SelectionResult,
     SimilarityIFS,
     critical_exponent,
-    cylinder_hits,
     dimension_range,
     generate_attractor,
-    log_contraction,
     lower_box_profile,
-    separated_subfamily,
     verify_dimension_formula,
-    words_at_resolution,
 )
 
 __version__ = "0.1.0"

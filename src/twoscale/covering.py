@@ -106,25 +106,6 @@ class CoverageGrid:
     membership: ValidationReport | None = None
 
 
-def local_covering(obj, u: int, v: int) -> int:
-    """Worst-case number of level-u cells of the set near one of its points.
-
-    Centers run over the set's level-u cell corners (uniformly strided above
-    ``MAX_CENTERS``); for each center the level-u cells meeting the closed
-    ball of radius 2^-v around it are counted, and the maximum is returned.
-    At u == v the count is pinned to one cell, the scale-matched convention
-    that keeps empirical grids inside the branching class.  The count comes
-    from ``_max_ball_count``, which measures every radius of level u at once.
-    """
-    if not 0 <= v <= u:
-        raise ValueError("need 0 <= v <= u")
-    if u > obj.max_covering_level:
-        raise ValueError(f"level {u} exceeds usable depth {obj.max_covering_level}")
-    if u == v:
-        return 1
-    return int(_max_ball_count(obj.cells_at_level(u), u)[u - v])
-
-
 def _deepest_ball_level(d: int) -> int:
     """Deepest level of exact ball counts in dimension d.
 

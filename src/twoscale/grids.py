@@ -330,7 +330,6 @@ def validate_branching(
     grid: TwoScaleGrid,
     lipschitz: float = np.inf,
     tol: float = EXACT_TOL,
-    rng: np.random.Generator | None = None,
 ) -> ValidationReport:
     """Check the two-scale branching axioms on the lattice.
 
@@ -363,11 +362,11 @@ def validate_branching(
         bad = (gap > tol) & mask_lower
         col.add_array("lipschitz_bound", bad, gap, lambda i, j: (coords[i], coords[j]))
 
-    _check_subadditivity(V, n, coords, tol, col, rng)
+    _check_subadditivity(V, n, coords, tol, col)
     return col.report()
 
 
-def _check_subadditivity(V, n, coords, tol, col, rng):
+def _check_subadditivity(V, n, coords, tol, col):
     if n <= SUBADD_EXHAUSTIVE_LIMIT:
         buf = np.empty((n + 2) ** 2 // 4)
         for k in range(n + 1):
@@ -383,7 +382,7 @@ def _check_subadditivity(V, n, coords, tol, col, rng):
                     lambda a, b, k=k: (coords[a + k], coords[k], coords[b]),
                 )
     else:
-        rng = rng or np.random.default_rng(0)
+        rng = np.random.default_rng(0)
         i = rng.integers(0, n + 1, size=SUBADD_SAMPLES)
         j = (rng.random(SUBADD_SAMPLES) * (i + 1)).astype(np.int64)
         k = j + (rng.random(SUBADD_SAMPLES) * (i - j + 1)).astype(np.int64)
@@ -427,50 +426,6 @@ def profile_extension(profile: PiecewiseLinear, anchor: float, spec: GridSpec) -
     coords = spec.coords
     g = profile.evaluate(np.maximum(coords, anchor)) - profile.evaluate(anchor)
     return TwoScaleGrid(spec, g[:, None] - g[None, :])
-
-
-def lipschitz_minorant(
-    samples: np.ndarray,
-    spec: GridSpec,
-    lipschitz: float,
-    anchor: float = 0.0,
-    tol: float = EXACT_TOL,
-) -> PiecewiseLinear:
-    """Largest increasing lipschitz-bounded minorant vanishing on [0, anchor].
-
-    ``samples`` holds values on the full coordinate lattice of ``spec``; only
-    entries at coordinates >= anchor are constrained.  Because the data is
-    increasing there, the one-sided running form
-    g[a] = min(h[a], g[a - step] + lipschitz * step) equals the discrete
-    inf-convolution min over a' in [anchor, a] of h(a') + lipschitz * (a - a'),
-    additionally capped by lipschitz * (a - anchor) so the output is continuous
-    when h(anchor) > 0.
-    """
-    h = np.asarray(samples, dtype=float)
-    coords = spec.coords
-    if h.shape != coords.shape:
-        raise ValueError("samples must cover the coordinate lattice")
-    jb = spec.index_of(anchor, "anchor")
-    tail = h[jb:]
-    if np.any(np.diff(tail) < -tol):
-        raise ValueError("samples must be increasing beyond the anchor")
-    if np.any(tail < -tol):
-        raise ValueError("samples must be nonnegative")
-    g = np.zeros_like(h)
-    g[jb:] = _anchored_minorant(np.maximum(tail, 0.0), lipschitz * spec.step)
-    return PiecewiseLinear.from_samples(coords, g)
-
-
-def _anchored_minorant(h: np.ndarray, cap: float) -> np.ndarray:
-    """Running min-plus scan g[a] = min(h[a], g[a-1] + cap) with g[0] = 0."""
-    if not np.isfinite(cap):
-        out = h.copy()
-        out[0] = 0.0
-        return out
-    steps = cap * np.arange(h.size)
-    c = h - steps
-    c[0] = 0.0 - steps[0]
-    return np.minimum.accumulate(c) + steps
 
 
 def excess_bound(grid: TwoScaleGrid, lipschitz: float) -> np.ndarray:
@@ -535,23 +490,3 @@ def lipschitz_approximation(
         np.maximum(out_t[j, j:], near.max(axis=0), out=out_t[j, j:])
     return TwoScaleGrid(grid.spec, out_t.T)
 
-
-def rescale(grid: TwoScaleGrid, shift: float) -> TwoScaleGrid:
-    """Branching grid of the same data viewed at scales shrunk by 2^-shift.
-
-    out(u, v) = value(u - shift, v - shift) when shift <= v, value(u - shift, 0)
-    when v <= shift <= u, and 0 when u <= shift.  ``shift`` must be
-    lattice-aligned; composing two rescalings equals rescaling by the sum,
-    exactly.
-    """
-    if shift < 0:
-        raise ValueError("shift must be nonnegative")
-    k = grid.spec.index_of(shift, "shift") if shift <= grid.spec.u_max else grid.spec.n + 1
-    n = grid.spec.n
-    V = grid.values
-    out = np.zeros_like(V)
-    if k <= n:
-        m = n + 1 - k
-        out[k:, k:] = V[:m, :m]
-        out[k:, :k] = V[:m, 0][:, None]
-    return TwoScaleGrid(grid.spec, out)

@@ -2,16 +2,14 @@
 
 Maps act as x -> r * x + t on [0, 1]^d.  The word weight is the negated log
 contraction, which is exactly additive for similarities, so resolution
-families, critical exponents, and cylinder geometry are all exact when the
-ratios are dyadic.  Attractors with a condensation set are sampled by
-breadth-first word expansion down to a scale cutoff.
+families and critical exponents are exact when the ratios are dyadic.
+Attractors with a condensation set are sampled by breadth-first word
+expansion down to a scale cutoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
 import numpy as np
 
 from .covering import CoverageGrid, PointSet, empirical_branching
@@ -21,9 +19,6 @@ from .synthesis import DyadicTree
 
 DEFAULT_WORD_CAP = 2_000_000
 MORAN_TOL = 1e-9
-
-Word = tuple  # sequence of map indices; () is the identity
-
 
 # ---------------------------------------------------------------------------
 # System definition
@@ -91,65 +86,10 @@ class SimilarityIFS:
                     return False
         return True
 
-    def base_points(self) -> np.ndarray:
-        F = self.fixed_points if self.condensation is None else self.condensation
-        return unique_rows(np.vstack([F, self.fixed_points]))
-
-    def apply_word(self, word: Iterable[int]) -> tuple[float, np.ndarray]:
-        """Composite similarity (ratio, translation) of a word, leftmost outermost."""
-        r, t = 1.0, np.zeros(self.dimension)
-        for i in word:
-            if not 0 <= i < self.n_maps:
-                raise ValueError(f"map index {i} out of range")
-            # f_i after the accumulated prefix: prefix o f_i
-            t = t + r * self.translations[i]
-            r = r * self.ratios[i]
-        return r, t
-
-
-def log_contraction(ifs: SimilarityIFS, word: Iterable[int]) -> float:
-    """Word weight: -log2 of the contraction along the word; exactly additive."""
-    w = ifs.weights
-    total = 0.0
-    for i in word:
-        if not 0 <= i < ifs.n_maps:
-            raise ValueError(f"map index {i} out of range")
-        total += w[i]
-    return total
-
 
 # ---------------------------------------------------------------------------
 # Resolution families
 # ---------------------------------------------------------------------------
-
-def words_at_resolution(
-    ifs: SimilarityIFS, u: float, cap: int = DEFAULT_WORD_CAP
-) -> list[Word]:
-    """All words whose weight first reaches ``u``.
-
-    A word qualifies when its own weight is >= u while its parent's stays
-    below; every sufficiently long word has exactly one such prefix.
-    """
-    if u <= 0:
-        raise ValueError("resolution must be positive")
-    w = ifs.weights
-    out: list[Word] = []
-    frontier: list[tuple[Word, float]] = [((), 0.0)]
-    while frontier:
-        nxt: list[tuple[Word, float]] = []
-        for word, rho in frontier:
-            for i in range(ifs.n_maps):
-                child = word + (i,)
-                crho = rho + w[i]
-                if crho >= u - EXACT_TOL:
-                    out.append(child)
-                else:
-                    nxt.append((child, crho))
-                if len(out) + len(nxt) > cap:
-                    raise CapExceeded(f"resolution family exceeds {cap} words")
-        frontier = nxt
-    return out
-
 
 def _integer_weights(ifs: SimilarityIFS) -> np.ndarray | None:
     w = ifs.weights
@@ -160,13 +100,15 @@ def _integer_weights(ifs: SimilarityIFS) -> np.ndarray | None:
 def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_WORD_CAP) -> int:
     """Size of the resolution family, counted without listing its words.
 
+    The family holds every word whose weight reaches ``u`` while its parent's
+    stays below; every sufficiently long word has exactly one such prefix.
     For dyadic ratios the weights are integers and word counts by weight obey
     c[j] = sum_i c[j - k_i], an exact integer recursion.  Otherwise the words
     are expanded level by level as an array of weights only: each level adds
     every map's weight to every frontier weight, counts the children that
-    reach ``u`` and keeps the rest as the next frontier.  The sums are the
-    ones ``words_at_resolution`` forms, so the count is the same, and
-    ``CapExceeded`` is raised at the same peak of counted plus frontier words.
+    reach ``u`` and keeps the rest as the next frontier.  Each word's weight
+    is summed map by map, from the empty word outward, and the expansion
+    raises ``CapExceeded`` once the counted plus frontier words exceed ``cap``.
     """
     if u <= 0:
         raise ValueError("resolution must be positive")
@@ -253,8 +195,9 @@ class _CondensationSampler:
         self.ifs = ifs
         self._cache: dict[int, np.ndarray] = {}
         if self.tree is None:
-            pts = ifs.base_points() if F is None else np.atleast_2d(np.asarray(F, dtype=float))
-            self.flat = unique_rows(np.vstack([pts, ifs.fixed_points]))
+            if F is None:
+                F = ifs.fixed_points if ifs.condensation is None else ifs.condensation
+            self.flat = unique_rows(np.vstack([np.atleast_2d(np.asarray(F, dtype=float)), ifs.fixed_points]))
         else:
             self.flat = None
 
@@ -317,81 +260,6 @@ def generate_attractor(
         int(np.floor(depth + 1e-9)) - 1,
         {"word_count": n_words, "raw_points": n_points, "fixed_points_adjoined": True},
     )
-
-
-# ---------------------------------------------------------------------------
-# Cylinder geometry
-# ---------------------------------------------------------------------------
-
-def _word_boxes(ifs: SimilarityIFS, words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
-    """Bounding boxes (lo, hi) of the word images of the condensation set."""
-    F = ifs.base_points()
-    fmin, fmax = F.min(axis=0), F.max(axis=0)
-    lo = np.empty((len(words), ifs.dimension))
-    hi = np.empty_like(lo)
-    for k, word in enumerate(words):
-        r, t = ifs.apply_word(word)
-        lo[k] = r * fmin + t
-        hi[k] = r * fmax + t
-    return lo, hi
-
-
-def cylinder_hits(
-    ifs: SimilarityIFS,
-    v: float,
-    z: float,
-    x,
-    cap: int = DEFAULT_WORD_CAP,
-) -> int:
-    """Number of resolution-z cylinders whose condensation image meets B(x, 2^-v).
-
-    Exact enumeration against bounding boxes of the word images; grows like
-    the critical exponent times (z - v) once z exceeds v.
-    """
-    if v < 0 or z < 0:
-        raise ValueError("scales must be nonnegative")
-    x = np.asarray(x, dtype=float).reshape(ifs.dimension)
-    words = words_at_resolution(ifs, z, cap) if z > 0 else [()]
-    lo, hi = _word_boxes(ifs, words)
-    gap = np.maximum(np.maximum(lo - x, x - hi), 0.0)
-    dist2 = np.sum(gap * gap, axis=1)
-    return int(np.count_nonzero(dist2 <= (2.0 ** (-v)) ** 2 + EXACT_TOL))
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    selected: list
-    log2_ratio: float
-
-
-def separated_subfamily(
-    ifs: SimilarityIFS, words: Sequence[Word], u: float
-) -> SelectionResult:
-    """Greedy large subfamily whose images no single 2^-u ball can pair up.
-
-    Walks the words in order, keeping one and deleting every word whose image
-    box comes within (2 + diam F) * 2^-u of the kept word's marker point; the
-    margin makes the pairwise ball-disjointness exact at finite scale.  The
-    log2 size ratio against the input is reported.
-    """
-    words = list(words)
-    if not words:
-        return SelectionResult([], 0.0)
-    F = ifs.base_points()
-    diam = float(np.sqrt(np.sum((F.max(axis=0) - F.min(axis=0)) ** 2)))
-    radius = (2.0 + diam) * 2.0 ** (-u)
-    lo, hi = _word_boxes(ifs, words)
-    first = np.array([ifs.apply_word(wd)[1] + ifs.apply_word(wd)[0] * F[0] for wd in words])
-    alive = np.ones(len(words), dtype=bool)
-    selected = []
-    for k in range(len(words)):
-        if not alive[k]:
-            continue
-        selected.append(words[k])
-        gap = np.maximum(np.maximum(lo - first[k], first[k] - hi), 0.0)
-        near = np.sum(gap * gap, axis=1) <= radius * radius + EXACT_TOL
-        alive &= ~near
-    return SelectionResult(selected, float(np.log2(len(selected) / len(words))))
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +344,6 @@ def lower_box_profile(profile: PiecewiseLinear, growth: float, u_max: float, ste
 class DimensionRange:
     lo: float
     hi: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.lo == self.hi
 
     def contains(self, x: float, tol: float = 0.0) -> bool:
         return self.lo - tol <= x <= self.hi + tol

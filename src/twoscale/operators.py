@@ -9,7 +9,6 @@ measures at finite window.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -307,9 +306,7 @@ def assouad_spectrum(curve: SpectrumGrid) -> AssouadSpectrum:
 # Monotone projections
 # ---------------------------------------------------------------------------
 
-def monotone_envelope(
-    grid: TwoScaleGrid, growth: float, lipschitz: float | None = None
-) -> TwoScaleGrid:
+def monotone_envelope(grid: TwoScaleGrid, growth: float) -> TwoScaleGrid:
     """Least diagonally-monotone majorant with first-column growth ``growth``.
 
     out(u, v) = max over lattice z in [0, u] of value(u-z, v-z) for z <= v and
@@ -324,8 +321,6 @@ def monotone_envelope(
     """
     if growth < 0:
         raise ValueError("growth must be nonnegative")
-    if lipschitz is not None and growth > lipschitz + EXACT_TOL:
-        raise ValueError("growth must not exceed the lipschitz bound")
     V = grid.values
     n = grid.spec.n
     slope = growth * grid.spec.step * np.arange(n + 1)
@@ -403,14 +398,6 @@ class DeviationReport:
     sup_deviation: float
     witness_theta: float
     window: tuple
-
-    def to_json(self) -> str:
-        payload = {
-            "sup_deviation": self.sup_deviation,
-            "witness_theta": self.witness_theta,
-            "window": list(self.window),
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def commuting_deviation(

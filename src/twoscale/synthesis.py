@@ -257,9 +257,6 @@ class ExportedPoints:
     exponents: np.ndarray
     rescale_exponent: int = 0
 
-    def as_floats(self) -> np.ndarray:
-        return self.numerators / np.exp2(self.exponents)[:, None]
-
 
 def export_points(obj, level: int) -> ExportedPoints:
     """Bottom-left corner of every level-``level`` cube, as exact dyadic rationals.

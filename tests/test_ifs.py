@@ -11,14 +11,10 @@ from twoscale import (
     SimilarityIFS,
     TwoScaleGrid,
     critical_exponent,
-    cylinder_hits,
     dimension_range,
     generate_attractor,
-    log_contraction,
     lower_box_profile,
     monotone_envelope,
-    separated_subfamily,
-    words_at_resolution,
 )
 from twoscale.grids import EXACT_TOL, CapExceeded
 from twoscale.ifs import count_words_at_resolution
@@ -33,12 +29,41 @@ def quarter_cantor():
     return SimilarityIFS(1, np.array([0.25, 0.25]), np.array([[0.0], [0.75]]))
 
 
-def eighth_cantor():
-    return SimilarityIFS(1, np.array([0.125, 0.125]), np.array([[0.0], [0.875]]))
+# ---------------------------------------------------------------------------
+# word oracles: words as tuples of map indices, () the identity
+# ---------------------------------------------------------------------------
+
+def word_weight(ifs, word):
+    """-log2 of the contraction along the word, summed map by map."""
+    return sum(ifs.weights[i] for i in word)
+
+
+def apply_word(ifs, word):
+    """Composite similarity (ratio, translation) of a word, leftmost outermost."""
+    r, t = 1.0, np.zeros(ifs.dimension)
+    for i in word:
+        # f_i after the accumulated prefix: prefix o f_i
+        t = t + r * ifs.translations[i]
+        r = r * ifs.ratios[i]
+    return r, t
+
+
+def words_at_resolution(ifs, u):
+    """All words whose weight first reaches ``u``: their own weight is >= u
+    while their parent's stays below."""
+    out, frontier = [], [((), 0.0)]
+    while frontier:
+        nxt = []
+        for word, rho in frontier:
+            for i in range(ifs.n_maps):
+                child, crho = word + (i,), rho + ifs.weights[i]
+                (out if crho >= u - EXACT_TOL else nxt).append((child, crho))
+        frontier = nxt
+    return [word for word, _ in out]
 
 
 # ---------------------------------------------------------------------------
-# construction and word weights
+# construction
 # ---------------------------------------------------------------------------
 
 def test_ifs_validation():
@@ -52,22 +77,6 @@ def test_ifs_validation():
         SimilarityIFS(1, np.array([0.5]), np.array([[np.nan]]))
     assert quarter_cantor().strongly_separated
     assert not binary_full().strongly_separated
-
-
-def test_log_contraction_examples():
-    ifs = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
-    assert log_contraction(ifs, ()) == 0.0
-    assert log_contraction(ifs, (0, 1)) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        log_contraction(ifs, (0, 5))
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.lists(st.integers(0, 1), max_size=8), st.lists(st.integers(0, 1), max_size=8))
-def test_log_contraction_additive(w1, w2):
-    ifs = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
-    total = log_contraction(ifs, tuple(w1) + tuple(w2))
-    assert total == pytest.approx(log_contraction(ifs, tuple(w1)) + log_contraction(ifs, tuple(w2)), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -136,60 +145,6 @@ def test_attractor_single_map_fixed_point():
 
 
 # ---------------------------------------------------------------------------
-# cylinder geometry
-# ---------------------------------------------------------------------------
-
-def test_cylinder_hits_growth_for_full_binary():
-    ifs = binary_full()
-    h = 1.0
-    for v, z in [(2.0, 4.0), (3.0, 8.0), (2.0, 10.0), (4.0, 12.0)]:
-        hits = cylinder_hits(ifs, v, z, np.array([0.5]))
-        assert abs(np.log2(hits) - h * (z - v)) <= 3.0
-
-
-def test_cylinder_hits_bounded_when_cylinders_are_coarse():
-    ifs = quarter_cantor()
-    for v in (2.0, 4.0, 6.0, 8.0):
-        hits = cylinder_hits(ifs, v, min(v, 2.0), np.array([0.0]))
-        assert hits <= 4
-
-
-def test_cylinder_hits_empty_far_away():
-    assert cylinder_hits(binary_full(), 3.0, 4.0, np.array([5.0])) == 0
-
-
-def test_separated_subfamily_unchanged_when_far_apart():
-    ifs = eighth_cantor()
-    words = words_at_resolution(ifs, 3.0)
-    result = separated_subfamily(ifs, words, 3.0)
-    assert result.selected == words
-    assert result.log2_ratio == 0.0
-
-
-def test_separated_subfamily_singleton():
-    ifs = binary_full()
-    result = separated_subfamily(ifs, [(0, 1)], 2.0)
-    assert result.selected == [(0, 1)]
-
-
-def test_separated_subfamily_binary_ratio_and_disjointness():
-    ifs = binary_full()
-    u = 8.0
-    words = words_at_resolution(ifs, u)
-    result = separated_subfamily(ifs, words, u)
-    assert abs(result.log2_ratio) <= 3.0
-    # pairwise images separated by more than two ball radii
-    F = ifs.base_points()
-    boxes = []
-    for w in result.selected:
-        r, t = ifs.apply_word(w)
-        boxes.append((float(r * F.min() + t[0]), float(r * F.max() + t[0])))
-    boxes.sort()
-    for (lo1, hi1), (lo2, hi2) in zip(boxes, boxes[1:]):
-        assert lo2 - hi1 > 2.0 * 2.0**-u
-
-
-# ---------------------------------------------------------------------------
 # dimension formula pieces
 # ---------------------------------------------------------------------------
 
@@ -250,7 +205,7 @@ def brute_force_attractor(ifs, condensation, depth):
             level = int(min(condensation.depth, max(0, np.ceil(depth - rho - 1e-9))))
             return np.vstack([condensation.corner_ints(level) / np.exp2(level), fixed])
     else:
-        pts = ifs.base_points() if condensation is None else np.atleast_2d(condensation)
+        pts = fixed if condensation is None else np.atleast_2d(condensation)
         flat = np.unique(np.vstack([pts, fixed]), axis=0)
 
         def base(rho):
@@ -260,10 +215,10 @@ def brute_force_attractor(ifs, condensation, depth):
     images, n_words = [], 0
     for length in range(longest + 1):
         for word in itertools.product(range(ifs.n_maps), repeat=length):
-            rho = log_contraction(ifs, word)
+            rho = word_weight(ifs, word)
             if rho > depth + EXACT_TOL:
                 continue
-            r, t = ifs.apply_word(word)
+            r, t = apply_word(ifs, word)
             images.append(base(rho) * r + t)
             n_words += 1
     raw = np.vstack(images)

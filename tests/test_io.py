@@ -62,7 +62,7 @@ def test_points_roundtrip_with_quantization():
     tree = subdivision_tree(StepFunction(1.0, np.arange(5, dtype=float)), 1)
     pts = export_points(tree, 3)
     loaded = tsio.points_from_csv(tsio.points_to_csv(pts), depth=8)
-    assert np.allclose(np.sort(loaded.points.ravel()), np.sort(pts.as_floats().ravel()))
+    assert np.allclose(np.sort(loaded.points.ravel()), np.sort((pts.numerators / np.exp2(pts.exponents)[:, None]).ravel()))
     assert loaded.depth == 8
 
 

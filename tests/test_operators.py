@@ -221,8 +221,6 @@ def test_monotone_envelope_rejects_bad_growth():
     zero = TwoScaleGrid(spec, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         monotone_envelope(zero, -0.1)
-    with pytest.raises(ValueError):
-        monotone_envelope(zero, 1.5, lipschitz=1.0)
 
 
 def brute_spectrum_envelope(curve, growth):

@@ -152,7 +152,7 @@ def test_export_full_binary_level_two():
     eta = StepFunction(1.0, np.arange(5, dtype=float))
     tree = subdivision_tree(eta, 1)
     pts = export_points(tree, 2)
-    assert np.allclose(pts.as_floats().ravel(), [0.0, 0.25, 0.5, 0.75])
+    assert np.allclose((pts.numerators / np.exp2(pts.exponents)[:, None]).ravel(), [0.0, 0.25, 0.5, 0.75])
     assert pts.rescale_exponent == 0
 
 
@@ -168,7 +168,7 @@ def test_export_composite_rescales_into_unit_cube():
     psi = cone_extension(plateau_curve(0.6, 0.5), spec)
     comp = synthesize_set(psi, 1, 6)
     pts = export_points(comp, 6)
-    floats = pts.as_floats()
+    floats = pts.numerators / np.exp2(pts.exponents)[:, None]
     assert pts.rescale_exponent == 3
     assert floats.min() >= 0.0 and floats.max() <= 5.0 / 8.0
     # origin plus one representative per part cube
