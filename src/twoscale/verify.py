@@ -27,6 +27,7 @@ from .grids import (
 from .ifs import (
     SimilarityIFS,
     critical_exponent,
+    dimension_range,
     lower_box_profile,
     verify_dimension_formula,
 )
@@ -43,6 +44,8 @@ from .operators import (
     spectrum_envelope,
     upper_spectrum,
     validate_limit_curve,
+    validate_monotone_curve,
+    validate_monotone_grid,
 )
 from .synthesis import step_quantize, subdivision_tree, synthesize_set
 
@@ -167,13 +170,14 @@ def criterion_1(ctx: VerifyContext) -> CriterionResult:
 
 
 def criterion_2(ctx: VerifyContext) -> CriterionResult:
-    """Monotone projections: idempotent and below every class majorant."""
+    """Monotone projections: idempotent, in the monotone class, and below every class majorant."""
     rng = ctx.rng(2)
     spec = GridSpec(32.0, 0.25)
     lips = 1.0
     growths = [0.0, 0.3, 0.7, 1.0]
     idempotency = 0.0
     violations = 0
+    class_violations = 0
     for k in range(20):
         growth = growths[k % len(growths)]
         psi = families.random_branching_grid(rng, spec, lips)
@@ -184,6 +188,10 @@ def criterion_2(ctx: VerifyContext) -> CriterionResult:
         cproj = spectrum_envelope(curve, growth)
         cagain = spectrum_envelope(cproj, growth)
         idempotency = max(idempotency, float(np.abs(cagain.values - cproj.values).max()))
+        if not validate_monotone_grid(proj, lips, growth, EXACT).passed:
+            class_violations += 1
+        if not validate_monotone_curve(cproj, lips, growth, EXACT).passed:
+            class_violations += 1
         # each grid majorant is the lift of a majorant curve; compare on the
         # lattice entries j <= i, where the lift is defined
         below = proj.values[_lower_mask(spec.n)]
@@ -194,12 +202,12 @@ def criterion_2(ctx: VerifyContext) -> CriterionResult:
             cmaj = families.random_monotone_majorant_curve(rng, lips, growth)
             if float((cproj.values - cmaj.values).max()) > EXACT:
                 violations += 1
-    passed = idempotency <= EXACT and violations == 0
+    passed = idempotency <= EXACT and violations == 0 and class_violations == 0
     return CriterionResult(
         2,
         "projection laws",
         passed,
-        {"idempotency": idempotency, "majorant_violations": violations},
+        {"idempotency": idempotency, "majorant_violations": violations, "class_violations": class_violations},
     )
 
 
@@ -326,7 +334,7 @@ def criterion_7(ctx: VerifyContext) -> CriterionResult:
 
 
 def criterion_8(ctx: VerifyContext) -> CriterionResult:
-    """Lower-box profile value and the equality dichotomy on a test family."""
+    """Lower-box profile value, the equality dichotomy and the attainable range on a test family."""
     ramp = PiecewiseLinear(np.array([0.0, 5.0]), np.array([0.8, 0.0]))
     profile = lower_box_profile(ramp, 0.5, 12.0)
     spot = abs(float(profile.evaluate(10.0)) - 6.5)
@@ -347,6 +355,7 @@ def criterion_8(ctx: VerifyContext) -> CriterionResult:
     ]
     window = (256.0, 16384.0)
     mismatches = []
+    excursions = 0
     for lower, upper, growth in cases:
         g_f = _block_profile(lower, upper)
         lo_f, hi_f = box_dims(g_f.breakpoints, g_f.knot_values, window)
@@ -356,12 +365,19 @@ def criterion_8(ctx: VerifyContext) -> CriterionResult:
         actual_equal = (hi_l - lo_l) <= 0.05
         if predicted_equal != actual_equal:
             mismatches.append((lower, upper, growth))
-    passed = spot <= EXACT and not mismatches
+        if not dimension_range(growth, lo_f, hi_f, 1.0).contains(lo_l, EXACT):
+            excursions += 1
+    passed = spot <= EXACT and not mismatches and excursions == 0
     return CriterionResult(
         8,
         "lower-box dichotomy",
         passed,
-        {"spot_error": spot, "dichotomy_mismatches": len(mismatches), "cases": len(cases)},
+        {
+            "spot_error": spot,
+            "dichotomy_mismatches": len(mismatches),
+            "cases": len(cases),
+            "range_excursions": excursions,
+        },
     )
 
 

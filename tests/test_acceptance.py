@@ -43,6 +43,7 @@ def test_criterion_02_projection_laws(ctx):
     assert r.passed, r.details
     assert r.details["idempotency"] <= 1e-9
     assert r.details["majorant_violations"] == 0
+    assert r.details["class_violations"] == 0
 
 
 def test_criterion_03_commuting_diagram(ctx):
@@ -87,6 +88,7 @@ def test_criterion_08_lower_box(ctx):
     assert r.passed, r.details
     assert r.details["spot_error"] <= 1e-9
     assert r.details["dichotomy_mismatches"] == 0
+    assert r.details["range_excursions"] == 0
 
 
 def test_criterion_09_upper_spectrum_swap(ctx):
