@@ -30,7 +30,10 @@ EXIT_CAP = 3
 def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
     """Resolve a target-grid argument: CSV path, gamma_inverse:, or h_kappa_lambda:."""
     if spec_arg.startswith("h_kappa_lambda:"):
-        kappa, lam = (float(x) for x in spec_arg.split(":", 1)[1].split(","))
+        try:
+            kappa, lam = map(float, spec_arg.split(":", 1)[1].split(","))
+        except ValueError:
+            raise ValueError(f"h_kappa_lambda takes <height>,<kink>, two numbers, not {spec_arg!r}") from None
         return cone_extension(plateau_curve(kappa, lam), grid_spec)
     if spec_arg.startswith("gamma_inverse:"):
         curve = tsio.curve_from_csv(Path(spec_arg.split(":", 1)[1]).read_text())
@@ -121,6 +124,8 @@ def cmd_attractor(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     results = run_suite(args.suite, args.seed)
     payload = {
         "suite": args.suite,

@@ -2,7 +2,8 @@
 
 Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
-not finite and nonnegative, and dimensions below 1 are user errors (exit 2);
+not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
+numbers, negative verify seeds and dimensions below 1 are user errors (exit 2);
 a lattice too large to allocate is a resource failure (exit 3).  None of them may end in a traceback.
 """
 
@@ -66,6 +67,19 @@ def test_synth_rejects_plateau_heights_that_are_not_finite_and_nonnegative(tmp_p
     assert got == EXIT_USER and "height must be nonnegative and finite" in line
 
 
+@pytest.mark.parametrize("target", ["h_kappa_lambda:0.8", "h_kappa_lambda:0.8,0.5,1", "h_kappa_lambda:x,0.5",
+                                    "h_kappa_lambda:"])
+def test_synth_rejects_plateau_targets_that_are_not_two_numbers(tmp_path, target):
+    got, line = run(["synth", target, "--depth", "6", "--out", str(tmp_path / "out")])
+    assert got == EXIT_USER and "h_kappa_lambda takes <height>,<kink>" in line and repr(target) in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("suite", ["core", "operators", "attain", "inhomog", "all"])
+def test_verify_rejects_a_negative_seed_for_every_suite(tmp_path, suite):
+    got, line = run(["verify", suite, "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert got == EXIT_USER and line == "error: --seed must be nonnegative, got -1"
+    assert not (tmp_path / "out").exists()
 @pytest.mark.parametrize("options, code, message", [
     (["--u-max", "inf"], EXIT_USER, "positive and finite"),
     (["--u-max", "nan"], EXIT_USER, "positive and finite"),
