@@ -222,7 +222,7 @@ def validate_monotone_grid(
     drop = -np.diff(_diagonals(V)[1], axis=1)
     d = np.arange(n + 1)[:, None]
     bad = (drop > tol) & (d >= 1) & (d + np.arange(n) < n)
-    col.add_array("diagonal_monotone", bad, drop, lambda d, k: (coords[d + k + 1], coords[k + 1]))
+    col.add_array("diagonal_monotone", bad, drop, lambda i, k: (coords[i + k + 1], coords[k + 1]))
 
     first = V[:, 0]
     gap = growth * (coords[:, None] - coords[None, :]) - (first[:, None] - first[None, :])

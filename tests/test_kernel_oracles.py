@@ -497,6 +497,10 @@ def largest_drop(grid, tol):
     return max((x for x in drops if x > tol), default=0.0)
 
 
+def witnesses(report, prop):
+    return sorted((v.witness, v.magnitude) for v in report.violations if v.prop == prop)
+
+
 def assert_same_monotone_report(got, ref, grid, tol):
     """Equal outcome and counts; equal witnesses for every property within the
     cap; and the worst diagonal drop reported, however many drops there are."""
@@ -505,9 +509,7 @@ def assert_same_monotone_report(got, ref, grid, tol):
     assert got.counts == ref.counts
     for prop, count in ref.counts.items():
         if count <= MAX_WITNESSES:
-            def witnesses(report):
-                return sorted((v.witness, v.magnitude) for v in report.violations if v.prop == prop)
-            assert witnesses(got) == witnesses(ref), prop
+            assert witnesses(got, prop) == witnesses(ref, prop), prop
 
 
 # the class is checked at the envelope's growth, or above it, which plants
@@ -519,7 +521,8 @@ def assert_same_monotone_report(got, ref, grid, tol):
 def test_validate_monotone_grid_matches_diagonal_loop(params, growth, extra, plant, lipschitz, tol):
     grid = planted_monotone_grid(params, growth, plant)
     got = validate_monotone_grid(grid, lipschitz, growth + extra, tol)
-    assert_same_monotone_report(got, ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol), grid, tol)
+    ref = ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol)
+    assert_same_monotone_report(got, ref, grid, tol)
 
 
 def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice():
@@ -527,7 +530,8 @@ def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice
     spec = GridSpec(32.0, 0.25)
     for plant in ("raw", "envelope", "drops"):
         for growth in (0.0, 0.3, 0.7, 1.0):
-            grid = planted_monotone_grid((spec.n, spec.step, "branching", int(rng.integers(2**32))), growth, plant)
+            params = (spec.n, spec.step, "branching", int(rng.integers(2**32)))
+            grid = planted_monotone_grid(params, growth, plant)
             for extra in (0.0, 0.5):
                 got = validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
                 ref = ref_validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
