@@ -206,6 +206,72 @@ def test_profile_extension_minimality_against_random_majorants():
 
 
 # ---------------------------------------------------------------------------
+# anchored minorants, the running minimum inside lipschitz_approximation
+# ---------------------------------------------------------------------------
+
+def brute_minorant(h, coords, lipschitz, anchor):
+    out = np.zeros_like(h)
+    for a, ua in enumerate(coords):
+        if ua <= anchor:
+            continue
+        cands = [lipschitz * (ua - anchor)]
+        for ap, uap in enumerate(coords):
+            if anchor < uap <= ua:
+                cands.append(h[ap] + lipschitz * (ua - uap))
+        out[a] = max(0.0, min(cands))
+    return out
+
+
+def minorant_column(h, spec, lipschitz, anchor):
+    """Column ``anchor`` of the approximation of the additive grid H(u) - H(v),
+    H = h beyond the anchor and 0 up to it.  Columns 0..anchor all equal H, and
+    every later anchor's minorant lies below this one's, so the column is the
+    largest increasing lipschitz-bounded minorant of h vanishing on [0, anchor]."""
+    H = np.where(spec.coords > anchor, h, 0.0)
+    grid = TwoScaleGrid(spec, np.tril(H[:, None] - H[None, :]))
+    return lipschitz_approximation(grid, lipschitz).values[:, spec.index_of(anchor, "anchor")]
+
+
+def test_minorant_example_and_oracle():
+    spec = GridSpec(4.0, 0.25)
+    coords = spec.coords
+    h = np.minimum(2 * coords, 1.0)
+    g = minorant_column(h, spec, 1.0, 0.0)
+    expected = np.minimum(coords, 1.0)
+    assert np.allclose(g, expected, atol=1e-12)
+    assert np.allclose(g, brute_minorant(h, coords, 1.0, 0.0), atol=1e-12)
+
+
+def test_minorant_identity_and_zero():
+    spec = GridSpec(4.0, 0.5)
+    coords = spec.coords
+    h = 0.6 * coords  # already increasing and 1-lipschitz
+    assert np.allclose(minorant_column(h, spec, 1.0, 0.0), h, atol=1e-12)
+    z = minorant_column(np.zeros_like(coords), spec, 1.0, 0.0)
+    assert np.all(z == 0.0)
+
+
+def test_minorant_random_against_oracle():
+    rng = np.random.default_rng(4)
+    spec = GridSpec(3.0, 0.25)
+    coords = spec.coords
+    for _ in range(25):
+        h = np.maximum.accumulate(rng.uniform(0.0, 3.0, coords.size))
+        lip = rng.uniform(0.2, 2.0)
+        anchor = float(rng.integers(0, spec.n)) * spec.step
+        h = np.where(coords >= anchor, h, 0.0)
+        g = minorant_column(h, spec, lip, anchor)
+        assert np.allclose(g, brute_minorant(h, coords, lip, anchor), atol=1e-10)
+
+
+def test_minorant_rejects_decreasing_samples():
+    spec = GridSpec(2.0, 1.0)
+    falls = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="increasing_u"):
+        lipschitz_approximation(TwoScaleGrid(spec, falls), 1.0)
+
+
+# ---------------------------------------------------------------------------
 # lipschitz_approximation
 # ---------------------------------------------------------------------------
 

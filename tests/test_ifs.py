@@ -80,6 +80,29 @@ def test_ifs_validation():
 
 
 # ---------------------------------------------------------------------------
+# word weights: SimilarityIFS.weights summed along a word
+# ---------------------------------------------------------------------------
+
+def test_log_contraction_examples():
+    ifs = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
+    # dyadic ratios give the exact integer weights the counting recursion needs
+    assert ifs.weights.tolist() == [1.0, 2.0]
+    assert word_weight(ifs, ()) == 0.0
+    assert word_weight(ifs, (0, 1)) == 3.0
+    assert apply_word(ifs, (0, 1))[0] == 2.0 ** -3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=8), st.lists(st.integers(0, 1), max_size=8))
+def test_log_contraction_additive(w1, w2):
+    ifs = SimilarityIFS(1, np.array([0.3, 0.45]), np.array([[0.0], [0.55]]))
+    word = tuple(w1) + tuple(w2)
+    total = word_weight(ifs, word)
+    assert total == pytest.approx(word_weight(ifs, tuple(w1)) + word_weight(ifs, tuple(w2)), abs=1e-12)
+    assert total == pytest.approx(-np.log2(apply_word(ifs, word)[0]), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # resolution families
 # ---------------------------------------------------------------------------
 
