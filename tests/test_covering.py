@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,47 @@ def test_local_covering_matches_exact_ball_oracle(d, spread, u, data):
         count = exact_ball_count(cells, u, v)
         assert local_covering(pts, u, v) == count
         assert grid.values[u, v] == np.log2(count)
+
+
+def probe_gaps(d, level):
+    """Per-axis gaps whose squared sums sit on both sides of each radius bin 4^s.
+
+    4^s - 1 is 7 mod 8 for s >= 2, so no two or three squares sum to it
+    (Legendre); the largest sum below 4^s along the line of first gap 2^s - 1
+    stands in for it.  Odd powers 2 * 4^s probe the other exponent parity.
+    """
+    pad = [0] * (d - 2)
+    for s in range(level):
+        side = 1 << s
+        below = math.isqrt(2 * side - 2)
+        yield [side - 1, below] + pad
+        yield [side, 0] + pad
+        yield [side, 1] + pad
+        yield [side, side] + pad
+        if d > 2:
+            yield [side, side, 1] + pad[1:]
+
+
+# the int32/int64 and frexp/searchsorted boundaries of the d >= 2 ball count
+# lie at d (2^level - 1)^2 = 2^31 and 2^53: d = 2 switches after levels 15 and
+# 26, d = 3 after 14 and 25; the last level of each is the deepest exact one
+@pytest.mark.parametrize("d, level", [(2, 15), (2, 16), (2, 26), (2, 27), (2, 31),
+                                      (3, 14), (3, 15), (3, 16), (3, 25), (3, 26), (3, 30)])
+def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level):
+    top = (1 << level) - 1
+    for gaps in probe_gaps(d, level):
+        # a center at the top corner cell sees the cell of these gaps nearer than
+        # that cell's corner sees the top cell, so the pair's bin decides the count
+        cells = np.array([[top - 1 - g for g in gaps], [top] * d], dtype=np.int64)
+        assert sum(g * g for g in gaps) <= d * top**2
+        counts = covering._max_ball_count(cells, level)
+        assert counts.tolist() == [exact_ball_count(cells, level, level - s) for s in range(level + 1)]
+    # opposite corners of the cube, the largest gaps: sqrt(d) (2^level - 2) is
+    # beyond even the unit radius 2^level, so no ball holds both
+    corners = np.array([[0] * d, [top] * d], dtype=np.int64)
+    counts = covering._max_ball_count(corners, level)
+    assert counts.tolist() == [exact_ball_count(corners, level, level - s) for s in range(level + 1)]
+    assert counts.tolist() == [1] * (level + 1)
 
 
 # ---------------------------------------------------------------------------
