@@ -136,6 +136,11 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     count every radius at once.  D2 is exact in int64 only while
     d (2^level - 1)^2 fits, and in d = 1 the reach c + 2^level only up to
     ``MAX_CELL_LEVEL``, so deeper levels raise ``ValueError``.
+
+    The largest D2, d (2^level - 1)^2, picks the narrowest exact arithmetic:
+    int32 below 2^31, else int64.  Below 2^53 a double holds D2 - 1/2, and
+    the exponent ``np.frexp`` gives it is bit_length(max(D2 - 1, 0)), so the
+    bin is (that + 1) // 2; above, ``np.searchsorted`` finds it among the 4^s.
     """
     stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
     centers = cells[::stride]
@@ -148,22 +153,37 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
             (np.searchsorted(flat, c + r, side="right") - np.searchsorted(flat, c - r - 1, side="left")).max()
             for r in (1 << s for s in range(level + 1))
         ])
-    pow4 = 4 ** np.arange(level + 1, dtype=np.int64)
+    reach = d * ((1 << level) - 1) ** 2
+    dtype = np.int32 if reach < 1 << 31 else np.int64
+    sign = 8 * np.dtype(dtype).itemsize - 1
+    axes = np.ascontiguousarray(cells.T, dtype=dtype)
+    centers = centers.astype(dtype)
+    pow4 = None if reach < 1 << 53 else 4 ** np.arange(level + 1, dtype=np.int64)
+    # one bin per radius, a last one for the cells beyond every radius, and in
+    # d > 4 room for the bins past it that the largest D2 reaches
+    width = max(level + 2, (max(reach - 1, 0).bit_length() + 3) // 2)
     best = np.zeros(level + 1, dtype=np.int64)
     chunk = max(1, BALL_PAIRS // cells.shape[0])
     for start in range(0, centers.shape[0], chunk):
         c = centers[start:start + chunk]
         n = c.shape[0]
-        d2 = np.zeros((n, cells.shape[0]), dtype=np.int64)
         for q in range(d):
-            k, cq = cells[:, q], c[:, q, None]
-            gap = np.maximum(k - cq, cq - k - 1)
-            np.maximum(gap, 0, out=gap)
-            d2 += gap * gap
-        s = np.searchsorted(pow4, d2)
-        # level + 2 bins per center; the last one holds the cells beyond every radius
-        bins = np.bincount((s + (level + 2) * np.arange(n)[:, None]).ravel(), minlength=n * (level + 2))
-        counts = np.cumsum(bins.reshape(n, level + 2)[:, :-1], axis=1)
+            # the gap max(k - c, c - k - 1) is delta or ~delta, whichever is not negative
+            gap = axes[q] - c[:, q, None]
+            gap ^= gap >> sign
+            gap *= gap
+            if q:
+                d2 += gap
+            else:
+                d2 = gap
+        if pow4 is None:
+            s = np.frexp(d2 - 0.5)[1]
+            s += 1
+            s >>= 1
+        else:
+            s = np.searchsorted(pow4, d2)
+        bins = np.bincount((s + width * np.arange(n)[:, None]).ravel(), minlength=n * width)
+        counts = np.cumsum(bins.reshape(n, width)[:, :level + 1], axis=1)
         np.maximum(best, counts.max(axis=0), out=best)
     return best
 

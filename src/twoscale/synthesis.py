@@ -10,6 +10,8 @@ the origin.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,20 +117,35 @@ class DyadicTree:
         return self.depth
 
     def corner_ints(self, level: int) -> np.ndarray:
-        """Integer corner coordinates (count, d) at resolution 2^-level."""
-        codes = self.levels[level]
-        d = self.dimension
+        """Integer corner coordinates (count, d) at resolution 2^-level.
+
+        Bit d i + q of a code is bit i of coordinate q.  Each gather from
+        ``_digit_table`` decodes 12 // d digits, or, when d > 12, 12 axes of
+        one digit; the bits it takes beyond the last axis fall outside ``out``.
+        """
+        codes, d = self.levels[level], self.dimension
+        rows, width = max(1, 12 // d), min(d, 12)
         out = np.zeros((codes.size, d), dtype=np.int64)
-        for depth_pos in range(1, level + 1):
-            digit = (codes >> (d * (level - depth_pos))) & ((1 << d) - 1)
-            for q in range(d):
-                out[:, q] |= ((digit >> q) & 1) << (level - depth_pos)
+        for i, q in itertools.product(range(0, level, rows), range(0, d, width)):
+            digits = (codes >> d * i + q) & ((1 << rows * width) - 1)
+            out[:, q:q + width] |= _digit_table(rows, width).take(digits, axis=0)[:, :d - q] << i
         return out
 
     def cells_at_level(self, level: int) -> np.ndarray:
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} exceeds materialized depth {self.depth}")
         return self.corner_ints(level)
+
+
+@functools.cache
+def _digit_table(rows: int, width: int) -> np.ndarray:
+    """Coordinates (2^(rows width), width) of every run of ``rows`` digits of
+    ``width`` bits, whose bit r width + q is bit r of coordinate q."""
+    bits = (np.arange(1 << rows * width)[:, None] >> np.arange(rows * width)) & 1
+    table = (bits.reshape(-1, rows, width) << np.arange(rows)[:, None]).sum(axis=1)
+    # cached and shared by every call, so none may write to it
+    table.flags.writeable = False
+    return table
 
 
 def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> DyadicTree:
