@@ -539,26 +539,31 @@ def tree_to_text(tree: DyadicTree) -> str:
     return "".join(parts)
 
 
-def tree_from_text(text: str, dimension: int) -> DyadicTree:
-    levels: list[list[int]] = []
-    current: list[int] | None = None
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
+def tree_from_text(text: str, dimension: int) -> list[tuple[int, DyadicTree]]:
+    """The ``(b, DyadicTree)`` parts of a tree file in the form ``synth`` writes:
+    a ``# part b`` header per part, each followed by its tree's ``tree_to_text``
+    lines.  An address must have one base-2^d digit per level."""
+    if not 1 <= dimension <= 3:
+        raise ValueError("tree files use single-digit children (d <= 3)")
+    parts: list[tuple[int, list]] = []
+    for ln in filter(None, map(str.strip, text.splitlines())):
+        if ln.startswith("# part"):
+            parts.append((int(ln[len("# part"):]), []))
             continue
+        if not parts:
+            raise ValueError("tree file must start with a # part header")
+        levels = parts[-1][1]
         if ln.startswith("# level"):
             levels.append([])
-            current = levels[-1]
-            continue
-        if current is None:
+        elif not levels:
             raise ValueError("address before any level header")
-        code = 0
-        if ln != "-":
-            for ch in ln:
-                code = (code << dimension) | int(ch)
-        current.append(code)
-    arrays = [np.array(sorted(lv), dtype=np.int64) for lv in levels]
-    return DyadicTree(dimension, len(arrays) - 1, arrays)
+        else:
+            n = len(levels) - 1
+            if (ln != "-") if n == 0 else (not ln.isdigit() or len(ln) != n):
+                raise ValueError(f"bad address {ln!r} at level {n}")
+            levels[-1].append(int(ln, 1 << dimension) if n else 0)
+    return [(b, DyadicTree(dimension, len(levels) - 1, [np.array(sorted(c), dtype=np.int64) for c in levels]))
+            for b, levels in parts]
 
 
 # ---------------------------------------------------------------------------

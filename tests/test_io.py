@@ -69,10 +69,54 @@ def test_points_roundtrip_with_quantization():
 def test_tree_text_roundtrip():
     eta = StepFunction(1.0, np.array([0.0, 1.0, 1.0, 2.0]))
     tree = subdivision_tree(eta, 1)
-    back = tsio.tree_from_text(tsio.tree_to_text(tree), 1)
-    assert back.depth == tree.depth
+    [(b, back)] = tsio.tree_from_text(f"# part 3\n{tsio.tree_to_text(tree)}", 1)
+    assert b == 3 and back.depth == tree.depth
     for a, b in zip(back.levels, tree.levels):
         assert np.array_equal(a, b)
+
+
+def exact_units(cells, b, depth):
+    """Composite part cells as export_points places them, in units of 2^-(depth + 3):
+    shifted by 4 * 2^-b along axis 0, then divided by 8."""
+    rows = [[int(x) for x in row] for row in cells]
+    return {(row[0] + (4 << depth >> b),) + tuple(row[1:]) for row in rows}
+
+
+@pytest.mark.parametrize("d, spec", [(1, "h_kappa_lambda:0.8,0.5"), (2, "h_kappa_lambda:1.45,0.3")])
+def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d, spec):
+    from twoscale.cli import main
+
+    depth = 9
+    assert main(["synth", spec, "-d", str(d), "--depth", str(depth), "--out", str(tmp_path)]) == 0
+    parts = tsio.tree_from_text((tmp_path / "tree.txt").read_text(), d)
+    assert [b for b, _ in parts] == list(range(depth))
+    placed = {(0,) * d}  # the origin
+    for b, tree in parts:
+        assert tree.dimension == d and tree.depth == depth
+        placed |= exact_units(tree.cells_at_level(depth), b, depth)
+    rows = (tmp_path / "points.csv").read_text().splitlines()[1:]
+    listed = set()
+    for row in rows:
+        fields = [int(x) for x in row.split(",")]
+        listed.add(tuple(n << (depth + 3 - e) for n, e in zip(fields[0::2], fields[1::2])))
+    assert len(listed) == len(rows) and placed == listed
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# level 0\n-\n", "# part header"),
+    ("# part 0\n-\n", "before any level header"),
+    ("# part 0\n# level 0\n0\n", "bad address"),
+    ("# part 0\n# level 0\n-\n# level 1\n-\n", "bad address"),
+    ("# part 0\n# level 0\n-\n# level 1\n01\n", "bad address"),
+    ("# part 0\n# level 0\n-\n# level 1\n+1\n", "bad address"),
+    ("# part 0\n# level 0\n-\n# level 1\n2\n", "invalid literal"),
+    ("# part x\n", "invalid literal"),
+])
+def test_tree_file_reader_rejects_malformed_files(text, message):
+    with pytest.raises(ValueError, match=message):
+        tsio.tree_from_text(text, 1)
+    with pytest.raises(ValueError, match="d <= 3"):
+        tsio.tree_from_text("# part 0\n# level 0\n-\n", 4)
 
 
 def test_ifs_json_variants(tmp_path):
@@ -217,7 +261,7 @@ def random_trees(draw):
 def test_tree_text_matches_per_digit_formulation(tree):
     text = tsio.tree_to_text(tree)
     assert text == per_digit_tree_text(tree)
-    back = tsio.tree_from_text(text, tree.dimension)
+    [(_, back)] = tsio.tree_from_text("# part 0\n" + text, tree.dimension)
     assert back.depth == tree.depth
     assert all(np.array_equal(a, b) for a, b in zip(back.levels, tree.levels))
 
