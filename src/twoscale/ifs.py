@@ -109,6 +109,9 @@ def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_W
     reach ``u`` and keeps the rest as the next frontier.  Each word's weight
     is summed map by map, from the empty word outward, and the expansion
     raises ``CapExceeded`` once the counted plus frontier words exceed ``cap``.
+    ``cap`` bounds only that float expansion: the integer recursion lists no
+    words, so it counts families of any size (a full binary system has
+    2,097,152 words at u = 21, above the default cap).
     """
     if u <= 0:
         raise ValueError("resolution must be positive")

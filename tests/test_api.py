@@ -2,8 +2,12 @@
 
 A public name that only tests use is a proof device or dead code: it should
 either serve the package or go.  The check scans the package's modules other
-than ``__init__.py`` and counts a name as used when it appears as a ``Name``
-or an ``Attribute`` outside its own top-level definition.
+than ``__init__.py`` and resolves each use to the module that defines the
+name: a bare name is a use of ``from .x import y``'s ``y`` in ``x``, or of the
+module's own top-level ``y`` outside ``y``'s definition; ``module.y`` is a use
+of ``y`` in the module that ``from . import module`` binds.  A parameter or
+local variable of the same name hides the name in its function, so it is no
+use.
 """
 
 import ast
@@ -13,33 +17,85 @@ import twoscale
 
 PACKAGE = Path(twoscale.__file__).parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
 def exported_names() -> set:
+    """(module, name) of every ``from .module import name`` in ``__init__.py``."""
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return {
-        alias.asname or alias.name
+        (node.module, alias.name)
         for node in tree.body
-        if isinstance(node, ast.ImportFrom)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
 
 
-def used_names() -> set:
-    used = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:
-            own = stmt.name if isinstance(stmt, DEFINITIONS) else None
-            names = (
-                node.id if isinstance(node, ast.Name) else node.attr
-                for node in ast.walk(stmt)
-                if isinstance(node, (ast.Name, ast.Attribute))
-            )
-            used.update(name for name in names if name != own)
-    return used
+def bound_names(scope) -> set:
+    """The parameters of a function and every name assigned inside it."""
+    args = scope.args
+    params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+    stored = {n.id for n in ast.walk(scope) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return {a.arg for a in params} | stored
+
+
+def module_uses(module: str, source: str) -> set:
+    """(defining module, name) of every package name that ``source`` uses."""
+    tree = ast.parse(source)
+    imported, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module:
+                    imported[local] = (node.module, alias.name)
+                else:
+                    modules[local] = alias.name
+    top = {stmt.name for stmt in tree.body if isinstance(stmt, DEFINITIONS)}
+    uses = set()
+
+    def visit(node, hidden):
+        if isinstance(node, SCOPES):
+            hidden = hidden | bound_names(node)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in hidden:
+            if node.id in imported:
+                uses.add(imported[node.id])
+            elif node.id in top:
+                uses.add((module, node.id))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            uses.add((modules[node.value.id], node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, hidden)
+
+    for stmt in tree.body:
+        visit(stmt, {stmt.name} if isinstance(stmt, DEFINITIONS) else set())
+    return uses
+
+
+def used_names(sources: dict) -> set:
+    return set().union(*(module_uses(module, source) for module, source in sources.items()))
+
+
+def package_sources() -> dict:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
 def test_every_exported_name_is_used_inside_the_package():
-    assert sorted(exported_names() - used_names()) == []
+    assert sorted(exported_names() - used_names(package_sources())) == []
+
+
+def test_a_same_named_local_is_no_use():
+    # a parameter named like an export that nothing calls used to hide it
+    sources = {
+        "grids": "def rescale(grid):\n    return rescale(grid[1:]) if grid else grid\n",
+        "synthesis": "def _sorted_points(nums, rescale):\n    return nums, rescale\n",
+        "io": "def f(x):\n    rescale = x\n    return [rescale for rescale in x], lambda rescale: rescale\n",
+    }
+    assert used_names(sources) == set()
+    # an import, a module attribute and a module-level call are uses
+    for caller in ("from .grids import rescale\n\ndef f(x):\n    return rescale(x)\n",
+                   "from .grids import rescale as r\n\nr(1)\n",
+                   "from . import grids as g\n\ndef f(x):\n    return g.rescale(x)\n"):
+        assert used_names({**sources, "cli": caller}) == {("grids", "rescale")}
+    # so is a call from another function of the defining module
+    assert used_names({"grids": sources["grids"] + "\ndef g(x):\n    return rescale(x)\n"}) == {("grids", "rescale")}

@@ -9,7 +9,7 @@ from twoscale import (
     generate_attractor,
     validate_branching,
 )
-from twoscale.ifs import count_words_at_resolution
+from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
 
 
 def test_sampled_subadditivity_path():
@@ -24,11 +24,24 @@ def test_sampled_subadditivity_path():
 
 
 def test_word_and_attractor_caps():
-    # the dyadic word count is an integer recursion and needs no cap
+    # the float word expansion stops at the cap
     nondyadic = SimilarityIFS(1, np.array([0.3, 0.3]), np.array([[0.0], [0.7]]))
     with pytest.raises(CapExceeded):
         count_words_at_resolution(nondyadic, 18.0, cap=1000)
     binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
     with pytest.raises(CapExceeded):
         generate_attractor(binary, None, 18.0, cap=1000)
+
+
+def test_dyadic_word_count_ignores_the_cap():
+    # the integer recursion lists no words, so the cap does not bound it: a full
+    # binary system counts 2^u words, above the default cap from u = 21 on
+    binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
+    assert count_words_at_resolution(binary, 18.0, cap=1000) == 1 << 18
+    assert count_words_at_resolution(binary, 21.0) == 1 << 21 > DEFAULT_WORD_CAP
+    # the same family with a float ratio is expanded, and the cap stops it
+    nearly = SimilarityIFS(1, np.array([0.5, 0.5 - 1e-6]), np.array([[0.0], [0.5]]))
+    assert count_words_at_resolution(nearly, 10.0) == 1 << 10
+    with pytest.raises(CapExceeded):
+        count_words_at_resolution(nearly, 10.0, cap=1000)
 
