@@ -121,14 +121,14 @@ class DyadicTree:
 
         Bit d i + q of a code is bit i of coordinate q.  Each gather from
         ``_digit_table`` decodes 12 // d digits, or, when d > 12, 12 axes of
-        one digit; the bits it takes beyond the last axis fall outside ``out``.
+        one digit; the columns it decodes past the last axis are dropped.
         """
         codes, d = self.levels[level], self.dimension
-        rows, width = max(1, 12 // d), min(d, 12)
+        digits, axes = max(1, 12 // d), min(d, 12)
         out = np.zeros((codes.size, d), dtype=np.int64)
-        for i, q in itertools.product(range(0, level, rows), range(0, d, width)):
-            digits = (codes >> d * i + q) & ((1 << rows * width) - 1)
-            out[:, q:q + width] |= _digit_table(rows, width).take(digits, axis=0)[:, :d - q] << i
+        for i, q in itertools.product(range(0, level, digits), range(0, d, axes)):
+            run = (codes >> d * i + q) & ((1 << digits * axes) - 1)
+            out[:, q:q + axes] |= _digit_table(digits, axes).take(run, axis=0)[:, :d - q] << i
         return out
 
     def cells_at_level(self, level: int) -> np.ndarray:
@@ -138,11 +138,11 @@ class DyadicTree:
 
 
 @functools.cache
-def _digit_table(rows: int, width: int) -> np.ndarray:
-    """Coordinates (2^(rows width), width) of every run of ``rows`` digits of
-    ``width`` bits, whose bit r width + q is bit r of coordinate q."""
-    bits = (np.arange(1 << rows * width)[:, None] >> np.arange(rows * width)) & 1
-    table = (bits.reshape(-1, rows, width) << np.arange(rows)[:, None]).sum(axis=1)
+def _digit_table(digits: int, axes: int) -> np.ndarray:
+    """Coordinates (2^(digits axes), axes) of every run of ``digits`` digits of
+    ``axes`` bits, whose bit r axes + q is bit r of coordinate q."""
+    bits = (np.arange(1 << digits * axes)[:, None] >> np.arange(digits * axes)) & 1
+    table = (bits.reshape(-1, digits, axes) << np.arange(digits)[:, None]).sum(axis=1)
     # cached and shared by every call, so none may write to it
     table.flags.writeable = False
     return table
