@@ -135,12 +135,15 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     smallest s with D2 <= 4^s is binned per center, and the cumulative bins
     count every radius at once.  D2 is exact in int64 only while
     d (2^level - 1)^2 fits, and in d = 1 the reach c + 2^level only up to
-    ``MAX_CELL_LEVEL``, so deeper levels raise ``ValueError``.
+    ``MAX_CELL_LEVEL``, so deeper levels raise ``ValueError``; so do cells
+    outside the cube, such as a composite set's, whose D2 would wrap int64.
 
-    The largest D2, d (2^level - 1)^2, picks the narrowest exact arithmetic:
-    int32 below 2^31, else int64.  Below 2^53 a double holds D2 - 1/2, and
-    the exponent ``np.frexp`` gives it is bit_length(max(D2 - 1, 0)), so the
-    bin is (that + 1) // 2; above, ``np.searchsorted`` finds it among the 4^s.
+    D2 is at most the squared sum of the cells' spans along the axes.  While
+    that bound is below 2^31 the pairs are measured in int32, where a double
+    holds D2 - 1/2 exactly: the exponent ``np.frexp`` gives it is
+    bit_length(max(D2 - 1, 0)), so the bin is (that + 1) // 2.  Otherwise
+    they are measured in int64 and ``np.searchsorted`` finds the bin among
+    the 4^s.
     """
     stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
     centers = cells[::stride]
@@ -153,14 +156,19 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
             (np.searchsorted(flat, c + r, side="right") - np.searchsorted(flat, c - r - 1, side="left")).max()
             for r in (1 << s for s in range(level + 1))
         ])
-    reach = d * ((1 << level) - 1) ** 2
-    dtype = np.int32 if reach < 1 << 31 else np.int64
+    low = cells.min(axis=0)
+    reach = sum(int(x) ** 2 for x in cells.max(axis=0) - low)
+    if reach >= 1 << 63:
+        raise ValueError(f"ball counts of cells this far apart wrap int64 at level {level}")
+    narrow = reach < 1 << 31
+    dtype = np.int32 if narrow else np.int64
     sign = 8 * np.dtype(dtype).itemsize - 1
-    axes = np.ascontiguousarray(cells.T, dtype=dtype)
-    centers = centers.astype(dtype)
-    pow4 = None if reach < 1 << 53 else 4 ** np.arange(level + 1, dtype=np.int64)
-    # one bin per radius, a last one for the cells beyond every radius, and in
-    # d > 4 room for the bins past it that the largest D2 reaches
+    # gaps are differences, so the cells are measured from their lowest corner
+    axes = np.ascontiguousarray((cells - low).T, dtype=dtype)
+    centers = (centers - low).astype(dtype)
+    pow4 = 4 ** np.arange(level + 1, dtype=np.int64)
+    # one bin per radius, a last one for the cells beyond every radius, and
+    # room for the bins past it that the largest D2 reaches in int32
     width = max(level + 2, (max(reach - 1, 0).bit_length() + 3) // 2)
     best = np.zeros(level + 1, dtype=np.int64)
     chunk = max(1, BALL_PAIRS // cells.shape[0])
@@ -176,7 +184,7 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
                 d2 += gap
             else:
                 d2 = gap
-        if pow4 is None:
+        if narrow:
             s = np.frexp(d2 - 0.5)[1]
             s += 1
             s >>= 1

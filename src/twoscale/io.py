@@ -542,13 +542,16 @@ def tree_to_text(tree: DyadicTree) -> str:
 def tree_from_text(text: str, dimension: int) -> list[tuple[int, DyadicTree]]:
     """The ``(b, DyadicTree)`` parts of a tree file in the form ``synth`` writes:
     a ``# part b`` header per part, each followed by its tree's ``tree_to_text``
-    lines.  An address must have one base-2^d digit per level."""
+    lines.  Offsets b are nonnegative, every part has a level header, and an
+    address has one base-2^d digit per level."""
     if not 1 <= dimension <= 3:
         raise ValueError("tree files use single-digit children (d <= 3)")
     parts: list[tuple[int, list]] = []
     for ln in filter(None, map(str.strip, text.splitlines())):
         if ln.startswith("# part"):
             parts.append((int(ln[len("# part"):]), []))
+            if parts[-1][0] < 0:
+                raise ValueError(f"negative part offset in {ln!r}")
             continue
         if not parts:
             raise ValueError("tree file must start with a # part header")
@@ -562,6 +565,8 @@ def tree_from_text(text: str, dimension: int) -> list[tuple[int, DyadicTree]]:
             if (ln != "-") if n == 0 else (not ln.isdigit() or len(ln) != n):
                 raise ValueError(f"bad address {ln!r} at level {n}")
             levels[-1].append(int(ln, 1 << dimension) if n else 0)
+    if any(not levels for _, levels in parts):
+        raise ValueError("part without a level header")
     return [(b, DyadicTree(dimension, len(levels) - 1, [np.array(sorted(c), dtype=np.int64) for c in levels]))
             for b, levels in parts]
 

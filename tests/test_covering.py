@@ -177,11 +177,10 @@ def probe_gaps(d, level):
             yield [side, side, 1] + pad[1:]
 
 
-# the int32/int64 and frexp/searchsorted boundaries of the d >= 2 ball count
-# lie at d (2^level - 1)^2 = 2^31 and 2^53: d = 2 switches after levels 15 and
-# 26, d = 3 after 14 and 25; the last level of each is the deepest exact one
-@pytest.mark.parametrize("d, level", [(2, 15), (2, 16), (2, 26), (2, 27), (2, 31),
-                                      (3, 14), (3, 15), (3, 16), (3, 25), (3, 26), (3, 30)])
+# the d >= 2 ball count switches from int32 to int64 where the squared span
+# sum reaches 2^31: opposite corners of the cube do so after level 15 in d = 2
+# and after 14 in d = 3; the last level of each is the deepest exact one
+@pytest.mark.parametrize("d, level", [(2, 15), (2, 16), (2, 31), (3, 14), (3, 15), (3, 16), (3, 30)])
 def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level):
     top = (1 << level) - 1
     for gaps in probe_gaps(d, level):
@@ -197,6 +196,35 @@ def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level)
     counts = covering._max_ball_count(corners, level)
     assert counts.tolist() == [exact_ball_count(corners, level, level - s) for s in range(level + 1)]
     assert counts.tolist() == [1] * (level + 1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_count_of_a_composite_set_matches_exact_ball_oracle(d):
+    # the parts sit at 4 * 2^-b along axis 0, so the cells leave the cube
+    comp = synthesize_set(cone_extension(plateau_curve(0.8, 0.5), GridSpec(8.0, 1.0)), d, 8)
+    for level in range(9):
+        cells = comp.cells_at_level(level)
+        counts = covering._max_ball_count(cells, level)
+        assert counts.tolist() == [exact_ball_count(cells, level, level - s) for s in range(level + 1)]
+    grid = empirical_branching(comp, GridSpec(8.0, 1.0)).grid
+    assert grid.values[8, 0] == np.log2(exact_ball_count(comp.cells_at_level(8), 8, 0))
+
+
+@pytest.mark.parametrize("a, b", [(46340, 296), (46340, 297), (45000, 45000)])
+def test_ball_count_is_exact_on_both_sides_of_a_squared_span_sum_of_2_31(a, b):
+    # 46340^2 + 296^2 < 2^31 <= 46340^2 + 297^2; 2 * 45000^2 lies nearer 2^32, where
+    # int32 would wrap to a smaller bin.  The cells sit off the cube along axis 0.
+    level = 16
+    cells = np.array([[0, 0], [a, 0], [0, b], [a, b], [a // 2, b // 2]], dtype=np.int64)
+    cells[:, 0] += 4 << level
+    counts = covering._max_ball_count(cells, level)
+    assert counts.tolist() == [exact_ball_count(cells, level, level - s) for s in range(level + 1)]
+
+
+def test_ball_count_rejects_cells_whose_squared_gaps_wrap_int64():
+    far = np.array([[0, 0], [5 << 30, 0]], dtype=np.int64)
+    with pytest.raises(ValueError, match="wrap int64 at level 30"):
+        covering._max_ball_count(far, 30)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,9 @@ def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d
     ("# part 0\n# level 0\n-\n# level 1\n+1\n", "bad address"),
     ("# part 0\n# level 0\n-\n# level 1\n2\n", "invalid literal"),
     ("# part x\n", "invalid literal"),
+    ("# part -1\n# level 0\n-\n", "negative part offset"),
+    ("# part 0\n", "without a level header"),
+    ("# part 0\n# part 1\n# level 0\n-\n", "without a level header"),
 ])
 def test_tree_file_reader_rejects_malformed_files(text, message):
     with pytest.raises(ValueError, match=message):
