@@ -156,16 +156,14 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
             (np.searchsorted(flat, c + r, side="right") - np.searchsorted(flat, c - r - 1, side="left")).max()
             for r in (1 << s for s in range(level + 1))
         ])
-    low = cells.min(axis=0)
-    reach = sum(int(x) ** 2 for x in cells.max(axis=0) - low)
+    reach = sum(int(x) ** 2 for x in cells.max(axis=0) - cells.min(axis=0))
     if reach >= 1 << 63:
         raise ValueError(f"ball counts of cells this far apart wrap int64 at level {level}")
     narrow = reach < 1 << 31
     dtype = np.int32 if narrow else np.int64
     sign = 8 * np.dtype(dtype).itemsize - 1
-    # gaps are differences, so the cells are measured from their lowest corner
-    axes = np.ascontiguousarray((cells - low).T, dtype=dtype)
-    centers = (centers - low).astype(dtype)
+    axes = np.ascontiguousarray(cells.T, dtype=dtype)
+    centers = centers.astype(dtype)
     pow4 = 4 ** np.arange(level + 1, dtype=np.int64)
     # one bin per radius, a last one for the cells beyond every radius, and
     # room for the bins past it that the largest D2 reaches in int32
