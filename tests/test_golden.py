@@ -1,8 +1,9 @@
-"""Golden digests of the CLI outputs for the README commands.
+"""Golden digests and stdout of the CLI commands for the README commands.
 
-Each output file must hash to its entry in ``golden_digests.json``, so a
-refactor that changes any output byte fails here.  The ``verify all`` report
-digest is checked in ``test_acceptance.py`` from the criterion runs made there.
+Each output file must hash to its entry in ``golden_digests.json``, and each
+command must print exactly its pinned stdout, so a refactor that changes any
+output byte fails here.  The ``verify all`` report digest is checked in
+``test_acceptance.py`` from the criterion runs made there.
 """
 
 import hashlib
@@ -33,39 +34,57 @@ def expected(golden: dict, run: str) -> dict:
     return {k: v for k, v in golden.items() if k.startswith(run + "/")}
 
 
-def test_readme_synth_estimate_outputs(tmp_path, golden):
+def test_readme_synth_estimate_outputs(tmp_path, golden, capsys):
     synth, est = tmp_path / "synth", tmp_path / "est"
     assert main(["synth", "h_kappa_lambda:0.8,0.5", "-d", "1", "--depth", "20",
                  "--out", str(synth)]) == 0
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, tree.txt, metadata.json\n"
     assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                  "--u-max", "16", "--u-min", "8", "--out", str(est)]) == 0
+    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
     assert digests(synth, "synth") == expected(golden, "synth")
     assert digests(est, "estimate") == expected(golden, "estimate")
 
 
-def test_d2_synth_estimate_outputs(tmp_path, golden):
+def test_d2_synth_estimate_outputs(tmp_path, golden, capsys):
     # d >= 2 ball counts and the whole-set profile of a d = 2 sample
     synth, est = tmp_path / "synth_d2", tmp_path / "estimate_d2"
     assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12",
                  "--out", str(synth)]) == 0
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, tree.txt, metadata.json\n"
     assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                  "--u-max", "10", "--u-min", "5", "--out", str(est)]) == 0
+    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
     assert digests(synth, "synth_d2") == expected(golden, "synth_d2")
     assert digests(est, "estimate_d2") == expected(golden, "estimate_d2")
 
 
-def attractor_digests(tmp_path, spec: dict, run: str) -> dict:
+def attractor_digests(tmp_path, capsys, spec: dict, run: str) -> dict:
     path = tmp_path / f"{run}.json"
     path.write_text(json.dumps(spec))
     out = tmp_path / run
     assert main(["attractor", str(path), "--depth", "12", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}/attractor_points.csv, attractor_info.json\n"
     return digests(out, run)
 
 
-def test_two_map_attractor_outputs(tmp_path, golden):
-    assert attractor_digests(tmp_path, TWO_MAP_SPEC, "attractor") == expected(golden, "attractor")
+def test_two_map_attractor_outputs(tmp_path, golden, capsys):
+    assert attractor_digests(tmp_path, capsys, TWO_MAP_SPEC, "attractor") == expected(golden, "attractor")
 
 
-def test_three_map_d2_float_attractor_outputs(tmp_path, golden):
+def test_three_map_d2_float_attractor_outputs(tmp_path, golden, capsys):
     run = "attractor_d2"
-    assert attractor_digests(tmp_path, THREE_MAP_D2_SPEC, run) == expected(golden, run)
+    assert attractor_digests(tmp_path, capsys, THREE_MAP_D2_SPEC, run) == expected(golden, run)
+
+
+def test_verify_out_prints_its_criteria_and_no_wrote_line(tmp_path, capsys):
+    out = tmp_path / "verify"
+    assert main(["verify", "attain", "--seed", "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == (
+        "criterion  4 [PASS] attainability envelope: worst_margin=-4, witness_u=0, witness_v=0, "
+        "fitted_c1_at_c2_2=0, max_raw_deviation=2.995\n"
+        "criterion  5 [FAIL] spectrum recovery: sup_deviation=1.785, witness_theta=0.9375, "
+        "endpoint_gap=1.785, tolerance=0.1, window=[15, 19]\n"
+        "criterion 11 [PASS] empirical membership: grids_checked=1, failures=0\n"
+    )
+    assert [p.name for p in out.iterdir()] == ["verify_report.json"]
