@@ -41,10 +41,9 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
     return tsio.grid_from_csv(Path(spec_arg).read_text())
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> tuple[int, dict]:
     if args.dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {args.dimension}")
-    out = Path(args.out)
     grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
     grid = _load_target_grid(args.psi_spec, grid_spec)
     report = validate_branching(grid, args.dimension, tol=args.grid_step * args.dimension)
@@ -52,27 +51,16 @@ def cmd_synth(args) -> int:
         print(f"error: target grid fails the branching axioms: {report.summary()}", file=sys.stderr)
         for v in report.violations[:10]:
             print(f"  {v.prop} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
-        return EXIT_USER
+        return EXIT_USER, {}
     composite = synthesize_set(grid, args.dimension, args.depth)
     points = export_points(composite, args.depth)
-    trees = "\n".join(
-        f"# part {b}\n{tsio.tree_to_text(tree)}" for b, tree in composite.parts
-    )
-    tsio.atomic_write(out / "points.csv", tsio.points_to_csv(points))
-    tsio.atomic_write(out / "tree.txt", trees)
-    tsio.write_set_metadata(
-        out / "metadata.json",
-        args.dimension,
-        args.depth,
-        points.rescale_exponent,
-        {"parts": len(composite.parts)},
-    )
-    print(f"wrote {out}/points.csv, tree.txt, metadata.json")
-    return EXIT_OK
+    trees = "\n".join(f"# part {b}\n{tsio.tree_to_text(tree)}" for b, tree in composite.parts)
+    meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent,
+            "parts": len(composite.parts)}
+    return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "tree.txt": trees, "metadata.json": meta}
 
 
-def cmd_estimate(args) -> int:
-    out = Path(args.out)
+def cmd_estimate(args) -> tuple[int, dict]:
     meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
     depth = meta.get("depth", args.depth)
     pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
@@ -89,9 +77,6 @@ def cmd_estimate(args) -> int:
     curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
     lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
     profile = PiecewiseLinear.from_samples(us, gs)
-    tsio.atomic_write(out / "beta_emp.csv", tsio.grid_to_csv(coverage.grid))
-    tsio.atomic_write(out / "g_profile.csv", tsio.profile_to_csv(profile))
-    tsio.atomic_write(out / "spectrum.csv", tsio.curve_to_csv(curve))
     box = {
         "lower_box": lo,
         "upper_box": hi,
@@ -100,13 +85,15 @@ def cmd_estimate(args) -> int:
         "membership": coverage.membership.summary(),
         "rescale_exponent": meta.get("rescale_exponent", 0),
     }
-    tsio.atomic_write(out / "box_dims.json", json.dumps(box, sort_keys=True) + "\n")
-    print(f"wrote {out}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json")
-    return EXIT_OK
+    return EXIT_OK, {
+        "beta_emp.csv": tsio.grid_to_csv(coverage.grid),
+        "g_profile.csv": tsio.profile_to_csv(profile),
+        "spectrum.csv": tsio.curve_to_csv(curve),
+        "box_dims.json": box,
+    }
 
 
-def cmd_attractor(args) -> int:
-    out = Path(args.out)
+def cmd_attractor(args) -> tuple[int, dict]:
     ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
     sample = generate_attractor(ifs, None, args.depth)
     info = {
@@ -117,13 +104,10 @@ def cmd_attractor(args) -> int:
         "depth": args.depth,
     }
     info.update(sample.metadata)
-    tsio.atomic_write(out / "attractor_points.csv", tsio.float_points_to_csv(sample.points))
-    tsio.atomic_write(out / "attractor_info.json", json.dumps(info, sort_keys=True) + "\n")
-    print(f"wrote {out}/attractor_points.csv, attractor_info.json")
-    return EXIT_OK
+    return EXIT_OK, {"attractor_points.csv": tsio.float_points_to_csv(sample.points), "attractor_info.json": info}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     results = run_suite(args.suite, args.seed)
@@ -136,13 +120,13 @@ def cmd_verify(args) -> int:
             for r in results
         ],
     }
+    code = EXIT_OK if payload["all_passed"] else EXIT_CRITERIA
     for r in results:
         print(r.line())
     if args.out:
-        tsio.atomic_write(Path(args.out) / "verify_report.json", json.dumps(payload, sort_keys=True, default=float) + "\n")
-    else:
-        print(json.dumps(payload, sort_keys=True, default=float))
-    return EXIT_OK if payload["all_passed"] else EXIT_CRITERIA
+        return code, {"verify_report.json": payload}
+    print(json.dumps(payload, sort_keys=True, default=float))
+    return code, {}
 
 
 _OPTIONS = {
@@ -189,7 +173,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, files = args.fn(args)
+        if files:
+            tsio.write_outputs(Path(args.out), files)
+            if args.command != "verify":  # verify's stdout is its criterion lines
+                print(f"wrote {Path(args.out)}/{', '.join(files)}")
+        return code
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

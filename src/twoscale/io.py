@@ -1,7 +1,7 @@
 """File formats: grid/profile/curve CSVs, point lists (integer and float), tree files, IFS specs.
 
-All writers go through an atomic temp-file rename so partial outputs never
-land under the target name.
+The writers format text; only ``write_outputs`` touches the disk, and it
+lands a command's files in its output directory all together or not at all.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import shutil
 import tempfile
 from itertools import repeat
 from pathlib import Path
@@ -50,6 +51,32 @@ def atomic_write(path, text: str | bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_outputs(out, files: dict) -> None:
+    """Write ``files``, {name: str | bytes | dict (as sorted-key JSON)}, into ``out``: all or none.
+
+    Every file is staged in a private directory inside ``out``, then moved into
+    place with the mode a plain write under the umask gives.  A target that is a
+    directory is refused first; on any failure the staging directory is removed.
+    """
+    out = Path(out)
+    for name in files:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"cannot write {out / name}: it is a directory")
+    out.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(dir=out, prefix=".staging-"))
+    umask = os.umask(0o022)
+    os.umask(umask)
+    try:
+        for name, body in files.items():
+            text = json.dumps(body, sort_keys=True, default=float) + "\n" if isinstance(body, dict) else body
+            atomic_write(staging / name, text)
+            os.chmod(staging / name, 0o666 & ~umask)
+        for name in files:
+            os.replace(staging / name, out / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -505,12 +532,6 @@ def read_set_metadata(text: str) -> dict:
     if "depth" in meta and type(meta["depth"]) is not int:
         raise ValueError(f"metadata depth must be an integer, got {meta['depth']!r}")
     return meta
-
-
-def write_set_metadata(path, d: int, depth: int, rescale_exponent: int, extra: dict | None = None) -> None:
-    payload = {"d": d, "depth": depth, "rescale_exponent": rescale_exponent}
-    payload.update(extra or {})
-    atomic_write(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
