@@ -24,6 +24,8 @@ DEFAULT_CUBE_CAP = 2_500_000
 # [0, 5]^d; exports divide by 8 to land in the unit cube.
 PART_OFFSET_NUM = 4
 EXPORT_RESCALE_EXP = 3
+# Exported numerators reach 5 * 2^depth, which int64 holds up to depth 60.
+MAX_DEPTH = 60
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +235,15 @@ def synthesize_set(
     (zero below b) is step-quantized and materialized as an anchored
     subdivision tree; parts are translated by 4 * 2^-b along coordinate 0 and
     the origin is adjoined.  Requires the grid's slope bound to stay within
-    ``dimension`` and depth <= u_max.
+    ``dimension`` and depth <= min(u_max, MAX_DEPTH).
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
     if depth < 1 or depth > grid.spec.u_max + EXACT_TOL:
         raise ValueError("depth must lie within the grid's scale range")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
+                         f"exported numerators reach 5 * 2^depth, beyond 64-bit integers")
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
         raise ValueError(
@@ -306,6 +311,8 @@ def export_points(obj, level: int) -> ExportedPoints:
 
 
 def _sorted_points(nums: np.ndarray, exps: np.ndarray, rescale: int) -> ExportedPoints:
-    floats = nums / np.exp2(exps)[:, None]
-    order = np.lexsort(tuple(floats[:, q] for q in range(floats.shape[1] - 1, -1, -1)))
+    # numerators over the largest exponent, exact in int64: a tree's rows share one
+    # exponent, and a composite's reach 5 * 2^depth with depth <= MAX_DEPTH
+    keys = nums << (exps.max() - exps)[:, None]
+    order = np.lexsort(keys.T[::-1])
     return ExportedPoints(nums[order], exps[order], rescale)

@@ -16,6 +16,7 @@ from twoscale import (
     subdivision_tree,
     synthesize_set,
 )
+from twoscale.synthesis import _sorted_points
 
 
 def constant_slope(slope):
@@ -173,6 +174,22 @@ def test_export_composite_rescales_into_unit_cube():
     assert floats.min() >= 0.0 and floats.max() <= 5.0 / 8.0
     # origin plus one representative per part cube
     assert floats.shape[0] == 1 + sum(tree.levels[6].size for _, tree in comp.parts)
+
+
+@pytest.mark.parametrize("d, height, depth, level", [
+    (1, 0.6, 14, 4), (1, 0.6, 14, 14), (2, 1.45, 12, 3), (3, 2.2, 8, 2),
+])
+def test_export_order_matches_a_float_sort_of_permuted_rows(d, height, depth, level):
+    comp = synthesize_set(cone_extension(plateau_curve(height, 0.5), GridSpec(float(depth), 0.5)), d, depth)
+    pts = export_points(comp, level)
+    perm = np.random.default_rng(level).permutation(pts.exponents.size)
+    nums, exps = pts.numerators[perm], pts.exponents[perm]
+    floats = nums / np.exp2(exps)[:, None]
+    order = np.lexsort(tuple(floats[:, q] for q in range(d - 1, -1, -1)))
+    got = _sorted_points(nums, exps, pts.rescale_exponent)
+    assert np.unique(exps).size > (level < depth)
+    np.testing.assert_array_equal(got.numerators, nums[order])
+    np.testing.assert_array_equal(got.exponents, exps[order])
 
 
 def test_export_level_beyond_depth_errors():
