@@ -3,8 +3,10 @@
 Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
-numbers, negative verify seeds and dimensions below 1 are user errors (exit 2);
-a lattice too large to allocate is a resource failure (exit 3).  None of them may end in a traceback.
+numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
+60 and outputs that cannot be written are user errors (exit 2); a lattice
+too large to allocate is a resource failure (exit 3).  None of them may end
+in a traceback, and a failing command leaves ``--out`` as it was.
 """
 
 import contextlib
@@ -36,6 +38,9 @@ def run(argv):
     (["--grid-step", "nan"], EXIT_USER, "positive and finite"),
     (["-d", "0"], EXIT_USER, "dimension must be at least 1"),
     (["-d", "-1"], EXIT_USER, "dimension must be at least 1"),
+    # exported numerators reach 5 * 2^depth
+    (["--depth", "61"], EXIT_USER, "depth must be at most 60"),
+    (["--depth", "62"], EXIT_USER, "depth must be at most 60"),
     # a (4e8 + 1)^2 float table, 1.1 EiB: more than any address space maps
     (["--u-max", "1e8"], EXIT_CAP, "out of memory"),
     # tables numpy refuses to describe at all
@@ -49,6 +54,17 @@ def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, co
     got, line = run(argv)
     assert got == code and message in line
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_depth_bound_is_where_exported_numerators_overflow(tmp_path):
+    # a low plateau stays under the cube cap, so depth 61 used to reach the export
+    argv = ["synth", "h_kappa_lambda:0.05,0.5", "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--depth", "60"]) == 0
+    assert (tmp_path / "out" / "points.csv").read_text().endswith(",63\n")  # depth 60 plus the rescale
+    got, line = run([*argv[:-1], str(tmp_path / "deep"), "--depth", "61"])
+    assert got == EXIT_USER and "depth must be at most 60" in line
+    assert not (tmp_path / "deep").exists()
 
 
 def test_lattice_bound_is_where_numpy_refuses_the_table():
@@ -80,6 +96,32 @@ def test_verify_rejects_a_negative_seed_for_every_suite(tmp_path, suite):
     got, line = run(["verify", suite, "--seed", "-1", "--out", str(tmp_path / "out")])
     assert got == EXIT_USER and line == "error: --seed must be nonnegative, got -1"
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_refuses_an_output_that_is_a_directory_and_writes_nothing(tmp_path):
+    out = tmp_path / "o"
+    (out / "tree.txt").mkdir(parents=True)
+    got, line = run(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "8", "--out", str(out)])
+    assert got == EXIT_USER and line == f"error: cannot write {out}/tree.txt: it is a directory"
+    assert [p.name for p in out.iterdir()] == ["tree.txt"]
+
+
+def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path):
+    (tmp_path / "points.csv").write_text(POINTS)
+    out = tmp_path / "out"
+    argv = ["estimate", str(tmp_path / "points.csv"), "--depth", "4", "--u-min", "1", "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--u-max", "4"]) == 0
+    (out / "spectrum.csv").unlink()
+    (out / "spectrum.csv").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    # a shallower window: every file it would write differs from the earlier one
+    got, line = run(argv + ["--u-max", "3"])
+    assert got == EXIT_USER and "spectrum.csv" in line
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, "spectrum.csv"])
+
+
 @pytest.mark.parametrize("options, code, message", [
     (["--u-max", "inf"], EXIT_USER, "positive and finite"),
     (["--u-max", "nan"], EXIT_USER, "positive and finite"),

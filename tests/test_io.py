@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 from fractions import Fraction
 
@@ -160,6 +162,19 @@ def test_atomic_write_replaces_whole_file(tmp_path):
     tsio.atomic_write(target, b"three\n")
     assert target.read_bytes() == b"three\n"
     assert [p.name for p in target.parent.iterdir()] == ["file.txt"]
+
+
+def test_write_outputs_formats_dicts_as_json_and_uses_the_umask_mode(tmp_path):
+    out = tmp_path / "out"
+    old = os.umask(0o027)
+    try:
+        tsio.write_outputs(out, {"a.csv": "x\n", "b.bin": b"y", "c.json": {"k": 1.5, "a": [1]}})
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.bin", "c.json"]
+    assert (out / "c.json").read_text() == '{"a": [1], "k": 1.5}\n'
+    for p in out.iterdir():
+        assert stat.S_IMODE(os.stat(p).st_mode) == 0o640
 
 
 def test_points_from_csv_exponent_range():
