@@ -58,11 +58,11 @@ def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, co
 
 def test_synth_depth_bound_is_where_exported_numerators_overflow(tmp_path):
     # a low plateau stays under the cube cap, so depth 61 used to reach the export
-    argv = ["synth", "h_kappa_lambda:0.05,0.5", "--out", str(tmp_path / "out")]
+    argv = ["synth", "h_kappa_lambda:0.05,0.5", "--out"]
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--depth", "60"]) == 0
+        assert main(argv + [str(tmp_path / "out"), "--depth", "60"]) == 0
     assert (tmp_path / "out" / "points.csv").read_text().endswith(",63\n")  # depth 60 plus the rescale
-    got, line = run([*argv[:-1], str(tmp_path / "deep"), "--depth", "61"])
+    got, line = run(argv + [str(tmp_path / "deep"), "--depth", "61"])
     assert got == EXIT_USER and "depth must be at most 60" in line
     assert not (tmp_path / "deep").exists()
 
