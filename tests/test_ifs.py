@@ -17,7 +17,7 @@ from twoscale import (
     monotone_envelope,
 )
 from twoscale.grids import EXACT_TOL, CapExceeded
-from twoscale.ifs import count_words_at_resolution
+from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
 from twoscale.synthesis import DyadicTree
 
 
@@ -130,6 +130,27 @@ def test_word_counting_matches_enumeration():
         assert count_words_at_resolution(ifs, u) == len(words_at_resolution(ifs, u))
     nondyadic = SimilarityIFS(1, np.array([0.3, 0.3]), np.array([[0.0], [0.7]]))
     assert count_words_at_resolution(nondyadic, 3.0) == len(words_at_resolution(nondyadic, 3.0))
+
+
+def test_near_dyadic_weights_count_as_their_integers():
+    # weight 1 - 2.9e-10 is snapped to 1, so the family is that of the weights
+    # {1, 2}: a Fibonacci number.  Unsnapped, a run of 24 first maps would sum
+    # to 24 - 6.9e-9 and miss u = 24 by more than EXACT_TOL.
+    near = SimilarityIFS(1, np.array([0.5000000001, 0.25]), np.array([[0.0], [0.75]]))
+    dyadic = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
+    for u, fib in ((8.0, 55), (12.5, 610), (24.0, 121_393)):
+        assert count_words_at_resolution(near, u) == count_words_at_resolution(dyadic, u) == fib
+
+
+def test_dyadic_family_counts_are_exact_and_uncapped():
+    assert count_words_at_resolution(binary_full(), 22.0) == 4_194_304 > DEFAULT_WORD_CAP
+    assert count_words_at_resolution(binary_full(), 100.0) == 2**100
+
+
+def test_third_family_count():
+    # the attractor-third system: twelve levels of weight log2(3) reach u = 18
+    third = SimilarityIFS(1, np.full(3, 1.0 / 3.0), np.array([[0.0], [1.0 / 3.0], [2.0 / 3.0]]))
+    assert count_words_at_resolution(third, 18.0) == 3**12 == 531_441
 
 
 def test_critical_exponent_closed_forms():
