@@ -10,6 +10,7 @@ expansion down to a scale cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 import numpy as np
 
 from .covering import CoverageGrid, PointSet, empirical_branching
@@ -91,54 +92,43 @@ class SimilarityIFS:
 # Resolution families
 # ---------------------------------------------------------------------------
 
-def _integer_weights(ifs: SimilarityIFS) -> np.ndarray | None:
-    w = ifs.weights
-    k = np.rint(w)
-    return k.astype(np.int64) if np.all(np.abs(w - k) < 1e-9) and np.all(k >= 1) else None
-
-
 def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_WORD_CAP) -> int:
-    """Size of the resolution family, counted without listing its words.
+    """Size of the resolution family, counted by weight without listing its words.
 
     The family holds every word whose weight reaches ``u`` while its parent's
     stays below; every sufficiently long word has exactly one such prefix.
-    For dyadic ratios the weights are integers and word counts by weight obey
-    c[j] = sum_i c[j - k_i], an exact integer recursion.  Otherwise the words
-    are expanded level by level as an array of weights only: each level adds
-    every map's weight to every frontier weight, counts the children that
-    reach ``u`` and keeps the rest as the next frontier.  Each word's weight
-    is summed map by map, from the empty word outward, and the expansion
-    raises ``CapExceeded`` once the counted plus frontier words exceed ``cap``.
-    ``cap`` bounds only that float expansion: the integer recursion lists no
-    words, so it counts families of any size (a full binary system has
-    2,097,152 words at u = 21, above the default cap).
+    Words are expanded level by level as a frontier {weight: number of words}:
+    each level adds every map's weight to every frontier weight, counts the
+    children that reach ``u`` and groups the rest by weight.  Weights are
+    summed map by map from the empty word outward, so words of bitwise-equal
+    weight have bitwise-equal children and grouping them changes no count.
+    Weights within 1e-9 of integers >= 1 (dyadic ratios) are snapped to them;
+    such families are exact at any size and ``cap`` does not bound them (a
+    full binary system has 4,194,304 words at u = 22).  Otherwise the
+    expansion raises ``CapExceeded`` once the counted plus frontier words
+    exceed ``cap``, which also ends it if a map weight is below float
+    resolution at ``u``.
     """
-    if u <= 0:
+    if u <= EXACT_TOL:
         raise ValueError("resolution must be positive")
-    ks = _integer_weights(ifs)
-    if ks is None:
-        w = ifs.weights
-        total = 0
-        rho = np.zeros(1)
-        while rho.size:
-            crho = (rho[:, None] + w[None, :]).ravel()
-            done = crho >= u - EXACT_TOL
-            total += int(np.count_nonzero(done))
-            rho = crho[~done]
-            if total + rho.size > cap:
-                raise CapExceeded(f"resolution family exceeds {cap} words")
-        return total
-    top = int(np.ceil(u - 1e-9))
-    counts = [0] * top
-    if top > 0:
-        counts[0] = 1  # empty word
-    total = 0
-    for j in range(top):
-        if j > 0:
-            counts[j] = sum(counts[j - k] for k in ks if k <= j)
-        c = counts[j]
-        if c:
-            total += c * int(np.sum(j + ks >= u - 1e-9))
+    w = ifs.weights
+    k = np.rint(w)
+    dyadic = bool(np.all(np.abs(w - k) < 1e-9) and np.all(k >= 1))
+    steps = (k if dyadic else w).tolist()
+    reach = u - EXACT_TOL
+    total, frontier = 0, {0.0: 1}
+    while frontier:
+        children: dict[float, int] = {}
+        for rho, n in frontier.items():
+            for step in steps:
+                child = rho + step
+                if child >= reach:
+                    total += n
+                else:
+                    children[child] = children.get(child, 0) + n
+        frontier = children
+        if not dyadic and total + sum(frontier.values()) > cap:
+            raise CapExceeded(f"resolution family exceeds {cap} words")
     return total
 
 
@@ -156,8 +146,7 @@ def critical_exponent(
     agree in the limit, with a gap shrinking in the resolution.
     """
     if method == "counting":
-        n = count_words_at_resolution(ifs, resolution, cap)
-        return float(np.log2(n) / resolution)
+        return math.log2(count_words_at_resolution(ifs, resolution, cap)) / resolution
     if method != "moran":
         raise ValueError(f"unknown method {method!r}")
     r = ifs.ratios

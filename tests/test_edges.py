@@ -34,12 +34,12 @@ def test_word_and_attractor_caps():
 
 
 def test_dyadic_word_count_ignores_the_cap():
-    # the integer recursion lists no words, so the cap does not bound it: a full
-    # binary system counts 2^u words, above the default cap from u = 21 on
+    # dyadic weights are snapped to integers and their families are not capped:
+    # a full binary system counts 2^u words, above the default cap from u = 21 on
     binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
     assert count_words_at_resolution(binary, 18.0, cap=1000) == 1 << 18
     assert count_words_at_resolution(binary, 21.0) == 1 << 21 > DEFAULT_WORD_CAP
-    # the same family with a float ratio is expanded, and the cap stops it
+    # the same family with a float ratio is capped
     nearly = SimilarityIFS(1, np.array([0.5, 0.5 - 1e-6]), np.array([[0.0], [0.5]]))
     assert count_words_at_resolution(nearly, 10.0) == 1 << 10
     with pytest.raises(CapExceeded):

@@ -85,7 +85,7 @@ def test_ifs_validation():
 
 def test_log_contraction_examples():
     ifs = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
-    # dyadic ratios give the exact integer weights the counting recursion needs
+    # dyadic ratios give the exact integer weights that family counting snaps to
     assert ifs.weights.tolist() == [1.0, 2.0]
     assert word_weight(ifs, ()) == 0.0
     assert word_weight(ifs, (0, 1)) == 3.0
@@ -151,6 +151,22 @@ def test_third_family_count():
     # the attractor-third system: twelve levels of weight log2(3) reach u = 18
     third = SimilarityIFS(1, np.full(3, 1.0 / 3.0), np.array([[0.0], [1.0 / 3.0], [2.0 / 3.0]]))
     assert count_words_at_resolution(third, 18.0) == 3**12 == 531_441
+
+
+def test_count_words_rejects_resolutions_within_tolerance_of_zero():
+    # a dyadic and a float system agree on both sides of the threshold
+    nondyadic = SimilarityIFS(1, np.array([0.3, 0.3]), np.array([[0.0], [0.7]]))
+    for ifs in (binary_full(), nondyadic):
+        for u in (0.0, 1e-12, EXACT_TOL):
+            with pytest.raises(ValueError, match="resolution must be positive"):
+                count_words_at_resolution(ifs, u)
+        assert count_words_at_resolution(ifs, 2 * EXACT_TOL) == 2
+
+
+def test_counting_exponent_beyond_int64_word_counts():
+    # 2^64 and 2^200 words: the logarithm is taken of the exact integer count
+    for resolution in (63.0, 64.0, 200.0):
+        assert critical_exponent(binary_full(), "counting", resolution=resolution) == 1.0
 
 
 def test_critical_exponent_closed_forms():
