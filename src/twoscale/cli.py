@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 failed verification criteria, 2 user error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -125,7 +124,7 @@ def cmd_verify(args) -> tuple[int, dict]:
         print(r.line())
     if args.out:
         return code, {"verify_report.json": payload}
-    print(json.dumps(payload, sort_keys=True, default=float))
+    print(tsio.json_text(payload), end="")
     return code, {}
 
 

@@ -53,8 +53,13 @@ def atomic_write(path, text: str | bytes) -> None:
         raise
 
 
+def json_text(payload) -> str:
+    """The JSON report format: sorted keys, numpy scalars as floats, one closing newline."""
+    return json.dumps(payload, sort_keys=True, default=float) + "\n"
+
+
 def write_outputs(out, files: dict) -> None:
-    """Write ``files``, {name: str | bytes | dict (as sorted-key JSON)}, into ``out``: all or none.
+    """Write ``files``, {name: str | bytes | dict (as ``json_text``)}, into ``out``: all or none.
 
     Every file is staged in a private directory inside ``out``, then moved into
     place with the mode a plain write under the umask gives.  A target that is a
@@ -70,7 +75,7 @@ def write_outputs(out, files: dict) -> None:
     os.umask(umask)
     try:
         for name, body in files.items():
-            text = json.dumps(body, sort_keys=True, default=float) + "\n" if isinstance(body, dict) else body
+            text = json_text(body) if isinstance(body, dict) else body
             atomic_write(staging / name, text)
             os.chmod(staging / name, 0o666 & ~umask)
         for name in files:

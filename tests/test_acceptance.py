@@ -11,10 +11,10 @@ built from the criterion runs above, against the golden digest.
 """
 
 import hashlib
-import json
 
 import pytest
 
+from twoscale.io import json_text
 from twoscale.verify import CRITERIA, VerifyContext, run_suite
 
 SEED = 0
@@ -123,5 +123,4 @@ def test_verify_all_report_matches_golden_digest(golden):
             for r in results
         ],
     }
-    report = json.dumps(payload, sort_keys=True, default=float) + "\n"
-    assert hashlib.sha256(report.encode()).hexdigest() == golden["verify/verify_report.json"]
+    assert hashlib.sha256(json_text(payload).encode()).hexdigest() == golden["verify/verify_report.json"]
