@@ -134,8 +134,9 @@ def test_word_counting_matches_enumeration():
 
 def test_near_dyadic_weights_count_as_their_integers():
     # weight 1 - 2.9e-10 is snapped to 1, so the family is that of the weights
-    # {1, 2}: a Fibonacci number.  Unsnapped, a run of 24 first maps would sum
-    # to 24 - 6.9e-9 and miss u = 24 by more than EXACT_TOL.
+    # {1, 2}: a Fibonacci number.  Unsnapped, four first maps in a row would
+    # fall 1.2e-9 short of an integer, more than EXACT_TOL, and u = 8 and 24
+    # would count 78 and 196,339 words.
     near = SimilarityIFS(1, np.array([0.5000000001, 0.25]), np.array([[0.0], [0.75]]))
     dyadic = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
     for u, fib in ((8.0, 55), (12.5, 610), (24.0, 121_393)):
