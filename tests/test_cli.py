@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from twoscale import SpectrumGrid, plateau_curve
+from twoscale import io as tsio
 from twoscale.cli import main
 
 
@@ -116,6 +118,30 @@ def test_synth_outputs_are_byte_identical(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     for name in ("points.csv", "tree.txt", "metadata.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("target, options", [
+    ("h_kappa_lambda:0.8,0.5", ["-d", "1", "--depth", "13"]),
+    ("h_kappa_lambda:1.47,0.3", ["-d", "2", "--depth", "10"]),
+    ("h_kappa_lambda:0.7,0.25", ["-d", "1", "--depth", "9", "--grid-step", "0.5"]),
+    ("gamma_inverse", ["-d", "1", "--depth", "11"]),
+])
+def test_synth_default_lattice_writes_what_the_full_lattice_writes(tmp_path, target, options):
+    # synthesis reads the target only up to --depth, so a lattice cut there changes no byte
+    if target == "gamma_inverse":
+        curve = np.maximum(plateau_curve(0.9, 0.2, 1 / 16).values, plateau_curve(0.6, 0.7, 1 / 16).values)
+        (tmp_path / "curve.csv").write_text(tsio.curve_to_csv(SpectrumGrid(1 / 16, curve)))
+        target = f"gamma_inverse:{tmp_path / 'curve.csv'}"
+    default, full = tmp_path / "default", tmp_path / "full"
+    assert main(["synth", target, *options, "--out", str(default)]) == 0
+    assert main(["synth", target, *options, "--u-max", "64", "--out", str(full)]) == 0
+    for name in ("tree.txt", "points.csv", "metadata.json"):
+        assert (default / name).read_bytes() == (full / name).read_bytes()
+
+
+def test_synth_accepts_a_step_that_reaches_past_depth(tmp_path):
+    assert main(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "15", "--grid-step", "2",
+                 "--out", str(tmp_path / "x")]) == 0
 
 
 @pytest.mark.parametrize("row", ["5", "9,3", "-9,3", "1,1024", "1,-1075"])

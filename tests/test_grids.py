@@ -327,3 +327,29 @@ def test_unique_rows_matches_numpy_unique(dtype, d, n, seed):
     got = unique_rows(a)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("widths", [(31, 31), (31, 32), (32, 32), (20, 21, 22), (1, 62)])
+def test_unique_rows_of_nonnegative_columns_near_64_bits(widths):
+    # columns whose bit widths sum to 62, 63 and 64: packed into one key only below 64
+    rng = np.random.default_rng(sum(widths))
+    cols = [rng.integers(0, 1 << w, size=500, dtype=np.int64) for w in widths]
+    a = np.column_stack(cols)
+    a[0] = [(1 << w) - 1 for w in widths]  # each column reaches its full width
+    a[1] = 0
+    a = np.vstack([a, a[::3]])
+    a[-7:, 0] = a[0, 0]  # ties on the leading column
+    expected = np.unique(a, axis=0)
+    got = unique_rows(a)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+def test_unique_rows_of_sorted_one_column_cells():
+    rng = np.random.default_rng(7)
+    cells = np.sort(rng.integers(-(1 << 40), 1 << 40, size=40_000) >> 28)[:, None]
+    assert cells.shape == (40_000, 1) and np.unique(cells[:, 0]).size < 40_000
+    expected = np.unique(cells, axis=0)
+    got = unique_rows(cells)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
