@@ -43,7 +43,11 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
 def cmd_synth(args) -> tuple[int, dict]:
     if args.dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {args.dimension}")
-    grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
+    # synthesis reads the target only up to --depth
+    if args.u_max is None:
+        grid_spec = GridSpec.reaching(float(args.depth), args.grid_step)
+    else:
+        grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
     grid = _load_target_grid(args.psi_spec, grid_spec)
     report = validate_branching(grid, args.dimension, tol=args.grid_step * args.dimension)
     if not report.passed:
@@ -150,7 +154,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("synth", help="materialize a dyadic set realizing a target grid")
     p.add_argument("psi_spec", help="grid CSV, gamma_inverse:<curve.csv>, or h_kappa_lambda:k,l")
     p.add_argument("-d", "--dimension", type=int, default=1)
-    _add_options(p, "--grid-step", "--u-max", "--depth", "--out")
+    _add_options(p, "--grid-step", "--depth", "--out")
+    p.add_argument("--u-max", type=float, default=None)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("estimate", help="covering statistics and spectra of a point sample")

@@ -67,6 +67,20 @@ class GridSpec:
         if n < 1 or abs(n * self.step - self.u_max) > 1e-9 * max(1.0, self.u_max):
             raise ValueError(f"step {self.step} does not divide u_max {self.u_max}")
 
+    @classmethod
+    def reaching(cls, u: float, step: float = 0.25) -> "GridSpec":
+        """The lattice of ``step`` up to its smallest multiple at or above ``u``, at least one step.
+
+        A multiple within the constructor's 1e-9 slack below ``u`` counts as reaching it.
+        """
+        ratio = u / step if 0 < step < np.inf else np.nan
+        if not ratio < np.inf:  # a step, or a lattice, the constructor refuses
+            return cls(u, step)
+        n = round(ratio)
+        if n * step < u - 1e-9 * max(1.0, u):
+            n += 1
+        return cls(max(n, 1) * step, step)
+
     @property
     def n(self) -> int:
         return round(self.u_max / self.step)

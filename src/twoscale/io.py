@@ -176,19 +176,44 @@ def curve_from_csv(text: str) -> SpectrumGrid:
 def points_to_csv(points: ExportedPoints) -> str:
     """Header plus one row per point: numerator and exponent for each coordinate.
 
-    The rows are one ``%`` format per ``ROW_BLOCK`` rows of the interleaved
-    (m, 2d) integer table, so only one block's values are Python ints at a time.
+    The interleaved (m, 2d) integer table is written ``ROW_BLOCK`` rows at a
+    time by ``_int_rows``, so only one block's digits are in memory at once.
     """
     m, d = points.numerators.shape
-    row = ",".join(["%d,%d"] * d) + "\n"
     table = np.empty((m, 2 * d), dtype=np.int64)
     table[:, 0::2] = points.numerators
     table[:, 1::2] = points.exponents[:, None]
-    parts = [_points_header(d) + "\n"]
+    parts = [(_points_header(d) + "\n").encode("ascii")]
     for start in range(0, m, ROW_BLOCK):
-        block = table[start:start + ROW_BLOCK]
-        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+        parts.append(_int_rows(table[start:start + ROW_BLOCK]))
+    return b"".join(parts).decode("ascii")
+
+
+def _int_rows(block: np.ndarray) -> bytes:
+    """``%d`` of every value of an int64 table, joined by ``,`` and ending each row in ``\n``.
+
+    Each column gets a field as wide as its largest magnitude, plus a sign slot
+    if it holds a negative, and its digits are written units first, one
+    ``// 10`` per digit position.  Leading zeros stay NUL, and the NULs are
+    deleted at the end.  Magnitudes are taken as uint64, so -2^63 is exact.
+    """
+    mags = np.abs(block).view(np.uint64)
+    signs = (block < 0).any(axis=0)
+    widths = [len(str(int(top))) for top in mags.max(axis=0)]
+    ends = np.cumsum([int(s) + w + 1 for s, w in zip(signs, widths)])
+    chars = np.zeros((block.shape[0], ends[-1]), dtype=np.uint8)
+    chars[:, ends[:-1] - 1] = ord(",")
+    chars[:, -1] = ord("\n")
+    for c, (end, width) in enumerate(zip(ends, widths)):
+        q = mags[:, c]
+        for pos in range(width):
+            rest = q // 10
+            digit = (q - rest * 10).astype(np.uint8) + ord("0")
+            chars[:, end - 2 - pos] = digit if pos == 0 else np.where(q != 0, digit, 0)
+            q = rest
+        if signs[c]:
+            chars[:, end - 2 - width] = np.where(block[:, c] < 0, ord("-"), 0)
+    return chars.tobytes().translate(None, b"\0")
 
 
 def _points_header(d: int) -> str:
