@@ -17,10 +17,6 @@ import numpy as np
 
 EXACT_TOL = 1e-9
 
-# Above this lattice size the O(n^3) triple scan switches to random sampling.
-SUBADD_EXHAUSTIVE_LIMIT = 256
-SUBADD_SAMPLES = 1_000_000
-
 # Per-property cap on recorded witnesses; counts stay exact.
 MAX_WITNESSES = 32
 
@@ -32,16 +28,38 @@ class CapExceeded(RuntimeError):
 def unique_rows(a: np.ndarray) -> np.ndarray:
     """Distinct rows of a 2-D array in lexicographic order.
 
-    Gives the values, order, shape and dtype of ``np.unique`` along axis 0,
-    with a lexsort over the columns in place of its structured-dtype row
+    Gives the values, order, shape and dtype of ``np.unique`` along axis 0.
+    Integer rows with one sort key are sorted as that key: one column is its
+    own key, and nonnegative columns whose bit widths sum to at most 63 are
+    packed into one int64, the first column highest.  Other rows take a
+    lexsort over the columns in place of ``np.unique``'s structured-dtype row
     sort, which is several times slower.
     """
-    if a.shape[1] == 1:
-        return np.unique(a[:, 0])[:, None]
+    if a.dtype.kind in "iu" and a.shape[0]:
+        if a.shape[1] == 1:
+            return _distinct_sorted(np.sort(a[:, 0]))[:, None]
+        widths = [int(top).bit_length() for top in a.max(axis=0)]
+        if a.min() >= 0 and sum(widths) <= 63:
+            shifts = np.cumsum(widths[::-1])[::-1] - widths  # the bits below each column
+            key = np.zeros(a.shape[0], dtype=np.int64)
+            for col, shift in zip(a.T, shifts):
+                key |= col.astype(np.int64) << shift
+            key = _distinct_sorted(np.sort(key))
+            out = np.empty((key.size, a.shape[1]), dtype=a.dtype)
+            for q, (width, shift) in enumerate(zip(widths, shifts)):
+                out[:, q] = (key >> shift) & ((1 << width) - 1)
+            return out
     a = a[np.lexsort(a.T[::-1])]
     keep = np.ones(a.shape[0], dtype=bool)
     keep[1:] = np.any(a[1:] != a[:-1], axis=1)
     return a[keep]
+
+
+def _distinct_sorted(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted 1-D array."""
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +399,19 @@ def validate_branching(
 
 
 def _check_subadditivity(V, n, coords, tol, col):
-    if n <= SUBADD_EXHAUSTIVE_LIMIT:
-        buf = np.empty((n + 2) ** 2 // 4)
-        for k in range(n + 1):
-            # V[i, j] <= V[i, k] + V[k, j] for j <= k <= i; the values are finite
-            gap = buf[: (n + 1 - k) * (k + 1)].reshape(n + 1 - k, k + 1)
-            np.add(V[k:, k, None], V[k, : k + 1], out=gap)
-            np.subtract(V[k:, : k + 1], gap, out=gap)
-            if gap.max() > tol:
-                col.add_array(
-                    "subadditivity",
-                    gap > tol,
-                    gap,
-                    lambda a, b, k=k: (coords[a + k], coords[k], coords[b]),
-                )
-    else:
-        rng = np.random.default_rng(0)
-        i = rng.integers(0, n + 1, size=SUBADD_SAMPLES)
-        j = (rng.random(SUBADD_SAMPLES) * (i + 1)).astype(np.int64)
-        k = j + (rng.random(SUBADD_SAMPLES) * (i - j + 1)).astype(np.int64)
-        gap = V[i, j] - (V[i, k] + V[k, j])
-        bad = gap > tol
-        col.add_array(
-            "subadditivity",
-            bad,
-            gap,
-            lambda m: (coords[i[m]], coords[k[m]], coords[j[m]]),
-        )
+    buf = np.empty((n + 2) ** 2 // 4)
+    for k in range(n + 1):
+        # V[i, j] <= V[i, k] + V[k, j] for j <= k <= i; the values are finite
+        gap = buf[: (n + 1 - k) * (k + 1)].reshape(n + 1 - k, k + 1)
+        np.add(V[k:, k, None], V[k, : k + 1], out=gap)
+        np.subtract(V[k:, : k + 1], gap, out=gap)
+        if gap.max() > tol:
+            col.add_array(
+                "subadditivity",
+                gap > tol,
+                gap,
+                lambda a, b, k=k: (coords[a + k], coords[k], coords[b]),
+            )
 
 
 # ---------------------------------------------------------------------------
