@@ -12,8 +12,8 @@ from twoscale import (
 from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
 
 
-def test_sampled_subadditivity_path():
-    # above the exhaustive limit the triple scan switches to random sampling
+def test_subadditivity_scan_above_n_256():
+    # the triple scan is exhaustive at every lattice size
     spec = GridSpec(75.0, 0.25)  # n = 300
     lin = TwoScaleGrid.from_function(spec, lambda u, v: 0.5 * (u - v))
     assert validate_branching(lin, 1.0, 1e-9).passed
@@ -21,6 +21,20 @@ def test_sampled_subadditivity_path():
     bad = TwoScaleGrid.from_function(spec, lambda u, v: np.maximum(u - v, 0.0) ** 1.5 / 8.0)
     report = validate_branching(bad, np.inf, 1e-9)
     assert any(v.prop == "subadditivity" for v in report.violations)
+
+
+@pytest.mark.parametrize("entry", [(150, 148), (299, 297), (20, 18)])
+def test_subadditivity_count_is_exact_above_n_256(entry):
+    # g(u) - g(v) is additive at every triple; one entry raised two steps off
+    # the diagonal breaks exactly the one triple through the entry between
+    spec = GridSpec(75.0, 0.25)  # n = 300
+    values = TwoScaleGrid.from_function(spec, lambda u, v: u**2 - v**2).values.copy()
+    values[entry] += 1e-3
+    report = validate_branching(TwoScaleGrid(spec, values), np.inf, 1e-9)
+    assert report.counts["subadditivity"] == 1
+    i, j = entry
+    [witness] = [v.witness for v in report.violations if v.prop == "subadditivity"]
+    assert witness == (i * 0.25, (i - 1) * 0.25, j * 0.25)
 
 
 def test_word_and_attractor_caps():

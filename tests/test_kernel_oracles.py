@@ -39,7 +39,6 @@ from twoscale.families import (
 from twoscale.grids import (
     EXACT_TOL,
     MAX_WITNESSES,
-    SUBADD_EXHAUSTIVE_LIMIT,
     ValidationReport,
     Violation,
 )
@@ -144,7 +143,6 @@ def ref_validate_branching(grid, lipschitz=np.inf, tol=EXACT_TOL):
         bad = (gap > tol) & mask_lower
         col.add_array("lipschitz_bound", bad, gap, lambda i, j: (coords[i], coords[j]))
 
-    assert n <= SUBADD_EXHAUSTIVE_LIMIT
     for k in range(n + 1):
         i = np.arange(k, n + 1)
         j = np.arange(0, k + 1)
