@@ -89,12 +89,15 @@ def write_outputs(out, files: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def grid_to_csv(grid: TwoScaleGrid) -> str:
+    """Header plus one row per lattice entry, one ``%`` format per ``ROW_BLOCK`` rows."""
+    ii, jj = np.tril_indices(grid.spec.n + 1)
     coords = grid.spec.coords
-    lines = ["u,v,value"]
-    for i, u in enumerate(coords):
-        for j in range(i + 1):
-            lines.append(f"{u:.12g},{coords[j]:.12g},{grid.values[i, j]:.15g}")
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([coords[ii], coords[jj], grid.values[ii, jj]])
+    parts = ["u,v,value\n"]
+    for start in range(0, len(table), ROW_BLOCK):
+        block = table[start:start + ROW_BLOCK]
+        parts.append(("%.12g,%.12g,%.15g\n" * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def grid_from_csv(text: str) -> TwoScaleGrid:
