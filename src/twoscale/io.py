@@ -193,29 +193,30 @@ def points_to_csv(points: ExportedPoints) -> str:
 
 
 def _int_rows(block: np.ndarray) -> bytes:
-    """``%d`` of every value of an int64 table, joined by ``,`` and ending each row in ``\n``.
+    """``%d`` of every value of an int64 table, joined by commas, each row ending in a newline.
 
     Each column gets a field as wide as its largest magnitude, plus a sign slot
     if it holds a negative, and its digits are written units first, one
     ``// 10`` per digit position.  Leading zeros stay NUL, and the NULs are
     deleted at the end.  Magnitudes are taken as uint64, so -2^63 is exact.
     """
-    mags = np.abs(block).view(np.uint64)
-    signs = (block < 0).any(axis=0)
-    widths = [len(str(int(top))) for top in mags.max(axis=0)]
-    ends = np.cumsum([int(s) + w + 1 for s, w in zip(signs, widths)])
+    fields = []
+    for col in block.T:  # column by column: numpy reduces a narrow table's axis 0 slowly
+        mag = np.abs(col).view(np.uint64)
+        neg = col < 0
+        fields.append((mag, neg if neg.any() else None, len(str(int(mag.max())))))
+    ends = np.cumsum([(neg is not None) + width + 1 for _, neg, width in fields])
     chars = np.zeros((block.shape[0], ends[-1]), dtype=np.uint8)
     chars[:, ends[:-1] - 1] = ord(",")
     chars[:, -1] = ord("\n")
-    for c, (end, width) in enumerate(zip(ends, widths)):
-        q = mags[:, c]
+    for end, (q, neg, width) in zip(ends, fields):
         for pos in range(width):
             rest = q // 10
             digit = (q - rest * 10).astype(np.uint8) + ord("0")
-            chars[:, end - 2 - pos] = digit if pos == 0 else np.where(q != 0, digit, 0)
+            chars[:, end - 2 - pos] = digit if pos == 0 else digit * (q != 0)
             q = rest
-        if signs[c]:
-            chars[:, end - 2 - width] = np.where(block[:, c] < 0, ord("-"), 0)
+        if neg is not None:
+            chars[:, end - 2 - width] = neg * ord("-")
     return chars.tobytes().translate(None, b"\0")
 
 
