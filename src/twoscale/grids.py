@@ -31,9 +31,9 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
     Gives the values, order, shape and dtype of ``np.unique`` along axis 0.
     Integer rows with one sort key are sorted as that key: one column is its
     own key, and nonnegative columns whose bit widths sum to at most 63 are
-    packed into one int64, the first column highest.  Other rows take a
-    lexsort over the columns in place of ``np.unique``'s structured-dtype row
-    sort, which is several times slower.
+    packed into one int64, the first column highest.  Other single columns
+    go to ``np.unique``, and other rows take a lexsort over the columns in
+    place of its structured-dtype row sort, which is several times slower.
     """
     if a.dtype.kind in "iu" and a.shape[0]:
         if a.shape[1] == 1:
@@ -50,6 +50,8 @@ def unique_rows(a: np.ndarray) -> np.ndarray:
             for q, (width, shift) in enumerate(zip(widths, shifts)):
                 out[:, q] = (key >> shift) & ((1 << width) - 1)
             return out
+    if a.shape[1] == 1:
+        return np.unique(a[:, 0])[:, None]
     a = a[np.lexsort(a.T[::-1])]
     keep = np.ones(a.shape[0], dtype=bool)
     keep[1:] = np.any(a[1:] != a[:-1], axis=1)

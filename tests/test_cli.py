@@ -139,8 +139,10 @@ def test_synth_default_lattice_writes_what_the_full_lattice_writes(tmp_path, tar
         assert (default / name).read_bytes() == (full / name).read_bytes()
 
 
-def test_synth_accepts_a_step_that_reaches_past_depth(tmp_path):
-    assert main(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "15", "--grid-step", "2",
+@pytest.mark.parametrize("step", ["2", "3"])
+def test_synth_accepts_a_step_that_reaches_past_depth(tmp_path, step):
+    # 3 does not divide 64, so this one needs the lattice sized to --depth
+    assert main(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "15", "--grid-step", step,
                  "--out", str(tmp_path / "x")]) == 0
 
 
