@@ -18,7 +18,7 @@ from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import critical_exponent, generate_attractor
 from .operators import cone_extension, plateau_curve
 from .synthesis import export_points, synthesize_set
-from .verify import run_suite
+from .verify import report_payload, run_suite
 
 EXIT_OK = 0
 EXIT_CRITERIA = 1
@@ -40,7 +40,14 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
     return tsio.grid_from_csv(Path(spec_arg).read_text())
 
 
+def _check_depth(depth: int) -> None:
+    """Reject a ``--depth`` that ``float()`` cannot convert, before anything does."""
+    if abs(depth) > sys.float_info.max:
+        raise ValueError(f"--depth has {len(str(abs(depth)))} digits, more than a float holds")
+
+
 def cmd_synth(args) -> tuple[int, dict]:
+    _check_depth(args.depth)
     if args.dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {args.dimension}")
     # synthesis reads the target only up to --depth
@@ -97,6 +104,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
 
 
 def cmd_attractor(args) -> tuple[int, dict]:
+    _check_depth(args.depth)
     ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
     sample = generate_attractor(ifs, None, args.depth)
     info = {
@@ -114,15 +122,7 @@ def cmd_verify(args) -> tuple[int, dict]:
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     results = run_suite(args.suite, args.seed)
-    payload = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {"id": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
-            for r in results
-        ],
-    }
+    payload = report_payload(args.suite, args.seed, results)
     code = EXIT_OK if payload["all_passed"] else EXIT_CRITERIA
     for r in results:
         print(r.line())

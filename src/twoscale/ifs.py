@@ -277,7 +277,7 @@ def verify_dimension_formula(
     psi_condensation: TwoScaleGrid,
     depth: float,
     spec: GridSpec,
-    u_min: float | None = None,
+    u_min: float,
     cap: int = DEFAULT_WORD_CAP,
 ) -> FormulaReport:
     """Compare an attractor's empirical branching against its projection formula.
@@ -296,15 +296,14 @@ def verify_dimension_formula(
     coords = spec.coords
     dev = np.abs(coverage.grid.values - prediction.values)
     norm = dev / np.maximum(1.0, coords)[:, None]
-    lo = (depth - 4.0) if u_min is None else u_min
-    rows = coords >= lo - EXACT_TOL
+    rows = coords >= u_min - EXACT_TOL
     norm_win = np.where(rows[:, None], norm, 0.0)
     i, j = np.unravel_index(int(np.argmax(norm_win)), norm.shape)
     return FormulaReport(
         normalized_deviation=float(norm_win[i, j]),
         raw_deviation=float(dev[rows].max()),
         witness=(float(coords[i]), float(coords[j])),
-        window=(float(lo), float(spec.u_max)),
+        window=(float(u_min), float(spec.u_max)),
         growth=growth,
         coverage=coverage,
         prediction=prediction,

@@ -11,7 +11,8 @@ import json
 import os
 import shutil
 import tempfile
-from itertools import repeat
+import warnings
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,15 +25,8 @@ from .ifs import SimilarityIFS
 
 # Exponents e for which 2.0 ** e is a finite nonzero float.
 MIN_EXP, MAX_EXP = -1074, 1023
-# point-list rows parsed at once
+# rows formatted, or point-list rows parsed, at once
 ROW_BLOCK = 8192
-# byte classes of the point-list form points_to_csv writes: digit, minus,
-# comma, newline, and 4 for any other byte, which _canonical_values takes for
-# a separator that matches no row's pattern
-_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)
-_BYTE_CLASS[ord("0"):ord("9") + 1] = 0
-_BYTE_CLASS[[ord("-"), ord(","), ord("\n")]] = [1, 2, 3]
-_BYTE_CLASS.flags.writeable = False
 # coordinates formatted at once by float_points_to_csv, and the bytes of one
 # coordinate's row before its NULs are deleted
 FLOAT_BLOCK = 16384
@@ -199,6 +193,7 @@ def _int_rows(block: np.ndarray) -> bytes:
     if it holds a negative, and its digits are written units first, one
     ``// 10`` per digit position.  Leading zeros stay NUL, and the NULs are
     deleted at the end.  Magnitudes are taken as uint64, so -2^63 is exact.
+    Its output is the written form that ``points_from_csv`` parses at once.
     """
     fields = []
     for col in block.T:  # column by column: numpy reduces a narrow table's axis 0 slowly
@@ -382,21 +377,36 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def points_from_csv(text: str, depth: int) -> PointSet:
     """Read a point list, snapped to the nearest depth-level dyadic point.
 
-    A list in the exact form ``points_to_csv`` writes is read in vectorized
-    blocks by ``_canonical_points``; any other text, or one whose exponents
-    leave the float range, goes to the per-row reader, with the same result
-    wherever both read a text.  Rows are numbered from the header (row 1),
-    blank lines skipped, and a bad row is reported by its number, the first
-    one in file order when there are several.  ``depth`` must lie in
-    [0, ``MAX_EXP``], where 2^depth is a finite float.  The sample's cells
-    come from the integer numerators and exponents, so they are exact for
-    every numerator, not only for those a float holds.
+    The header is the first non-blank line and must start with
+    ``coord_0_num``; its fields give d.  The rows below it are read in blocks
+    of about ``ROW_BLOCK`` rows by ``_block_points``: a block in the form
+    ``points_to_csv`` writes is parsed at once, and any other block, only that
+    block, row by row, with the same result.  Rows are numbered from the
+    header (row 1), blank lines skipped, and a bad row is reported by its
+    number, the first one in file order when there are several.  ``depth``
+    must lie in [0, ``MAX_EXP``], where 2^depth is a finite float.  The
+    sample's cells come from the integer numerators and exponents, so they
+    are exact for every numerator, not only for those a float holds.
     """
     if not 0 <= depth <= MAX_EXP:
         raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
     level = min(depth, MAX_CELL_LEVEL)
-    read = _canonical_points(text, depth, level)
-    pts, cells = read if read is not None else _points_by_row(text, depth, level)
+    # the header's block ends at the first newline after the header starts;
+    # rows in it past another line break make the first block
+    pos = text.find("\n", len(text) - len(text.lstrip())) + 1 or len(text)
+    head, *rest = text[:pos].lstrip().splitlines(keepends=True) or [""]
+    if not head.strip().startswith("coord_0_num"):
+        raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
+    d = (head.count(",") + 1) // 2
+    parts, row = [], 2
+    for block in chain(["".join(rest)], _row_blocks(text, pos)):
+        part = _block_points(block, d, row, depth, level)
+        if part is not None:
+            parts.append(part)
+            row += len(part[0])
+    if not parts:
+        raise ValueError("point list is empty")
+    pts, cells = map(np.concatenate, zip(*parts))
     # snap to the nearest depth-level dyadic point; records the quantization.
     # Only points far outside the cube overflow, and PointSet rejects them
     with np.errstate(over="ignore"):
@@ -404,82 +414,55 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     return PointSet(arr, depth, cells=cells)
 
 
-def _canonical_points(text: str, depth: int, level: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates and level-``level`` cells of a point list in the exact
-    form ``points_to_csv`` writes, or None for any other text.
-
-    The form: ASCII; the header of some d >= 1; then rows of 2d fields
-    ``-?[0-9]{1,18}`` joined by ``,``, each row ended by ``\n``, the last one
-    too.  Every exponent must lie in [``MIN_EXP``, ``MAX_EXP``].  Blocks of
-    about ``ROW_BLOCK`` rows are checked, parsed and written into arrays
-    allocated once, with the float operations of ``_parse_rows``.
-    """
-    if not text.isascii() or not text.endswith("\n"):
-        return None
-    head = text.find("\n")
-    d = (text.count(",", 0, head) + 1) // 2
-    m = text.count("\n") - 1
-    if d < 1 or m < 1 or text[:head] != _points_header(d):
-        return None
-    pts = np.empty((m, d))
-    cells = np.empty((m, d), dtype=np.int64)
-    # the classes of a row's separators: d - 1 pairs of commas, a comma and a newline
-    pattern = np.full(2 * d, 2, dtype=np.uint8)
-    pattern[-1] = 3
-    pos, row = head + 1, 0
-    # the mean bytes of ROW_BLOCK rows; each block ends at the next newline
-    chunk = max(1, (len(text) - pos) * ROW_BLOCK // m)
+def _row_blocks(text: str, pos: int):
+    """Slices of ``text`` from ``pos`` on of about ``ROW_BLOCK`` rows, each cut after a newline."""
+    # the mean bytes of ROW_BLOCK rows
+    chunk = max(1, (len(text) - pos) * ROW_BLOCK // max(1, text.count("\n", pos)))
     while pos < len(text):
-        end = text.find("\n", min(pos + chunk, len(text)) - 1) + 1
-        values = _canonical_values(text[pos:end], pattern)
-        if values is None:
-            return None
-        nums, exps = values[0::2].reshape(-1, d), values[1::2].reshape(-1, d)
-        if exps.min() < MIN_EXP or exps.max() > MAX_EXP:
-            return None
+        end = text.find("\n", min(pos + chunk, len(text)) - 1) + 1 or len(text)
+        yield text[pos:end]
+        pos = end
+
+
+def _block_points(block: str, d: int, first: int, depth: int,
+                  level: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Coordinates and level-``level`` cells of the rows of ``block``, the first
+    numbered ``first``, or None for a block of blank lines."""
+    table = _written_table(block, d)
+    if table is not None:
+        nums, exps = table[:, 0::2], table[:, 1::2]
         # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
         with np.errstate(over="ignore"):
-            pts[row:row + len(nums)] = nums.astype(float) / np.ldexp(1.0, exps)
-        cells[row:row + len(nums)] = _snapped_cells(nums, exps, depth, level)
-        pos, row = end, row + len(nums)
-    return pts, cells
+            coords = nums.astype(float) / np.ldexp(1.0, exps)
+    else:
+        rows = list(filter(None, map(str.strip, block.splitlines())))
+        if not rows:
+            return None
+        coords, nums, exps = _rows_to_points(rows, d, first)
+    return coords, _snapped_cells(nums, exps, depth, level)
 
 
-def _canonical_values(block: str, pattern: np.ndarray) -> np.ndarray | None:
-    """The int64 fields of whole canonical rows, in order, or None when
-    ``block`` breaks the form; ``pattern`` is the byte class of each of a
-    row's separators.  Nothing is parsed before every check has passed."""
-    kinds = _BYTE_CLASS.take(np.frombuffer(block.encode("ascii"), dtype=np.uint8))
-    seps = np.flatnonzero(kinds >= 2)
-    if seps.size % pattern.size or not (kinds.take(seps).reshape(-1, pattern.size) == pattern).all():
+def _written_table(block: str, d: int) -> np.ndarray | None:
+    """The (rows, 2d) int64 table of ``block`` when ``_int_rows`` writes it back
+    byte for byte and every exponent lies in [``MIN_EXP``, ``MAX_EXP``]; else None.
+
+    ``np.fromstring`` stops where the text stops parsing, with a
+    DeprecationWarning (a ValueError in later numpy), and clamps integers
+    beyond int64; either way the table does not write the block back.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(block.replace("\n", ","), dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    if d < 1 or not values.size or values.size % (2 * d):
         return None
-    starts = np.concatenate(([0], seps[:-1] + 1))
-    minus = kinds.take(starts) == 1
-    digits = seps - starts - minus
-    # a minus only where a field starts, and 1 to 18 digits, which int64 holds
-    if np.count_nonzero(kinds == 1) != np.count_nonzero(minus) or digits.min() < 1 or digits.max() > 18:
+    table = values.reshape(-1, 2 * d)
+    exps = table[:, 1::2]
+    if exps.min() < MIN_EXP or exps.max() > MAX_EXP or _int_rows(table).decode("ascii") != block:
         return None
-    return np.fromstring(block[:-1].replace("\n", ","), dtype=np.int64, sep=",")
-
-
-def _points_by_row(text: str, depth: int, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates and level-``level`` cells of any point list ``int()`` reads,
-    ``ROW_BLOCK`` rows at a time by ``_rows_to_points``."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines or not lines[0].startswith("coord_0_num"):
-        raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
-    d = (lines[0].count(",") + 1) // 2
-    rows = lines[1:]
-    if not rows:
-        raise ValueError("point list is empty")
-    pts = np.empty((len(rows), d))
-    cells = np.empty((len(rows), d), dtype=np.int64)
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start:start + ROW_BLOCK]
-        coords, nums, exps = _rows_to_points(block, d, start + 2)
-        pts[start:start + len(block)] = coords
-        cells[start:start + len(block)] = _snapped_cells(nums, exps, depth, level)
-    return pts, cells
+    return table
 
 
 def _snapped_cells(nums: np.ndarray, exps: np.ndarray, depth: int, level: int) -> np.ndarray:

@@ -237,7 +237,7 @@ def validate_monotone_grid(
 
 def scaling_limit(
     grid: TwoScaleGrid,
-    u_min: float | None = None,
+    u_min: float,
     theta_step: float = DEFAULT_THETA_STEP,
 ) -> SpectrumGrid:
     """Finite-window surrogate of the normalized scaling limit.
@@ -245,12 +245,9 @@ def scaling_limit(
     For each theta on the grid returns max over lattice u in [u_min, u_max] of
     value(u, theta * u) / u, with u_max the grid's scale range.  The true
     limit is a limsup in u; the window is reported by callers alongside
-    estimates.  ``u_min`` defaults to a quarter of the grid's scale range.
+    estimates.
     """
-    top = grid.spec.u_max
-    if u_min is None:
-        u_min = top / 4.0
-    if not 0 < u_min < top:
+    if not 0 < u_min < grid.spec.u_max:
         raise ValueError("need 0 < u_min < u_max within the grid")
     _theta_count(theta_step)
     us, weights = _window_weights(grid.spec, u_min, theta_step)

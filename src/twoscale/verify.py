@@ -508,3 +508,16 @@ def run_suite(suite: str, seed: int = 0) -> list[CriterionResult]:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     ctx = VerifyContext(seed)
     return [CRITERIA[cid](ctx) for cid in SUITES[suite]]
+
+
+def report_payload(suite: str, seed: int, results: list[CriterionResult]) -> dict:
+    """The verify report: the suite, the seed, whether all passed and each criterion's record."""
+    return {
+        "suite": suite,
+        "seed": seed,
+        "all_passed": all(r.passed for r in results),
+        "criteria": [
+            {"id": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
+            for r in results
+        ],
+    }

@@ -15,7 +15,7 @@ import hashlib
 import pytest
 
 from twoscale.io import json_text
-from twoscale.verify import CRITERIA, VerifyContext, run_suite
+from twoscale.verify import CRITERIA, VerifyContext, report_payload, run_suite
 
 SEED = 0
 RESULTS = {}  # criterion id -> result of its run in this module
@@ -114,13 +114,5 @@ def test_verify_all_report_matches_golden_digest(golden):
         results = [RESULTS[cid] for cid in CRITERIA]
     else:  # some criteria were deselected: run the suite as the CLI does
         results = run_suite("all", SEED)
-    payload = {
-        "suite": "all",
-        "seed": SEED,
-        "all_passed": all(r.passed for r in results),
-        "criteria": [
-            {"id": r.cid, "name": r.name, "passed": r.passed, "details": r.details}
-            for r in results
-        ],
-    }
+    payload = report_payload("all", SEED, results)
     assert hashlib.sha256(json_text(payload).encode()).hexdigest() == golden["verify/verify_report.json"]

@@ -4,9 +4,10 @@ Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
-60 and outputs that cannot be written are user errors (exit 2); a lattice
-too large to allocate is a resource failure (exit 3).  None of them may end
-in a traceback, and a failing command leaves ``--out`` as it was.
+60, ``synth`` and ``attractor`` depths beyond the float range and outputs
+that cannot be written are user errors (exit 2); a lattice too large to
+allocate is a resource failure (exit 3).  None of them may end in a
+traceback, and a failing command leaves ``--out`` as it was.
 """
 
 import contextlib
@@ -53,6 +54,17 @@ def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, co
     argv = ["synth", "h_kappa_lambda:0.8,0.5", "--depth", "6", "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
     assert got == code and message in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "attractor"])
+def test_depths_beyond_the_float_range_end_in_one_error_line(tmp_path, command):
+    spec = tmp_path / "ifs.json"
+    spec.write_text('{"d": 1, "maps": [{"ratio_exp": 1, "translation": [0.0]}, '
+                    '{"ratio_exp": 1, "translation": [0.5]}]}')
+    source = {"synth": "h_kappa_lambda:0.8,0.5", "attractor": str(spec)}[command]
+    argv = [command, source, "--depth", "1" + "0" * 400, "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, "error: --depth has 401 digits, more than a float holds")
     assert not (tmp_path / "out").exists()
 
 

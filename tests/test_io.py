@@ -357,12 +357,18 @@ H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
     f"{H1}\n1, 3\n",
     "coord_1_num,coord_1_exp\n1,3\n",
     "coord_0_numerator,e\n1,3\n",
+    "coord_0_num\n1,3\n",
     f"{H1}\n",
     f"{H1}\n\n1,3\n",
     f"{H1}\n1,3\r\n",
     f"{H1}\n-,3\n",
     f"{H1}\n1-,3\n",
     f"{H1}\n1,,3\n",
+    f"{H1}\r1,3\n",
+    f"\x0c{H1}\n1,3\n",
+    f"\n  \n{H1}\n1,3\n",
+    f"{H1}\n1,3\n\n\n",
+    "",
 ])
 @pytest.mark.parametrize("depth", [4, 70])
 def test_points_from_csv_matches_per_row_reader_on_edge_fields(text, depth):
@@ -388,6 +394,32 @@ def test_points_from_csv_reads_canonical_lists_without_the_per_row_reader(monkey
     got = tsio.points_from_csv(text, 50)
     assert np.array_equal(got.points, expected.points) and np.array_equal(got.cells, expected.cells)
     assert got.cells.shape == (m, d)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_points_from_csv_reads_only_the_block_of_an_odd_row_row_by_row(monkeypatch, d):
+    rng = np.random.default_rng(d + 10)
+    m = 2 * tsio.ROW_BLOCK + 7
+    exps = rng.integers(0, 60, m)
+    nums = rng.integers(0, 2**59, (m, d), endpoint=True) >> (59 - exps)[:, None]
+    lines = tsio.points_to_csv(ExportedPoints(nums, exps)).splitlines(keepends=True)
+    # lines[k] is row k + 1; the odd row sits in the middle block
+    odd = m // 2
+    lines[odd] = ",".join(["+7,3"] * d) + "\n"
+    text = "".join(lines)
+    assert_same_outcome(text, 50)
+    calls = []
+    parse_rows = tsio._parse_rows
+
+    def recording(rows, d, first):
+        calls.append((first, len(rows)))
+        return parse_rows(rows, d, first)
+
+    monkeypatch.setattr(tsio, "_parse_rows", recording)
+    tsio.points_from_csv(text, 50)
+    # one block, neither the first nor the last, holds the odd row
+    [(first, count)] = calls
+    assert 2 < first <= odd + 1 < first + count <= m + 1
 
 
 def many_rows(m, seed):
