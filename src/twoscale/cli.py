@@ -63,18 +63,25 @@ def cmd_synth(args) -> tuple[int, dict]:
             print(f"  {v.prop} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
         return EXIT_USER, {}
     composite = synthesize_set(grid, args.dimension, args.depth)
-    points = export_points(composite, args.depth)
+    # each text is built while the fewest full-size objects are alive: the tree
+    # text before the points are exported, the point list after the composite goes
     trees = "\n".join(f"# part {b}\n{tsio.tree_to_text(tree)}" for b, tree in composite.parts)
+    points = export_points(composite, args.depth)
     meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent,
             "parts": len(composite.parts)}
+    del composite
     return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "tree.txt": trees, "metadata.json": meta}
 
 
 def cmd_estimate(args) -> tuple[int, dict]:
+    spec = GridSpec(args.u_max, args.grid_step)
+    # the spectrum reads scales from --u-min and the box dimensions from max(--u-min, 1)
+    if not (0 < args.u_min and max(args.u_min, 1.0) < spec.u_max):
+        raise ValueError(f"the window [max(--u-min, 1), --u-max] must be nonempty with --u-min > 0, "
+                         f"got --u-min {args.u_min:g} and --u-max {args.u_max:g}")
     meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
     depth = meta.get("depth", args.depth)
     pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
-    spec = GridSpec(args.u_max, args.grid_step)
     if spec.u_max > pts.max_covering_level:
         raise ValueError(
             f"u_max {spec.u_max} exceeds the sample depth {pts.max_covering_level}; "

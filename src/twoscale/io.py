@@ -173,21 +173,23 @@ def curve_from_csv(text: str) -> SpectrumGrid:
 def points_to_csv(points: ExportedPoints) -> str:
     """Header plus one row per point: numerator and exponent for each coordinate.
 
-    The interleaved (m, 2d) integer table is written ``ROW_BLOCK`` rows at a
-    time by ``_int_rows``, so only one block's digits are in memory at once.
+    ``_int_rows`` formats ``ROW_BLOCK`` rows at a time straight from the
+    numerator and exponent columns, and each block is decoded as it is made:
+    the block texts and their join hold the text twice, and the other
+    temporaries are one block's.
     """
-    m, d = points.numerators.shape
-    table = np.empty((m, 2 * d), dtype=np.int64)
-    table[:, 0::2] = points.numerators
-    table[:, 1::2] = points.exponents[:, None]
-    parts = [(_points_header(d) + "\n").encode("ascii")]
-    for start in range(0, m, ROW_BLOCK):
-        parts.append(_int_rows(table[start:start + ROW_BLOCK]))
-    return b"".join(parts).decode("ascii")
+    nums, exps = points.numerators, points.exponents
+    parts = [_points_header(nums.shape[1]) + "\n"]
+    for start in range(0, exps.size, ROW_BLOCK):
+        e = exps[start:start + ROW_BLOCK]
+        columns = [col for num in nums[start:start + ROW_BLOCK].T for col in (num, e)]
+        parts.append(_int_rows(columns).decode("ascii"))
+    return "".join(parts)
 
 
-def _int_rows(block: np.ndarray) -> bytes:
-    """``%d`` of every value of an int64 table, joined by commas, each row ending in a newline.
+def _int_rows(columns: list[np.ndarray]) -> bytes:
+    """``%d`` of every value of equally long int64 columns, joined by commas
+    row by row, each row ending in a newline.
 
     Each column gets a field as wide as its largest magnitude, plus a sign slot
     if it holds a negative, and its digits are written units first, one
@@ -196,12 +198,12 @@ def _int_rows(block: np.ndarray) -> bytes:
     Its output is the written form that ``points_from_csv`` parses at once.
     """
     fields = []
-    for col in block.T:  # column by column: numpy reduces a narrow table's axis 0 slowly
+    for col in columns:
         mag = np.abs(col).view(np.uint64)
         neg = col < 0
         fields.append((mag, neg if neg.any() else None, len(str(int(mag.max())))))
     ends = np.cumsum([(neg is not None) + width + 1 for _, neg, width in fields])
-    chars = np.zeros((block.shape[0], ends[-1]), dtype=np.uint8)
+    chars = np.zeros((fields[0][0].size, ends[-1]), dtype=np.uint8)
     chars[:, ends[:-1] - 1] = ord(",")
     chars[:, -1] = ord("\n")
     for end, (q, neg, width) in zip(ends, fields):
@@ -379,14 +381,16 @@ def points_from_csv(text: str, depth: int) -> PointSet:
 
     The header is the first non-blank line and must start with
     ``coord_0_num``; its fields give d.  The rows below it are read in blocks
-    of about ``ROW_BLOCK`` rows by ``_block_points``: a block in the form
+    of about ``ROW_BLOCK`` rows by ``_read_block``: a block in the form
     ``points_to_csv`` writes is parsed at once, and any other block, only that
     block, row by row, with the same result.  Rows are numbered from the
     header (row 1), blank lines skipped, and a bad row is reported by its
     number, the first one in file order when there are several.  ``depth``
     must lie in [0, ``MAX_EXP``], where 2^depth is a finite float.  The
     sample's cells come from the integer numerators and exponents, so they
-    are exact for every numerator, not only for those a float holds.
+    are exact for every numerator, not only for those a float holds.  Each
+    block is written straight into the coordinate and cell arrays, which are
+    sized by the commas of the rows and snapped in place.
     """
     if not 0 <= depth <= MAX_EXP:
         raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
@@ -398,20 +402,23 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     if not head.strip().startswith("coord_0_num"):
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
     d = (head.count(",") + 1) // 2
-    parts, row = [], 2
+    # every row read has 2d - 1 commas, whatever line breaks end it
+    bound = (text.count(",") - head.count(",")) // max(2 * d - 1, 1)
+    pts = np.empty((bound, d))
+    cells = np.empty((bound, d), dtype=np.int64)
+    rows = 0
     for block in chain(["".join(rest)], _row_blocks(text, pos)):
-        part = _block_points(block, d, row, depth, level)
-        if part is not None:
-            parts.append(part)
-            row += len(part[0])
-    if not parts:
+        rows += _read_block(block, d, rows + 2, depth, level, pts[rows:], cells[rows:])
+    if not rows:
         raise ValueError("point list is empty")
-    pts, cells = map(np.concatenate, zip(*parts))
+    pts, cells = pts[:rows], cells[:rows]
     # snap to the nearest depth-level dyadic point; records the quantization.
     # Only points far outside the cube overflow, and PointSet rejects them
     with np.errstate(over="ignore"):
-        arr = np.round(pts * 2.0**depth) / 2.0**depth
-    return PointSet(arr, depth, cells=cells)
+        pts *= 2.0**depth
+    np.round(pts, out=pts)
+    pts /= 2.0**depth
+    return PointSet(pts, depth, cells=cells)
 
 
 def _row_blocks(text: str, pos: int):
@@ -424,22 +431,27 @@ def _row_blocks(text: str, pos: int):
         pos = end
 
 
-def _block_points(block: str, d: int, first: int, depth: int,
-                  level: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """Coordinates and level-``level`` cells of the rows of ``block``, the first
-    numbered ``first``, or None for a block of blank lines."""
+def _read_block(block: str, d: int, first: int, depth: int, level: int,
+                pts: np.ndarray, cells: np.ndarray) -> int:
+    """Write the coordinates and level-``level`` cells of the rows of ``block``,
+    the first numbered ``first``, to the leading rows of ``pts`` and ``cells``;
+    return how many rows it holds, 0 for a block of blank lines."""
     table = _written_table(block, d)
     if table is not None:
         nums, exps = table[:, 0::2], table[:, 1::2]
+        count = len(table)
         # a finite numerator over a tiny 2^e may round to inf; PointSet rejects it
         with np.errstate(over="ignore"):
-            coords = nums.astype(float) / np.ldexp(1.0, exps)
+            np.divide(nums, np.ldexp(1.0, exps), out=pts[:count])
     else:
         rows = list(filter(None, map(str.strip, block.splitlines())))
         if not rows:
-            return None
+            return 0
+        count = len(rows)
         coords, nums, exps = _rows_to_points(rows, d, first)
-    return coords, _snapped_cells(nums, exps, depth, level)
+        pts[:count] = coords
+    cells[:count] = _snapped_cells(nums, exps, depth, level)
+    return count
 
 
 def _written_table(block: str, d: int) -> np.ndarray | None:
@@ -460,7 +472,7 @@ def _written_table(block: str, d: int) -> np.ndarray | None:
         return None
     table = values.reshape(-1, 2 * d)
     exps = table[:, 1::2]
-    if exps.min() < MIN_EXP or exps.max() > MAX_EXP or _int_rows(table).decode("ascii") != block:
+    if exps.min() < MIN_EXP or exps.max() > MAX_EXP or _int_rows(list(table.T)).decode("ascii") != block:
         return None
     return table
 
@@ -484,7 +496,7 @@ def _snapped_cells(nums: np.ndarray, exps: np.ndarray, depth: int, level: int) -
         # round up when the half bit is set and a lower bit is, or q is odd
         up = ((t & 1) == 1) & ((n != t << j) | ((q & 1) == 1))
         cells[coarse] = (q + up) >> (depth - level)
-    return np.clip(cells, 0, (1 << level) - 1).astype(np.int64)
+    return np.clip(cells, 0, (1 << level) - 1)
 
 
 def _rows_to_points(rows: list[str], d: int, first: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -556,25 +568,32 @@ def read_set_metadata(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def tree_to_text(tree: DyadicTree) -> str:
-    """Level headers, then each code as its n base-2^d digits, root first.
-
-    Each level is one (codes, n + 1) byte array of digit characters and
-    newlines, decoded at once; the level-0 root is written ``-``.
-    """
+    """Level headers, then each code as its n base-2^d digits, root first,
+    one level at a time by ``_digit_lines``."""
     d = tree.dimension
     if d > 3:
         raise ValueError("tree files use single-digit children (d <= 3)")
     parts = []
     for n, codes in enumerate(tree.levels):
-        parts.append(f"# level {n}\n")
-        if n == 0:
-            parts.append("-\n" * codes.size)
-            continue
-        shifts = d * np.arange(n - 1, -1, -1, dtype=np.int64)
-        chars = np.full((codes.size, n + 1), ord("\n"), dtype=np.uint8)
-        chars[:, :n] = ((codes[:, None] >> shifts) & ((1 << d) - 1)) + ord("0")
-        parts.append(chars.tobytes().decode("ascii"))
+        parts += [f"# level {n}\n", _digit_lines(codes, n, d)]
     return "".join(parts)
+
+
+def _digit_lines(codes: np.ndarray, n: int, d: int) -> str:
+    """One line per level-``n`` code: its n base-2^d digits, or ``-`` for the level-0 root.
+
+    The lines are one (codes, n + 1) byte array of digit characters and
+    newlines, filled one digit position at a time and decoded at once.
+    """
+    if n == 0:
+        return "-\n" * codes.size
+    chars = np.full((codes.size, n + 1), ord("\n"), dtype=np.uint8)
+    for pos in range(n):
+        # the low byte of the shifted code; the mask below keeps its digit
+        chars[:, pos] = codes >> d * (n - 1 - pos)
+    chars[:, :n] &= (1 << d) - 1
+    chars[:, :n] += ord("0")
+    return str(chars, "ascii")
 
 
 def tree_from_text(text: str, dimension: int) -> list[tuple[int, DyadicTree]]:

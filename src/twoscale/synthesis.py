@@ -203,6 +203,11 @@ class CompositeDyadicSet:
                 raise ValueError("parts must share dimension and depth")
             if b < 0:
                 raise ValueError("offsets must be nonnegative")
+            # inside [0, 2^-b]^d, the one level-b cube is the corner cube, code 0
+            if tree.levels[min(b, self.depth)].tolist() != [0]:
+                raise ValueError(f"part {b} must lie in [0, 2^-{b}]^d")
+        if len({b for b, _ in self.parts}) < len(self.parts):
+            raise ValueError("offsets must be distinct")
 
     @property
     def max_covering_level(self) -> int:
@@ -285,34 +290,34 @@ def export_points(obj, level: int) -> ExportedPoints:
 
     Composite sets are rescaled into the unit cube by dividing by 8 (recorded
     in ``rescale_exponent``); trees are already inside [0, 1]^d.  Points come
-    out in lexicographic coordinate order.
+    out in lexicographic coordinate order, written part by part into one
+    table: the origin, then the parts by decreasing offset b, since part b
+    lies in [4 * 2^-b, 5 * 2^-b) along axis 0.  Only a part's rows are sorted.
     """
     if isinstance(obj, DyadicTree):
-        nums = obj.corner_ints(level)
-        exps = np.full(nums.shape[0], level, dtype=np.int64)
-        return _sorted_points(nums, exps, 0)
+        nums = _sorted_corners(obj, level)
+        return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64))
     if isinstance(obj, CompositeDyadicSet):
         if not 0 <= level <= obj.depth:
             raise ValueError(f"level {level} exceeds materialized depth {obj.depth}")
-        d = obj.dimension
-        nums_list = [np.zeros((1, d), dtype=np.int64)]
-        exps_list = [np.zeros(1, dtype=np.int64)]
-        for b, tree in obj.parts:
-            corners = tree.corner_ints(level)
+        parts = sorted(obj.parts, key=lambda part: -part[0])
+        m = 1 + sum(tree.levels[level].size for _, tree in parts)
+        nums = np.zeros((m, obj.dimension), dtype=np.int64)  # row 0 is the origin
+        exps = np.full(m, EXPORT_RESCALE_EXP, dtype=np.int64)
+        start = 1
+        for b, tree in parts:
+            rows = nums[start:start + tree.levels[level].size]
             e = max(level, b - 2)  # keeps the 2^-(b-2) translate integral
-            corners = corners << (e - level)
-            corners[:, 0] += (PART_OFFSET_NUM << e) >> b
-            nums_list.append(corners)
-            exps_list.append(np.full(corners.shape[0], e, dtype=np.int64))
-        nums = np.concatenate(nums_list, axis=0)
-        exps = np.concatenate(exps_list)
-        return _sorted_points(nums, exps + EXPORT_RESCALE_EXP, EXPORT_RESCALE_EXP)
+            rows[...] = _sorted_corners(tree, level)
+            rows <<= e - level
+            rows[:, 0] += (PART_OFFSET_NUM << e) >> b
+            exps[start:start + len(rows)] += e
+            start += len(rows)
+        return ExportedPoints(nums, exps, EXPORT_RESCALE_EXP)
     raise TypeError(f"cannot export points from {type(obj).__name__}")
 
 
-def _sorted_points(nums: np.ndarray, exps: np.ndarray, rescale: int) -> ExportedPoints:
-    # numerators over the largest exponent, exact in int64: a tree's rows share one
-    # exponent, and a composite's reach 5 * 2^depth with depth <= MAX_DEPTH
-    keys = nums << (exps.max() - exps)[:, None]
-    order = np.lexsort(keys.T[::-1])
-    return ExportedPoints(nums[order], exps[order], rescale)
+def _sorted_corners(tree: DyadicTree, level: int) -> np.ndarray:
+    """The level-``level`` corners of ``tree`` in lexicographic order."""
+    corners = tree.cells_at_level(level)
+    return corners[np.lexsort(corners.T[::-1])]

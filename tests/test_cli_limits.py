@@ -4,10 +4,11 @@ Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
-60, ``synth`` and ``attractor`` depths beyond the float range and outputs
-that cannot be written are user errors (exit 2); a lattice too large to
-allocate is a resource failure (exit 3).  None of them may end in a
-traceback, and a failing command leaves ``--out`` as it was.
+60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
+windows that are empty and outputs that cannot be written are user errors
+(exit 2); a lattice too large to allocate is a resource failure (exit 3).
+None of them may end in a traceback, and a failing command leaves ``--out``
+as it was.
 """
 
 import contextlib
@@ -150,6 +151,24 @@ def test_estimate_rejects_lattice_options_beyond_their_limits(tmp_path, options,
             "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
     assert got == code and message in line
+
+
+@pytest.mark.parametrize("window", [
+    ["--u-max", "1", "--u-min", "0.5"],
+    ["--u-min", "20", "--u-max", "12"],
+    ["--u-min", "4", "--u-max", "4"],
+    ["--u-min", "0", "--u-max", "4"],
+    ["--u-min", "-1", "--u-max", "4"],
+    ["--u-min", "nan", "--u-max", "4"],
+])
+def test_estimate_rejects_an_empty_window_before_reading_the_points(tmp_path, window):
+    # the point file does not exist: the window is refused before it is read
+    argv = ["estimate", str(tmp_path / "missing.csv"), "--depth", "4", "--out", str(tmp_path / "out"), *window]
+    got, line = run(argv)
+    assert got == EXIT_USER and line.startswith("error: the window [max(--u-min, 1), --u-max] must be nonempty")
+    u_min, u_max = window[window.index("--u-min") + 1], window[window.index("--u-max") + 1]
+    assert line.endswith(f"got --u-min {float(u_min):g} and --u-max {float(u_max):g}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_estimate_accepts_fine_theta_steps(tmp_path):

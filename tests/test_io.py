@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ from twoscale import (
     StepFunction,
     TwoScaleGrid,
     PointSet,
+    cone_extension,
     export_points,
     plateau_curve,
     subdivision_tree,
+    synthesize_set,
 )
 from twoscale import io as tsio
 from twoscale.synthesis import ExportedPoints
@@ -365,6 +368,7 @@ H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
     f"{H1}\n1-,3\n",
     f"{H1}\n1,,3\n",
     f"{H1}\r1,3\n",
+    f"{H1}\n1,3\r2,3\r3,3\r4,3\n",
     f"\x0c{H1}\n1,3\n",
     f"\n  \n{H1}\n1,3\n",
     f"{H1}\n1,3\n\n\n",
@@ -420,6 +424,36 @@ def test_points_from_csv_reads_only_the_block_of_an_odd_row_row_by_row(monkeypat
     # one block, neither the first nor the last, holds the odd row
     [(first, count)] = calls
     assert 2 < first <= odd + 1 < first + count <= m + 1
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0c", "\u2028"])
+@pytest.mark.parametrize("where", ["header block", "later block", "after a blank block"])
+def test_points_from_csv_holds_rows_split_by_any_line_break(sep, where):
+    # rows joined by a line break other than \n: a row bound that counts only \n
+    # falls short of them
+    m = 2 * tsio.ROW_BLOCK + 5
+    rng = np.random.default_rng(len(where))
+    exps = rng.integers(0, 20, m)
+    nums = rng.integers(0, 2**20, (m, 1), endpoint=True) >> (20 - exps)[:, None]
+    header, _, body = tsio.points_to_csv(ExportedPoints(nums, exps)).partition("\n")
+    odd = sep.join(f"{k},7" for k in range(60)) + "\n"
+    blank = (sep + " \n") * (4 * tsio.ROW_BLOCK)
+    text = {"header block": header + sep + odd + body,
+            "later block": header + "\n" + body + odd + body,
+            "after a blank block": header + "\n" + body + blank + odd}[where]
+    if where == "after a blank block":
+        assert any(not block.strip() for block in tsio._row_blocks(text, len(header) + 1))
+    assert_same_outcome(text, 30)
+    assert tsio.points_from_csv(text, 30).points.shape[0] == text.count(",") - 1  # the header has one
+
+
+def test_points_from_csv_sizes_its_arrays_by_the_text_under_a_wide_header():
+    # a row has 2d - 1 commas, so the arrays stay linear in the text, not in
+    # its rows times the header's million fields
+    text = "coord_0_num" + ",x" * 10**6 + "\n" + "1,3\n" * 10**4
+    assert_same_outcome(text, 4)
+    _, peak = heap_peak(read_outcome, tsio.points_from_csv, text, 4)
+    assert peak < 10 * len(text)
 
 
 def many_rows(m, seed):
@@ -590,3 +624,53 @@ def test_float_rows_match_across_block_boundaries(d, m):
 def test_float_rows_match_on_any_floats(d, data):
     values = data.draw(st.lists(st.floats(), max_size=30 * d).map(lambda v: v[:len(v) - len(v) % d]))
     assert_float_rows_match(values, d)
+
+
+# ---------------------------------------------------------------------------
+# Heap peaks of the integer point path against the size of what each returns
+# ---------------------------------------------------------------------------
+
+def heap_peak(fn, *args):
+    """``fn(*args)`` and the peak of the bytes tracemalloc traces above their start."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def bench_set():
+    """The d = 2, depth-14 composite of 88,422 points that the synth-estimate
+    benchmark writes, its points and their text; exporting once caches the
+    decode tables."""
+    composite = synthesize_set(cone_extension(plateau_curve(1.47, 0.3), GridSpec.reaching(14.0)), 2, 14)
+    points = export_points(composite, 14)
+    assert points.numerators.shape == (88_422, 2)
+    return composite, points, tsio.points_to_csv(points)
+
+
+def exported_bytes(points):
+    return points.numerators.nbytes + points.exponents.nbytes
+
+
+def sample_bytes(sample):
+    return sample.points.nbytes + sample.cells.nbytes
+
+
+@pytest.mark.parametrize("step", ["export_points", "points_to_csv", "tree_to_text", "points_from_csv"])
+def test_point_path_holds_its_result_plus_less_than_one_and_a_half_times_it(bench_set, step):
+    # beyond its result, a step holds temporaries of one part or one block,
+    # and the pieces of a text that it joins at the end
+    composite, points, text = bench_set
+    tree = max((tree for _, tree in composite.parts), key=lambda tree: tree.levels[-1].size)
+    fn, args, size = {
+        "export_points": (export_points, (composite, 14), exported_bytes),
+        "points_to_csv": (tsio.points_to_csv, (points,), len),
+        "tree_to_text": (tsio.tree_to_text, (tree,), len),
+        "points_from_csv": (tsio.points_from_csv, (text, 17), sample_bytes),
+    }[step]
+    out, peak = heap_peak(fn, *args)
+    assert peak < 2.5 * size(out)

@@ -16,7 +16,7 @@ from twoscale import (
     subdivision_tree,
     synthesize_set,
 )
-from twoscale.synthesis import _sorted_points
+from twoscale.synthesis import CompositeDyadicSet
 
 
 def constant_slope(slope):
@@ -177,19 +177,37 @@ def test_export_composite_rescales_into_unit_cube():
 
 
 @pytest.mark.parametrize("d, height, depth, level", [
-    (1, 0.6, 14, 4), (1, 0.6, 14, 14), (2, 1.45, 12, 3), (3, 2.2, 8, 2),
+    (1, 0.6, 14, 4), (1, 0.6, 14, 14), (2, 1.45, 12, 3), (2, 1.45, 12, 12), (3, 2.2, 8, 2),
 ])
-def test_export_order_matches_a_float_sort_of_permuted_rows(d, height, depth, level):
+def test_export_order_matches_a_sort_of_every_placed_part_point(d, height, depth, level):
     comp = synthesize_set(cone_extension(plateau_curve(height, 0.5), GridSpec(float(depth), 0.5)), d, depth)
     pts = export_points(comp, level)
-    perm = np.random.default_rng(level).permutation(pts.exponents.size)
-    nums, exps = pts.numerators[perm], pts.exponents[perm]
-    floats = nums / np.exp2(exps)[:, None]
-    order = np.lexsort(tuple(floats[:, q] for q in range(d - 1, -1, -1)))
-    got = _sorted_points(nums, exps, pts.rescale_exponent)
-    assert np.unique(exps).size > (level < depth)
-    np.testing.assert_array_equal(got.numerators, nums[order])
-    np.testing.assert_array_equal(got.exponents, exps[order])
+    # every point in units of 2^-top: the origin, and each part's corners translated
+    # by 4 * 2^-b along axis 0; parts with b - 2 > level sit off the level lattice
+    top = max(level, depth - 3)
+    expected = {(0,) * d}
+    for b, tree in comp.parts:
+        for corner in tree.corner_ints(level).tolist():
+            point = [c << (top - level) for c in corner]
+            point[0] += 4 << top >> b
+            expected.add(tuple(point))
+    assert max(b for b, _ in comp.parts) - 2 > level or level == depth
+    got = pts.numerators << (top + 3 - pts.exponents)[:, None]
+    assert got.tolist() == [list(p) for p in sorted(expected)]
+    assert np.unique(pts.exponents).size > (level < depth)
+    # a tree's corners come out sorted the same way
+    tree = comp.parts[0][1]
+    assert export_points(tree, level).numerators.tolist() == sorted(tree.corner_ints(level).tolist())
+
+
+def test_composite_parts_need_distinct_offsets_inside_their_cubes():
+    full = subdivision_tree(StepFunction(1.0, np.arange(7, dtype=float)), 1)
+    late = subdivision_tree(StepFunction(1.0, np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])), 1, offset=1)
+    CompositeDyadicSet(1, 6, [(0, full), (1, late)])
+    with pytest.raises(ValueError, match="distinct"):
+        CompositeDyadicSet(1, 6, [(1, late), (1, late)])
+    with pytest.raises(ValueError, match=r"part 1 must lie in \[0, 2\^-1\]\^d"):
+        CompositeDyadicSet(1, 6, [(1, full)])
 
 
 def test_export_level_beyond_depth_errors():
