@@ -51,11 +51,7 @@ def cmd_synth(args) -> tuple[int, dict]:
     if args.dimension < 1:
         raise ValueError(f"dimension must be at least 1, got {args.dimension}")
     # synthesis reads the target only up to --depth
-    if args.u_max is None:
-        grid_spec = GridSpec.reaching(float(args.depth), args.grid_step)
-    else:
-        grid_spec = GridSpec(max(args.u_max, float(args.depth)), args.grid_step)
-    grid = _load_target_grid(args.psi_spec, grid_spec)
+    grid = _load_target_grid(args.psi_spec, GridSpec.reaching(float(args.depth), args.grid_step))
     report = validate_branching(grid, args.dimension, tol=args.grid_step * args.dimension)
     if not report.passed:
         print(f"error: target grid fails the branching axioms: {report.summary()}", file=sys.stderr)
@@ -74,19 +70,21 @@ def cmd_synth(args) -> tuple[int, dict]:
 
 
 def cmd_estimate(args) -> tuple[int, dict]:
-    spec = GridSpec(args.u_max, args.grid_step)
+    meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
+    depth = meta.get("depth", 20 if args.depth is None else args.depth)
+    if args.depth not in (None, depth):
+        raise ValueError(f"--depth {args.depth} differs from the sidecar's depth {depth}")
+    tsio.check_point_depth(depth)
+    # a sample of depth n fixes beta only for u <= n
+    spec = GridSpec(float(depth) if args.u_max is None else args.u_max, args.grid_step)
     # the spectrum reads scales from --u-min and the box dimensions from max(--u-min, 1)
     if not (0 < args.u_min and max(args.u_min, 1.0) < spec.u_max):
         raise ValueError(f"the window [max(--u-min, 1), --u-max] must be nonempty with --u-min > 0, "
-                         f"got --u-min {args.u_min:g} and --u-max {args.u_max:g}")
-    meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
-    depth = meta.get("depth", args.depth)
+                         f"got --u-min {args.u_min:g} and --u-max {spec.u_max:g}")
+    if spec.u_max > depth:
+        raise ValueError(f"u_max {spec.u_max} exceeds the sample depth {depth}; "
+                         "pass a deeper sample or a smaller --u-max")
     pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
-    if spec.u_max > pts.max_covering_level:
-        raise ValueError(
-            f"u_max {spec.u_max} exceeds the sample depth {pts.max_covering_level}; "
-            "pass a deeper sample or a smaller --u-max"
-        )
     coverage = empirical_branching(pts, spec)
     # the whole-set profile: log2 of the cells of each level up to u_max
     gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])
@@ -94,14 +92,9 @@ def cmd_estimate(args) -> tuple[int, dict]:
     curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
     lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
     profile = PiecewiseLinear.from_samples(us, gs)
-    box = {
-        "lower_box": lo,
-        "upper_box": hi,
-        "window": [max(args.u_min, 1.0), spec.u_max],
-        "quasi_assouad_estimate": curve.endpoint,
-        "membership": coverage.membership.summary(),
-        "rescale_exponent": meta.get("rescale_exponent", 0),
-    }
+    box = {"lower_box": lo, "upper_box": hi, "window": [max(args.u_min, 1.0), spec.u_max],
+           "quasi_assouad_estimate": curve.endpoint, "membership": coverage.membership.summary(),
+           "rescale_exponent": meta.get("rescale_exponent", 0)}
     return EXIT_OK, {
         "beta_emp.csv": tsio.grid_to_csv(coverage.grid),
         "g_profile.csv": tsio.profile_to_csv(profile),
@@ -141,7 +134,7 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 _OPTIONS = {
     "--grid-step": {"type": float, "default": 0.25},
-    "--u-max": {"type": float, "default": 64.0},
+    "--u-max": {"type": float, "default": None},
     "--theta-step": {"type": float, "default": 1.0 / 64.0},
     "--u-min": {"type": float, "default": 16.0},
     "--depth": {"type": int, "default": 20},
@@ -162,14 +155,13 @@ def main(argv=None) -> int:
     p.add_argument("psi_spec", help="grid CSV, gamma_inverse:<curve.csv>, or h_kappa_lambda:k,l")
     p.add_argument("-d", "--dimension", type=int, default=1)
     _add_options(p, "--grid-step", "--depth", "--out")
-    p.add_argument("--u-max", type=float, default=None)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("estimate", help="covering statistics and spectra of a point sample")
     p.add_argument("points", help="point list CSV")
     p.add_argument("--metadata", help="metadata JSON sidecar", default=None)
     _add_options(p, "--grid-step", "--u-max", "--theta-step", "--u-min", "--depth", "--out")
-    p.set_defaults(fn=cmd_estimate)
+    p.set_defaults(fn=cmd_estimate, depth=None)
 
     p = sub.add_parser("attractor", help="sample an inhomogeneous attractor from an IFS spec")
     p.add_argument("ifs", help="IFS spec JSON")

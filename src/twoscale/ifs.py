@@ -57,7 +57,9 @@ class SimilarityIFS:
         object.__setattr__(self, "translations", t)
         if self.condensation is not None:
             F = np.atleast_2d(np.asarray(self.condensation, dtype=float))
-            if F.shape[1] != self.dimension or np.any(F < -EXACT_TOL) or np.any(F > 1 + EXACT_TOL):
+            if F.shape[1] != self.dimension:
+                raise ValueError(f"condensation points have dimension {F.shape[1]}, the maps {self.dimension}")
+            if not np.all((F >= -EXACT_TOL) & (F <= 1 + EXACT_TOL)):
                 raise ValueError("condensation points must lie in the unit cube")
             F.flags.writeable = False
             object.__setattr__(self, "condensation", F)

@@ -376,6 +376,12 @@ def _float_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return words, trailing, masks
 
 
+def check_point_depth(depth: int) -> None:
+    """Refuse a point depth outside [0, ``MAX_EXP``], where 2^depth is a finite float."""
+    if not 0 <= depth <= MAX_EXP:
+        raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
+
+
 def points_from_csv(text: str, depth: int) -> PointSet:
     """Read a point list, snapped to the nearest depth-level dyadic point.
 
@@ -386,14 +392,13 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     block, row by row, with the same result.  Rows are numbered from the
     header (row 1), blank lines skipped, and a bad row is reported by its
     number, the first one in file order when there are several.  ``depth``
-    must lie in [0, ``MAX_EXP``], where 2^depth is a finite float.  The
-    sample's cells come from the integer numerators and exponents, so they
-    are exact for every numerator, not only for those a float holds.  Each
-    block is written straight into the coordinate and cell arrays, which are
-    sized by the commas of the rows and snapped in place.
+    must pass ``check_point_depth``.  The sample's cells come from the
+    integer numerators and exponents, so they are exact for every numerator,
+    not only for those a float holds.  Each block is written straight into
+    the coordinate and cell arrays, which are sized by the commas of the rows
+    and snapped in place.
     """
-    if not 0 <= depth <= MAX_EXP:
-        raise ValueError(f"point depth must lie in [0, {MAX_EXP}], got {depth}")
+    check_point_depth(depth)
     level = min(depth, MAX_CELL_LEVEL)
     # the header's block ends at the first newline after the header starts;
     # rows in it past another line break make the first block

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twoscale import SpectrumGrid, plateau_curve
-from twoscale import io as tsio
 from twoscale.cli import main
 
 
@@ -12,7 +14,7 @@ def test_synth_estimate_pipeline(tmp_path):
     out = tmp_path / "synth"
     code = main([
         "synth", "h_kappa_lambda:0.8,0.5", "-d", "1",
-        "--depth", "12", "--u-max", "12", "--out", str(out),
+        "--depth", "12", "--out", str(out),
     ])
     assert code == 0
     assert (out / "points.csv").exists()
@@ -35,13 +37,13 @@ def test_synth_estimate_pipeline(tmp_path):
 def test_synth_rejects_invalid_target(tmp_path):
     code = main([
         "synth", "h_kappa_lambda:1.5,0.5", "-d", "1",
-        "--depth", "8", "--u-max", "8", "--out", str(tmp_path / "x"),
+        "--depth", "8", "--out", str(tmp_path / "x"),
     ])
     assert code == 2
 
 
 def test_synth_witness_lines_print_plain_floats(tmp_path, capsys):
-    code = main(["synth", "h_kappa_lambda:5,0.5", "--depth", "6", "--u-max", "8", "--out", str(tmp_path / "x")])
+    code = main(["synth", "h_kappa_lambda:5,0.5", "--depth", "8", "--out", str(tmp_path / "x")])
     assert code == 2
     lines = capsys.readouterr().err.splitlines()
     assert lines[1] == "  lipschitz_bound at (8.0, 4.0): 16"
@@ -51,7 +53,7 @@ def test_synth_witness_lines_print_plain_floats(tmp_path, capsys):
 def test_synth_cap_exit_code(tmp_path):
     code = main([
         "synth", "h_kappa_lambda:1.0,0.0", "-d", "1",
-        "--depth", "40", "--u-max", "40", "--out", str(tmp_path / "x"),
+        "--depth", "40", "--out", str(tmp_path / "x"),
     ])
     assert code == 3
 
@@ -60,7 +62,7 @@ def test_estimate_rejects_overdeep_grid(tmp_path):
     out = tmp_path / "synth"
     assert main([
         "synth", "h_kappa_lambda:0.5,0.5", "-d", "1",
-        "--depth", "8", "--u-max", "8", "--out", str(out),
+        "--depth", "8", "--out", str(out),
     ]) == 0
     code = main([
         "estimate", str(out / "points.csv"), "--metadata", str(out / "metadata.json"),
@@ -111,32 +113,12 @@ def test_verify_unknown_suite_exits_2():
 
 
 def test_synth_outputs_are_byte_identical(tmp_path):
-    args = ["synth", "h_kappa_lambda:0.7,0.25", "-d", "1", "--depth", "10",
-            "--u-max", "10"]
+    args = ["synth", "h_kappa_lambda:0.7,0.25", "-d", "1", "--depth", "10"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     for name in ("points.csv", "tree.txt", "metadata.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
-
-
-@pytest.mark.parametrize("target, options", [
-    ("h_kappa_lambda:0.8,0.5", ["-d", "1", "--depth", "13"]),
-    ("h_kappa_lambda:1.47,0.3", ["-d", "2", "--depth", "10"]),
-    ("h_kappa_lambda:0.7,0.25", ["-d", "1", "--depth", "9", "--grid-step", "0.5"]),
-    ("gamma_inverse", ["-d", "1", "--depth", "11"]),
-])
-def test_synth_default_lattice_writes_what_the_full_lattice_writes(tmp_path, target, options):
-    # synthesis reads the target only up to --depth, so a lattice cut there changes no byte
-    if target == "gamma_inverse":
-        curve = np.maximum(plateau_curve(0.9, 0.2, 1 / 16).values, plateau_curve(0.6, 0.7, 1 / 16).values)
-        (tmp_path / "curve.csv").write_text(tsio.curve_to_csv(SpectrumGrid(1 / 16, curve)))
-        target = f"gamma_inverse:{tmp_path / 'curve.csv'}"
-    default, full = tmp_path / "default", tmp_path / "full"
-    assert main(["synth", target, *options, "--out", str(default)]) == 0
-    assert main(["synth", target, *options, "--u-max", "64", "--out", str(full)]) == 0
-    for name in ("tree.txt", "points.csv", "metadata.json"):
-        assert (default / name).read_bytes() == (full / name).read_bytes()
 
 
 @pytest.mark.parametrize("step", ["2", "3"])
@@ -174,6 +156,7 @@ def test_attractor_rejects_unknown_condensation(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["synth", "h_kappa_lambda:0.8,0.5", "--seed", "3"],
     ["synth", "h_kappa_lambda:0.8,0.5", "--u-min", "4"],
+    ["synth", "h_kappa_lambda:0.8,0.5", "--u-max", "64"],
     ["estimate", "points.csv", "--seed", "3"],
     ["attractor", "ifs.json", "--u-min", "99"],
     ["attractor", "ifs.json", "--theta-step", "7"],
@@ -187,8 +170,7 @@ def test_commands_reject_options_they_do_not_read(argv):
 def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
     # tree files hold single-digit children, so d = 4 fails after synthesis
     out = tmp_path / "x"
-    code = main(["synth", "h_kappa_lambda:0.5,0.5", "-d", "4", "--depth", "4", "--u-max", "4",
-                 "--out", str(out)])
+    code = main(["synth", "h_kappa_lambda:0.5,0.5", "-d", "4", "--depth", "4", "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: tree files")
     assert not out.exists()
@@ -297,3 +279,49 @@ def test_attractor_rejects_deeply_nested_spec_with_one_error_line(tmp_path, caps
     path.write_text("[" * 100_000)
     assert main(["attractor", str(path), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
     assert capsys.readouterr().err.strip().splitlines() == ["error: malformed IFS spec: nested too deeply"]
+
+
+def test_estimate_defaults_u_max_to_the_sample_depth(tmp_path, capsys):
+    # the README pipeline: a depth-20 sample fixes beta only up to u = 20
+    synth = tmp_path / "synth"
+    assert main(["synth", "h_kappa_lambda:0.8,0.5", "-d", "1", "--depth", "20", "--out", str(synth)]) == 0
+    argv = ["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"), "--u-min", "8"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    assert main(argv + ["--u-max", "20", "--out", str(tmp_path / "full")]) == 0
+    for name in ("beta_emp.csv", "g_profile.csv", "spectrum.csv", "box_dims.json"):
+        assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+    assert json.loads((tmp_path / "default" / "box_dims.json").read_text())["window"] == [8.0, 20.0]
+    # without a sidecar the sample depth is --depth
+    capsys.readouterr()
+    argv = ["estimate", str(synth / "points.csv"), "--depth", "12", "--u-min", "8", "--out", str(tmp_path / "d12")]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "d12" / "box_dims.json").read_text())["window"] == [8.0, 12.0]
+
+
+def test_attractor_names_both_dimensions_of_a_mismatched_condensation_set(tmp_path, capsys):
+    (tmp_path / "cond.csv").write_text("coord_0_num,coord_0_exp,coord_1_num,coord_1_exp\n1,1,1,1\n")
+    spec = tmp_path / "ifs.json"
+    spec.write_text(json.dumps({
+        "d": 1,
+        "maps": [{"ratio_exp": 2, "translation": [0.0]}, {"ratio_exp": 2, "translation": [0.75]}],
+        "condensation": "cond.csv",
+    }))
+    assert main(["attractor", str(spec), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: condensation points have dimension 2, the maps 1"]
+    assert not (tmp_path / "att").exists()
+
+
+def _readme_options():
+    """{command: option set} from the README's options table."""
+    rows = re.findall(r"^\| `(\w+) [^`]*` \| (.*) \|$", (Path(__file__).parents[1] / "README.md").read_text(), re.M)
+    return {command: set(re.findall(r"--[a-z][a-z-]*", options)) for command, options in rows}
+
+
+def test_readme_options_table_lists_each_command_s_options():
+    table = _readme_options()
+    assert sorted(table) == ["attractor", "estimate", "synth", "verify"]
+    for command, options in table.items():
+        usage = io.StringIO()
+        with contextlib.redirect_stdout(usage), pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert set(re.findall(r"--[a-z][a-z-]*", usage.getvalue())) - {"--help"} == options, command

@@ -84,19 +84,24 @@ metadata = st.one_of(
     edits,
     metadata,
     st.sampled_from(LIMITS),
-    st.sampled_from([1.0, 4.0, 8.0, 61.0, 62.0, 63.0, 1023.0, 1024.0, 0.0, 2.5]),
+    st.sampled_from([None, 1.0, 4.0, 8.0, 61.0, 62.0, 63.0, 1023.0, 1024.0, 0.0, 2.5]),
     st.sampled_from([0.5, 2.0, 6.0, 61.0, 63.0, -1.0]),
     st.sampled_from([1.0, 0.5, 0.3, 0.0]),
     st.sampled_from([1 / 64, 0.25, 0.3, 1.0, 0.0, -0.5]),
+    st.booleans(),
 )
 def test_estimate_on_mutated_inputs_exits_0_or_2(points, point_edits, meta, depth, u_max, u_min,
-                                                grid_step, theta_step):
+                                                grid_step, theta_step, pass_depth):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "points.csv").write_text(mutate(points, point_edits))
-        argv = ["estimate", str(tmp / "points.csv"), "--depth", str(depth), "--u-max", str(u_max),
-                "--u-min", str(u_min), "--grid-step", str(grid_step), "--theta-step", str(theta_step),
-                "--out", str(tmp / "est")]
+        argv = ["estimate", str(tmp / "points.csv"), "--u-min", str(u_min), "--grid-step", str(grid_step),
+                "--theta-step", str(theta_step), "--out", str(tmp / "est")]
+        # without --u-max the scale range is the sample depth; without --depth, the sidecar's or 20
+        if u_max is not None:
+            argv += ["--u-max", str(u_max)]
+        if pass_depth or meta is None:
+            argv += ["--depth", str(depth)]
         if meta is not None:
             (tmp / "meta.json").write_text(meta)
             argv += ["--metadata", str(tmp / "meta.json")]

@@ -5,8 +5,12 @@ describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
 60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
-windows that are empty and outputs that cannot be written are user errors
+windows that are empty, ``estimate`` depths that contradict the sidecar or
+lie outside [0, 1023], and outputs that cannot be written are user errors
 (exit 2); a lattice too large to allocate is a resource failure (exit 3).
+``synth`` has no scale range option: its lattice reaches ``--depth``, so
+its lattice limits are reached through ``--grid-step``, and ``estimate``'s
+``--u-max`` rows hold the scale-range limits.
 None of them may end in a traceback, and a failing command leaves ``--out``
 as it was.
 """
@@ -34,8 +38,6 @@ def run(argv):
 
 
 @pytest.mark.parametrize("options, code, message", [
-    (["--u-max", "inf"], EXIT_USER, "positive and finite"),
-    (["--u-max", "nan"], EXIT_USER, "positive and finite"),
     (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
     (["--grid-step", "nan"], EXIT_USER, "positive and finite"),
     (["-d", "0"], EXIT_USER, "dimension must be at least 1"),
@@ -43,13 +45,10 @@ def run(argv):
     # exported numerators reach 5 * 2^depth
     (["--depth", "61"], EXIT_USER, "depth must be at most 60"),
     (["--depth", "62"], EXIT_USER, "depth must be at most 60"),
-    # a (4e8 + 1)^2 float table, 1.1 EiB: more than any address space maps
-    (["--u-max", "1e8"], EXIT_CAP, "out of memory"),
-    # tables numpy refuses to describe at all
-    (["--u-max", "1e10"], EXIT_USER, "u_max 10000000000.0 and step 0.25"),
-    (["--u-max", "1e300"], EXIT_USER, "u_max 1e+300 and step 0.25"),
+    # a (6e8 + 1)^2 float table, 2.5 EiB: more than any address space maps
+    (["--grid-step", "1e-8"], EXIT_CAP, "out of memory"),
+    # a table numpy refuses to describe at all
     (["--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
-    (["--u-max", "1e300", "--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
 ])
 def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, code, message):
     argv = ["synth", "h_kappa_lambda:0.8,0.5", "--depth", "6", "--out", str(tmp_path / "out"), *options]
@@ -139,6 +138,10 @@ def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path
     (["--u-max", "inf"], EXIT_USER, "positive and finite"),
     (["--u-max", "nan"], EXIT_USER, "positive and finite"),
     (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
+    # tables numpy refuses to describe at all
+    (["--u-max", "1e10"], EXIT_USER, "u_max 10000000000.0 and step 0.25"),
+    (["--u-max", "1e300"], EXIT_USER, "u_max 1e+300 and step 0.25"),
+    (["--u-max", "1e300", "--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
     (["--theta-step", "1e-300"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
     (["--theta-step", "5e-324"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
     (["--theta-step", str(0.5 / MAX_THETA_COUNT)], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
@@ -178,3 +181,34 @@ def test_estimate_accepts_fine_theta_steps(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0
     assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 8192 + 2
+
+
+@pytest.mark.parametrize("depth", ["12", "21"])
+def test_estimate_refuses_a_depth_that_the_sidecar_contradicts(tmp_path, depth):
+    # the point file does not exist: the contradiction is refused before it is read
+    (tmp_path / "meta.json").write_text('{"depth": 20}')
+    argv = ["estimate", str(tmp_path / "missing.csv"), "--metadata", str(tmp_path / "meta.json"),
+            "--depth", depth, "--u-max", "16", "--u-min", "8", "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, f"error: --depth {depth} differs from the sidecar's depth 20")
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_accepts_a_depth_that_the_sidecar_repeats(tmp_path):
+    (tmp_path / "points.csv").write_text(POINTS)
+    (tmp_path / "meta.json").write_text('{"depth": 4}')
+    argv = ["estimate", str(tmp_path / "points.csv"), "--metadata", str(tmp_path / "meta.json"),
+            "--depth", "4", "--u-min", "1", "--out", str(tmp_path / "out")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+
+
+@pytest.mark.parametrize("depth", ["-1", "1024", pytest.param("1" + "0" * 400, id="401-digits")])
+def test_estimate_checks_the_sample_depth_before_it_sets_the_scale_range(tmp_path, depth):
+    # without --u-max the depth sets the lattice, so it is checked first
+    argv = ["estimate", str(tmp_path / "missing.csv"), "--depth", depth, "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, f"error: point depth must lie in [0, 1023], got {depth}")
+    (tmp_path / "meta.json").write_text(f'{{"depth": {depth}}}')
+    argv = ["estimate", str(tmp_path / "missing.csv"), "--metadata", str(tmp_path / "meta.json"),
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, f"error: point depth must lie in [0, 1023], got {depth}")
+    assert not (tmp_path / "out").exists()

@@ -79,6 +79,16 @@ def test_ifs_validation():
     assert not binary_full().strongly_separated
 
 
+def test_condensation_validation_names_the_dimensions_apart_from_the_range():
+    ratios, translations = np.array([0.25, 0.25]), np.array([[0.0], [0.75]])
+    with pytest.raises(ValueError, match="^condensation points have dimension 2, the maps 1$"):
+        SimilarityIFS(1, ratios, translations, np.array([[0.5, 0.5]]))
+    # written so that NaN fails the bound, as it does for the maps
+    for point in (1.5, -0.5, np.nan):
+        with pytest.raises(ValueError, match="^condensation points must lie in the unit cube$"):
+            SimilarityIFS(1, ratios, translations, np.array([[point]]))
+
+
 # ---------------------------------------------------------------------------
 # word weights: SimilarityIFS.weights summed along a word
 # ---------------------------------------------------------------------------
