@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tsio
-from .covering import box_dims, empirical_branching, spectrum_estimate
+from .covering import _deepest_ball_level, box_dims, empirical_branching, spectrum_estimate
 from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import critical_exponent, generate_attractor
 from .operators import cone_extension, plateau_curve
@@ -38,6 +38,21 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
         curve = tsio.curve_from_csv(Path(spec_arg.split(":", 1)[1]).read_text())
         return cone_extension(curve, grid_spec)
     return tsio.grid_from_csv(Path(spec_arg).read_text())
+
+
+def _lattice_to(u_max: int, step: float, scale: str) -> GridSpec:
+    """The lattice of ``step`` up to ``u_max``, a scale range the user did not pass.
+
+    It is refused in terms of the options they did pass: ``--grid-step``, and
+    the ``scale`` that set ``u_max``.
+    """
+    try:
+        return GridSpec(float(u_max), step)
+    except ValueError:
+        if not 0 < step < np.inf:
+            raise ValueError(f"--grid-step must be positive and finite, got {step:g}") from None
+        raise ValueError(f"--grid-step {step:g} must divide {scale} into a whole number of steps, "
+                         "at most 2^30 - 2") from None
 
 
 def _check_depth(depth: int) -> None:
@@ -75,16 +90,32 @@ def cmd_estimate(args) -> tuple[int, dict]:
     if args.depth not in (None, depth):
         raise ValueError(f"--depth {args.depth} differs from the sidecar's depth {depth}")
     tsio.check_point_depth(depth)
-    # a sample of depth n fixes beta only for u <= n
-    spec = GridSpec(float(depth) if args.u_max is None else args.u_max, args.grid_step)
+    pts = None
+    if args.u_max is None:
+        # a sample of depth n fixes beta only for u <= n, and its ball counts
+        # are exact only down to a level its dimension sets
+        if depth == 0:
+            raise ValueError("the sample depth is 0, which leaves no scale to estimate")
+        pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+        deepest = _deepest_ball_level(pts.dimension)
+        if depth <= deepest:
+            upper, scale = "the sample depth", f"the sample depth {depth}"
+        else:
+            upper = "the deepest exact level"
+            scale = f"the deepest exact level {deepest} of d = {pts.dimension} ball counts"
+        spec = _lattice_to(min(depth, deepest), args.grid_step, scale)
+    else:
+        spec = GridSpec(args.u_max, args.grid_step)
+        upper, scale = "--u-max", f"--u-max {spec.u_max:g}"
     # the spectrum reads scales from --u-min and the box dimensions from max(--u-min, 1)
     if not (0 < args.u_min and max(args.u_min, 1.0) < spec.u_max):
-        raise ValueError(f"the window [max(--u-min, 1), --u-max] must be nonempty with --u-min > 0, "
-                         f"got --u-min {args.u_min:g} and --u-max {spec.u_max:g}")
+        raise ValueError(f"the window [max(--u-min, 1), {upper}] must be nonempty with --u-min > 0, "
+                         f"got --u-min {args.u_min:g} and {scale}")
     if spec.u_max > depth:
         raise ValueError(f"u_max {spec.u_max} exceeds the sample depth {depth}; "
                          "pass a deeper sample or a smaller --u-max")
-    pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+    if pts is None:
+        pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
     coverage = empirical_branching(pts, spec)
     # the whole-set profile: log2 of the cells of each level up to u_max
     gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])

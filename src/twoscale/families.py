@@ -113,12 +113,14 @@ def random_perturbed_branching(rng: np.random.Generator, spec: GridSpec, lipschi
     slope bound by a bounded amount, the regime the approximation operator is
     made for.
     """
-    base = random_branching_grid(rng, spec, lipschitz)
-    vals = base.values.copy()
+    vals = random_branching_grid(rng, spec, lipschitz).values
     for _ in range(int(rng.integers(1, 4))):
         bump = random_bounded_bump(rng, spec, STEEPNESS * lipschitz, MAX_HEIGHT)
         vals = vals + bump.values
-    return TwoScaleGrid(spec, vals)
+    # a sum of branching grids peaks at (u_max, 0), so an overflow shows there
+    if not vals[-1, 0] < np.inf:
+        raise ValueError("values must be finite on the lattice")
+    return TwoScaleGrid._adopt(spec, vals)
 
 
 def random_monotone_majorant_curve(

@@ -172,6 +172,21 @@ class TwoScaleGrid:
         object.__setattr__(self, "values", _clean_triangle(self.spec, self.values))
 
     @classmethod
+    def _adopt(cls, spec: GridSpec, values: np.ndarray) -> "TwoScaleGrid":
+        """A grid that takes ``values`` as they are and only makes them read-only.
+
+        The private path for operators whose outputs are clean by construction.
+        ``values`` must be a fresh C-contiguous float table of shape (n + 1, n + 1)
+        that ``_clean_triangle`` would return bit for bit: zero above the diagonal
+        and on it, finite and nonnegative below it, and no -0.0 anywhere.
+        """
+        values.flags.writeable = False
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "spec", spec)
+        object.__setattr__(grid, "values", values)
+        return grid
+
+    @classmethod
     def from_function(cls, spec: GridSpec, fn: Callable) -> "TwoScaleGrid":
         u = spec.coords
         uu, vv = np.meshgrid(u, u, indexing="ij")
@@ -429,7 +444,7 @@ def pointwise_max(grids: Sequence[TwoScaleGrid]) -> TwoScaleGrid:
     spec = grids[0].spec
     if any(g.spec != spec for g in grids):
         raise ValueError("all grids must share one GridSpec")
-    return TwoScaleGrid(spec, np.maximum.reduce([g.values for g in grids]))
+    return TwoScaleGrid._adopt(spec, np.maximum.reduce([g.values for g in grids]))
 
 
 def profile_extension(profile: PiecewiseLinear, anchor: float, spec: GridSpec) -> TwoScaleGrid:
@@ -455,9 +470,8 @@ def excess_bound(grid: TwoScaleGrid, lipschitz: float) -> np.ndarray:
     Returns one value per lattice row, made monotone in u.
     """
     coords = grid.spec.coords
-    uu, vv = np.meshgrid(coords, coords, indexing="ij")
-    excess = grid.values - lipschitz * (uu - vv)
-    excess = np.where(vv <= uu, excess, -np.inf)
+    excess = grid.values - lipschitz * (coords[:, None] - coords)
+    excess = np.where(_lower_mask(grid.spec.n), excess, -np.inf)
     row = np.maximum(excess.max(axis=1), 0.0)
     return np.maximum.accumulate(row)
 
@@ -490,6 +504,9 @@ def lipschitz_approximation(
     V = grid.values
     n = grid.spec.n
     cap = lipschitz * grid.spec.step
+    if np.isfinite(cap) and not np.isfinite(cap * n):
+        # the steps overflow, and inf - inf puts NaN in the output
+        raise ValueError("values must be finite on the lattice")
     if np.isfinite(cap):
         # entries i < b of V.T are V's upper-triangle zeros; minus cap * (i - b)
         # they stay >= 0, the scan's start value at i = b, so the running
@@ -509,5 +526,5 @@ def lipschitz_approximation(
         near = buf[: (j + 1) * (n + 1 - j)].reshape(j + 1, n + 1 - j)
         np.subtract(G[: j + 1, j:], G[: j + 1, j, None], out=near)
         np.maximum(out_t[j, j:], near.max(axis=0), out=out_t[j, j:])
-    return TwoScaleGrid(grid.spec, out_t.T)
+    return TwoScaleGrid._adopt(grid.spec, np.ascontiguousarray(out_t.T))
 

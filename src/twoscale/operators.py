@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -71,6 +72,21 @@ class SpectrumGrid:
         vals = np.maximum(vals, 0.0)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, theta_step: float, values: np.ndarray) -> "SpectrumGrid":
+        """A curve that takes ``values`` as they are and only makes them read-only.
+
+        The private path for operators whose outputs are clean by construction.
+        ``theta_step`` must pass ``_theta_count``, and ``values`` must be a fresh
+        C-contiguous float array of its m + 1 samples, finite, nonnegative and
+        without -0.0, which the constructor's checks and clamp keep bit for bit.
+        """
+        values.flags.writeable = False
+        curve = object.__new__(cls)
+        object.__setattr__(curve, "theta_step", theta_step)
+        object.__setattr__(curve, "values", values)
+        return curve
 
     @property
     def m(self) -> int:
@@ -252,7 +268,11 @@ def scaling_limit(
     _theta_count(theta_step)
     us, weights = _window_weights(grid.spec, u_min, theta_step)
     vals = grid._gather(weights).reshape(us.size, -1)
-    return SpectrumGrid(theta_step, (vals / us[:, None]).max(axis=0))
+    out = (vals / us[:, None]).max(axis=0)
+    # finite nonnegative values give no NaN, but may overflow
+    if not out.max() < np.inf:
+        raise ValueError("curve values must be finite")
+    return SpectrumGrid._adopt(theta_step, out)
 
 
 @lru_cache(maxsize=4)
@@ -274,7 +294,7 @@ def cone_extension(curve: SpectrumGrid, spec: GridSpec) -> TwoScaleGrid:
     """
     vals = np.zeros((spec.n + 1, spec.n + 1))
     vals[_lower_mask(spec.n)] = _cone_triangle(curve, spec)
-    return TwoScaleGrid(spec, vals)
+    return TwoScaleGrid._adopt(spec, vals)
 
 
 def _cone_triangle(curve: SpectrumGrid, spec: GridSpec) -> np.ndarray:
@@ -316,34 +336,57 @@ def monotone_envelope(grid: TwoScaleGrid, growth: float) -> TwoScaleGrid:
     running maximum along its rows serves every diagonal; the second branch
     depends on d alone and is one column maxed into S.
     """
-    if growth < 0:
-        raise ValueError("growth must be nonnegative")
+    return next(_monotone_envelopes(grid, (growth,)))
+
+
+def _monotone_envelopes(grid: TwoScaleGrid, growths: Sequence[float]) -> Iterator[TwoScaleGrid]:
+    """``monotone_envelope(grid, growth)`` for each growth in turn.
+
+    The running maximum along the diagonals does not depend on growth, so it
+    is taken once.  Each envelope lives in its own padded table, the first in
+    the one the running maximum read.  The generator keeps no table once it
+    has yielded it, so a caller that drops each envelope before asking for the
+    next holds one table at a time.
+    """
     V = grid.values
     n = grid.spec.n
-    slope = growth * grid.spec.step * np.arange(n + 1)
-    # branch two: growth*(u-v) + running max of (first column minus growth * u)
-    ramp = slope + np.maximum.accumulate(V[:, 0] - slope)
     pad, diagonals = _diagonals(V)
     skew = np.maximum.accumulate(diagonals, axis=1)
-    np.maximum(skew, ramp[:, None], out=skew)
-    # writing back through the view sets every lattice entry d + k <= n exactly
-    # once and leaves the zeros above the diagonal
-    diagonals[...] = skew
-    return TwoScaleGrid(grid.spec, pad[: n + 1])
+    for growth in growths:
+        if not 0 <= growth < np.inf:
+            raise ValueError(f"growth must be nonnegative and finite, got {growth}")
+        slope = growth * grid.spec.step * np.arange(n + 1)
+        # branch two: growth*(u-v) + running max of (first column minus growth * u)
+        ramp = slope + np.maximum.accumulate(V[:, 0] - slope)
+        if not np.isfinite(ramp).all():  # a large growth overflows the slope
+            raise ValueError("values must be finite on the lattice")
+        if pad is None:
+            pad, diagonals = _padded(n)
+        # writing through the view sets every lattice entry d + k <= n exactly
+        # once and leaves the zeros above the diagonal
+        np.maximum(skew, ramp[:, None], out=diagonals)
+        yield TwoScaleGrid._adopt(grid.spec, pad[: n + 1])
+        pad = diagonals = None
+
+
+def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A zero table of 2n + 2 rows and n + 1 columns, and its skewed view S[d, k] = table[d + k, k].
+
+    Row d of S is the diagonal u - v = d of the first n + 1 rows; S is a
+    strided view of the table, so writes through it land in the table.  Past
+    the lattice (d + k > n) its rows run into the rows below, after the
+    entries they follow.
+    """
+    pad = np.zeros((2 * n + 2, n + 1))
+    rows, cols = pad.strides
+    return pad, as_strided(pad, (n + 1, n + 1), (rows, rows + cols))
 
 
 def _diagonals(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values stacked on a block of zeros, and the skewed view S[d, k] = V[d + k, k].
-
-    Row d of S is the diagonal u - v = d; S is a strided view of the padded
-    table, so writes through it land in the table.  Past the lattice
-    (d + k > n) its rows run into the zero rows, after the entries they follow.
-    """
-    n = V.shape[0] - 1
-    pad = np.zeros((2 * n + 2, n + 1))
-    pad[: n + 1] = V
-    rows, cols = pad.strides
-    return pad, as_strided(pad, (n + 1, n + 1), (rows, rows + cols))
+    """The values stacked on a block of zeros, and the skewed view S[d, k] = V[d + k, k]."""
+    pad, diagonals = _padded(V.shape[0] - 1)
+    pad[: V.shape[0]] = V
+    return pad, diagonals
 
 
 def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
@@ -353,17 +396,20 @@ def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
     theta], floored at ``growth``.  Idempotent and the identity on curves
     already in the class.
     """
-    if growth < 0:
-        raise ValueError("growth must be nonnegative")
+    if not 0 <= growth < np.inf:
+        raise ValueError(f"growth must be nonnegative and finite, got {growth}")
     v = curve.values
     th = curve.thetas
     ratio = np.empty_like(v)
     ratio[:-1] = v[:-1] / (1.0 - th[:-1])
     ratio[-1] = ratio[-2] if v.size > 1 else growth
-    run = np.maximum(np.maximum.accumulate(ratio), growth)
+    # growth + 0.0 turns -0.0 into the 0.0 a clean curve holds
+    run = np.maximum(np.maximum.accumulate(ratio), growth + 0.0)
+    if not run[-1] < np.inf:  # run is nondecreasing, so this finds any overflow
+        raise ValueError("curve values must be finite")
     out = (1.0 - th) * run
     out[-1] = 0.0
-    return SpectrumGrid(curve.theta_step, out)
+    return SpectrumGrid._adopt(curve.theta_step, out)
 
 
 def plateau_curve(height: float, kink: float, theta_step: float = DEFAULT_THETA_STEP) -> SpectrumGrid:
@@ -399,21 +445,31 @@ class DeviationReport:
 
 def commuting_deviation(
     grid: TwoScaleGrid,
-    growth: float,
+    growth: float | Sequence[float],
     u_min: float,
     theta_step: float = DEFAULT_THETA_STEP,
-) -> DeviationReport:
+) -> DeviationReport | list[DeviationReport]:
     """Sup-norm gap between limit-then-project and project-then-limit.
 
     Both paths are computed at the same finite window; the gap shrinks as the
     window grows and vanishes for homogeneous inputs up to grid tolerance.
+    Given a sequence of growths, returns one report per growth: the grid's
+    scaling limit and the diagonal running maximum of its envelopes do not
+    depend on growth, so each is taken once, and each envelope is dropped
+    before the next one is built.
     """
-    via_grid = scaling_limit(monotone_envelope(grid, growth), u_min, theta_step)
-    via_curve = spectrum_envelope(scaling_limit(grid, u_min, theta_step), growth)
-    gap = np.abs(via_grid.values - via_curve.values)
-    k = int(np.argmax(gap))
-    return DeviationReport(
-        sup_deviation=float(gap[k]),
-        witness_theta=float(via_grid.thetas[k]),
-        window=(u_min, grid.spec.u_max),
-    )
+    growths = list(growth) if np.ndim(growth) else [growth]
+    limit = scaling_limit(grid, u_min, theta_step)
+    envelopes = _monotone_envelopes(grid, growths)
+    reports = []
+    for g in growths:
+        via_grid = scaling_limit(next(envelopes), u_min, theta_step)
+        via_curve = spectrum_envelope(limit, g)
+        gap = np.abs(via_grid.values - via_curve.values)
+        k = int(np.argmax(gap))
+        reports.append(DeviationReport(
+            sup_deviation=float(gap[k]),
+            witness_theta=float(via_grid.thetas[k]),
+            window=(u_min, grid.spec.u_max),
+        ))
+    return reports if np.ndim(growth) else reports[0]

@@ -6,7 +6,9 @@ not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
 60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
 windows that are empty, ``estimate`` depths that contradict the sidecar or
-lie outside [0, 1023], and outputs that cannot be written are user errors
+lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
+not divide the sample's scale range when ``--u-max`` is omitted (named by
+the options given, not by a ``u_max`` never passed), and outputs that cannot be written are user errors
 (exit 2); a lattice too large to allocate is a resource failure (exit 3).
 ``synth`` has no scale range option: its lattice reaches ``--depth``, so
 its lattice limits are reached through ``--grid-step``, and ``estimate``'s
@@ -17,6 +19,7 @@ as it was.
 
 import contextlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -212,3 +215,57 @@ def test_estimate_checks_the_sample_depth_before_it_sets_the_scale_range(tmp_pat
             "--out", str(tmp_path / "out")]
     assert run(argv) == (EXIT_USER, f"error: point depth must lie in [0, 1023], got {depth}")
     assert not (tmp_path / "out").exists()
+
+
+TWO_POINTS = {
+    1: "coord_0_num,coord_0_exp\n0,0\n1,0\n",
+    2: "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp\n0,0,0,0\n1,0,1,0\n",
+    3: "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp,coord_2_num,coord_2_exp\n0,0,0,0,0,0\n1,0,1,0,1,0\n",
+}
+
+
+@pytest.mark.parametrize("d, depth, u_min, top, refusal", [
+    (1, 70, 16, 62, "point cells are exact only up to level 62, not 63"),
+    (2, 40, 20, 31, "ball counts in d = 2 are exact only up to level 31, not 32"),
+    (3, 40, 16, 30, "ball counts in d = 3 are exact only up to level 30, not 31"),
+])
+def test_estimate_defaults_u_max_to_the_deepest_exact_level(tmp_path, d, depth, u_min, top, refusal):
+    (tmp_path / "two.csv").write_text(TWO_POINTS[d])
+    out = tmp_path / "out"
+    argv = ["estimate", str(tmp_path / "two.csv"), "--depth", str(depth), "--u-min", str(u_min), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert json.loads((out / "box_dims.json").read_text())["window"] == [float(u_min), float(top)]
+    # one level deeper, asked for, is still refused
+    assert run(argv + ["--u-max", str(top + 1)]) == (EXIT_USER, f"error: {refusal}")
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--depth", "20", "--grid-step", "0.3"],
+     "error: --grid-step 0.3 must divide the sample depth 20 into a whole number of steps, at most 2^30 - 2"),
+    (["--depth", "40", "--grid-step", "0.3"],
+     "error: --grid-step 0.3 must divide the deepest exact level 31 of d = 2 ball counts into a whole number "
+     "of steps, at most 2^30 - 2"),
+    (["--depth", "20", "--grid-step", "1e-300"],
+     "error: --grid-step 1e-300 must divide the sample depth 20 into a whole number of steps, at most 2^30 - 2"),
+    (["--depth", "20", "--grid-step", "inf"], "error: --grid-step must be positive and finite, got inf"),
+    (["--depth", "0"], "error: the sample depth is 0, which leaves no scale to estimate"),
+    (["--depth", "1"], "error: the window [max(--u-min, 1), the sample depth] must be nonempty with --u-min > 0, "
+                       "got --u-min 16 and the sample depth 1"),
+    (["--depth", "40", "--u-min", "31"],
+     "error: the window [max(--u-min, 1), the deepest exact level] must be nonempty with --u-min > 0, "
+     "got --u-min 31 and the deepest exact level 31 of d = 2 ball counts"),
+])
+def test_estimate_errors_name_the_options_given_when_u_max_is_omitted(tmp_path, options, message):
+    (tmp_path / "two.csv").write_text(TWO_POINTS[2])
+    argv = ["estimate", str(tmp_path / "two.csv"), "--out", str(tmp_path / "out"), *options]
+    assert run(argv) == (EXIT_USER, message)
+    assert "u_max" not in message
+    assert not (tmp_path / "out").exists()
+
+
+def test_estimate_refuses_a_sidecar_depth_of_0_before_reading_the_points(tmp_path):
+    (tmp_path / "meta.json").write_text('{"depth": 0}')
+    argv = ["estimate", str(tmp_path / "missing.csv"), "--metadata", str(tmp_path / "meta.json"),
+            "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, "error: the sample depth is 0, which leaves no scale to estimate")

@@ -2,12 +2,15 @@
 
 Each output file must hash to its entry in ``golden_digests.json``, and each
 command must print exactly its pinned stdout, so a refactor that changes any
-output byte fails here.  The ``verify all`` report digest is checked in
-``test_acceptance.py`` from the criterion runs made there.
+output byte fails here.  The ``verify all`` report digest at seed 0 is
+checked in ``test_acceptance.py`` from the criterion runs made there; the
+``core`` and ``operators`` reports are pinned here at seeds 1 and 2.
 """
 
 import hashlib
 import json
+
+import pytest
 
 from twoscale.cli import main
 
@@ -75,6 +78,15 @@ def test_two_map_attractor_outputs(tmp_path, golden, capsys):
 def test_three_map_d2_float_attractor_outputs(tmp_path, golden, capsys):
     run = "attractor_d2"
     assert attractor_digests(tmp_path, capsys, THREE_MAP_D2_SPEC, run) == expected(golden, run)
+
+
+@pytest.mark.parametrize("suite, seed", [("core", 1), ("core", 2), ("operators", 1), ("operators", 2)])
+def test_verify_reports_at_more_seeds(tmp_path, golden, capsys, suite, seed):
+    run = f"verify_{suite}_seed{seed}"
+    out = tmp_path / run
+    assert main(["verify", suite, "--seed", str(seed), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert digests(out, run) == expected(golden, run)
 
 
 def test_verify_out_prints_its_criteria_and_no_wrote_line(tmp_path, capsys):

@@ -9,6 +9,8 @@ zero, equal error messages, and equal ``repr`` of validation reports, which
 also pins the order of the witnesses kept under ``MAX_WITNESSES``.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +21,14 @@ from twoscale import (
     GridSpec,
     SpectrumGrid,
     TwoScaleGrid,
+    commuting_deviation,
     cone_extension,
     lipschitz_approximation,
     monotone_envelope,
     plateau_curve,
+    pointwise_max,
     scaling_limit,
+    spectrum_envelope,
     validate_branching,
     validate_limit_curve,
     validate_monotone_grid,
@@ -41,8 +46,9 @@ from twoscale.grids import (
     MAX_WITNESSES,
     ValidationReport,
     Violation,
+    _clean_triangle,
 )
-from twoscale.operators import DEFAULT_THETA_STEP, _cone_triangle
+from twoscale.operators import DEFAULT_THETA_STEP, _cone_triangle, _monotone_envelopes
 
 # ---------------------------------------------------------------------------
 # Reference formulations
@@ -828,6 +834,158 @@ def test_random_families_match_their_loops_on_the_verify_draws():
             assert scale == ref_rng.uniform(0.4, 1.0)
             assert same_bits(random_limit_curve(rng, scale).values, ref_random_limit_curve(ref_rng, scale).values)
         assert rng.random() == ref_rng.random()
+
+
+# ---------------------------------------------------------------------------
+# The private construction path of operator outputs
+# ---------------------------------------------------------------------------
+
+
+def assert_clean_grid(grid):
+    """The grid's table is what public construction makes of it, contiguous and read-only."""
+    assert same_bits(_clean_triangle(grid.spec, grid.values), grid.values)
+    assert grid.values.flags.c_contiguous and not grid.values.flags.writeable
+
+
+def assert_clean_curve(curve):
+    """The curve's samples are what public construction makes of them, contiguous and read-only."""
+    assert same_bits(SpectrumGrid(curve.theta_step, curve.values).values, curve.values)
+    assert curve.values.flags.c_contiguous and not curve.values.flags.writeable
+
+
+GROWTHS = [0.0, -0.0, 0.3, 0.7, 1.0, 2.5]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 14), st.sampled_from(STEPS),
+       st.lists(st.tuples(st.sampled_from(["branching", "perturbed", "noise"]), st.integers(0, 2**32 - 1)),
+                min_size=1, max_size=3))
+def test_pointwise_max_output_is_clean(n, step, members):
+    spec = GridSpec(n * step, step)
+    family = [grid_kind(np.random.default_rng(seed), spec, kind) for kind, seed in members]
+    out = pointwise_max(family)
+    assert_clean_grid(out)
+    assert all(out.values is not g.values for g in family)
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves, st.integers(1, 40), st.sampled_from(STEPS))
+def test_cone_extension_output_is_clean(params, n, step):
+    theta_step, _, seed = params
+    curve = make_curve((theta_step, "plateaus", seed))
+    assert_clean_grid(cone_extension(curve, GridSpec(n * step, step)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, st.sampled_from(GROWTHS))
+def test_monotone_envelope_output_is_clean(params, growth):
+    assert_clean_grid(monotone_envelope(make_grid(params), growth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, st.sampled_from(LIPSCHITZ + [-0.0]))
+def test_lipschitz_approximation_output_is_clean(params, lipschitz):
+    assert_clean_grid(lipschitz_approximation(make_grid(params), lipschitz, check=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 14), st.sampled_from(STEPS), st.sampled_from([0.4, 1.0, 2.5]), st.integers(0, 2**32 - 1))
+def test_random_perturbed_branching_output_is_clean(n, step, lipschitz, seed):
+    spec = GridSpec(n * step, step)
+    assert_clean_grid(random_perturbed_branching(np.random.default_rng(seed), spec, lipschitz))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, st.sampled_from(THETA_STEPS), st.floats(0.05, 0.95))
+def test_scaling_limit_output_is_clean(params, theta_step, frac):
+    grid = make_grid(params)
+    assert_clean_curve(scaling_limit(grid, frac * grid.spec.u_max, theta_step))
+
+
+@settings(max_examples=100, deadline=None)
+@given(curves, st.sampled_from(GROWTHS))
+def test_spectrum_envelope_output_is_clean(params, growth):
+    assert_clean_curve(spectrum_envelope(make_curve(params), growth))
+
+
+def test_outputs_at_n_256_are_clean():
+    for grid in big_grids():
+        assert_clean_grid(lipschitz_approximation(grid, 1.0, check=False))
+        assert_clean_grid(monotone_envelope(grid, 0.3))
+        assert_clean_curve(spectrum_envelope(scaling_limit(grid, 16.0), 0.3))
+    assert_clean_grid(pointwise_max(big_grids()))
+
+
+def test_operators_refuse_what_their_output_checks_refused():
+    """Overflows that public construction found in an operator's output are found before it."""
+    spec = GridSpec(2.0, 0.25)
+    grid = make_grid((spec.n, spec.step, "branching", 3))
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflows are the point
+        # the lipschitz steps overflow: the anchor scan puts NaN in the output
+        message = outcome(lipschitz_approximation, grid, 1e308, False)
+        assert message == outcome(ref_lipschitz_approximation, grid, 1e308)
+        assert message == "ValueError: values must be finite on the lattice"
+        # the growth ramp overflows
+        assert outcome(ref_monotone_envelope, grid, 1e308) == message
+        assert outcome(monotone_envelope, grid, 1e308) == message
+        # huge finite values overflow the window's ratios and the spectrum ratio
+        huge = TwoScaleGrid.from_function(spec, lambda u, v: 1.7e308 * (u > v))
+        assert outcome(scaling_limit, huge, 0.25) == "ValueError: curve values must be finite"
+        steep = SpectrumGrid(0.25, [1e308, 1e308, 1e308, 1e308, 0.0])
+        assert outcome(spectrum_envelope, steep, 0.0) == "ValueError: curve values must be finite"
+    for growth in (np.inf, np.nan, -0.5):
+        for operator, arg in ((monotone_envelope, grid), (spectrum_envelope, plateau_curve(1.0, 0.5))):
+            message = outcome(operator, arg, growth)
+            assert message == f"ValueError: growth must be nonnegative and finite, got {growth}"
+
+
+def ref_commuting_deviation(grid, growth, u_min, theta_step=DEFAULT_THETA_STEP):
+    """The one-growth composition: limit of the projection against projection of the limit."""
+    envelope = TwoScaleGrid(grid.spec, ref_monotone_envelope(grid, growth))
+    via_grid = scaling_limit(envelope, u_min, theta_step)
+    via_curve = spectrum_envelope(scaling_limit(grid, u_min, theta_step), growth)
+    gap = np.abs(via_grid.values - via_curve.values)
+    k = int(np.argmax(gap))
+    return float(gap[k]), float(via_grid.thetas[k])
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids, st.lists(st.sampled_from(GROWTHS), min_size=1, max_size=5), st.sampled_from(THETA_STEPS),
+       st.floats(0.05, 0.95))
+def test_several_growths_share_one_path_with_one_growth(params, growths, theta_step, frac):
+    grid = make_grid(params)
+    u_min = frac * grid.spec.u_max
+    envelopes = list(_monotone_envelopes(grid, growths))
+    reports = commuting_deviation(grid, growths, u_min, theta_step)
+    assert len(envelopes) == len(reports) == len(growths)
+    for growth, envelope, report in zip(growths, envelopes, reports):
+        assert same_bits(envelope.values, monotone_envelope(grid, growth).values)
+        assert same_bits(envelope.values, ref_monotone_envelope(grid, growth))
+        assert_clean_grid(envelope)
+        assert report == commuting_deviation(grid, growth, u_min, theta_step)
+        assert (report.sup_deviation, report.witness_theta) == ref_commuting_deviation(grid, growth, u_min, theta_step)
+        assert report.window == (u_min, grid.spec.u_max)
+
+
+def test_several_growths_share_one_path_on_the_criterion_3_draws():
+    rng = np.random.default_rng(3)
+    spec = GridSpec(64.0, 0.25)
+    growths = (0.0, 0.3, 0.7, 1.0)
+    for _ in range(3):
+        psi = random_branching_grid(rng, spec, 1.0)
+        got = [(r.sup_deviation, r.witness_theta) for r in commuting_deviation(psi, growths, 16.0)]
+        assert got == [ref_commuting_deviation(psi, growth, 16.0) for growth in growths]
+
+
+def test_envelopes_keep_no_table_once_yielded():
+    grid = big_grids()[0]
+    envelopes = _monotone_envelopes(grid, (0.0, 0.5, 1.0))
+    first = next(envelopes)
+    table = weakref.ref(first.values.base)
+    del first
+    second = next(envelopes)
+    assert table() is None
+    assert second.values.base is not None
 
 
 # ---------------------------------------------------------------------------
