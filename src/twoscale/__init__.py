@@ -19,7 +19,6 @@ from .grids import (
     validate_branching,
 )
 from .operators import (
-    AssouadSpectrum,
     DeviationReport,
     SpectrumGrid,
     assouad_spectrum,
@@ -49,10 +48,8 @@ from .covering import (
     PointSet,
     box_dims,
     empirical_branching,
-    spectrum_estimate,
 )
 from .ifs import (
-    DimensionRange,
     FormulaReport,
     SimilarityIFS,
     critical_exponent,

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as tsio
-from .covering import _deepest_ball_level, box_dims, empirical_branching, spectrum_estimate
+from .covering import _deepest_ball_level, box_dims, empirical_branching
 from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import critical_exponent, generate_attractor
-from .operators import cone_extension, plateau_curve
+from .operators import assouad_spectrum, cone_extension, plateau_curve, scaling_limit
 from .synthesis import export_points, synthesize_set
 from .verify import report_payload, run_suite
 
@@ -120,11 +120,11 @@ def cmd_estimate(args) -> tuple[int, dict]:
     # the whole-set profile: log2 of the cells of each level up to u_max
     gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])
     us = np.arange(gs.size, dtype=float)
-    curve = spectrum_estimate(coverage, args.u_min, args.theta_step)
+    curve = assouad_spectrum(scaling_limit(coverage.grid, args.u_min, args.theta_step))
     lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
     profile = PiecewiseLinear.from_samples(us, gs)
     box = {"lower_box": lo, "upper_box": hi, "window": [max(args.u_min, 1.0), spec.u_max],
-           "quasi_assouad_estimate": curve.endpoint, "membership": coverage.membership.summary(),
+           "quasi_assouad_estimate": float(curve.values[-1]), "membership": coverage.membership.summary(),
            "rescale_exponent": meta.get("rescale_exponent", 0)}
     return EXIT_OK, {
         "beta_emp.csv": tsio.grid_to_csv(coverage.grid),

@@ -1,6 +1,6 @@
 """Empirical covering statistics of materialized dyadic sets.
 
-Any object exposing ``dimension``, ``max_covering_level`` and
+Any object exposing ``dimension``, ``depth`` and
 ``cells_at_level(u) -> (m, d) int array`` can be measured: trees and
 composite sets count their materialized cubes, point samples count occupied
 cells.  A point sample holds its cells at one fine level, exact from the
@@ -21,12 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, unique_rows, validate_branching
-from .operators import (
-    DEFAULT_THETA_STEP,
-    AssouadSpectrum,
-    assouad_spectrum,
-    scaling_limit,
-)
 
 MAX_CENTERS = 100_000
 # deepest level whose cell indices and d = 1 ball reach c + 2^level fit in int64
@@ -67,10 +61,6 @@ class PointSet:
         return self.points.shape[1]
 
     @property
-    def max_covering_level(self) -> int:
-        return self.depth
-
-    @property
     def cell_level(self) -> int:
         """Level of ``cells``: the depth, or the deepest level whose cell indices fit in int64."""
         return min(self.depth, MAX_CELL_LEVEL)
@@ -86,8 +76,8 @@ class PointSet:
         Levels beyond ``MAX_CELL_LEVEL`` raise ``ValueError``: their cell
         indices wrap int64.
         """
-        if not 0 <= level <= self.max_covering_level:
-            raise ValueError(f"level {level} exceeds usable depth {self.max_covering_level}")
+        if not 0 <= level <= self.depth:
+            raise ValueError(f"level {level} exceeds usable depth {self.depth}")
         if level > MAX_CELL_LEVEL:
             raise ValueError(f"point cells are exact only up to level {MAX_CELL_LEVEL}, not {level}")
         if self.cells is None:
@@ -221,10 +211,8 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     """
     d = obj.dimension
     top = int(np.ceil(spec.u_max - 1e-9))
-    if top > obj.max_covering_level:
-        raise ValueError(
-            f"spec.u_max {spec.u_max} exceeds usable depth {obj.max_covering_level}"
-        )
+    if top > obj.depth:
+        raise ValueError(f"spec.u_max {spec.u_max} exceeds usable depth {obj.depth}")
     first_bad = _deepest_ball_level(d) + 1
     if top >= first_bad:
         # the error of the shallowest failing level: its cells, then its ball count
@@ -243,7 +231,7 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     slack = 2.0 + d
     report = validate_branching(grid, np.inf, tol=slack)
     meta = {
-        "depth_used": int(obj.max_covering_level),
+        "depth_used": int(obj.depth),
         "cells_per_level": counts.tolist(),
         "centers_sampled": int(counts.sum()),
         "center_cap": MAX_CENTERS,
@@ -270,17 +258,3 @@ def box_dims(us, values, window: tuple[float, float]) -> tuple[float, float]:
         raise ValueError("window contains no samples")
     ratios = values[keep] / us[keep]
     return float(ratios.min()), float(ratios.max())
-
-
-def spectrum_estimate(
-    coverage: CoverageGrid,
-    u_min: float,
-    theta_step: float = DEFAULT_THETA_STEP,
-) -> AssouadSpectrum:
-    """Assouad-spectrum estimate from an empirical branching grid.
-
-    The windowed scaling limit is transformed by 1/(1 - theta); the window
-    [u_min, u_max] governs the finite-scale bias and belongs in any report
-    built from the result.
-    """
-    return assouad_spectrum(scaling_limit(coverage.grid, u_min, theta_step))

@@ -4,7 +4,7 @@ Everything here is constructive: curves come from increasing-ratio sampling
 or maxima of plateau curves, grids from homogeneous lifts and anchored
 profile bumps, so class membership holds by construction rather than by
 rejection.  A curve is built as one table of its plateau components, one
-row each, and one validated ``SpectrumGrid`` of the table's maximum; the
+row each, and one ``SpectrumGrid`` of the table's maximum; the
 random draws come in one array per curve, scaled by hand the way
 ``Generator.uniform`` scales them, so the stream and the values are those of
 one ``uniform`` call per parameter.
@@ -30,11 +30,16 @@ def _check_class(lipschitz: float, growth: float = 0.0) -> None:
 
 
 def _plateau_maximum(heights: np.ndarray, kinks: np.ndarray) -> SpectrumGrid:
-    """Maximum of the plateau curves height * (1 - max(theta, kink)), one per pair."""
+    """Maximum of the plateau curves height * (1 - max(theta, kink)), one per pair.
+
+    Finite heights >= 0 and kinks in [0, 1] give finite, nonnegative values,
+    so the curve skips the constructor's checks; + 0.0 turns the -0.0 of a
+    height -0.0 into the 0.0 the constructor's clamp would hold.
+    """
     m = round(1.0 / DEFAULT_THETA_STEP)
     th = np.arange(m + 1) * DEFAULT_THETA_STEP
     table = heights[:, None] * (1.0 - np.maximum(th, kinks[:, None]))
-    return SpectrumGrid(DEFAULT_THETA_STEP, table.max(axis=0))
+    return SpectrumGrid._adopt(DEFAULT_THETA_STEP, table.max(axis=0) + 0.0)
 
 
 def random_monotone_limit_curve(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -186,12 +186,6 @@ class TwoScaleGrid:
         object.__setattr__(grid, "values", values)
         return grid
 
-    @classmethod
-    def from_function(cls, spec: GridSpec, fn: Callable) -> "TwoScaleGrid":
-        u = spec.coords
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        return cls(spec, np.asarray(fn(uu, vv), dtype=float))
-
     def evaluate(self, u, v):
         """Interpolate at (u, v) with 0 <= v <= u <= u_max.
 
@@ -218,9 +212,6 @@ class TwoScaleGrid:
         dv = np.abs(V[ii[keep], jj[keep] + 1] - V[ii[keep], jj[keep]])
         top = max(du.max(initial=0.0), dv.max(initial=0.0))
         return top / self.spec.step
-
-    def allclose(self, other: "TwoScaleGrid", tol: float = EXACT_TOL) -> bool:
-        return self.spec == other.spec and bool(np.max(np.abs(self.values - other.values)) <= tol)
 
 
 def _grid_weights(spec: GridSpec, u, v):

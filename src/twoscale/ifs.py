@@ -40,6 +40,8 @@ class SimilarityIFS:
     condensation: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
         r = np.asarray(self.ratios, dtype=float)
         t = np.atleast_2d(np.asarray(self.translations, dtype=float))
         if r.ndim != 1 or r.size == 0:
@@ -333,17 +335,8 @@ def lower_box_profile(profile: PiecewiseLinear, growth: float, u_max: float, ste
     return PiecewiseLinear.from_samples(us, vals)
 
 
-@dataclass(frozen=True)
-class DimensionRange:
-    lo: float
-    hi: float
-
-    def contains(self, x: float, tol: float = 0.0) -> bool:
-        return self.lo - tol <= x <= self.hi + tol
-
-
-def dimension_range(growth: float, lower: float, upper: float, lipschitz: float) -> DimensionRange:
-    """Attainable lower box dimensions of attractors with the given profile data.
+def dimension_range(growth: float, lower: float, upper: float, lipschitz: float) -> tuple[float, float]:
+    """Attainable lower box dimensions of attractors with the given profile data, as (lo, hi).
 
     Degenerate at ``growth`` when the condensation's upper dimension does not
     exceed it; otherwise a closed interval from max(growth, lower) to an
@@ -354,8 +347,8 @@ def dimension_range(growth: float, lower: float, upper: float, lipschitz: float)
     if not 0 <= growth <= lipschitz:
         raise ValueError("need 0 <= growth <= lipschitz")
     if upper <= growth:
-        return DimensionRange(growth, growth)
+        return growth, growth
     hi = growth + (upper - growth) * (lipschitz - growth) * lower / (
         lipschitz * upper - growth * lower
     )
-    return DimensionRange(max(growth, lower), hi)
+    return max(growth, lower), hi

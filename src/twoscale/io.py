@@ -106,6 +106,9 @@ def grid_from_csv(text: str) -> TwoScaleGrid:
     seen = np.zeros((n + 1, n + 1), dtype=bool)
     for u, v, x in rows:
         i, j = spec.index_of(u, "u"), spec.index_of(v, "v")
+        if j > i or seen[i, j]:
+            problem = "has v > u" if j > i else "appears twice"
+            raise ValueError(f"grid CSV row (u, v) = ({u:g}, {v:g}) {problem}")
         vals[i, j] = x
         seen[i, j] = True
     ii, jj = np.tril_indices(n + 1)
@@ -678,6 +681,8 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
                 ratios.append(float(m["ratio"]))
             translations.append([float(x) for x in m["translation"]])
         cond_depth = _json_int(data.get("condensation_depth", 20), "condensation_depth")
+    except KeyError as exc:
+        raise ValueError(f"malformed IFS spec: missing key {exc}") from None
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed IFS spec: {exc}") from None
     cond = data.get("condensation")

@@ -105,21 +105,6 @@ class SpectrumGrid:
         out = (1 - frac) * self.values[i] + frac * self.values[1:][i]
         return out if out.shape else float(out)
 
-    def allclose(self, other: "SpectrumGrid", tol: float = EXACT_TOL) -> bool:
-        return (
-            self.theta_step == other.theta_step
-            and bool(np.max(np.abs(self.values - other.values)) <= tol)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class AssouadSpectrum(SpectrumGrid):
-    """Spectrum curve including its endpoint value at theta = 1."""
-
-    @property
-    def endpoint(self) -> float:
-        return float(self.values[-1])
-
 
 def _curve_weights(m: int, theta):
     """Linear interpolation on {0, 1/m, ..., 1}: left sample index and fraction past it."""
@@ -309,14 +294,14 @@ def _cone_triangle(curve: SpectrumGrid, spec: GridSpec) -> np.ndarray:
     return _clamp_nonnegative(vals)
 
 
-def assouad_spectrum(curve: SpectrumGrid) -> AssouadSpectrum:
+def assouad_spectrum(curve: SpectrumGrid) -> SpectrumGrid:
     """Spectrum curve value/(1 - theta), closed at theta = 1 by its supremum."""
     v = curve.values
     th = curve.thetas
     out = np.empty_like(v)
     out[:-1] = v[:-1] / (1.0 - th[:-1])
     out[-1] = out[:-1].max()
-    return AssouadSpectrum(curve.theta_step, out)
+    return SpectrumGrid(curve.theta_step, out)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +412,9 @@ def plateau_curve(height: float, kink: float, theta_step: float = DEFAULT_THETA_
     return SpectrumGrid(theta_step, height * (1.0 - np.maximum(th, kink)))
 
 
-def upper_spectrum(curve: AssouadSpectrum) -> AssouadSpectrum:
+def upper_spectrum(curve: SpectrumGrid) -> SpectrumGrid:
     """Running maximum over [0, theta] of a spectrum curve."""
-    return AssouadSpectrum(curve.theta_step, np.maximum.accumulate(curve.values))
+    return SpectrumGrid(curve.theta_step, np.maximum.accumulate(curve.values))
 
 
 # ---------------------------------------------------------------------------
@@ -445,20 +430,18 @@ class DeviationReport:
 
 def commuting_deviation(
     grid: TwoScaleGrid,
-    growth: float | Sequence[float],
+    growths: Sequence[float],
     u_min: float,
     theta_step: float = DEFAULT_THETA_STEP,
-) -> DeviationReport | list[DeviationReport]:
-    """Sup-norm gap between limit-then-project and project-then-limit.
+) -> list[DeviationReport]:
+    """Sup-norm gap between limit-then-project and project-then-limit, one report per growth.
 
     Both paths are computed at the same finite window; the gap shrinks as the
     window grows and vanishes for homogeneous inputs up to grid tolerance.
-    Given a sequence of growths, returns one report per growth: the grid's
-    scaling limit and the diagonal running maximum of its envelopes do not
-    depend on growth, so each is taken once, and each envelope is dropped
-    before the next one is built.
+    The grid's scaling limit and the diagonal running maximum of its
+    envelopes do not depend on growth, so each is taken once, and each
+    envelope is dropped before the next one is built.
     """
-    growths = list(growth) if np.ndim(growth) else [growth]
     limit = scaling_limit(grid, u_min, theta_step)
     envelopes = _monotone_envelopes(grid, growths)
     reports = []
@@ -472,4 +455,4 @@ def commuting_deviation(
             witness_theta=float(via_grid.thetas[k]),
             window=(u_min, grid.spec.u_max),
         ))
-    return reports if np.ndim(growth) else reports[0]
+    return reports

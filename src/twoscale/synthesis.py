@@ -114,10 +114,6 @@ class DyadicTree:
                 raise ValueError(f"level {n} addresses must be sorted and distinct")
             self.levels[n] = codes
 
-    @property
-    def max_covering_level(self) -> int:
-        return self.depth
-
     def corner_ints(self, level: int) -> np.ndarray:
         """Integer corner coordinates (count, d) at resolution 2^-level.
 
@@ -208,10 +204,6 @@ class CompositeDyadicSet:
                 raise ValueError(f"part {b} must lie in [0, 2^-{b}]^d")
         if len({b for b, _ in self.parts}) < len(self.parts):
             raise ValueError("offsets must be distinct")
-
-    @property
-    def max_covering_level(self) -> int:
-        return self.depth
 
     def cells_at_level(self, level: int) -> np.ndarray:
         """Distinct ambient level-``level`` cell coordinates hit by the set."""

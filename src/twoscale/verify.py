@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .covering import box_dims, empirical_branching, spectrum_estimate
+from .covering import box_dims, empirical_branching
 from .grids import (
     EXACT_TOL,
     GridSpec,
@@ -33,7 +33,7 @@ from .ifs import (
 )
 from .operators import (
     DEFAULT_THETA_STEP,
-    AssouadSpectrum,
+    SpectrumGrid,
     _cone_triangle,
     assouad_spectrum,
     commuting_deviation,
@@ -268,12 +268,12 @@ def criterion_5(ctx: VerifyContext) -> CriterionResult:
     honestly rather than recalibrated.
     """
     art = ctx.attain_artifacts()
-    estimate = spectrum_estimate(art["coverage"], u_min=15.0)
+    estimate = assouad_spectrum(scaling_limit(art["coverage"].grid, 15.0))
     reference = assouad_spectrum(art["curve"])
     gap = np.abs(estimate.values - reference.values)
     k = int(np.argmax(gap))
     sup = float(gap[k])
-    end_gap = float(abs(estimate.endpoint - 0.8))
+    end_gap = float(abs(estimate.values[-1] - 0.8))
     return CriterionResult(
         5,
         "spectrum recovery",
@@ -365,7 +365,8 @@ def criterion_8(ctx: VerifyContext) -> CriterionResult:
         actual_equal = (hi_l - lo_l) <= 0.05
         if predicted_equal != actual_equal:
             mismatches.append((lower, upper, growth))
-        if not dimension_range(growth, lo_f, hi_f, 1.0).contains(lo_l, EXACT):
+        lo_r, hi_r = dimension_range(growth, lo_f, hi_f, 1.0)
+        if not lo_r - EXACT <= lo_l <= hi_r + EXACT:
             excursions += 1
     passed = spot <= EXACT and not mismatches and excursions == 0
     return CriterionResult(
@@ -400,7 +401,7 @@ def _block_profile(lower: float, upper: float, blocks: int = 7) -> PiecewiseLine
     return PiecewiseLinear(np.array(bps), np.array(slopes))
 
 
-def direct_upper_spectrum(grid: TwoScaleGrid, u_min: float) -> AssouadSpectrum:
+def direct_upper_spectrum(grid: TwoScaleGrid, u_min: float) -> SpectrumGrid:
     """Upper spectrum estimated by a direct double supremum.
 
     For each theta takes max over grid lambdas <= theta (lambda < 1) and
@@ -422,7 +423,7 @@ def direct_upper_spectrum(grid: TwoScaleGrid, u_min: float) -> AssouadSpectrum:
     out = np.empty(m + 1)
     out[:m] = np.maximum.accumulate(per_lam)
     out[m] = per_lam.max()
-    return AssouadSpectrum(theta_step, out)
+    return SpectrumGrid(theta_step, out)
 
 
 def criterion_9(ctx: VerifyContext) -> CriterionResult:

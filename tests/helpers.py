@@ -1,0 +1,17 @@
+"""Test-side constructors and comparisons of grids and curves."""
+
+import numpy as np
+
+from twoscale import TwoScaleGrid
+
+
+def grid_from_function(spec, fn) -> TwoScaleGrid:
+    """The grid of fn(u, v) at every lattice point of ``spec``."""
+    uu, vv = np.meshgrid(spec.coords, spec.coords, indexing="ij")
+    return TwoScaleGrid(spec, np.asarray(fn(uu, vv), dtype=float))
+
+
+def values_close(a, b, tol: float) -> bool:
+    """Two grids on one lattice, or two curves of one theta step, whose values differ by at most ``tol``."""
+    same = a.spec == b.spec if isinstance(a, TwoScaleGrid) else a.theta_step == b.theta_step
+    return same and bool(np.max(np.abs(a.values - b.values)) <= tol)

@@ -8,9 +8,16 @@ module's own top-level ``y`` outside ``y``'s definition; ``module.y`` is a use
 of ``y`` in the module that ``from . import module`` binds.  A parameter or
 local variable of the same name hides the name in its function, so it is no
 use.
+
+The public members of exported classes (methods, properties and
+classmethods, not dataclass fields) are held to the same rule by name: each
+needs an ``.member`` attribute use somewhere in the package.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 from pathlib import Path
 
 import twoscale
@@ -80,8 +87,67 @@ def package_sources() -> dict:
     return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
 
 
+def public_members(cls) -> set:
+    """Names of the methods, properties and classmethods that ``cls`` defines itself, not ``_``-prefixed."""
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return {
+        name for name, value in vars(cls).items()
+        if not name.startswith("_") and name not in fields
+        and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+    }
+
+
+def attribute_names(sources: dict) -> set:
+    """Every ``.name`` attribute that ``sources`` use."""
+    return {node.attr for source in sources.values() for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)}
+
+
+def unused_members(sources: dict) -> list:
+    used = attribute_names(sources)
+    return sorted(
+        f"{name}.{member}"
+        for module, name in exported_names()
+        if inspect.isclass(cls := getattr(importlib.import_module(f"twoscale.{module}"), name))
+        for member in public_members(cls) - used
+    )
+
+
 def test_every_exported_name_is_used_inside_the_package():
     assert sorted(exported_names() - used_names(package_sources())) == []
+
+
+def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
+    assert unused_members(package_sources()) == []
+
+
+def test_public_members_are_methods_properties_and_classmethods_not_fields():
+    @dataclasses.dataclass(frozen=True)
+    class Sample:
+        size: int
+        step: float = 0.5
+
+        def __post_init__(self):
+            pass
+
+        def method(self):
+            return self._helper()
+
+        def _helper(self):
+            return self.size
+
+        @property
+        def prop(self):
+            return self.step
+
+        @classmethod
+        def build(cls):
+            return cls(1)
+
+    assert public_members(Sample) == {"method", "prop", "build"}
+    assert attribute_names({"m": "def f(x):\n    return x.prop(x.method)\n"}) == {"prop", "method"}
+    # a same-named function or variable is no attribute use
+    assert attribute_names({"m": "def build(prop):\n    return build(prop)\n"}) == set()
 
 
 def test_a_same_named_local_is_no_use():

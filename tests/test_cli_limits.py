@@ -8,8 +8,9 @@ numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
 windows that are empty, ``estimate`` depths that contradict the sidecar or
 lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
 not divide the sample's scale range when ``--u-max`` is omitted (named by
-the options given, not by a ``u_max`` never passed), and outputs that cannot be written are user errors
-(exit 2); a lattice too large to allocate is a resource failure (exit 3).
+the options given, not by a ``u_max`` never passed), IFS specs of dimension
+below 1 or without a key they need, grid CSV rows with v > u or repeated, and
+outputs that cannot be written are user errors (exit 2); a lattice too large to allocate is a resource failure (exit 3).
 ``synth`` has no scale range option: its lattice reaches ``--depth``, so
 its lattice limits are reached through ``--grid-step``, and ``estimate``'s
 ``--u-max`` rows hold the scale-range limits.
@@ -24,8 +25,9 @@ import json
 import numpy as np
 import pytest
 
-from twoscale import GridSpec
+from twoscale import GridSpec, cone_extension, plateau_curve
 from twoscale.cli import EXIT_CAP, EXIT_USER, main
+from twoscale.io import grid_to_csv
 from twoscale.operators import MAX_THETA_COUNT
 
 POINTS = "coord_0_num,coord_0_exp\n0,0\n1,2\n3,3\n1,0\n"
@@ -269,3 +271,29 @@ def test_estimate_refuses_a_sidecar_depth_of_0_before_reading_the_points(tmp_pat
     argv = ["estimate", str(tmp_path / "missing.csv"), "--metadata", str(tmp_path / "meta.json"),
             "--out", str(tmp_path / "out")]
     assert run(argv) == (EXIT_USER, "error: the sample depth is 0, which leaves no scale to estimate")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"d": 0, "maps": [{"ratio": 0.5, "translation": []}]}', "error: dimension must be at least 1, got 0"),
+    ('{"d": -1, "maps": [{"ratio": 0.5, "translation": [0.0]}]}', "error: dimension must be at least 1, got -1"),
+    ('{"maps": [{"ratio": 0.5, "translation": [0.0]}]}', "error: malformed IFS spec: missing key 'd'"),
+    ('{"d": 1}', "error: malformed IFS spec: missing key 'maps'"),
+    ('{"d": 1, "maps": [{"ratio": 0.5}]}', "error: malformed IFS spec: missing key 'translation'"),
+    ('{"d": 1, "maps": [{"translation": [0.0]}]}', "error: malformed IFS spec: missing key 'ratio'"),
+])
+def test_attractor_rejects_dimensions_below_1_and_missing_spec_keys(tmp_path, spec, message):
+    (tmp_path / "ifs.json").write_text(spec)
+    assert run(["attractor", str(tmp_path / "ifs.json"), "--out", str(tmp_path / "out")]) == (EXIT_USER, message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,5,9", "error: grid CSV row (u, v) = (2, 5) has v > u"),
+    ("8,0,3.25", "error: grid CSV row (u, v) = (8, 0) appears twice"),
+])
+def test_synth_rejects_grid_rows_above_the_diagonal_or_repeated(tmp_path, row, message):
+    # such a row used to be dropped, or to replace the earlier one, without a word
+    target = cone_extension(plateau_curve(0.8, 0.5), GridSpec(8.0, 0.25))
+    (tmp_path / "g.csv").write_text(grid_to_csv(target) + row + "\n")
+    assert run(["synth", str(tmp_path / "g.csv"), "--depth", "8", "--out", str(tmp_path / "out")]) == (EXIT_USER, message)
+    assert not (tmp_path / "out").exists()

@@ -9,11 +9,12 @@ from twoscale import (
     GridSpec,
     PointSet,
     StepFunction,
+    assouad_spectrum,
     box_dims,
     cone_extension,
     empirical_branching,
     plateau_curve,
-    spectrum_estimate,
+    scaling_limit,
     subdivision_tree,
     synthesize_set,
 )
@@ -359,17 +360,17 @@ def test_cells_per_level_matches_cell_counts():
 
 
 # ---------------------------------------------------------------------------
-# spectrum_estimate
+# spectrum estimate: the Assouad spectrum of the windowed scaling limit
 # ---------------------------------------------------------------------------
 
 def test_spectrum_estimate_point_is_tiny():
     cov = empirical_branching(PointSet(np.array([[0.25]]), 16), GridSpec(15.0, 0.25))
-    est = spectrum_estimate(cov, 8.0)
+    est = assouad_spectrum(scaling_limit(cov.grid, 8.0))
     assert np.max(est.values) <= 0.1
 
 
 def test_spectrum_estimate_interval_near_one_on_resolved_thetas():
     cov = empirical_branching(full_interval_tree(17), GridSpec(16.0, 0.25))
-    est = spectrum_estimate(cov, 12.0)
+    est = assouad_spectrum(scaling_limit(cov.grid, 12.0))
     resolved = est.thetas <= 0.25
     assert np.max(np.abs(est.values[resolved] - 1.0)) <= 0.15

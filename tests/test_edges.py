@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import grid_from_function
 from twoscale import (
     CapExceeded,
     GridSpec,
@@ -15,10 +16,10 @@ from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
 def test_subadditivity_scan_above_n_256():
     # the triple scan is exhaustive at every lattice size
     spec = GridSpec(75.0, 0.25)  # n = 300
-    lin = TwoScaleGrid.from_function(spec, lambda u, v: 0.5 * (u - v))
+    lin = grid_from_function(spec, lambda u, v: 0.5 * (u - v))
     assert validate_branching(lin, 1.0, 1e-9).passed
 
-    bad = TwoScaleGrid.from_function(spec, lambda u, v: np.maximum(u - v, 0.0) ** 1.5 / 8.0)
+    bad = grid_from_function(spec, lambda u, v: np.maximum(u - v, 0.0) ** 1.5 / 8.0)
     report = validate_branching(bad, np.inf, 1e-9)
     assert any(v.prop == "subadditivity" for v in report.violations)
 
@@ -28,7 +29,7 @@ def test_subadditivity_count_is_exact_above_n_256(entry):
     # g(u) - g(v) is additive at every triple; one entry raised two steps off
     # the diagonal breaks exactly the one triple through the entry between
     spec = GridSpec(75.0, 0.25)  # n = 300
-    values = TwoScaleGrid.from_function(spec, lambda u, v: u**2 - v**2).values.copy()
+    values = grid_from_function(spec, lambda u, v: u**2 - v**2).values.copy()
     values[entry] += 1e-3
     report = validate_branching(TwoScaleGrid(spec, values), np.inf, 1e-9)
     assert report.counts["subadditivity"] == 1

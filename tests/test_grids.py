@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_from_function, values_close
 from twoscale import (
     GridSpec,
     PiecewiseLinear,
@@ -17,7 +18,7 @@ from twoscale.grids import unique_rows
 
 
 def linear_grid(spec, slope=1.0):
-    return TwoScaleGrid.from_function(spec, lambda u, v: slope * (u - v))
+    return grid_from_function(spec, lambda u, v: slope * (u - v))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,7 @@ def test_validate_accepts_the_canonical_grid():
 
 def test_validate_flags_superlinear_growth():
     spec = GridSpec(4.0, 1.0)
-    g = TwoScaleGrid.from_function(spec, lambda u, v: (u - v) ** 2)
+    g = grid_from_function(spec, lambda u, v: (u - v) ** 2)
     report = validate_branching(g, 1.0, tol=1e-9)
     assert not report.passed
     lip = [v for v in report.violations if v.prop == "lipschitz_bound"]
@@ -145,15 +146,15 @@ def test_validate_flags_bad_monotonicity():
 def test_pointwise_max_singleton_and_domination():
     spec = GridSpec(4.0, 0.25)
     lin = linear_grid(spec)
-    capped = TwoScaleGrid.from_function(spec, lambda u, v: np.minimum(u, 1) - np.minimum(v, 1))
-    assert pointwise_max([lin]).allclose(lin, tol=0.0)
-    assert pointwise_max([lin, capped]).allclose(lin, tol=0.0)
+    capped = grid_from_function(spec, lambda u, v: np.minimum(u, 1) - np.minimum(v, 1))
+    assert values_close(pointwise_max([lin]), lin, tol=0.0)
+    assert values_close(pointwise_max([lin, capped]), lin, tol=0.0)
 
 
 def test_pointwise_max_preserves_validation():
     spec = GridSpec(4.0, 0.25)
     a = linear_grid(spec, 0.7)
-    b = TwoScaleGrid.from_function(spec, lambda u, v: np.minimum(u, 2) - np.minimum(v, 2))
+    b = grid_from_function(spec, lambda u, v: np.minimum(u, 2) - np.minimum(v, 2))
     assert validate_branching(a, 1.0, 1e-9).passed
     assert validate_branching(b, 1.0, 1e-9).passed
     assert validate_branching(pointwise_max([a, b]), 1.0, 1e-9).passed
@@ -290,7 +291,7 @@ def test_minorant_rejects_decreasing_samples():
 
 def test_approximation_capped_slope_example():
     spec = GridSpec(16.0, 0.25)
-    beta = TwoScaleGrid.from_function(spec, lambda u, v: 1.2 * np.minimum(u - v, 5.0))
+    beta = grid_from_function(spec, lambda u, v: 1.2 * np.minimum(u - v, 5.0))
     psi = lipschitz_approximation(beta, 1.0)
     coords = spec.coords
     assert np.allclose(psi.values[:, 0], np.minimum(coords, 6.0), atol=1e-9)
@@ -301,22 +302,22 @@ def test_approximation_capped_slope_example():
 
 def test_approximation_fixes_members_and_zero():
     spec = GridSpec(8.0, 0.5)
-    member = TwoScaleGrid.from_function(spec, lambda u, v: 0.8 * (u - v))
-    assert lipschitz_approximation(member, 1.0).allclose(member, tol=1e-9)
+    member = grid_from_function(spec, lambda u, v: 0.8 * (u - v))
+    assert values_close(lipschitz_approximation(member, 1.0), member, tol=1e-9)
     zero = TwoScaleGrid(spec, np.zeros((spec.n + 1, spec.n + 1)))
-    assert lipschitz_approximation(zero, 1.0).allclose(zero, tol=0.0)
+    assert values_close(lipschitz_approximation(zero, 1.0), zero, tol=0.0)
 
 
 def test_approximation_rejects_non_branching_input():
     spec = GridSpec(4.0, 1.0)
-    bad = TwoScaleGrid.from_function(spec, lambda u, v: (u - v) ** 2)
+    bad = grid_from_function(spec, lambda u, v: (u - v) ** 2)
     with pytest.raises(ValueError, match="branching"):
         lipschitz_approximation(bad, 1.0)
 
 
 def test_excess_bound_is_monotone_and_tight():
     spec = GridSpec(8.0, 0.5)
-    beta = TwoScaleGrid.from_function(spec, lambda u, v: 1.5 * np.minimum(u - v, 2.0))
+    beta = grid_from_function(spec, lambda u, v: 1.5 * np.minimum(u - v, 2.0))
     eta = excess_bound(beta, 1.0)
     assert np.all(np.diff(eta) >= 0.0)
     assert eta[-1] == pytest.approx(1.0)  # max excess 1.5*2 - 2

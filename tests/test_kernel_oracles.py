@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_from_function
 from twoscale import (
     DyadicTree,
     GridSpec,
@@ -35,6 +36,7 @@ from twoscale import (
 )
 from twoscale.families import (
     KINKS,
+    _plateau_maximum,
     random_branching_grid,
     random_limit_curve,
     random_monotone_limit_curve,
@@ -811,6 +813,29 @@ def test_random_limit_curve_matches_plateau_maximum(seed, lipschitz):
     assert_same_draws(random_limit_curve, ref_random_limit_curve, seed, lipschitz)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1e300)),
+                          st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))), min_size=1, max_size=6))
+def test_plateau_maximum_matches_the_public_constructor(pairs):
+    heights, kinks = (np.array(column) for column in zip(*pairs))
+    th = np.arange(round(1.0 / DEFAULT_THETA_STEP) + 1) * DEFAULT_THETA_STEP
+    table = heights[:, None] * (1.0 - np.maximum(th, kinks[:, None]))
+    got = _plateau_maximum(heights, kinks)
+    expected = SpectrumGrid(DEFAULT_THETA_STEP, table.max(axis=0))
+    assert got.theta_step == expected.theta_step
+    assert same_bits(got.values, expected.values)
+    assert not got.values.flags.writeable
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, -0.0, 1.0]), st.sampled_from([0.0, -0.0]))
+def test_random_plateau_curves_hold_what_the_public_constructor_holds(seed, lipschitz, growth):
+    # a lipschitz or growth of -0.0 gives heights of -0.0; the curves hold 0.0
+    for curve in (random_limit_curve(np.random.default_rng(seed), lipschitz),
+                  random_monotone_majorant_curve(np.random.default_rng(seed), lipschitz, growth)):
+        assert same_bits(curve.values, SpectrumGrid(curve.theta_step, curve.values).values)
+
+
 def test_random_families_match_their_loops_on_the_verify_draws():
     """The parameter draws of criteria 2 and 10, and of the branching grids."""
     for seed in range(3):
@@ -929,7 +954,7 @@ def test_operators_refuse_what_their_output_checks_refused():
         assert outcome(ref_monotone_envelope, grid, 1e308) == message
         assert outcome(monotone_envelope, grid, 1e308) == message
         # huge finite values overflow the window's ratios and the spectrum ratio
-        huge = TwoScaleGrid.from_function(spec, lambda u, v: 1.7e308 * (u > v))
+        huge = grid_from_function(spec, lambda u, v: 1.7e308 * (u > v))
         assert outcome(scaling_limit, huge, 0.25) == "ValueError: curve values must be finite"
         steep = SpectrumGrid(0.25, [1e308, 1e308, 1e308, 1e308, 0.0])
         assert outcome(spectrum_envelope, steep, 0.0) == "ValueError: curve values must be finite"
@@ -962,7 +987,7 @@ def test_several_growths_share_one_path_with_one_growth(params, growths, theta_s
         assert same_bits(envelope.values, monotone_envelope(grid, growth).values)
         assert same_bits(envelope.values, ref_monotone_envelope(grid, growth))
         assert_clean_grid(envelope)
-        assert report == commuting_deviation(grid, growth, u_min, theta_step)
+        assert [report] == commuting_deviation(grid, [growth], u_min, theta_step)
         assert (report.sup_deviation, report.witness_theta) == ref_commuting_deviation(grid, growth, u_min, theta_step)
         assert report.window == (u_min, grid.spec.u_max)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import grid_from_function
 from twoscale import (
     CapExceeded,
     GridSpec,
@@ -133,14 +134,14 @@ def test_synthesize_part_separation():
 
 def test_synthesize_rejects_steep_grids():
     spec = GridSpec(6.0, 0.5)
-    steep = TwoScaleGrid.from_function(spec, lambda u, v: 1.6 * (u - v))
+    steep = grid_from_function(spec, lambda u, v: 1.6 * (u - v))
     with pytest.raises(ValueError, match="dimension"):
         synthesize_set(steep, 1, 6)
 
 
 def test_synthesize_cap():
     spec = GridSpec(40.0, 0.5)
-    lin = TwoScaleGrid.from_function(spec, lambda u, v: u - v)
+    lin = grid_from_function(spec, lambda u, v: u - v)
     with pytest.raises(CapExceeded):
         synthesize_set(lin, 1, 40, cube_cap=10_000)
 
