@@ -14,11 +14,11 @@ import numpy as np
 
 from . import io as tsio
 from .covering import _deepest_ball_level, box_dims, empirical_branching
-from .grids import CapExceeded, GridSpec, PiecewiseLinear, validate_branching
+from .grids import CapExceeded, DEFAULT_GRID_STEP, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import critical_exponent, generate_attractor
-from .operators import assouad_spectrum, cone_extension, plateau_curve, scaling_limit
+from .operators import DEFAULT_THETA_STEP, assouad_spectrum, cone_extension, plateau_curve, scaling_limit
 from .synthesis import export_points, synthesize_set
-from .verify import report_payload, run_suite
+from .verify import SUITES, report_payload, run_suite
 
 EXIT_OK = 0
 EXIT_CRITERIA = 1
@@ -164,9 +164,9 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 _OPTIONS = {
-    "--grid-step": {"type": float, "default": 0.25},
+    "--grid-step": {"type": float, "default": DEFAULT_GRID_STEP},
     "--u-max": {"type": float, "default": None},
-    "--theta-step": {"type": float, "default": 1.0 / 64.0},
+    "--theta-step": {"type": float, "default": DEFAULT_THETA_STEP},
     "--u-min": {"type": float, "default": 16.0},
     "--depth": {"type": int, "default": 20},
     "--out": {"default": "out"},
@@ -200,7 +200,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_attractor)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["core", "operators", "attain", "inhomog", "all"])
+    p.add_argument("suite", choices=SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)

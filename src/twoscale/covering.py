@@ -234,7 +234,6 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
         "depth_used": int(obj.depth),
         "cells_per_level": counts.tolist(),
         "centers_sampled": int(counts.sum()),
-        "center_cap": MAX_CENTERS,
         "center_stride": int(-(-counts.max() // MAX_CENTERS)),
         "membership_slack": slack,
     }

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 EXACT_TOL = 1e-9
+DEFAULT_GRID_STEP = 0.25
 
 # Per-property cap on recorded witnesses; counts stay exact.
 MAX_WITNESSES = 32
@@ -74,7 +75,7 @@ class GridSpec:
     """Uniform triangular lattice {(i*step, j*step): 0 <= j <= i <= n}."""
 
     u_max: float
-    step: float = 0.25
+    step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self):
         if not (0 < self.step < np.inf and 0 < self.u_max < np.inf):
@@ -89,7 +90,7 @@ class GridSpec:
             raise ValueError(f"step {self.step} does not divide u_max {self.u_max}")
 
     @classmethod
-    def reaching(cls, u: float, step: float = 0.25) -> "GridSpec":
+    def reaching(cls, u: float, step: float = DEFAULT_GRID_STEP) -> "GridSpec":
         """The lattice of ``step`` up to its smallest multiple at or above ``u``, at least one step.
 
         A multiple within the constructor's 1e-9 slack below ``u`` counts as reaching it.
@@ -191,8 +192,9 @@ class TwoScaleGrid:
 
         Each lattice cell is split along its main diagonal and the function is
         linear on the two triangles, so the diagonal v = u evaluates to exactly
-        zero, lattice points reproduce stored values exactly, and functions that
-        are affine in (u, v) are reproduced exactly.
+        zero and lattice points reproduce stored values exactly.  Coordinates
+        within 1e-9 steps of the lattice are snapped onto it first, and a
+        function affine in (u, v) is reproduced exactly at the snapped query.
         """
         return self._gather(_grid_weights(self.spec, u, v))
 
@@ -214,6 +216,11 @@ class TwoScaleGrid:
         return top / self.spec.step
 
 
+def _snap_dust(x):
+    """``x`` with entries within 1e-9 of an integer set to it, so lattice-aligned queries stay exact."""
+    return np.where(np.abs(x - np.rint(x)) < 1e-9, np.rint(x), x)
+
+
 def _grid_weights(spec: GridSpec, u, v):
     """Flat positions of the three corners around each query (u, v), and their weights.
 
@@ -226,12 +233,8 @@ def _grid_weights(spec: GridSpec, u, v):
     if (v < -EXACT_TOL).any() or (v > u + EXACT_TOL).any() or (u > spec.u_max + EXACT_TOL).any():
         raise ValueError("point outside the domain 0 <= v <= u <= u_max")
     n = spec.n
-    s = u / spec.step
-    t = v / spec.step
-    # snap float dust so lattice-aligned queries stay exact
-    s = np.where(np.abs(s - np.rint(s)) < 1e-9, np.rint(s), s)
-    t = np.where(np.abs(t - np.rint(t)) < 1e-9, np.rint(t), t)
-    t = np.minimum(t, s)
+    s = _snap_dust(u / spec.step)
+    t = np.minimum(_snap_dust(v / spec.step), s)
     i = np.maximum(np.minimum(np.floor(s), n - 1).astype(np.int64), 0)
     j = np.maximum(np.minimum(np.floor(t), n - 1).astype(np.int64), 0)
     ls = s - i

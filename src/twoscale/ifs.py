@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .covering import CoverageGrid, PointSet, empirical_branching
-from .grids import CapExceeded, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid, unique_rows
+from .grids import CapExceeded, DEFAULT_GRID_STEP, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid, unique_rows
 from .operators import monotone_envelope
 from .synthesis import DyadicTree
 
@@ -314,7 +314,9 @@ def verify_dimension_formula(
     )
 
 
-def lower_box_profile(profile: PiecewiseLinear, growth: float, u_max: float, step: float = 0.25) -> PiecewiseLinear:
+def lower_box_profile(
+    profile: PiecewiseLinear, growth: float, u_max: float, step: float = DEFAULT_GRID_STEP
+) -> PiecewiseLinear:
     """Whole-set profile of an attractor: sup over z of g(z) + growth * (u - z).
 
     The supremum over a piecewise-linear profile is attained at a breakpoint

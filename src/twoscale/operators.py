@@ -26,6 +26,7 @@ from .grids import (
     _frozen,
     _grid_weights,
     _lower_mask,
+    _snap_dust,
     validate_branching,
 )
 
@@ -96,9 +97,6 @@ class SpectrumGrid:
     def thetas(self) -> np.ndarray:
         return np.arange(self.m + 1) * self.theta_step
 
-    def evaluate(self, theta):
-        return self._gather(_curve_weights(self.m, theta))
-
     def _gather(self, weights):
         """Interpolated values at the queries whose ``_curve_weights`` are given."""
         i, frac = weights
@@ -111,8 +109,7 @@ def _curve_weights(m: int, theta):
     theta = np.asarray(theta, dtype=float)
     if (theta < -EXACT_TOL).any() or (theta > 1 + EXACT_TOL).any():
         raise ValueError("theta must lie in [0, 1]")
-    x = np.clip(theta, 0.0, 1.0) * m
-    x = np.where(np.abs(x - np.rint(x)) < 1e-9, np.rint(x), x)
+    x = _snap_dust(np.clip(theta, 0.0, 1.0) * m)
     i = np.minimum(np.floor(x), m - 1).astype(np.int64)
     return i, x - i
 

@@ -49,8 +49,6 @@ from .operators import (
 )
 from .synthesis import step_quantize, subdivision_tree, synthesize_set
 
-EXACT = 1e-9
-
 
 @dataclass
 class CriterionResult:
@@ -153,9 +151,9 @@ def criterion_1(ctx: VerifyContext) -> CriterionResult:
             bad_outputs += 1
         dev = np.abs(psi.values - beta.values)
         worst_excess = max(worst_excess, float((dev.max(axis=1) - (eta + slack)).max()))
-        if clean and float(eta.max()) <= EXACT:
+        if clean and float(eta.max()) <= EXACT_TOL:
             worst_exact = max(worst_exact, float(dev.max()))
-    passed = bad_outputs == 0 and worst_excess <= 0.0 and worst_exact <= EXACT
+    passed = bad_outputs == 0 and worst_excess <= 0.0 and worst_exact <= EXACT_TOL
     return CriterionResult(
         1,
         "lipschitz approximation",
@@ -188,21 +186,21 @@ def criterion_2(ctx: VerifyContext) -> CriterionResult:
         cproj = spectrum_envelope(curve, growth)
         cagain = spectrum_envelope(cproj, growth)
         idempotency = max(idempotency, float(np.abs(cagain.values - cproj.values).max()))
-        if not validate_monotone_grid(proj, lips, growth, EXACT).passed:
+        if not validate_monotone_grid(proj, lips, growth, EXACT_TOL).passed:
             class_violations += 1
-        if not validate_monotone_curve(cproj, lips, growth, EXACT).passed:
+        if not validate_monotone_curve(cproj, lips, growth, EXACT_TOL).passed:
             class_violations += 1
         # each grid majorant is the lift of a majorant curve; compare on the
         # lattice entries j <= i, where the lift is defined
         below = proj.values[_lower_mask(spec.n)]
         for _ in range(100):
             maj = _cone_triangle(families.random_monotone_majorant_curve(rng, lips, growth), spec)
-            if float((below - maj).max()) > EXACT:
+            if float((below - maj).max()) > EXACT_TOL:
                 violations += 1
             cmaj = families.random_monotone_majorant_curve(rng, lips, growth)
-            if float((cproj.values - cmaj.values).max()) > EXACT:
+            if float((cproj.values - cmaj.values).max()) > EXACT_TOL:
                 violations += 1
-    passed = idempotency <= EXACT and violations == 0 and class_violations == 0
+    passed = idempotency <= EXACT_TOL and violations == 0 and class_violations == 0
     return CriterionResult(
         2,
         "projection laws",
@@ -305,9 +303,9 @@ def criterion_6(ctx: VerifyContext) -> CriterionResult:
         ),
     }
     passed = (
-        checks["half_moran"] <= EXACT
+        checks["half_moran"] <= EXACT_TOL
         and checks["half_counting"] <= 0.02
-        and checks["quarter_moran"] <= EXACT
+        and checks["quarter_moran"] <= EXACT_TOL
         and checks["mixed_moran"] <= 1e-3
         and checks["mixed_gap"] <= 0.02
     )
@@ -366,9 +364,9 @@ def criterion_8(ctx: VerifyContext) -> CriterionResult:
         if predicted_equal != actual_equal:
             mismatches.append((lower, upper, growth))
         lo_r, hi_r = dimension_range(growth, lo_f, hi_f, 1.0)
-        if not lo_r - EXACT <= lo_l <= hi_r + EXACT:
+        if not lo_r - EXACT_TOL <= lo_l <= hi_r + EXACT_TOL:
             excursions += 1
-    passed = spot <= EXACT and not mismatches and excursions == 0
+    passed = spot <= EXACT_TOL and not mismatches and excursions == 0
     return CriterionResult(
         8,
         "lower-box dichotomy",
@@ -437,7 +435,7 @@ def criterion_9(ctx: VerifyContext) -> CriterionResult:
         direct = direct_upper_spectrum(psi, 8.0)
         worst = max(worst, float(np.abs(composed.values - direct.values).max()))
     return CriterionResult(
-        9, "upper-spectrum swap", worst <= EXACT, {"sup_deviation": worst}
+        9, "upper-spectrum swap", worst <= EXACT_TOL, {"sup_deviation": worst}
     )
 
 

@@ -3,12 +3,18 @@
 import numpy as np
 
 from twoscale import TwoScaleGrid
+from twoscale.operators import _curve_weights
 
 
 def grid_from_function(spec, fn) -> TwoScaleGrid:
     """The grid of fn(u, v) at every lattice point of ``spec``."""
     uu, vv = np.meshgrid(spec.coords, spec.coords, indexing="ij")
     return TwoScaleGrid(spec, np.asarray(fn(uu, vv), dtype=float))
+
+
+def curve_evaluate(curve, theta):
+    """A curve interpolated linearly at ``theta`` in [0, 1], with the package's kernels."""
+    return curve._gather(_curve_weights(curve.m, theta))
 
 
 def values_close(a, b, tol: float) -> bool:

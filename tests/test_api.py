@@ -11,7 +11,10 @@ use.
 
 The public members of exported classes (methods, properties and
 classmethods, not dataclass fields) are held to the same rule by name: each
-needs an ``.member`` attribute use somewhere in the package.
+needs an ``.member`` attribute use somewhere in the package.  Members are
+matched by name only, not by the type of the receiver, so a member that only
+tests call still passes while the package uses a same-named member of any
+other class; such a member has to be found by reading its receivers.
 """
 
 import ast

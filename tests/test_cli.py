@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twoscale import cli, verify
 from twoscale.cli import main
+from twoscale.grids import DEFAULT_GRID_STEP
+from twoscale.operators import DEFAULT_THETA_STEP
 
 
 def test_synth_estimate_pipeline(tmp_path):
@@ -110,6 +113,20 @@ def test_verify_unknown_suite_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "bogus"])
     assert exc.value.code == 2
+
+
+def test_verify_accepts_every_suite_of_the_suite_table(monkeypatch, capsys):
+    monkeypatch.setitem(verify.SUITES, "quick", [6])
+    assert main(["verify", "quick"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["suite"] == "quick"
+
+
+def test_estimate_lattice_defaults_are_the_library_constants(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_estimate", lambda args: (seen.append(args), (0, {}))[1])
+    assert main(["estimate", "points.csv"]) == 0
+    assert seen[0].grid_step == DEFAULT_GRID_STEP and seen[0].theta_step == DEFAULT_THETA_STEP
 
 
 def test_synth_outputs_are_byte_identical(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import grid_from_function, values_close
@@ -14,7 +14,7 @@ from twoscale import (
     profile_extension,
     validate_branching,
 )
-from twoscale.grids import unique_rows
+from twoscale.grids import _snap_dust, unique_rows
 
 
 def linear_grid(spec, slope=1.0):
@@ -107,10 +107,13 @@ def test_evaluate_domain_errors():
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 4.0), st.floats(0.0, 1.0), st.floats(0.1, 2.0))
+@example(u=1e-05, frac=1e-05, slope=1.0)  # v is 4e-10 steps, which snaps to 0
 def test_evaluate_affine_reproduction_property(u, frac, slope):
     v = u * frac
     g = linear_grid(GridSpec(4.0, 0.25), slope)
-    assert g.evaluate(u, v) == pytest.approx(slope * (u - v), abs=1e-10)
+    # affine data are reproduced at the query with its float dust snapped away
+    su, sv = 0.25 * _snap_dust(np.array([u, v]) / 0.25)
+    assert g.evaluate(u, v) == pytest.approx(slope * (su - sv), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

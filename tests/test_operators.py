@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import grid_from_function, values_close
+from helpers import curve_evaluate, grid_from_function, values_close
 from twoscale import (
     GridSpec,
     SpectrumGrid,
@@ -164,8 +164,8 @@ def test_assouad_spectrum_examples():
     assert flat.values[-1] == pytest.approx(0.7)
 
     kinked = assouad_spectrum(plateau_curve(1.0, 0.5))
-    assert kinked.evaluate(0.0) == pytest.approx(0.5)
-    assert kinked.evaluate(0.5) == pytest.approx(1.0)
+    assert curve_evaluate(kinked, 0.0) == pytest.approx(0.5)
+    assert curve_evaluate(kinked, 0.5) == pytest.approx(1.0)
     assert kinked.values[-1] == pytest.approx(1.0)
     assert kinked.values[-1] == pytest.approx(np.max(kinked.values[:-1]))
 
@@ -276,8 +276,8 @@ def test_monotone_families_reject_an_infinite_lipschitz_bound(family):
 
 def test_plateau_curve_values_and_degenerate_kink():
     c = plateau_curve(0.8, 0.5)
-    assert c.evaluate(0.25) == pytest.approx(0.4)
-    assert c.evaluate(0.75) == pytest.approx(0.2)
+    assert curve_evaluate(c, 0.25) == pytest.approx(0.4)
+    assert curve_evaluate(c, 0.75) == pytest.approx(0.2)
     assert np.all(plateau_curve(0.9, 1.0).values == 0.0)
     assert validate_limit_curve(c, 0.8, 1e-9).passed
 
