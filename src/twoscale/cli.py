@@ -86,7 +86,9 @@ def cmd_synth(args) -> tuple[int, dict]:
 
 def cmd_estimate(args) -> tuple[int, dict]:
     meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
-    depth = meta.get("depth", 20 if args.depth is None else args.depth)
+    depth = meta.get("depth", args.depth)
+    if depth is None:
+        raise ValueError("the sample depth is unknown: pass --metadata with a depth, or --depth")
     if args.depth not in (None, depth):
         raise ValueError(f"--depth {args.depth} differs from the sidecar's depth {depth}")
     tsio.check_point_depth(depth)

@@ -133,21 +133,6 @@ def profile_to_csv(profile: PiecewiseLinear) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_from_csv(text: str) -> PiecewiseLinear:
-    lines = [ln.strip() for ln in text.strip().splitlines()]
-    if not lines or lines[0] != "breakpoint,slope":
-        raise ValueError("expected header breakpoint,slope")
-    bps, slopes = [], []
-    for ln in lines[1:]:
-        if not ln:
-            continue
-        b, _, s = ln.partition(",")
-        bps.append(float(b))
-        if s.strip():
-            slopes.append(float(s))
-    return PiecewiseLinear(np.array(bps), np.array(slopes))
-
-
 # ---------------------------------------------------------------------------
 # Curve CSV: header theta,value
 # ---------------------------------------------------------------------------
@@ -386,7 +371,7 @@ def check_point_depth(depth: int) -> None:
 
 
 def points_from_csv(text: str, depth: int) -> PointSet:
-    """Read a point list, snapped to the nearest depth-level dyadic point.
+    """Read a point list as written; each cell is the floor of the exact point.
 
     The header is the first non-blank line and must start with
     ``coord_0_num``; its fields give d.  The rows below it are read in blocks
@@ -398,8 +383,7 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     must pass ``check_point_depth``.  The sample's cells come from the
     integer numerators and exponents, so they are exact for every numerator,
     not only for those a float holds.  Each block is written straight into
-    the coordinate and cell arrays, which are sized by the commas of the rows
-    and snapped in place.
+    the coordinate and cell arrays, which are sized by the commas of the rows.
     """
     check_point_depth(depth)
     level = min(depth, MAX_CELL_LEVEL)
@@ -416,17 +400,10 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     cells = np.empty((bound, d), dtype=np.int64)
     rows = 0
     for block in chain(["".join(rest)], _row_blocks(text, pos)):
-        rows += _read_block(block, d, rows + 2, depth, level, pts[rows:], cells[rows:])
+        rows += _read_block(block, d, rows + 2, level, pts[rows:], cells[rows:])
     if not rows:
         raise ValueError("point list is empty")
-    pts, cells = pts[:rows], cells[:rows]
-    # snap to the nearest depth-level dyadic point; records the quantization.
-    # Only points far outside the cube overflow, and PointSet rejects them
-    with np.errstate(over="ignore"):
-        pts *= 2.0**depth
-    np.round(pts, out=pts)
-    pts /= 2.0**depth
-    return PointSet(pts, depth, cells=cells)
+    return PointSet(pts[:rows], depth, cells=cells[:rows])
 
 
 def _row_blocks(text: str, pos: int):
@@ -439,8 +416,7 @@ def _row_blocks(text: str, pos: int):
         pos = end
 
 
-def _read_block(block: str, d: int, first: int, depth: int, level: int,
-                pts: np.ndarray, cells: np.ndarray) -> int:
+def _read_block(block: str, d: int, first: int, level: int, pts: np.ndarray, cells: np.ndarray) -> int:
     """Write the coordinates and level-``level`` cells of the rows of ``block``,
     the first numbered ``first``, to the leading rows of ``pts`` and ``cells``;
     return how many rows it holds, 0 for a block of blank lines."""
@@ -458,7 +434,7 @@ def _read_block(block: str, d: int, first: int, depth: int, level: int,
         count = len(rows)
         coords, nums, exps = _rows_to_points(rows, d, first)
         pts[:count] = coords
-    cells[:count] = _snapped_cells(nums, exps, depth, level)
+    cells[:count] = _floor_cells(nums, exps, level)
     return count
 
 
@@ -485,25 +461,15 @@ def _written_table(block: str, d: int) -> np.ndarray | None:
     return table
 
 
-def _snapped_cells(nums: np.ndarray, exps: np.ndarray, depth: int, level: int) -> np.ndarray:
-    """Level-``level`` cells (``level <= depth``) of the points nums / 2^exps
-    snapped half to even onto the depth lattice, clipped to the unit cube.
+def _floor_cells(nums: np.ndarray, exps: np.ndarray, level: int) -> np.ndarray:
+    """Level-``level`` cells of the points nums / 2^exps, floor(nums 2^(level - exps)),
+    clipped to the unit cube.
 
     Integer shifts only, on int64 arrays or on object arrays of Python ints
     alike; numpy fills shifts past the word width with the sign to the right
-    and with zeros to the left, which is the floor the formulas need.
+    and with zeros to the left, which is the floor the formula needs.
     """
-    # points with exps <= depth lie on the depth lattice: the cell is floor(n 2^(level - e))
     cells = np.where(exps >= level, nums >> np.maximum(exps - level, 0), nums << np.maximum(level - exps, 0))
-    coarse = exps > depth
-    if coarse.any():
-        n = nums[coarse]
-        j = exps[coarse] - depth - 1  # bits below the half bit of n / 2^(e - depth)
-        t = n >> j
-        q = t >> 1
-        # round up when the half bit is set and a lower bit is, or q is odd
-        up = ((t & 1) == 1) & ((n != t << j) | ((q & 1) == 1))
-        cells[coarse] = (q + up) >> (depth - level)
     return np.clip(cells, 0, (1 << level) - 1)
 
 
@@ -602,38 +568,6 @@ def _digit_lines(codes: np.ndarray, n: int, d: int) -> str:
     chars[:, :n] &= (1 << d) - 1
     chars[:, :n] += ord("0")
     return str(chars, "ascii")
-
-
-def tree_from_text(text: str, dimension: int) -> list[tuple[int, DyadicTree]]:
-    """The ``(b, DyadicTree)`` parts of a tree file in the form ``synth`` writes:
-    a ``# part b`` header per part, each followed by its tree's ``tree_to_text``
-    lines.  Offsets b are nonnegative, every part has a level header, and an
-    address has one base-2^d digit per level."""
-    if not 1 <= dimension <= 3:
-        raise ValueError("tree files use single-digit children (d <= 3)")
-    parts: list[tuple[int, list]] = []
-    for ln in filter(None, map(str.strip, text.splitlines())):
-        if ln.startswith("# part"):
-            parts.append((int(ln[len("# part"):]), []))
-            if parts[-1][0] < 0:
-                raise ValueError(f"negative part offset in {ln!r}")
-            continue
-        if not parts:
-            raise ValueError("tree file must start with a # part header")
-        levels = parts[-1][1]
-        if ln.startswith("# level"):
-            levels.append([])
-        elif not levels:
-            raise ValueError("address before any level header")
-        else:
-            n = len(levels) - 1
-            if (ln != "-") if n == 0 else (not ln.isdigit() or len(ln) != n):
-                raise ValueError(f"bad address {ln!r} at level {n}")
-            levels[-1].append(int(ln, 1 << dimension) if n else 0)
-    if any(not levels for _, levels in parts):
-        raise ValueError("part without a level header")
-    return [(b, DyadicTree(dimension, len(levels) - 1, [np.array(sorted(c), dtype=np.int64) for c in levels]))
-            for b, levels in parts]
 
 
 # ---------------------------------------------------------------------------

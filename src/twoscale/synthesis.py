@@ -24,7 +24,7 @@ DEFAULT_CUBE_CAP = 2_500_000
 # [0, 5]^d; exports divide by 8 to land in the unit cube.
 PART_OFFSET_NUM = 4
 EXPORT_RESCALE_EXP = 3
-# Exported numerators reach 5 * 2^depth, which int64 holds up to depth 60.
+# A composite's own level-depth cells reach 5 * 2^depth, which int64 holds up to depth 60.
 MAX_DEPTH = 60
 
 
@@ -209,15 +209,17 @@ class CompositeDyadicSet:
         """Distinct ambient level-``level`` cell coordinates hit by the set."""
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} exceeds materialized depth {self.depth}")
-        d = self.dimension
-        chunks = [np.zeros((1, d), dtype=np.int64)]  # origin cell
-        for b, tree in self.parts:
-            if level >= b - 2:
-                cells = tree.cells_at_level(level).copy()
-                cells[:, 0] += PART_OFFSET_NUM << (level - b) if level >= b else PART_OFFSET_NUM >> (b - level)
-                chunks.append(cells)
-            # else: the whole part sits in the origin cell already counted
-        return unique_rows(np.concatenate(chunks))
+        # one table filled part by part, so the sort in unique_rows sees the only
+        # full-size copy; row 0 is the origin cell, which holds every part with b - 2 > level
+        placed = [(b, tree) for b, tree in self.parts if level >= b - 2]
+        cells = np.zeros((1 + sum(tree.levels[level].size for _, tree in placed), self.dimension), dtype=np.int64)
+        start = 1
+        for b, tree in placed:
+            rows = cells[start:start + tree.levels[level].size]
+            rows[...] = tree.cells_at_level(level)
+            rows[:, 0] += PART_OFFSET_NUM << (level - b) if level >= b else PART_OFFSET_NUM >> (b - level)
+            start += len(rows)
+        return unique_rows(cells)
 
 
 def synthesize_set(
@@ -240,7 +242,7 @@ def synthesize_set(
         raise ValueError("depth must lie within the grid's scale range")
     if depth > MAX_DEPTH:
         raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
-                         f"exported numerators reach 5 * 2^depth, beyond 64-bit integers")
+                         f"the set's level-depth cells reach 5 * 2^depth, beyond 64-bit integers")
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
         raise ValueError(
@@ -278,13 +280,13 @@ class ExportedPoints:
 
 
 def export_points(obj, level: int) -> ExportedPoints:
-    """Bottom-left corner of every level-``level`` cube, as exact dyadic rationals.
+    """The level-``level`` cells of a set, as exact dyadic rationals in lexicographic order.
 
-    Composite sets are rescaled into the unit cube by dividing by 8 (recorded
-    in ``rescale_exponent``); trees are already inside [0, 1]^d.  Points come
-    out in lexicographic coordinate order, written part by part into one
-    table: the origin, then the parts by decreasing offset b, since part b
-    lies in [4 * 2^-b, 5 * 2^-b) along axis 0.  Only a part's rows are sorted.
+    A tree gives the bottom-left corner of every level-``level`` cube.  A
+    composite set is divided by 8 into the unit cube (recorded in
+    ``rescale_exponent``) and gives the distinct level-``level`` cells it
+    meets there: its own level-``level - 3`` cells, each numerator over
+    2^level.  Every row has the exponent ``level``.
     """
     if isinstance(obj, DyadicTree):
         nums = _sorted_corners(obj, level)
@@ -292,20 +294,11 @@ def export_points(obj, level: int) -> ExportedPoints:
     if isinstance(obj, CompositeDyadicSet):
         if not 0 <= level <= obj.depth:
             raise ValueError(f"level {level} exceeds materialized depth {obj.depth}")
-        parts = sorted(obj.parts, key=lambda part: -part[0])
-        m = 1 + sum(tree.levels[level].size for _, tree in parts)
-        nums = np.zeros((m, obj.dimension), dtype=np.int64)  # row 0 is the origin
-        exps = np.full(m, EXPORT_RESCALE_EXP, dtype=np.int64)
-        start = 1
-        for b, tree in parts:
-            rows = nums[start:start + tree.levels[level].size]
-            e = max(level, b - 2)  # keeps the 2^-(b-2) translate integral
-            rows[...] = _sorted_corners(tree, level)
-            rows <<= e - level
-            rows[:, 0] += (PART_OFFSET_NUM << e) >> b
-            exps[start:start + len(rows)] += e
-            start += len(rows)
-        return ExportedPoints(nums, exps, EXPORT_RESCALE_EXP)
+        if level >= EXPORT_RESCALE_EXP:
+            nums = obj.cells_at_level(level - EXPORT_RESCALE_EXP)
+        else:
+            nums = unique_rows(obj.cells_at_level(0) >> EXPORT_RESCALE_EXP - level)
+        return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64), EXPORT_RESCALE_EXP)
     raise TypeError(f"cannot export points from {type(obj).__name__}")
 
 

@@ -1,4 +1,5 @@
-"""Every name the package exports has a caller inside the package.
+"""Every name the package exports, and every public function and class of
+every module, has a caller inside the package.
 
 A public name that only tests use is a proof device or dead code: it should
 either serve the package or go.  The check scans the package's modules other
@@ -9,7 +10,7 @@ of ``y`` in the module that ``from . import module`` binds.  A parameter or
 local variable of the same name hides the name in its function, so it is no
 use.
 
-The public members of exported classes (methods, properties and
+The public members of every public class (methods, properties and
 classmethods, not dataclass fields) are held to the same rule by name: each
 needs an ``.member`` attribute use somewhere in the package.  Members are
 matched by name only, not by the type of the receiver, so a member that only
@@ -39,6 +40,12 @@ def exported_names() -> set:
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
+
+
+def public_definitions(sources: dict) -> set:
+    """(module, name) of every top-level function and class of ``sources`` not ``_``-prefixed."""
+    return {(module, stmt.name) for module, source in sources.items() for stmt in ast.parse(source).body
+            if isinstance(stmt, DEFINITIONS) and not stmt.name.startswith("_")}
 
 
 def bound_names(scope) -> set:
@@ -110,7 +117,7 @@ def unused_members(sources: dict) -> list:
     used = attribute_names(sources)
     return sorted(
         f"{name}.{member}"
-        for module, name in exported_names()
+        for module, name in public_definitions(sources)
         if inspect.isclass(cls := getattr(importlib.import_module(f"twoscale.{module}"), name))
         for member in public_members(cls) - used
     )
@@ -120,7 +127,12 @@ def test_every_exported_name_is_used_inside_the_package():
     assert sorted(exported_names() - used_names(package_sources())) == []
 
 
-def test_every_public_member_of_an_exported_class_is_used_inside_the_package():
+def test_every_public_function_and_class_of_every_module_is_used_inside_the_package():
+    sources = package_sources()
+    assert sorted(public_definitions(sources) - used_names(sources)) == []
+
+
+def test_every_public_member_of_a_public_class_is_used_inside_the_package():
     assert unused_members(package_sources()) == []
 
 

@@ -10,6 +10,7 @@ import pytest
 from twoscale import cli, verify
 from twoscale.cli import main
 from twoscale.grids import DEFAULT_GRID_STEP
+from twoscale.io import points_from_csv
 from twoscale.operators import DEFAULT_THETA_STEP
 
 
@@ -74,11 +75,11 @@ def test_estimate_rejects_overdeep_grid(tmp_path):
     assert code == 2
 
 
-def test_estimate_rejects_empty_points(tmp_path):
+def test_estimate_rejects_empty_points(tmp_path, capsys):
     bad = tmp_path / "empty.csv"
     bad.write_text("coord_0_num,coord_0_exp\n")
-    code = main(["estimate", str(bad), "--out", str(tmp_path / "est")])
-    assert code == 2
+    code = main(["estimate", str(bad), "--depth", "8", "--out", str(tmp_path / "est")])
+    assert code == 2 and capsys.readouterr().err == "error: point list is empty\n"
 
 
 def test_attractor_subcommand(tmp_path):
@@ -313,6 +314,36 @@ def test_estimate_defaults_u_max_to_the_sample_depth(tmp_path, capsys):
     argv = ["estimate", str(synth / "points.csv"), "--depth", "12", "--u-min", "8", "--out", str(tmp_path / "d12")]
     assert main(argv) == 0
     assert json.loads((tmp_path / "d12" / "box_dims.json").read_text())["window"] == [8.0, 12.0]
+
+
+@pytest.mark.parametrize("meta", [None, '{"d": 1}'])
+def test_estimate_refuses_to_guess_the_sample_depth(tmp_path, capsys, meta):
+    # a guessed depth past what the sample resolves gave a window it cannot fill
+    points = tmp_path / "one.csv"
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1,0\n")
+    argv = ["estimate", str(points), "--u-min", "2", "--out", str(tmp_path / "est")]
+    if meta is not None:
+        (tmp_path / "meta.json").write_text(meta)
+        argv += ["--metadata", str(tmp_path / "meta.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the sample depth is unknown: pass --metadata with a depth, or --depth"]
+    assert not (tmp_path / "est").exists()
+
+
+def test_estimate_floors_points_and_refuses_those_outside_the_cube(tmp_path, capsys):
+    # 1 + 2^-20 lies beyond the EXACT_TOL slack but within half a depth-10 step,
+    # which rounding onto the depth lattice used to pull into the cube
+    points = tmp_path / "out.csv"
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1048577,20\n")
+    argv = ["--depth", "10", "--u-min", "2", "--grid-step", "1"]
+    assert main(["estimate", str(points)] + argv + ["--out", str(tmp_path / "est")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: points must lie in the unit cube [0, 1]^d"]
+    # 1 + 2^-40 lies within the slack and counts in the last cell; 3/4 - 2^-20 is
+    # floored into the cell below 3/4, where rounding put it in the one above
+    points.write_text("coord_0_num,coord_0_exp\n0,0\n1099511627777,40\n786431,20\n")
+    assert main(["estimate", str(points)] + argv + ["--out", str(tmp_path / "est")]) == 0
+    assert points_from_csv(points.read_text(), 10).cells_at_level(10).tolist() == [[0], [767], [1023]]
 
 
 def test_attractor_names_both_dimensions_of_a_mismatched_condensation_set(tmp_path, capsys):

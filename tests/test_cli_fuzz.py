@@ -97,7 +97,8 @@ def test_estimate_on_mutated_inputs_exits_0_or_2(points, point_edits, meta, dept
         (tmp / "points.csv").write_text(mutate(points, point_edits))
         argv = ["estimate", str(tmp / "points.csv"), "--u-min", str(u_min), "--grid-step", str(grid_step),
                 "--theta-step", str(theta_step), "--out", str(tmp / "est")]
-        # without --u-max the scale range is the sample depth; without --depth, the sidecar's or 20
+        # without --u-max the scale range is the sample depth; without --depth, the sidecar's,
+        # and with neither the command refuses
         if u_max is not None:
             argv += ["--u-max", str(u_max)]
         if pass_depth or meta is None:

@@ -78,7 +78,7 @@ def test_synth_depth_bound_is_where_exported_numerators_overflow(tmp_path):
     argv = ["synth", "h_kappa_lambda:0.05,0.5", "--out"]
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv + [str(tmp_path / "out"), "--depth", "60"]) == 0
-    assert (tmp_path / "out" / "points.csv").read_text().endswith(",63\n")  # depth 60 plus the rescale
+    assert (tmp_path / "out" / "points.csv").read_text().endswith(",60\n")  # every row at the depth
     got, line = run(argv + [str(tmp_path / "deep"), "--depth", "61"])
     assert got == EXIT_USER and "depth must be at most 60" in line
     assert not (tmp_path / "deep").exists()

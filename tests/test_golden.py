@@ -28,6 +28,12 @@ THREE_MAP_D2_SPEC = {
     ],
 }
 
+# a condensation point list on the lattice of its condensation_depth, one row
+# written at a finer exponent: read as written, it gives the same outputs as
+# its points rounded onto that lattice, which these digests pin
+CSV_CONDENSATION_SPEC = {**TWO_MAP_SPEC, "condensation": "cond.csv", "condensation_depth": 4}
+CSV_CONDENSATION = "coord_0_num,coord_0_exp\n0,0\n1,3\n6,5\n"
+
 
 def digests(out, run: str) -> dict:
     return {f"{run}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
@@ -78,6 +84,12 @@ def test_two_map_attractor_outputs(tmp_path, golden, capsys):
 def test_three_map_d2_float_attractor_outputs(tmp_path, golden, capsys):
     run = "attractor_d2"
     assert attractor_digests(tmp_path, capsys, THREE_MAP_D2_SPEC, run) == expected(golden, run)
+
+
+def test_csv_condensation_attractor_outputs(tmp_path, golden, capsys):
+    run = "attractor_csv_condensation"
+    (tmp_path / "cond.csv").write_text(CSV_CONDENSATION)
+    assert attractor_digests(tmp_path, capsys, CSV_CONDENSATION_SPEC, run) == expected(golden, run)
 
 
 @pytest.mark.parametrize("suite, seed", [("core", 1), ("core", 2), ("operators", 1), ("operators", 2)])

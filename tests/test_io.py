@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import profile_from_csv, tree_from_text
 from twoscale import (
     GridSpec,
     PiecewiseLinear,
@@ -47,12 +51,12 @@ def test_grid_csv_rejects_incomplete_lattice():
 
 def test_profile_csv_roundtrip():
     pl = PiecewiseLinear(np.array([0.0, 1.0, 2.5]), np.array([0.3, 0.7]))
-    back = tsio.profile_from_csv(tsio.profile_to_csv(pl))
+    back = profile_from_csv(tsio.profile_to_csv(pl))
     xs = np.linspace(0, 4, 17)
     assert np.allclose(back.evaluate(xs), pl.evaluate(xs), atol=1e-12)
 
     with_tail = PiecewiseLinear(np.array([0.0, 1.0]), np.array([0.3, 0.1]))
-    back = tsio.profile_from_csv(tsio.profile_to_csv(with_tail))
+    back = profile_from_csv(tsio.profile_to_csv(with_tail))
     assert np.allclose(back.evaluate(xs), with_tail.evaluate(xs), atol=1e-12)
 
 
@@ -74,17 +78,57 @@ def test_points_roundtrip_with_quantization():
 def test_tree_text_roundtrip():
     eta = StepFunction(1.0, np.array([0.0, 1.0, 1.0, 2.0]))
     tree = subdivision_tree(eta, 1)
-    [(b, back)] = tsio.tree_from_text(f"# part 3\n{tsio.tree_to_text(tree)}", 1)
+    [(b, back)] = tree_from_text(f"# part 3\n{tsio.tree_to_text(tree)}", 1)
     assert b == 3 and back.depth == tree.depth
     for a, b in zip(back.levels, tree.levels):
         assert np.array_equal(a, b)
 
 
 def exact_units(cells, b, depth):
-    """Composite part cells as export_points places them, in units of 2^-(depth + 3):
-    shifted by 4 * 2^-b along axis 0, then divided by 8."""
+    """Level-``depth`` composite part cells in units of 2^-(depth + 3): shifted by
+    4 * 2^-b along axis 0, then divided by 8."""
     rows = [[int(x) for x in row] for row in cells]
     return {(row[0] + (4 << depth >> b),) + tuple(row[1:]) for row in rows}
+
+
+def parent_format_points(composite) -> ExportedPoints:
+    """The point list that ``synth`` wrote before it floored its points: the origin and
+    every level-depth part corner, placed by ``exact_units``, all at exponent depth + 3."""
+    depth = composite.depth
+    rows = {(0,) * composite.dimension}.union(
+        *(exact_units(tree.cells_at_level(depth), b, depth) for b, tree in composite.parts))
+    nums = np.array(sorted(rows), dtype=np.int64)
+    return ExportedPoints(nums, np.full(len(nums), depth + 3, dtype=np.int64), 3)
+
+
+@pytest.mark.parametrize("d, height, depth", [(1, 0.8, 14), (2, 1.45, 10), (3, 2.2, 7)])
+def test_estimate_reads_the_parent_format_list_as_the_points_synth_writes(tmp_path, d, height, depth):
+    # the floor of each parent-format point is the cell that synth now writes, so
+    # estimate cannot tell the two lists apart
+    from twoscale.cli import main
+
+    synth = tmp_path / "synth"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", f"h_kappa_lambda:{height},0.3", "-d", str(d), "--depth", str(depth),
+                     "--out", str(synth)]) == 0
+    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec.reaching(float(depth))), d, depth)
+    (tmp_path / "parent.csv").write_text(tsio.points_to_csv(parent_format_points(composite)))
+    for points, out in ((synth / "points.csv", "est"), (tmp_path / "parent.csv", "est_parent")):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["estimate", str(points), "--metadata", str(synth / "metadata.json"), "--u-min", "2",
+                         "--out", str(tmp_path / out)]) == 0
+    for name in ("beta_emp.csv", "g_profile.csv", "spectrum.csv", "box_dims.json"):
+        assert (tmp_path / "est" / name).read_bytes() == (tmp_path / "est_parent" / name).read_bytes()
+
+
+@pytest.mark.parametrize("d, height", [(1, 0.8), (2, 1.45), (3, 2.2)])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_synth_points_and_the_parent_format_list_meet_the_same_cells(d, height, depth):
+    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec.reaching(float(depth))), d, depth)
+    new = tsio.points_from_csv(tsio.points_to_csv(export_points(composite, depth)), depth)
+    parent = tsio.points_from_csv(tsio.points_to_csv(parent_format_points(composite)), depth)
+    for level in range(depth + 1):
+        assert np.array_equal(new.cells_at_level(level), parent.cells_at_level(level))
 
 
 @pytest.mark.parametrize("d, spec", [(1, "h_kappa_lambda:0.8,0.5"), (2, "h_kappa_lambda:1.45,0.3")])
@@ -93,18 +137,20 @@ def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d
 
     depth = 9
     assert main(["synth", spec, "-d", str(d), "--depth", str(depth), "--out", str(tmp_path)]) == 0
-    parts = tsio.tree_from_text((tmp_path / "tree.txt").read_text(), d)
+    parts = tree_from_text((tmp_path / "tree.txt").read_text(), d)
     assert [b for b, _ in parts] == list(range(depth))
     placed = {(0,) * d}  # the origin
     for b, tree in parts:
         assert tree.dimension == d and tree.depth == depth
         placed |= exact_units(tree.cells_at_level(depth), b, depth)
+    # points.csv holds the level-depth cells that the placed points meet
     rows = (tmp_path / "points.csv").read_text().splitlines()[1:]
-    listed = set()
+    listed = []
     for row in rows:
         fields = [int(x) for x in row.split(",")]
-        listed.add(tuple(n << (depth + 3 - e) for n, e in zip(fields[0::2], fields[1::2])))
-    assert len(listed) == len(rows) and placed == listed
+        assert fields[1::2] == [depth] * d
+        listed.append(tuple(fields[0::2]))
+    assert listed == sorted({tuple(x >> 3 for x in point) for point in placed})
 
 
 @pytest.mark.parametrize("text, message", [
@@ -122,9 +168,9 @@ def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d
 ])
 def test_tree_file_reader_rejects_malformed_files(text, message):
     with pytest.raises(ValueError, match=message):
-        tsio.tree_from_text(text, 1)
+        tree_from_text(text, 1)
     with pytest.raises(ValueError, match="d <= 3"):
-        tsio.tree_from_text("# part 0\n# level 0\n-\n", 4)
+        tree_from_text("# part 0\n# level 0\n-\n", 4)
 
 
 def test_ifs_json_variants(tmp_path):
@@ -148,6 +194,14 @@ def test_ifs_json_variants(tmp_path):
         spec["condensation"] = bad
         with pytest.raises(ValueError, match="condensation"):
             tsio.ifs_from_json(json.dumps(spec))
+
+
+def test_csv_condensation_set_is_read_as_written(tmp_path):
+    # 3/16 lies off the lattice of condensation_depth 2, and is kept, not rounded to 1/4
+    (tmp_path / "cond.csv").write_text("coord_0_num,coord_0_exp\n3,4\n6,5\n")
+    spec = {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation": "cond.csv",
+            "condensation_depth": 2}
+    assert tsio.ifs_from_json(json.dumps(spec), tmp_path).condensation.tolist() == [[0.1875], [0.1875]]
 
 
 def test_points_from_csv_rejects_ragged_rows():
@@ -233,10 +287,7 @@ def per_row_points_reader(text, depth):
             raise ValueError(f"point list row {k} has a numerator beyond the float range") from None
     if not pts:
         raise ValueError("point list is empty")
-    # as in the reader, only points far outside the cube overflow, and PointSet rejects them
-    with np.errstate(over="ignore"):
-        arr = np.round(np.asarray(pts) * 2.0**depth) / 2.0**depth
-    return PointSet(arr, depth)
+    return PointSet(np.asarray(pts), depth)
 
 
 def read_outcome(reader, text, depth):
@@ -282,7 +333,7 @@ def random_trees(draw):
 def test_tree_text_matches_per_digit_formulation(tree):
     text = tsio.tree_to_text(tree)
     assert text == per_digit_tree_text(tree)
-    [(_, back)] = tsio.tree_from_text("# part 0\n" + text, tree.dimension)
+    [(_, back)] = tree_from_text("# part 0\n" + text, tree.dimension)
     assert back.depth == tree.depth
     assert all(np.array_equal(a, b) for a, b in zip(back.levels, tree.levels))
 
@@ -494,12 +545,11 @@ def test_points_from_csv_names_the_first_bad_row(faults):
         tsio.points_from_csv(text, 30)
 
 
-def fraction_cells(rows, depth, level):
-    """Distinct level-``level`` cells of exact points snapped half to even to the depth lattice."""
+def fraction_cells(rows, level):
+    """Distinct level-``level`` cells of exact points: each coordinate floored, then clipped to the cube."""
     cells = set()
     for row in rows:
-        snapped = [round(Fraction(n, 2**e) * 2**depth) for n, e in row]
-        cells.add(tuple(min(max(s * 2**level // 2**depth, 0), 2**level - 1) for s in snapped))
+        cells.add(tuple(min(max(math.floor(Fraction(n, 2**e) * 2**level), 0), 2**level - 1) for n, e in row))
     return np.array(sorted(cells), dtype=np.int64)
 
 
@@ -511,7 +561,7 @@ def exact_coordinates(draw):
     n = draw(st.one_of(
         st.integers(0, 1 << e),
         st.sampled_from([0, 1, half - 1, half, half + 1, (1 << e) - 1, 1 << e]),
-        # points of a level-50..71 lattice and their neighbours: ties and near-ties of the snap
+        # points of a level-50..71 lattice and their neighbours: cell boundaries and points next to them
         st.tuples(st.integers(50, 71), st.integers(0, 1 << 71), st.integers(-1, 1)).map(
             lambda mkt: ((mkt[1] >> max(71 - e, 0)) << max(e - mkt[0], 0)) + mkt[2]),
     ))
@@ -527,7 +577,7 @@ def test_point_cells_match_fraction_oracle_at_deep_levels(d, depth, data):
     pts = tsio.points_from_csv(text, depth)
     # every level of a shallow sample, levels 50..62 of a deep one
     for level in range(50 if depth >= 50 else 0, min(depth, 62) + 1):
-        assert np.array_equal(pts.cells_at_level(level), fraction_cells(rows, depth, level))
+        assert np.array_equal(pts.cells_at_level(level), fraction_cells(rows, level))
 
 
 # ---------------------------------------------------------------------------
@@ -643,11 +693,14 @@ def heap_peak(fn, *args):
 
 @pytest.fixture(scope="module")
 def bench_set():
-    """The d = 2, depth-14 composite of 88,422 points that the synth-estimate
-    benchmark writes, its points and their text; exporting once caches the
-    decode tables."""
+    """The d = 2, depth-14 composite whose 5,481 points the synth-estimate
+    benchmark writes, and the parent-format list of the same set with its text;
+    exporting once caches the decode tables.  The writer and the reader run on
+    that list's 88,422 rows, 11 blocks, since on a list shorter than one block
+    the temporaries of that block alone outweigh the result."""
     composite = synthesize_set(cone_extension(plateau_curve(1.47, 0.3), GridSpec.reaching(14.0)), 2, 14)
-    points = export_points(composite, 14)
+    assert export_points(composite, 14).numerators.shape == (5_481, 2)
+    points = parent_format_points(composite)
     assert points.numerators.shape == (88_422, 2)
     return composite, points, tsio.points_to_csv(points)
 

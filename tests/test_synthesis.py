@@ -172,30 +172,28 @@ def test_export_composite_rescales_into_unit_cube():
     pts = export_points(comp, 6)
     floats = pts.numerators / np.exp2(pts.exponents)[:, None]
     assert pts.rescale_exponent == 3
-    assert floats.min() >= 0.0 and floats.max() <= 5.0 / 8.0
-    # origin plus one representative per part cube
-    assert floats.shape[0] == 1 + sum(tree.levels[6].size for _, tree in comp.parts)
+    assert floats.min() >= 0.0 and floats.max() < 5.0 / 8.0
+    # one row per level-6 cell of the set divided by 8, a level-3 cell before the division
+    assert np.array_equal(pts.numerators, comp.cells_at_level(3)) and np.all(pts.exponents == 6)
 
 
 @pytest.mark.parametrize("d, height, depth, level", [
-    (1, 0.6, 14, 4), (1, 0.6, 14, 14), (2, 1.45, 12, 3), (2, 1.45, 12, 12), (3, 2.2, 8, 2),
+    (1, 0.6, 14, 4), (1, 0.6, 14, 14), (2, 1.45, 12, 0), (2, 1.45, 12, 3), (2, 1.45, 12, 12),
+    (3, 2.2, 8, 1), (3, 2.2, 8, 2),
 ])
 def test_export_order_matches_a_sort_of_every_placed_part_point(d, height, depth, level):
     comp = synthesize_set(cone_extension(plateau_curve(height, 0.5), GridSpec(float(depth), 0.5)), d, depth)
     pts = export_points(comp, level)
-    # every point in units of 2^-top: the origin, and each part's corners translated
-    # by 4 * 2^-b along axis 0; parts with b - 2 > level sit off the level lattice
-    top = max(level, depth - 3)
+    # every finest corner, translated by 4 * 2^-b along axis 0 and divided by 8, in
+    # units of 2^-(depth + 3); the export holds the distinct level-``level`` cells
+    # they meet, each unit shifted down to its floor at that level
     expected = {(0,) * d}
     for b, tree in comp.parts:
-        for corner in tree.corner_ints(level).tolist():
-            point = [c << (top - level) for c in corner]
-            point[0] += 4 << top >> b
-            expected.add(tuple(point))
-    assert max(b for b, _ in comp.parts) - 2 > level or level == depth
-    got = pts.numerators << (top + 3 - pts.exponents)[:, None]
-    assert got.tolist() == [list(p) for p in sorted(expected)]
-    assert np.unique(pts.exponents).size > (level < depth)
+        for point in tree.corner_ints(depth).tolist():
+            point[0] += 4 << depth >> b
+            expected.add(tuple(c >> depth + 3 - level for c in point))
+    assert pts.numerators.tolist() == [list(p) for p in sorted(expected)]
+    assert np.all(pts.exponents == level) and pts.rescale_exponent == 3
     # a tree's corners come out sorted the same way
     tree = comp.parts[0][1]
     assert export_points(tree, level).numerators.tolist() == sorted(tree.corner_ints(level).tolist())
