@@ -73,15 +73,11 @@ def cmd_synth(args) -> tuple[int, dict]:
         for v in report.violations[:10]:
             print(f"  {v.prop} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
         return EXIT_USER, {}
-    composite = synthesize_set(grid, args.dimension, args.depth)
-    # each text is built while the fewest full-size objects are alive: the tree
-    # text before the points are exported, the point list after the composite goes
-    trees = "\n".join(f"# part {b}\n{tsio.tree_to_text(tree)}" for b, tree in composite.parts)
-    points = export_points(composite, args.depth)
+    # the set is freed as soon as its points are exported; it has one part per offset b < depth
+    points = export_points(synthesize_set(grid, args.dimension, args.depth), args.depth)
     meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent,
-            "parts": len(composite.parts)}
-    del composite
-    return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "tree.txt": trees, "metadata.json": meta}
+            "parts": args.depth}
+    return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "metadata.json": meta}
 
 
 def cmd_estimate(args) -> tuple[int, dict]:

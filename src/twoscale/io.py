@@ -1,4 +1,4 @@
-"""File formats: grid/profile/curve CSVs, point lists (integer and float), tree files, IFS specs.
+"""File formats: grid/profile/curve CSVs, point lists (integer and float), IFS specs.
 
 The writers format text; only ``write_outputs`` touches the disk, and it
 lands a command's files in its output directory all together or not at all.
@@ -20,7 +20,7 @@ import numpy as np
 from .grids import GridSpec, PiecewiseLinear, TwoScaleGrid
 from .operators import SpectrumGrid
 from .covering import MAX_CELL_LEVEL, PointSet
-from .synthesis import DyadicTree, ExportedPoints
+from .synthesis import ExportedPoints
 from .ifs import SimilarityIFS
 
 # Exponents e for which 2.0 ** e is a finite nonzero float.
@@ -538,39 +538,6 @@ def read_set_metadata(text: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Tree file: level headers and one base-2^d address per line
-# ---------------------------------------------------------------------------
-
-def tree_to_text(tree: DyadicTree) -> str:
-    """Level headers, then each code as its n base-2^d digits, root first,
-    one level at a time by ``_digit_lines``."""
-    d = tree.dimension
-    if d > 3:
-        raise ValueError("tree files use single-digit children (d <= 3)")
-    parts = []
-    for n, codes in enumerate(tree.levels):
-        parts += [f"# level {n}\n", _digit_lines(codes, n, d)]
-    return "".join(parts)
-
-
-def _digit_lines(codes: np.ndarray, n: int, d: int) -> str:
-    """One line per level-``n`` code: its n base-2^d digits, or ``-`` for the level-0 root.
-
-    The lines are one (codes, n + 1) byte array of digit characters and
-    newlines, filled one digit position at a time and decoded at once.
-    """
-    if n == 0:
-        return "-\n" * codes.size
-    chars = np.full((codes.size, n + 1), ord("\n"), dtype=np.uint8)
-    for pos in range(n):
-        # the low byte of the shifted code; the mask below keeps its digit
-        chars[:, pos] = codes >> d * (n - 1 - pos)
-    chars[:, :n] &= (1 << d) - 1
-    chars[:, :n] += ord("0")
-    return str(chars, "ascii")
-
-
-# ---------------------------------------------------------------------------
 # IFS spec JSON
 # ---------------------------------------------------------------------------
 
@@ -598,7 +565,7 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
 
-    "d", "ratio_exp" and "condensation_depth" must be JSON integers.
+    "d" and "ratio_exp" must be JSON integers.
     Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
@@ -614,7 +581,6 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
             else:
                 ratios.append(float(m["ratio"]))
             translations.append([float(x) for x in m["translation"]])
-        cond_depth = _json_int(data.get("condensation_depth", 20), "condensation_depth")
     except KeyError as exc:
         raise ValueError(f"malformed IFS spec: missing key {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -625,7 +591,8 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
         F = np.zeros((1, d))
     elif isinstance(cond, str) and cond.endswith(".csv"):
         path = Path(base_dir or ".") / cond
-        F = points_from_csv(path.read_text(), cond_depth).points
+        # only the coordinates are used, so the cells are taken at level 0
+        F = points_from_csv(path.read_text(), 0).points
     elif cond is not None:
         raise ValueError(f'condensation must be "point" or a path ending in .csv, got {cond!r}')
     return SimilarityIFS(d, np.array(ratios), np.array(translations), F)

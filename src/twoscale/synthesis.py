@@ -102,8 +102,7 @@ class DyadicTree:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        if self.dimension * self.depth > 62:
-            raise ValueError("depth * dimension must stay below 63 bits")
+        _check_code_bits(self.dimension, self.depth)
         if len(self.levels) != self.depth + 1:
             raise ValueError("need one code array per level 0..depth")
         for n, codes in enumerate(self.levels):
@@ -135,6 +134,13 @@ class DyadicTree:
         return self.corner_ints(level)
 
 
+def _check_code_bits(dimension: int, depth: int) -> None:
+    """Refuse a tree whose packed codes, ``dimension`` bits per level, would pass 62 bits."""
+    if dimension * depth > 62:
+        raise ValueError(f"depth {depth} in d = {dimension} needs {dimension * depth}-bit cube codes, "
+                         f"more than 62: the depth may be at most {62 // dimension}")
+
+
 @functools.cache
 def _digit_table(digits: int, axes: int) -> np.ndarray:
     """Coordinates (2^(digits axes), axes) of every run of ``digits`` digits of
@@ -157,8 +163,7 @@ def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> Dyad
     d = dimension
     if abs(eta.step_size - d) > EXACT_TOL:
         raise ValueError("step function increments must equal the dimension")
-    if d * len(eta) > 62:
-        raise ValueError("depth * dimension must stay below 63 bits")
+    _check_code_bits(d, len(eta))
     if offset < 0 or offset > len(eta):
         raise ValueError("offset out of range")
     if np.any(np.abs(eta.cumulative[: offset + 1]) > EXACT_TOL):
@@ -234,7 +239,7 @@ def synthesize_set(
     (zero below b) is step-quantized and materialized as an anchored
     subdivision tree; parts are translated by 4 * 2^-b along coordinate 0 and
     the origin is adjoined.  Requires the grid's slope bound to stay within
-    ``dimension`` and depth <= min(u_max, MAX_DEPTH).
+    ``dimension``, depth <= min(u_max, MAX_DEPTH) and dimension * depth <= 62.
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -243,6 +248,7 @@ def synthesize_set(
     if depth > MAX_DEPTH:
         raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
                          f"the set's level-depth cells reach 5 * 2^depth, beyond 64-bit integers")
+    _check_code_bits(dimension, depth)
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
         raise ValueError(

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoscale import cli, verify
+from twoscale import GridSpec, cli, cone_extension, plateau_curve, synthesize_set, verify
 from twoscale.cli import main
 from twoscale.grids import DEFAULT_GRID_STEP
 from twoscale.io import points_from_csv
@@ -21,8 +21,7 @@ def test_synth_estimate_pipeline(tmp_path):
         "--depth", "12", "--out", str(out),
     ])
     assert code == 0
-    assert (out / "points.csv").exists()
-    assert (out / "tree.txt").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["metadata.json", "points.csv"]
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["rescale_exponent"] == 3 and meta["depth"] == 12
 
@@ -135,7 +134,7 @@ def test_synth_outputs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    for name in ("points.csv", "tree.txt", "metadata.json"):
+    for name in ("points.csv", "metadata.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
@@ -186,12 +185,36 @@ def test_commands_reject_options_they_do_not_read(argv):
 
 
 def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
-    # tree files hold single-digit children, so d = 4 fails after synthesis
+    # the target passes its checks, and the cube cap stops the synthesis once it has begun
     out = tmp_path / "x"
-    code = main(["synth", "h_kappa_lambda:0.5,0.5", "-d", "4", "--depth", "4", "--out", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: tree files")
+    code = main(["synth", "h_kappa_lambda:1.0,0.0", "-d", "1", "--depth", "40", "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: materialization needs more than")
     assert not out.exists()
+
+
+def test_synth_d4_set_is_estimated_back(tmp_path, capsys):
+    synth, est = tmp_path / "synth", tmp_path / "est"
+    assert main(["synth", "h_kappa_lambda:1.6,0.3", "-d", "4", "--depth", "10", "--out", str(synth)]) == 0
+    assert len((synth / "points.csv").read_text().splitlines()) == 1 + 86
+    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                 "--u-min", "5", "--out", str(est)]) == 0
+    assert json.loads((est / "box_dims.json").read_text())["membership"] == "passed"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_synth_writes_the_points_and_sidecar_that_estimate_reads(tmp_path, d):
+    synth, est = tmp_path / "synth", tmp_path / "est"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "h_kappa_lambda:0.9,0.3", "-d", str(d), "--depth", "10", "--out", str(synth)]) == 0
+        assert sorted(p.name for p in synth.iterdir()) == ["metadata.json", "points.csv"]
+        # the sidecar counts the parts of the set that synthesis builds
+        parts = synthesize_set(cone_extension(plateau_curve(0.9, 0.3), GridSpec.reaching(10.0)), d, 10).parts
+        meta = json.loads((synth / "metadata.json").read_text())
+        assert meta == {"d": d, "depth": 10, "parts": len(parts), "rescale_exponent": 3}
+        assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                     "--u-min", "5", "--out", str(est)]) == 0
+    assert json.loads((est / "box_dims.json").read_text())["membership"] == "passed"
 
 
 @pytest.mark.parametrize("spec", [
@@ -202,7 +225,7 @@ def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
     # integer fields are rejected, not truncated, when they are not JSON integers
     {"d": 1.9, "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
     {"d": 1, "maps": [{"ratio_exp": 2.9, "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation_depth": 8.5},
+    {"d": 1, "maps": [{"ratio_exp": 2, "translation": [None]}]},
 ])
 def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec):
     path = tmp_path / "ifs.json"

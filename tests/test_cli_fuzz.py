@@ -113,13 +113,12 @@ SPEC = {
     "d": 1,
     "maps": [{"ratio_exp": 2, "translation": [0.0]}, {"ratio": 0.25, "translation": [0.75]}],
     "condensation": "cond.csv",
-    "condensation_depth": 8,
 }
 RATIOS = [0.5, 0.25, 0.3, 0.0, -0.5, 1.0, 1.5, float("nan"), float("inf"), "0.25", None, [0.5]]
 
 spec_edits = st.lists(
     st.one_of(
-        st.tuples(st.just("top"), st.sampled_from(["d", "maps", "condensation", "condensation_depth"]),
+        st.tuples(st.just("top"), st.sampled_from(["d", "maps", "condensation"]),
                   json_values | st.sampled_from(LIMITS)),
         st.tuples(st.just("map"), st.sampled_from(["ratio_exp", "translation"]), json_values),
         st.tuples(st.just("map"), st.just("ratio"), st.sampled_from(RATIOS)),

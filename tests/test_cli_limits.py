@@ -4,7 +4,7 @@ Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
-60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
+60 or above 62 / d, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
 windows that are empty, ``estimate`` depths that contradict the sidecar or
 lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
 not divide the sample's scale range when ``--u-max`` is omitted (named by
@@ -84,6 +84,32 @@ def test_synth_depth_bound_is_where_exported_numerators_overflow(tmp_path):
     assert not (tmp_path / "deep").exists()
 
 
+def test_synth_depth_bound_in_d_3_is_where_packed_cube_codes_overflow(tmp_path):
+    # a code packs d bits per level into an int64, so d = 3 reaches depth 20
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "h_kappa_lambda:0.05,0.5", "-d", "3", "--depth", "20",
+                     "--out", str(tmp_path / "out")]) == 0
+    # the bound is checked before synthesis, so a target past the cube cap is refused by it too
+    for target in ("h_kappa_lambda:0.05,0.5", "h_kappa_lambda:1.6,0.3"):
+        got, line = run(["synth", target, "-d", "3", "--depth", "21", "--out", str(tmp_path / "deep")])
+        assert got == EXIT_USER
+        assert line == "error: depth 21 in d = 3 needs 63-bit cube codes, more than 62: the depth may be at most 20"
+        assert not (tmp_path / "deep").exists()
+
+
+@pytest.mark.parametrize("d, deepest, bits", [(2, 31, 64), (4, 15, 64), (5, 12, 65), (6, 10, 66),
+                                               (7, 8, 63), (8, 7, 64)])
+def test_synth_depth_bound_in_each_dimension_is_62_bits_of_cube_code(tmp_path, d, deepest, bits):
+    argv = ["synth", "h_kappa_lambda:0.05,0.5", "-d", str(d), "--out"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + [str(tmp_path / "out"), "--depth", str(deepest)]) == 0
+    got, line = run(argv + [str(tmp_path / "deep"), "--depth", str(deepest + 1)])
+    assert got == EXIT_USER
+    assert line == (f"error: depth {deepest + 1} in d = {d} needs {bits}-bit cube codes, "
+                    f"more than 62: the depth may be at most {deepest}")
+    assert not (tmp_path / "deep").exists()
+
+
 def test_lattice_bound_is_where_numpy_refuses_the_table():
     # 8 (n + 1)^2 bytes against the largest intp; numpy refuses without allocating
     GridSpec(2.0**30 - 2, 1.0)
@@ -117,10 +143,10 @@ def test_verify_rejects_a_negative_seed_for_every_suite(tmp_path, suite):
 
 def test_synth_refuses_an_output_that_is_a_directory_and_writes_nothing(tmp_path):
     out = tmp_path / "o"
-    (out / "tree.txt").mkdir(parents=True)
+    (out / "points.csv").mkdir(parents=True)
     got, line = run(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "8", "--out", str(out)])
-    assert got == EXIT_USER and line == f"error: cannot write {out}/tree.txt: it is a directory"
-    assert [p.name for p in out.iterdir()] == ["tree.txt"]
+    assert got == EXIT_USER and line == f"error: cannot write {out}/points.csv: it is a directory"
+    assert [p.name for p in out.iterdir()] == ["points.csv"]
 
 
 def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path):

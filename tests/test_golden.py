@@ -28,10 +28,10 @@ THREE_MAP_D2_SPEC = {
     ],
 }
 
-# a condensation point list on the lattice of its condensation_depth, one row
-# written at a finer exponent: read as written, it gives the same outputs as
-# its points rounded onto that lattice, which these digests pin
-CSV_CONDENSATION_SPEC = {**TWO_MAP_SPEC, "condensation": "cond.csv", "condensation_depth": 4}
+# a condensation point list on the 2^-4 lattice, one row written at a finer
+# exponent: read as written, it gives the same outputs as its points rounded
+# onto that lattice, which these digests pin
+CSV_CONDENSATION_SPEC = {**TWO_MAP_SPEC, "condensation": "cond.csv"}
 CSV_CONDENSATION = "coord_0_num,coord_0_exp\n0,0\n1,3\n6,5\n"
 
 
@@ -47,7 +47,7 @@ def test_readme_synth_estimate_outputs(tmp_path, golden, capsys):
     synth, est = tmp_path / "synth", tmp_path / "est"
     assert main(["synth", "h_kappa_lambda:0.8,0.5", "-d", "1", "--depth", "20",
                  "--out", str(synth)]) == 0
-    assert capsys.readouterr().out == f"wrote {synth}/points.csv, tree.txt, metadata.json\n"
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
     assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                  "--u-max", "16", "--u-min", "8", "--out", str(est)]) == 0
     assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
@@ -60,7 +60,7 @@ def test_d2_synth_estimate_outputs(tmp_path, golden, capsys):
     synth, est = tmp_path / "synth_d2", tmp_path / "estimate_d2"
     assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12",
                  "--out", str(synth)]) == 0
-    assert capsys.readouterr().out == f"wrote {synth}/points.csv, tree.txt, metadata.json\n"
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
     assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                  "--u-max", "10", "--u-min", "5", "--out", str(est)]) == 0
     assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"

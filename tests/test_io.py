@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import profile_from_csv, tree_from_text
+from helpers import profile_from_csv
 from twoscale import (
     GridSpec,
     PiecewiseLinear,
@@ -75,15 +75,6 @@ def test_points_roundtrip_with_quantization():
     assert loaded.depth == 8
 
 
-def test_tree_text_roundtrip():
-    eta = StepFunction(1.0, np.array([0.0, 1.0, 1.0, 2.0]))
-    tree = subdivision_tree(eta, 1)
-    [(b, back)] = tree_from_text(f"# part 3\n{tsio.tree_to_text(tree)}", 1)
-    assert b == 3 and back.depth == tree.depth
-    for a, b in zip(back.levels, tree.levels):
-        assert np.array_equal(a, b)
-
-
 def exact_units(cells, b, depth):
     """Level-``depth`` composite part cells in units of 2^-(depth + 3): shifted by
     4 * 2^-b along axis 0, then divided by 8."""
@@ -131,13 +122,16 @@ def test_synth_points_and_the_parent_format_list_meet_the_same_cells(d, height, 
         assert np.array_equal(new.cells_at_level(level), parent.cells_at_level(level))
 
 
-@pytest.mark.parametrize("d, spec", [(1, "h_kappa_lambda:0.8,0.5"), (2, "h_kappa_lambda:1.45,0.3")])
+@pytest.mark.parametrize("d, spec", [(1, "h_kappa_lambda:0.8,0.5"), (2, "h_kappa_lambda:1.45,0.3"),
+                                     (3, "h_kappa_lambda:1.2,0.4"), (4, "h_kappa_lambda:1.6,0.3")])
 def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d, spec):
     from twoscale.cli import main
 
     depth = 9
     assert main(["synth", spec, "-d", str(d), "--depth", str(depth), "--out", str(tmp_path)]) == 0
-    parts = tree_from_text((tmp_path / "tree.txt").read_text(), d)
+    height, kink = map(float, spec.removeprefix("h_kappa_lambda:").split(","))
+    grid = cone_extension(plateau_curve(height, kink), GridSpec.reaching(float(depth)))
+    parts = synthesize_set(grid, d, depth).parts
     assert [b for b, _ in parts] == list(range(depth))
     placed = {(0,) * d}  # the origin
     for b, tree in parts:
@@ -151,26 +145,6 @@ def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d
         assert fields[1::2] == [depth] * d
         listed.append(tuple(fields[0::2]))
     assert listed == sorted({tuple(x >> 3 for x in point) for point in placed})
-
-
-@pytest.mark.parametrize("text, message", [
-    ("# level 0\n-\n", "# part header"),
-    ("# part 0\n-\n", "before any level header"),
-    ("# part 0\n# level 0\n0\n", "bad address"),
-    ("# part 0\n# level 0\n-\n# level 1\n-\n", "bad address"),
-    ("# part 0\n# level 0\n-\n# level 1\n01\n", "bad address"),
-    ("# part 0\n# level 0\n-\n# level 1\n+1\n", "bad address"),
-    ("# part 0\n# level 0\n-\n# level 1\n2\n", "invalid literal"),
-    ("# part x\n", "invalid literal"),
-    ("# part -1\n# level 0\n-\n", "negative part offset"),
-    ("# part 0\n", "without a level header"),
-    ("# part 0\n# part 1\n# level 0\n-\n", "without a level header"),
-])
-def test_tree_file_reader_rejects_malformed_files(text, message):
-    with pytest.raises(ValueError, match=message):
-        tree_from_text(text, 1)
-    with pytest.raises(ValueError, match="d <= 3"):
-        tree_from_text("# part 0\n# level 0\n-\n", 4)
 
 
 def test_ifs_json_variants(tmp_path):
@@ -197,10 +171,9 @@ def test_ifs_json_variants(tmp_path):
 
 
 def test_csv_condensation_set_is_read_as_written(tmp_path):
-    # 3/16 lies off the lattice of condensation_depth 2, and is kept, not rounded to 1/4
+    # 3/16 lies off the 2^-2 lattice, and is kept, not rounded to 1/4
     (tmp_path / "cond.csv").write_text("coord_0_num,coord_0_exp\n3,4\n6,5\n")
-    spec = {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation": "cond.csv",
-            "condensation_depth": 2}
+    spec = {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation": "cond.csv"}
     assert tsio.ifs_from_json(json.dumps(spec), tmp_path).condensation.tolist() == [[0.1875], [0.1875]]
 
 
@@ -246,19 +219,8 @@ def test_points_from_csv_exponent_range():
 
 
 # ---------------------------------------------------------------------------
-# Point and tree files against their row-by-row formulations
+# Point files against their row-by-row formulations
 # ---------------------------------------------------------------------------
-
-def per_digit_tree_text(tree):
-    lines = []
-    for n, codes in enumerate(tree.levels):
-        lines.append(f"# level {n}")
-        for code in codes:
-            digits = [(int(code) >> (tree.dimension * (n - pos))) & ((1 << tree.dimension) - 1)
-                      for pos in range(1, n + 1)]
-            lines.append("".join(str(x) for x in digits) if digits else "-")
-    return "\n".join(lines) + "\n"
-
 
 def per_row_points_csv(points):
     d = points.numerators.shape[1]
@@ -315,27 +277,6 @@ def assert_same_outcome(text, depth):
         # CRLF line ends are outside the canonical form, so the per-row reader reads them
         crlf = read_outcome(tsio.points_from_csv, text.replace("\n", "\r\n"), depth)
         assert np.array_equal(got[0], crlf[0]) and np.array_equal(got[2], crlf[2])
-
-
-@st.composite
-def random_trees(draw):
-    d = draw(st.integers(1, 3))
-    splits = draw(st.lists(st.booleans(), max_size=10))
-    # at most 2^12 cubes per level
-    budget = 12 // d
-    keep = [s and sum(splits[: i + 1]) <= budget for i, s in enumerate(splits)]
-    eta = StepFunction(float(d), d * np.concatenate([[0.0], np.cumsum(keep)]))
-    return subdivision_tree(eta, d)
-
-
-@settings(max_examples=60, deadline=None)
-@given(random_trees())
-def test_tree_text_matches_per_digit_formulation(tree):
-    text = tsio.tree_to_text(tree)
-    assert text == per_digit_tree_text(tree)
-    [(_, back)] = tree_from_text("# part 0\n" + text, tree.dimension)
-    assert back.depth == tree.depth
-    assert all(np.array_equal(a, b) for a, b in zip(back.levels, tree.levels))
 
 
 @settings(max_examples=60, deadline=None)
@@ -713,16 +654,14 @@ def sample_bytes(sample):
     return sample.points.nbytes + sample.cells.nbytes
 
 
-@pytest.mark.parametrize("step", ["export_points", "points_to_csv", "tree_to_text", "points_from_csv"])
+@pytest.mark.parametrize("step", ["export_points", "points_to_csv", "points_from_csv"])
 def test_point_path_holds_its_result_plus_less_than_one_and_a_half_times_it(bench_set, step):
     # beyond its result, a step holds temporaries of one part or one block,
     # and the pieces of a text that it joins at the end
     composite, points, text = bench_set
-    tree = max((tree for _, tree in composite.parts), key=lambda tree: tree.levels[-1].size)
     fn, args, size = {
         "export_points": (export_points, (composite, 14), exported_bytes),
         "points_to_csv": (tsio.points_to_csv, (points,), len),
-        "tree_to_text": (tsio.tree_to_text, (tree,), len),
         "points_from_csv": (tsio.points_from_csv, (text, 17), sample_bytes),
     }[step]
     out, peak = heap_peak(fn, *args)
