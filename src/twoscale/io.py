@@ -561,6 +561,12 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _reject_unknown_keys(obj, known: tuple, what: str) -> None:
+    unknown = [k for k in obj if k not in known] if isinstance(obj, dict) else []
+    if unknown:
+        raise ValueError(f"malformed IFS spec: unknown {what} {unknown[0]!r}, expected one of {', '.join(known)}")
+
+
 def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
@@ -569,13 +575,16 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
-    rejected.
+    rejected, and so is any key not named here, which a misspelling would
+    otherwise turn into an omitted one.
     """
     data = _load_json(text, "IFS spec")
     try:
+        _reject_unknown_keys(data, ("d", "maps", "condensation"), "key")
         d = _json_int(data["d"], "d")
         ratios, translations = [], []
         for m in data["maps"]:
+            _reject_unknown_keys(m, ("ratio_exp", "ratio", "translation"), "map key")
             if "ratio_exp" in m:
                 ratios.append(2.0 ** -_json_int(m["ratio_exp"], "ratio_exp"))
             else:

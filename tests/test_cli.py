@@ -170,6 +170,23 @@ def test_attractor_rejects_unknown_condensation(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: condensation")
 
 
+@pytest.mark.parametrize("spec, line", [
+    # a misspelled condensation would otherwise sample the fixed points instead
+    ({"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensaton": "point"},
+     "error: malformed IFS spec: unknown key 'condensaton', expected one of d, maps, condensation"),
+    ({"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation_depth": 8},
+     "error: malformed IFS spec: unknown key 'condensation_depth', expected one of d, maps, condensation"),
+    ({"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0], "weight": 0.5}]},
+     "error: malformed IFS spec: unknown map key 'weight', expected one of ratio_exp, ratio, translation"),
+], ids=["condensaton", "condensation_depth", "map-weight"])
+def test_attractor_rejects_unknown_spec_keys_by_name(tmp_path, capsys, spec, line):
+    path = tmp_path / "ifs.json"
+    path.write_text(json.dumps(spec))
+    assert main(["attractor", str(path), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not (tmp_path / "att").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["synth", "h_kappa_lambda:0.8,0.5", "--seed", "3"],
     ["synth", "h_kappa_lambda:0.8,0.5", "--u-min", "4"],

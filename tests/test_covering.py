@@ -178,10 +178,17 @@ def probe_gaps(d, level):
             yield [side, side, 1] + pad[1:]
 
 
-# the d >= 2 ball count switches from int32 to int64 where the squared span
-# sum reaches 2^31: opposite corners of the cube do so after level 15 in d = 2
-# and after 14 in d = 3; the last level of each is the deepest exact one
-@pytest.mark.parametrize("d, level", [(2, 15), (2, 16), (2, 31), (3, 14), (3, 15), (3, 16), (3, 30)])
+# the d >= 2 ball count picks its binning by the squared span sum: float32
+# bits up to 2^26 - 2, float64 bits up to 2^54 - 1, then a sorted search; and
+# it switches from int32 to int64 gaps where that sum reaches 2^31.  Opposite
+# corners of the cube cross the float bounds after level 12 and after 26 in
+# d = 2 and 3, and 2^31 after level 15 in d = 2 and 14 in d = 3.  The probes
+# reach D2 = 4^(level - 1), which float32 would bin wrong from level 14 on and
+# float64 from 28 on.  The last level of each dimension is the deepest exact one.
+@pytest.mark.parametrize("d, level", [
+    (2, 12), (2, 13), (2, 14), (2, 15), (2, 16), (2, 26), (2, 27), (2, 28), (2, 31),
+    (3, 12), (3, 13), (3, 14), (3, 15), (3, 16), (3, 26), (3, 27), (3, 28), (3, 30),
+])
 def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level):
     top = (1 << level) - 1
     for gaps in probe_gaps(d, level):
@@ -197,6 +204,29 @@ def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level)
     counts = covering._max_ball_count(corners, level)
     assert counts.tolist() == [exact_ball_count(corners, level, level - s) for s in range(level + 1)]
     assert counts.tolist() == [1] * (level + 1)
+
+
+FLOAT32_BOUND, FLOAT64_BOUND = (1 << 26) - 2, (1 << 54) - 1
+
+
+@pytest.mark.parametrize("bound", [FLOAT32_BOUND, FLOAT64_BOUND, (1 << 31) - 1])
+def test_radius_bins_match_bit_length_around_each_binning_bound(bound):
+    # every D2 in a window around the bound, binned with the reach at and past it:
+    # smallest s >= 0 with D2 <= 4^s is ceil(bit_length(max(D2 - 1, 0)) / 2).  The window
+    # holds the first D2 that each float would bin wrong, 2^26 - 1 and 2^54, so
+    # neither float bound can be raised
+    for reach in (bound, bound + (1 << 12)):
+        dtype = np.int32 if reach < 1 << 31 else np.int64
+        d2 = np.arange(bound - (1 << 12), reach + 1, dtype=np.int64)
+        want = [(max(int(v) - 1, 0).bit_length() + 1) // 2 for v in d2]
+        assert covering._radius_bins(d2.astype(dtype), reach).tolist() == want
+
+
+@pytest.mark.parametrize("reach", [1 << 14, FLOAT64_BOUND, FLOAT64_BOUND + 1])
+def test_radius_bins_match_bit_length_on_the_smallest_gaps(reach):
+    d2 = np.arange(1 << 14, dtype=np.int32 if reach < 1 << 31 else np.int64)
+    want = [(max(int(v) - 1, 0).bit_length() + 1) // 2 for v in d2]
+    assert covering._radius_bins(d2, reach).tolist() == want
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -239,15 +269,16 @@ def ref_occupied_cells(points, level):
 
 
 def ref_branching(points, top):
-    """Ball-count table, cells per level and center stride, counted level by level from 0."""
+    """Ball-count table, cells per level, centers measured and center stride, counted level by level from 0."""
     table = np.zeros((top + 1, top + 1))
     counts = []
     for u in range(top + 1):
         cells = ref_occupied_cells(points, u)
         counts.append(cells.shape[0])
         table[u, :u] = np.log2(covering._max_ball_count(cells, u)[u:0:-1])
-    stride = max(-(-c // covering.MAX_CENTERS) for c in counts)
-    return table, counts, stride
+    strides = [-(-c // covering.MAX_CENTERS) for c in counts]
+    centers = sum(len(range(0, c, s)) for c, s in zip(counts, strides))
+    return table, counts, centers, max(strides)
 
 
 def assert_matches_per_level_flooring(pts, top):
@@ -255,13 +286,13 @@ def assert_matches_per_level_flooring(pts, top):
         got = pts.cells_at_level(u)
         assert got.dtype == np.int64
         assert np.array_equal(got, ref_occupied_cells(pts.points, u))
-    table, counts, stride = ref_branching(pts.points, top)
+    table, counts, centers, stride = ref_branching(pts.points, top)
     walked = list(covering._cells_by_level(pts, top))[::-1]
     assert all(np.array_equal(a, ref_occupied_cells(pts.points, u)) for u, a in enumerate(walked))
     cov = empirical_branching(pts, GridSpec(float(top), 1.0))
     assert np.array_equal(cov.grid.values, table)
     assert cov.metadata["cells_per_level"] == counts
-    assert cov.metadata["centers_sampled"] == sum(counts)
+    assert cov.metadata["centers_sampled"] == centers
     assert cov.metadata["center_stride"] == stride
 
 

@@ -68,6 +68,19 @@ def test_d2_synth_estimate_outputs(tmp_path, golden, capsys):
     assert digests(est, "estimate_d2") == expected(golden, "estimate_d2")
 
 
+def test_d3_synth_estimate_outputs(tmp_path, golden, capsys):
+    # d >= 3 ball counts, whose squared gaps sum three axes
+    synth, est = tmp_path / "synth_d3", tmp_path / "estimate_d3"
+    assert main(["synth", "h_kappa_lambda:2.2,0.3", "-d", "3", "--depth", "10",
+                 "--out", str(synth)]) == 0
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
+    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                 "--u-max", "10", "--u-min", "5", "--out", str(est)]) == 0
+    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
+    assert digests(synth, "synth_d3") == expected(golden, "synth_d3")
+    assert digests(est, "estimate_d3") == expected(golden, "estimate_d3")
+
+
 def attractor_digests(tmp_path, capsys, spec: dict, run: str) -> dict:
     path = tmp_path / f"{run}.json"
     path.write_text(json.dumps(spec))
