@@ -1,9 +1,11 @@
-"""Test-side constructors and comparisons of grids and curves, and a reader of the
-profile CSV that the CLI writes but never reads back."""
+"""Test-side constructors and comparisons of grids and curves, a reader of the
+profile CSV that the CLI writes but never reads back, and a one-offset-at-a-time
+reference of the synthesis's step quantization."""
 
 import numpy as np
 
-from twoscale import PiecewiseLinear, TwoScaleGrid
+from twoscale import PiecewiseLinear, StepFunction, TwoScaleGrid, subdivision_tree
+from twoscale.grids import CapExceeded, EXACT_TOL
 from twoscale.operators import _curve_weights
 
 
@@ -37,3 +39,45 @@ def profile_from_csv(text: str) -> PiecewiseLinear:
         if s.strip():
             slopes.append(float(s))
     return PiecewiseLinear(np.array(bps), np.array(slopes))
+
+
+def reference_step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> StepFunction:
+    """The quantizer as a loop over levels: eta(n+1) = eta(n) + step_size exactly
+    when g(n+1) - eta(n) >= step_size - EXACT_TOL, then the bracket check."""
+    if not profile.is_increasing():
+        raise ValueError("profile must be increasing")
+    g = profile.evaluate(np.arange(depth + 1, dtype=float))
+    eta = np.zeros(depth + 1)
+    acc = 0.0
+    for n in range(1, depth + 1):
+        if g[n] - acc >= step_size - EXACT_TOL:
+            acc += step_size
+        eta[n] = acc
+    low = g - step_size
+    if np.any(eta <= low - EXACT_TOL) or np.any(eta > g + EXACT_TOL):
+        raise ValueError("quantizer bracket failed: profile moves faster than step_size")
+    return StepFunction(step_size, eta)
+
+
+def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> list:
+    """The step function and tree of every offset b < depth, one offset at a
+    time, as ``synthesize_set`` makes them after its argument checks.
+
+    Offset b samples u -> value(u, b) at the levels n (zero below b), takes its
+    running maximum as a piecewise-linear profile, quantizes it, adds its cubes
+    to a running total against ``cube_cap`` and builds its tree, so the first
+    offset that fails a check raises that check's error.
+    """
+    ns = np.arange(depth + 1, dtype=float)
+    steps, total = [], 0
+    for b in range(depth):
+        samples = np.where(ns >= b, grid.evaluate(np.maximum(ns, b), float(b)), 0.0)
+        samples = np.maximum(samples, 0.0)
+        profile = PiecewiseLinear.from_samples(ns, np.maximum.accumulate(samples))
+        eta = reference_step_quantize(profile, float(dimension), depth)
+        total += int(np.sum(np.exp2(eta.cumulative)))
+        if total > cube_cap:
+            raise CapExceeded(f"materialization needs more than {cube_cap} cubes; "
+                              f"reduce depth or raise the cap")
+        steps.append((eta.cumulative, subdivision_tree(eta, dimension, offset=b)))
+    return steps

@@ -81,6 +81,34 @@ def test_d3_synth_estimate_outputs(tmp_path, golden, capsys):
     assert digests(est, "estimate_d3") == expected(golden, "estimate_d3")
 
 
+def test_d4_synth_estimate_outputs(tmp_path, golden, capsys):
+    # d = 4: 4-bit child indices and 16-child splits in the trees, four-axis squared gaps
+    synth, est = tmp_path / "synth_d4", tmp_path / "estimate_d4"
+    assert main(["synth", "h_kappa_lambda:1.6,0.3", "-d", "4", "--depth", "10",
+                 "--out", str(synth)]) == 0
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
+    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                 "--u-max", "10", "--u-min", "5", "--out", str(est)]) == 0
+    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
+    assert digests(synth, "synth_d4") == expected(golden, "synth_d4")
+    assert digests(est, "estimate_d4") == expected(golden, "estimate_d4")
+
+
+def test_half_step_d2_synth_estimate_outputs(tmp_path, golden, capsys):
+    # the target sampled on a lattice of step 0.5; this target quantizes to the
+    # same set as at the default step, so the synth digests equal synth_d2's,
+    # and the estimate, on a lattice of step 0.5 too, writes its own grid
+    synth, est = tmp_path / "synth_d2_step05", tmp_path / "estimate_d2_step05"
+    assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12", "--grid-step", "0.5",
+                 "--out", str(synth)]) == 0
+    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
+    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                 "--u-max", "10", "--u-min", "5", "--grid-step", "0.5", "--out", str(est)]) == 0
+    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
+    assert digests(synth, "synth_d2_step05") == expected(golden, "synth_d2_step05")
+    assert digests(est, "estimate_d2_step05") == expected(golden, "estimate_d2_step05")
+
+
 def attractor_digests(tmp_path, capsys, spec: dict, run: str) -> dict:
     path = tmp_path / f"{run}.json"
     path.write_text(json.dumps(spec))

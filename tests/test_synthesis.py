@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_from_function
+from helpers import grid_from_function, reference_offset_steps
 from twoscale import (
     CapExceeded,
+    DyadicTree,
     GridSpec,
     PiecewiseLinear,
     StepFunction,
@@ -99,6 +100,34 @@ def test_prefix_count_inside_coarse_cube():
     assert inside == 2 ** int(eta.cumulative[3] - eta.cumulative[1])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("defect", ["duplicate-first", "descending-last"])
+def test_tree_names_the_level_whose_codes_are_not_sorted_and_distinct(d, n, defect):
+    levels = subdivision_tree(StepFunction(float(d), d * np.arange(5.0)), d).levels
+    codes = levels[n].copy()
+    if defect == "duplicate-first":
+        codes[1] = codes[0]
+    else:
+        codes[[-2, -1]] = codes[[-1, -2]]
+    with pytest.raises(ValueError, match=rf"^level {n} addresses must be sorted and distinct$"):
+        DyadicTree(d, 4, levels[:n] + [codes] + levels[n + 1:])
+    # a later level's defect is not the one named
+    if n < 4:
+        later = levels[n + 1][::-1].copy()
+        with pytest.raises(ValueError, match=rf"^level {n} addresses"):
+            DyadicTree(d, 4, levels[:n] + [codes, later] + levels[n + 2:])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("root", [[1], [0, 0], [], [0, 1]])
+def test_tree_needs_the_single_root_cube(d, root):
+    levels = subdivision_tree(StepFunction(float(d), d * np.arange(5.0)), d).levels
+    # the root is checked before any level's order
+    with pytest.raises(ValueError, match="^level 0 must be the single root cube$"):
+        DyadicTree(d, 4, [np.array(root, dtype=np.int64)] + levels[1:2] + [levels[2][::-1].copy()] + levels[3:])
+
+
 def test_tree_requires_vanishing_prefix_for_offset():
     eta = StepFunction(1.0, np.arange(5, dtype=float))
     with pytest.raises(ValueError):
@@ -144,6 +173,137 @@ def test_synthesize_cap():
     lin = grid_from_function(spec, lambda u, v: u - v)
     with pytest.raises(CapExceeded):
         synthesize_set(lin, 1, 40, cube_cap=10_000)
+
+
+# ---------------------------------------------------------------------------
+# synthesize_set against the one-offset-at-a-time reference
+# ---------------------------------------------------------------------------
+
+class TableTarget:
+    """A target whose value at the integer point (u, v) is ``table[u, v]``.
+
+    It has no lattice checks and reports slope 0, so it reaches the checks of
+    the quantizer and the trees that no ``TwoScaleGrid`` fails: a nonzero
+    (0, 0), a NaN, a jump steeper than the dimension, a nonzero diagonal.
+    """
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.spec = GridSpec(float(self.table.shape[0] - 1), 1.0)
+
+    def lipschitz_bound(self) -> float:
+        return 0.0
+
+    def evaluate(self, u, v):
+        u, v = np.broadcast_arrays(np.asarray(u), np.asarray(v))
+        return self.table[u.astype(int), v.astype(int)]
+
+
+def part_steps(grid, dimension, depth, cube_cap):
+    """The step function behind each part of the set, and the part: level n of part b holds 2^eta(n) cubes."""
+    comp = synthesize_set(grid, dimension, depth, cube_cap)
+    assert [b for b, _ in comp.parts] == list(range(depth))
+    return [(np.log2([level.size for level in tree.levels]), tree) for _, tree in comp.parts]
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(grid, dimension, depth, cube_cap):
+    got = outcome(part_steps, grid, dimension, depth, cube_cap)
+    want = outcome(reference_offset_steps, grid, dimension, depth, cube_cap)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    assert len(got) == len(want) == depth
+    for (eta, tree), (ref_eta, ref_tree) in zip(got, want):
+        # bit for bit, so a -0.0 in place of 0.0 fails as well
+        assert np.array_equal(eta.view(np.int64), ref_eta.view(np.int64))
+        assert np.array_equal(np.signbit(eta), np.signbit(ref_eta))
+        assert all(np.array_equal(a, r) for a, r in zip(tree.levels, ref_tree.levels, strict=True))
+
+
+@st.composite
+def lipschitz_targets(draw):
+    """(grid, d, depth) with the grid's slope bound at most d, on a lattice of step 0.25, 0.5 or 1."""
+    d = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    depth = draw(st.integers(1, min(20, 62 // d)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = GridSpec.reaching(float(depth), step)
+    i = np.arange(spec.n + 1)
+    if draw(st.booleans()):
+        # multiples of d * step that move by at most one multiple per lattice step,
+        # so the levels' samples land exactly on the quantizer's thresholds
+        a, c = np.cumsum(rng.integers(0, 2, (2, spec.n + 1)), axis=1)
+        values = d * step * np.clip(a[:, None] - c[None, :], 0, i[:, None] - i[None, :])
+    else:
+        raw = np.tril(rng.random((spec.n + 1, spec.n + 1)), -1)
+        values = raw * (d * draw(st.floats(0.0, 1.0)) / TwoScaleGrid(spec, raw).lipschitz_bound())
+    return TwoScaleGrid(spec, values), d, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(lipschitz_targets(), st.integers(1, 100_000))
+def test_synthesis_matches_the_one_offset_reference(target, cube_cap):
+    grid, d, depth = target
+    assert_matches_reference(grid, d, depth, cube_cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 8), st.sampled_from([0.0, 0.5, 1.0]), st.data())
+def test_synthesis_raises_what_the_one_offset_reference_raises(d, depth, slope, data):
+    # a ramp of the given slope (in units of d) with a few cells set to values that fail checks
+    u, v = np.indices((depth + 1, depth + 1))
+    table = slope * d * np.maximum(u - v, 0)
+    defects = st.sampled_from([d - 2e-9, d - 1e-9, float(d), d + 1e-6, 2.5 * d, -1.0, np.nan])
+    for _ in range(data.draw(st.integers(0, 3))):
+        table[data.draw(st.integers(0, depth)), data.draw(st.integers(0, depth))] = data.draw(defects)
+    assert_matches_reference(TableTarget(table), d, depth, data.draw(st.integers(1, 5_000)))
+
+
+def ramp_table(depth, d, cells=()):
+    """The table of d * (u - v) above the diagonal, with ``cells`` set to their values."""
+    u, v = np.indices((depth + 1, depth + 1))
+    table = d * np.maximum(u - v, 0.0)
+    for (i, j), x in cells:
+        table[i, j] = x
+    return table
+
+
+@pytest.mark.parametrize("cells, cube_cap, error, message", [
+    ([((0, 0), 0.5)], 10_000, ValueError, "samples must start at (0, 0)"),
+    ([((3, 1), np.nan)], 10_000, ValueError, "profile must be increasing"),
+    ([((1, 0), 2.5)], 10_000, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+    ([((2, 2), 1.0)], 10_000, ValueError, "step function must vanish through the offset level"),
+    # offset 0 alone has 2^0 + ... + 2^5 = 63 cubes, over the cap: the cap wins over offset 2's bracket
+    ([((4, 2), 9.0)], 50, CapExceeded, "materialization needs more than 50 cubes; reduce depth or raise the cap"),
+    # offset 1's NaN comes before offset 2's bracket and the cap that offsets 0-2 pass together
+    ([((4, 2), 9.0), ((3, 1), np.nan)], 100, ValueError, "profile must be increasing"),
+    ([((3, 1), 9.0), ((4, 2), np.nan)], 100, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+], ids=["start", "increasing", "bracket", "vanish", "cap-first", "increasing-first", "bracket-first"])
+def test_synthesis_raises_the_first_failing_check_of_the_first_failing_offset(cells, cube_cap, error, message):
+    target = TableTarget(ramp_table(5, 1, cells))
+    with pytest.raises(error) as exc:
+        synthesize_set(target, 1, 5, cube_cap)
+    assert str(exc.value) == message
+    assert_matches_reference(target, 1, 5, cube_cap)
+
+
+def test_synthesis_bracket_failure_inside_the_slope_slack():
+    # slope 1 + 9e-7 passes the 1e-6 slack of the slope check, but the level-1
+    # sample stops 1.5e-9 short of a step, so level 2 lags one step behind
+    spec = GridSpec(2.0, 1.0)
+    values = np.array([[0.0, 0.0, 0.0], [1 - 1.5e-9, 0.0, 0.0], [2 - 1.5e-9 + 9e-7, 1.0, 0.0]])
+    with pytest.raises(ValueError, match="^quantizer bracket failed"):
+        synthesize_set(TwoScaleGrid(spec, values), 1, 2)
+    assert_matches_reference(TwoScaleGrid(spec, values), 1, 2, 10_000)
 
 
 # ---------------------------------------------------------------------------
