@@ -572,7 +572,7 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     "condensation": "point" | <point CSV path> | omitted}.
 
     "d" and "ratio_exp" must be JSON integers.
-    Maps take either "ratio_exp" (ratio 2^-k, exact) or a float "ratio".  An
+    Each map takes exactly one of "ratio_exp" (ratio 2^-k, exact) and a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
     rejected, and so is any key not named here, which a misspelling would
@@ -585,6 +585,8 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
         ratios, translations = [], []
         for m in data["maps"]:
             _reject_unknown_keys(m, ("ratio_exp", "ratio", "translation"), "map key")
+            if "ratio_exp" in m and "ratio" in m:
+                raise ValueError("malformed IFS spec: a map takes one of 'ratio_exp' and 'ratio', got both")
             if "ratio_exp" in m:
                 ratios.append(2.0 ** -_json_int(m["ratio_exp"], "ratio_exp"))
             else:

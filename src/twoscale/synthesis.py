@@ -10,6 +10,7 @@ the origin.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from dataclasses import dataclass, field
@@ -63,23 +64,27 @@ def step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> Ste
 
     eta(n+1) = eta(n) + step_size exactly when g(n+1) - eta(n) >= step_size.
     Guarantees g(n) - step_size < eta(n) <= g(n) at every integer n <= depth,
-    which requires g to move by at most step_size per unit step.
+    which requires g to move by at most step_size per unit step.  This is the
+    one-row case of the quantizer that ``synthesize_set`` runs on all offsets.
     """
     if step_size <= 0:
         raise ValueError("step_size must be positive")
     if not profile.is_increasing():
         raise ValueError("profile must be increasing")
-    g = profile.evaluate(np.arange(depth + 1, dtype=float))
-    eta = np.zeros(depth + 1)
-    acc = 0.0
-    for n in range(1, depth + 1):
-        if g[n] - acc >= step_size - EXACT_TOL:
-            acc += step_size
-        eta[n] = acc
-    low = g - step_size
-    if np.any(eta <= low - EXACT_TOL) or np.any(eta > g + EXACT_TOL):
+    eta, outside = _quantize_rows(profile.evaluate(np.arange(depth + 1, dtype=float))[None], step_size)
+    if outside[0]:
         raise ValueError("quantizer bracket failed: profile moves faster than step_size")
-    return StepFunction(step_size, eta)
+    return StepFunction(step_size, eta[0])
+
+
+def _quantize_rows(g: np.ndarray, step_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quantization eta of each row of ``g`` (rows, levels), one level at a time for all
+    rows, and which rows leave the bracket g - step_size < eta <= g, each side to EXACT_TOL."""
+    eta = np.zeros(g.shape)
+    for n in range(1, g.shape[1]):
+        prev = eta[:, n - 1]
+        eta[:, n] = np.where(g[:, n] - prev >= step_size - EXACT_TOL, prev + step_size, prev)
+    return eta, ((eta <= g - step_size - EXACT_TOL) | (eta > g + EXACT_TOL)).any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +97,8 @@ class DyadicTree:
 
     levels[n] holds sorted distinct integer codes; a code packs n child
     indices (d bits each), root-first.  Every level-(n+1) code extends a
-    level-n code by construction.
+    level-n code by construction.  The constructor checks the root, then all
+    levels' order in one pass over their codes, and names the first bad level.
     """
 
     dimension: int
@@ -105,13 +111,16 @@ class DyadicTree:
         _check_code_bits(self.dimension, self.depth)
         if len(self.levels) != self.depth + 1:
             raise ValueError("need one code array per level 0..depth")
-        for n, codes in enumerate(self.levels):
-            codes = np.asarray(codes, dtype=np.int64)
-            if n == 0 and (codes.size != 1 or codes[0] != 0):
-                raise ValueError("level 0 must be the single root cube")
-            if np.any(np.diff(codes) <= 0):
-                raise ValueError(f"level {n} addresses must be sorted and distinct")
-            self.levels[n] = codes
+        self.levels[:] = [np.asarray(codes, dtype=np.int64) for codes in self.levels]
+        if self.levels[0].size != 1 or self.levels[0][0] != 0:
+            raise ValueError("level 0 must be the single root cube")
+        codes = np.concatenate(self.levels)
+        ends = list(itertools.accumulate(level.size for level in self.levels))
+        down = codes[1:] <= codes[:-1]
+        down[[end - 1 for end in ends[:-1] if end < codes.size]] = False  # steps into the next level
+        if down.any():  # named by the level of the second code of the first pair out of order
+            raise ValueError(f"level {bisect.bisect_right(ends, int(down.argmax()) + 1)} "
+                             f"addresses must be sorted and distinct")
 
     def corner_ints(self, level: int) -> np.ndarray:
         """Integer corner coordinates (count, d) at resolution 2^-level.
@@ -168,17 +177,17 @@ def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> Dyad
         raise ValueError("offset out of range")
     if np.any(np.abs(eta.cumulative[: offset + 1]) > EXACT_TOL):
         raise ValueError("step function must vanish through the offset level")
-    depth = len(eta)
+    return DyadicTree(d, len(eta), _grown_levels(eta.increments, d))
+
+
+def _grown_levels(splits: np.ndarray, d: int) -> list:
+    """Every level's codes of the tree that splits each cube into its 2^d children where ``splits`` holds."""
     levels = [np.zeros(1, dtype=np.int64)]
     children = np.arange(1 << d, dtype=np.int64)
-    for n, split in enumerate(eta.increments):
-        prev = levels[n]
-        if split:
-            nxt = ((prev << d)[:, None] | children[None, :]).ravel()
-        else:
-            nxt = prev << d
-        levels.append(nxt)
-    return DyadicTree(d, depth, levels)
+    for split in splits:
+        prev = levels[-1] << d
+        levels.append((prev[:, None] | children).ravel() if split else prev)
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +249,15 @@ def synthesize_set(
     subdivision tree; parts are translated by 4 * 2^-b along coordinate 0 and
     the origin is adjoined.  Requires the grid's slope bound to stay within
     ``dimension``, depth <= min(u_max, MAX_DEPTH) and dimension * depth <= 62.
+
+    One pass quantizes all offsets: one ``grid.evaluate`` over the (b, level)
+    table, then, on all rows at once, the float operations of the one-offset
+    ``step_quantize(PiecewiseLinear.from_samples(levels, running maximum))``,
+    whose step functions it gives bit for bit.  The first offset b failing a
+    check raises the first it fails, in this order: samples start at (0, 0),
+    profile increasing, quantizer bracket, increments 0 or d (true by
+    construction), running cube total within ``cube_cap``, eta vanishing
+    through level b; an offset failing a one-offset check is re-run to raise it.
     """
     if dimension < 1:
         raise ValueError("dimension must be positive")
@@ -251,24 +269,29 @@ def synthesize_set(
     _check_code_bits(dimension, depth)
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
-        raise ValueError(
-            f"grid slope bound {slope:.4g} exceeds the ambient dimension {dimension}"
-        )
+        raise ValueError(f"grid slope bound {slope:.4g} exceeds the ambient dimension {dimension}")
+    step = float(dimension)
     ns = np.arange(depth + 1, dtype=float)
-    parts = []
-    total = 0
+    bs = ns[:-1, None]
+    samples = np.where(ns >= bs, grid.evaluate(np.maximum(ns, bs), bs), 0.0)
+    ys = np.maximum.accumulate(np.maximum(samples, 0.0), axis=1)
+    slopes = np.diff(ys, axis=1) / np.diff(ns)
+    g = np.hstack([np.zeros((depth, 1)), np.cumsum(slopes * np.diff(ns), axis=1)])
+    eta, outside = _quantize_rows(g, step)
+    unquantized = (np.abs(ys[:, 0]) > EXACT_TOL) | ~(slopes >= -EXACT_TOL).all(axis=1) | outside
+    unanchored = np.tril(np.abs(eta) > EXACT_TOL).any(axis=1)
+    cubes = np.exp2(eta).sum(axis=1)
+    splits = np.abs(np.diff(eta, axis=1)) > EXACT_TOL
+    parts, total = [], 0
     for b in range(depth):
-        samples = np.where(ns >= b, grid.evaluate(np.maximum(ns, b), float(b)), 0.0)
-        samples = np.maximum(samples, 0.0)
-        profile = PiecewiseLinear.from_samples(ns, np.maximum.accumulate(samples))
-        eta = step_quantize(profile, float(dimension), depth)
-        total += int(np.sum(np.exp2(eta.cumulative)))
+        if unquantized[b]:  # the one-offset path raises the check that this offset fails
+            step_quantize(PiecewiseLinear.from_samples(ns, ys[b]), step, depth)
+        total += int(cubes[b])
         if total > cube_cap:
-            raise CapExceeded(
-                f"materialization needs more than {cube_cap} cubes; "
-                f"reduce depth or raise the cap"
-            )
-        parts.append((b, subdivision_tree(eta, dimension, offset=b)))
+            raise CapExceeded(f"materialization needs more than {cube_cap} cubes; reduce depth or raise the cap")
+        if unanchored[b]:  # as does the tree's vanishing check
+            subdivision_tree(StepFunction(step, eta[b]), dimension, offset=b)
+        parts.append((b, DyadicTree(dimension, depth, _grown_levels(splits[b], dimension))))
     return CompositeDyadicSet(dimension, depth, parts)
 
 
@@ -295,7 +318,8 @@ def export_points(obj, level: int) -> ExportedPoints:
     2^level.  Every row has the exponent ``level``.
     """
     if isinstance(obj, DyadicTree):
-        nums = _sorted_corners(obj, level)
+        nums = obj.cells_at_level(level)
+        nums = nums[np.lexsort(nums.T[::-1])]
         return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64))
     if isinstance(obj, CompositeDyadicSet):
         if not 0 <= level <= obj.depth:
@@ -306,9 +330,3 @@ def export_points(obj, level: int) -> ExportedPoints:
             nums = unique_rows(obj.cells_at_level(0) >> EXPORT_RESCALE_EXP - level)
         return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64), EXPORT_RESCALE_EXP)
     raise TypeError(f"cannot export points from {type(obj).__name__}")
-
-
-def _sorted_corners(tree: DyadicTree, level: int) -> np.ndarray:
-    """The level-``level`` corners of ``tree`` in lexicographic order."""
-    corners = tree.cells_at_level(level)
-    return corners[np.lexsort(corners.T[::-1])]

@@ -178,7 +178,10 @@ def test_attractor_rejects_unknown_condensation(tmp_path, capsys):
      "error: malformed IFS spec: unknown key 'condensation_depth', expected one of d, maps, condensation"),
     ({"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0], "weight": 0.5}]},
      "error: malformed IFS spec: unknown map key 'weight', expected one of ratio_exp, ratio, translation"),
-], ids=["condensaton", "condensation_depth", "map-weight"])
+    # the ratio_exp would otherwise win and the ratio be dropped
+    ({"d": 1, "maps": [{"ratio_exp": 2, "ratio": 0.3, "translation": [0.0]}]},
+     "error: malformed IFS spec: a map takes one of 'ratio_exp' and 'ratio', got both"),
+], ids=["condensaton", "condensation_depth", "map-weight", "map-ratio-and-ratio_exp"])
 def test_attractor_rejects_unknown_spec_keys_by_name(tmp_path, capsys, spec, line):
     path = tmp_path / "ifs.json"
     path.write_text(json.dumps(spec))
