@@ -225,7 +225,6 @@ def assert_matches_reference(grid, dimension, depth, cube_cap):
     for (eta, tree), (ref_eta, ref_tree) in zip(got, want):
         # bit for bit, so a -0.0 in place of 0.0 fails as well
         assert np.array_equal(eta.view(np.int64), ref_eta.view(np.int64))
-        assert np.array_equal(np.signbit(eta), np.signbit(ref_eta))
         assert all(np.array_equal(a, r) for a, r in zip(tree.levels, ref_tree.levels, strict=True))
 
 
@@ -256,25 +255,24 @@ def test_synthesis_matches_the_one_offset_reference(target, cube_cap):
     assert_matches_reference(grid, d, depth, cube_cap)
 
 
+def ramp_table(depth, slope, cells=()):
+    """The table of slope * (u - v) on and below the diagonal, with ``cells`` set to their values."""
+    u, v = np.indices((depth + 1, depth + 1))
+    table = slope * np.maximum(u - v, 0.0)
+    for (i, j), x in cells:
+        table[i, j] = x
+    return table
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 8), st.sampled_from([0.0, 0.5, 1.0]), st.data())
 def test_synthesis_raises_what_the_one_offset_reference_raises(d, depth, slope, data):
     # a ramp of the given slope (in units of d) with a few cells set to values that fail checks
-    u, v = np.indices((depth + 1, depth + 1))
-    table = slope * d * np.maximum(u - v, 0)
+    table = ramp_table(depth, slope * d)
     defects = st.sampled_from([d - 2e-9, d - 1e-9, float(d), d + 1e-6, 2.5 * d, -1.0, np.nan])
     for _ in range(data.draw(st.integers(0, 3))):
         table[data.draw(st.integers(0, depth)), data.draw(st.integers(0, depth))] = data.draw(defects)
     assert_matches_reference(TableTarget(table), d, depth, data.draw(st.integers(1, 5_000)))
-
-
-def ramp_table(depth, d, cells=()):
-    """The table of d * (u - v) above the diagonal, with ``cells`` set to their values."""
-    u, v = np.indices((depth + 1, depth + 1))
-    table = d * np.maximum(u - v, 0.0)
-    for (i, j), x in cells:
-        table[i, j] = x
-    return table
 
 
 @pytest.mark.parametrize("cells, cube_cap, error, message", [
