@@ -1,11 +1,13 @@
 """Test-side constructors and comparisons of grids and curves, a reader of the
-profile CSV that the CLI writes but never reads back, and a one-offset-at-a-time
-reference of the synthesis's step quantization."""
+profile CSV that the CLI writes but never reads back, a one-offset-at-a-time
+reference of the synthesis's step quantization, and a word-major reference of
+the attractor's word expansion."""
 
 import numpy as np
 
-from twoscale import PiecewiseLinear, StepFunction, TwoScaleGrid, subdivision_tree
-from twoscale.grids import CapExceeded, EXACT_TOL
+from twoscale import PiecewiseLinear, PointSet, StepFunction, TwoScaleGrid, subdivision_tree
+from twoscale.grids import CapExceeded, EXACT_TOL, unique_rows
+from twoscale.ifs import DEFAULT_WORD_CAP, _CondensationSampler
 from twoscale.operators import _curve_weights
 
 
@@ -81,3 +83,37 @@ def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> l
                               f"reduce depth or raise the cap")
         steps.append((eta.cumulative, subdivision_tree(eta, dimension, offset=b)))
     return steps
+
+
+def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = DEFAULT_WORD_CAP) -> PointSet:
+    """``generate_attractor`` with word-major arrays, as it was first vectorized.
+
+    A level holds its words' weights, ratios and (words, d) translations; its
+    images are F * r + t per condensation batch, and its children are gathered
+    at the ``np.nonzero`` of the weight mask, word by word and map by map.
+    """
+    if depth <= 0:
+        raise ValueError("depth must be positive")
+    w = ifs.weights
+    sampler = _CondensationSampler(condensation, ifs)
+    batches: list[np.ndarray] = []
+    n_words = 0
+    n_points = 0
+    rho, r, t = np.zeros(1), np.ones(1), np.zeros((1, ifs.dimension))
+    while rho.size:
+        groups = sampler.groups(depth - rho)
+        n_words += rho.size
+        n_points += sum(F.shape[0] * r[sel].size for F, sel in groups)
+        if n_words > cap or n_points > 4 * cap:
+            raise CapExceeded(f"attractor sample exceeds the cap ({cap} words)")
+        for F, sel in groups:
+            batches.append((F[None] * r[sel, None, None] + t[sel, None, :]).reshape(-1, ifs.dimension))
+        crho = rho[:, None] + w[None, :]
+        idx, i = np.nonzero(crho <= depth + EXACT_TOL)
+        rho, r, t = crho[idx, i], r[idx] * ifs.ratios[i], t[idx] + r[idx, None] * ifs.translations[i]
+    points = unique_rows(np.concatenate(batches))
+    return PointSet(
+        points,
+        int(np.floor(depth + 1e-9)) - 1,
+        {"word_count": n_words, "raw_points": n_points, "fixed_points_adjoined": True},
+    )

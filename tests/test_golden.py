@@ -27,6 +27,17 @@ THREE_MAP_D2_SPEC = {
         {"ratio": 0.25, "translation": [0.2, 0.7]},
     ],
 }
+# d = 3, dyadic beside float ratios; the first map's -0.0 translation gives a
+# -0.0 fixed point coordinate, and every image adds it to a +0.0 translation
+FOUR_MAP_D3_SPEC = {
+    "d": 3,
+    "maps": [
+        {"ratio_exp": 2, "translation": [-0.0, 0.0, 0.75]},
+        {"ratio": 0.3, "translation": [0.7, 0.1, 0.0]},
+        {"ratio_exp": 3, "translation": [0.1, 0.8, 0.5]},
+        {"ratio": 0.35, "translation": [0.4, 0.6, 0.2]},
+    ],
+}
 
 # a condensation point list on the 2^-4 lattice, one row written at a finer
 # exponent: read as written, it gives the same outputs as its points rounded
@@ -125,6 +136,11 @@ def test_two_map_attractor_outputs(tmp_path, golden, capsys):
 def test_three_map_d2_float_attractor_outputs(tmp_path, golden, capsys):
     run = "attractor_d2"
     assert attractor_digests(tmp_path, capsys, THREE_MAP_D2_SPEC, run) == expected(golden, run)
+
+
+def test_four_map_d3_attractor_outputs(tmp_path, golden, capsys):
+    run = "attractor_d3"
+    assert attractor_digests(tmp_path, capsys, FOUR_MAP_D3_SPEC, run) == expected(golden, run)
 
 
 def test_csv_condensation_attractor_outputs(tmp_path, golden, capsys):

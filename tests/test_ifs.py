@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_from_function, values_close
+from helpers import grid_from_function, reference_attractor, values_close
 from twoscale import (
     GridSpec,
     PiecewiseLinear,
@@ -307,15 +307,15 @@ def small_systems(draw):
     return SimilarityIFS(d, ratios, translations)
 
 
-def small_tree(d, rng):
-    """Random DyadicTree of depth 3: each cube keeps a random nonempty set of children."""
+def small_tree(d, rng, depth=3):
+    """Random DyadicTree: each cube keeps a random nonempty set of children."""
     levels = [np.zeros(1, dtype=np.int64)]
-    for _ in range(3):
+    for _ in range(depth):
         kids = [(int(c) << d) | k for c in levels[-1] for k in range(1 << d)]
         keep = rng.random(len(kids)) < 0.6
         keep[:: 1 << d] = True
         levels.append(np.array(sorted(np.array(kids)[keep]), dtype=np.int64))
-    return DyadicTree(d, 3, levels)
+    return DyadicTree(d, depth, levels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -342,6 +342,55 @@ def test_count_words_matches_enumeration_for_float_ratios(ratios, u):
     # dyadic ratios beside float ones put word weights exactly on integer u
     ifs = SimilarityIFS(1, np.array(ratios), np.zeros((len(ratios), 1)))
     assert count_words_at_resolution(ifs, u) == len(words_at_resolution(ifs, u))
+
+
+@st.composite
+def expansion_cases(draw):
+    """(ifs, condensation, depth, cap): d = 1-3, 1-5 maps of ratio 2^-k or a float,
+    translation coordinates at 0.0, -0.0, 1 - r or between, no, array or tree
+    condensation, integer or fractional depths, and caps that often stop the expansion."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ratio = st.one_of(st.integers(1, 3).map(lambda k: 2.0**-k), st.floats(0.15, 0.7))
+    ratios = np.array([draw(ratio) for _ in range(n)])
+    t = rng.random((n, d)) * (1.0 - ratios[:, None])
+    edge = rng.integers(0, 4, (n, d))
+    t[edge == 0] = 0.0
+    t[edge == 1] = -0.0
+    t = np.where(edge == 2, 1.0 - ratios[:, None], t)
+    ifs = SimilarityIFS(d, ratios, t)
+    condensation = None
+    kind = draw(st.sampled_from(["none", "points", "tree"]))
+    if kind == "points":
+        condensation = rng.random((rng.integers(1, 6), d))
+        condensation[rng.random(condensation.shape) < 0.3] = -0.0
+    elif kind == "tree":
+        condensation = small_tree(d, rng, int(rng.integers(0, 4)))
+    depth = draw(st.one_of(st.integers(1, 10).map(float), st.floats(0.1, 10.0)))
+    return ifs, condensation, depth, draw(st.integers(1, 4000))
+
+
+def expansion_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(expansion_cases())
+def test_generate_attractor_matches_the_word_major_reference(case):
+    got = expansion_outcome(generate_attractor, *case)
+    want = expansion_outcome(reference_attractor, *case)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    # bit for bit, so a -0.0 in place of 0.0 fails as well
+    assert got.points.shape == want.points.shape
+    assert np.array_equal(got.points.view(np.int64), want.points.view(np.int64))
+    assert (got.depth, got.metadata) == (want.depth, want.metadata)
 
 
 def test_count_words_cap_boundary():
