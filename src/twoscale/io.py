@@ -561,6 +561,13 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_number(value, key: str) -> float:
+    """A number field of a JSON spec; strings and booleans are rejected, not converted."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reject_unknown_keys(obj, known: tuple, what: str) -> None:
     unknown = [k for k in obj if k not in known] if isinstance(obj, dict) else []
     if unknown:
@@ -571,7 +578,8 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
 
-    "d" and "ratio_exp" must be JSON integers.
+    "d" and "ratio_exp" must be JSON integers, "ratio" and the "translation"
+    coordinates JSON numbers.
     Each map takes exactly one of "ratio_exp" (ratio 2^-k, exact) and a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
@@ -590,8 +598,8 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
             if "ratio_exp" in m:
                 ratios.append(2.0 ** -_json_int(m["ratio_exp"], "ratio_exp"))
             else:
-                ratios.append(float(m["ratio"]))
-            translations.append([float(x) for x in m["translation"]])
+                ratios.append(_json_number(m["ratio"], "ratio"))
+            translations.append([_json_number(x, "translation coordinate") for x in m["translation"]])
     except KeyError as exc:
         raise ValueError(f"malformed IFS spec: missing key {exc}") from None
     except (TypeError, OverflowError) as exc:

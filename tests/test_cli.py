@@ -246,6 +246,12 @@ def test_synth_writes_the_points_and_sidecar_that_estimate_reads(tmp_path, d):
     {"d": 1.9, "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
     {"d": 1, "maps": [{"ratio_exp": 2.9, "translation": [0.0]}]},
     {"d": 1, "maps": [{"ratio_exp": 2, "translation": [None]}]},
+    # number fields are rejected, not converted, when they are strings or booleans
+    {"d": 1, "maps": [{"ratio": "0.5", "translation": [0.0]}]},
+    {"d": 1, "maps": [{"ratio": True, "translation": [0.0]}]},
+    {"d": 1, "maps": [{"ratio": 0.5, "translation": ["0.5"]}]},
+    {"d": 1, "maps": [{"ratio": 0.5, "translation": [False]}]},
+    {"d": 1, "maps": [{"ratio": "0.5", "translation": [False]}]},
 ])
 def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec):
     path = tmp_path / "ifs.json"
