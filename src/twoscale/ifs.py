@@ -219,37 +219,60 @@ def generate_attractor(
 ) -> PointSet:
     """Union of word images of the condensation set down to weight ``depth``.
 
-    Words are expanded level by level: a level holds the weights, ratios and
-    translations of all its words as arrays, its images are one broadcast
-    F * r + t per condensation batch, and its children are every word-map
-    pair whose weight stays within ``depth``.  Fixed points are adjoined to
-    the condensation set.  Tree condensation sets are sampled adaptively: a
-    word of weight rho only needs the tree resolved to depth - rho before its
-    image drops below the target scale, so a level is grouped by that tree
-    level.  The cap on words (and on 4 * cap raw points) is checked before a
-    level's images are built.  The result is within 2^-depth Hausdorff
-    distance of the attractor, so its covering statistics are valid one level
-    short of the depth, where the neighbourhood slack stays below a cell.
+    Words are expanded level by level: a level holds the weights and ratios
+    of its n words as arrays and their translations coordinate-major, as a
+    (d, n) array, so every elementwise operation runs along the words.  Its
+    images are F * r + t per condensation batch, written through a
+    transposed view into an (n, |F|, d) array, so the raw points run word by
+    word.  Its children are built for every map-word pair as (d, m, n)
+    arrays and compressed by the one flattened mask of the pairs whose weight
+    stays within ``depth``; the expansion stops at the first level whose mask
+    is empty.  A level's words thus run map by map.  Their order changes no
+    output: every translation is a sum onto the empty word's +0.0, so no
+    image is -0.0 and the rows that ``unique_rows`` merges are bitwise equal.
+    Fixed points are adjoined to the condensation set.  Tree condensation
+    sets are sampled adaptively: a word of weight rho only needs the tree
+    resolved to depth - rho before its image drops below the target scale,
+    so a level is grouped by that tree level.  The cap on words (and on
+    4 * cap raw points) is checked before a level's images are built, and
+    the error names the bound exceeded.  The result is within 2^-depth
+    Hausdorff distance of the attractor, so its covering statistics are valid
+    one level short of the depth, where the neighbourhood slack stays below a
+    cell.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
-    w = ifs.weights
+    d = ifs.dimension
+    # per-map columns, broadcast against a level's n words
+    w, ratios, T = ifs.weights[:, None], ifs.ratios[:, None], ifs.translations.T[:, :, None]
     sampler = _CondensationSampler(condensation, ifs)
     batches: list[np.ndarray] = []
     n_words = 0
     n_points = 0
-    rho, r, t = np.zeros(1), np.ones(1), np.zeros((1, ifs.dimension))
-    while rho.size:
+    rho, r, t = np.zeros(1), np.ones(1), np.zeros((d, 1))
+    while True:
         groups = sampler.groups(depth - rho)
         n_words += rho.size
         n_points += sum(F.shape[0] * r[sel].size for F, sel in groups)
-        if n_words > cap or n_points > 4 * cap:
-            raise CapExceeded(f"attractor sample exceeds the cap ({cap} words)")
+        if n_words > cap:
+            raise CapExceeded(f"attractor sample exceeds the cap: {n_words} words, more than {cap}")
+        if n_points > 4 * cap:
+            raise CapExceeded(f"attractor sample exceeds the raw-point bound: "
+                              f"{n_points} points, more than 4 * cap = {4 * cap}")
         for F, sel in groups:
-            batches.append((F[None] * r[sel, None, None] + t[sel, None, :]).reshape(-1, ifs.dimension))
-        crho = rho[:, None] + w[None, :]
-        idx, i = np.nonzero(crho <= depth + EXACT_TOL)
-        rho, r, t = crho[idx, i], r[idx] * ifs.ratios[i], t[idx] + r[idx, None] * ifs.translations[i]
+            rs = r[sel]
+            images = np.empty((rs.size, F.shape[0], d))
+            view = images.transpose(2, 1, 0)
+            np.multiply(F.T[:, :, None], rs, out=view)
+            np.add(view, t[:, None, sel], out=view)
+            batches.append(images.reshape(-1, d))
+        crho = (rho + w).ravel()
+        keep = crho <= depth + EXACT_TOL
+        if not keep.any():
+            break
+        rho = crho[keep]
+        t = np.compress(keep, (t[:, None, :] + r * T).reshape(d, -1), axis=1)
+        r = (r * ratios).ravel()[keep]
     points = unique_rows(np.concatenate(batches))
     return PointSet(
         points,

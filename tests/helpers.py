@@ -104,8 +104,11 @@ def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = 
         groups = sampler.groups(depth - rho)
         n_words += rho.size
         n_points += sum(F.shape[0] * r[sel].size for F, sel in groups)
-        if n_words > cap or n_points > 4 * cap:
-            raise CapExceeded(f"attractor sample exceeds the cap ({cap} words)")
+        if n_words > cap:
+            raise CapExceeded(f"attractor sample exceeds the cap: {n_words} words, more than {cap}")
+        if n_points > 4 * cap:
+            raise CapExceeded(f"attractor sample exceeds the raw-point bound: "
+                              f"{n_points} points, more than 4 * cap = {4 * cap}")
         for F, sel in groups:
             batches.append((F[None] * r[sel, None, None] + t[sel, None, :]).reshape(-1, ifs.dimension))
         crho = rho[:, None] + w[None, :]

@@ -403,10 +403,19 @@ def test_count_words_cap_boundary():
 
 @pytest.mark.parametrize("condensation", [None, np.linspace(0.0, 1.0, 11)[:, None]])
 def test_generate_attractor_cap_boundary(condensation):
-    # word-bound with the fixed points only, point-bound with 11 condensation points
+    # word-bound with the fixed points only, point-bound with 11 condensation points;
+    # one short of either bound, the last level exceeds it and the error names it
     ifs = SimilarityIFS(1, np.array([0.3, 0.45]), np.array([[0.0], [0.55]]))
     meta = generate_attractor(ifs, condensation, 8.0).metadata
-    cap = max(meta["word_count"], -(-meta["raw_points"] // 4))
+    words, raw = meta["word_count"], meta["raw_points"]
+    cap = max(words, -(-raw // 4))
     assert generate_attractor(ifs, condensation, 8.0, cap=cap).metadata == meta
-    with pytest.raises(CapExceeded):
+    if condensation is None:
+        assert cap == words
+        message = f"attractor sample exceeds the cap: {words} words, more than {cap - 1}"
+    else:
+        assert cap > words
+        message = f"attractor sample exceeds the raw-point bound: {raw} points, more than 4 * cap = {4 * cap - 4}"
+    with pytest.raises(CapExceeded) as exc:
         generate_attractor(ifs, condensation, 8.0, cap=cap - 1)
+    assert str(exc.value) == message
