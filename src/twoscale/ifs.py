@@ -273,6 +273,7 @@ def generate_attractor(
         rho = crho[keep]
         t = np.compress(keep, (t[:, None, :] + r * T).reshape(d, -1), axis=1)
         r = (r * ratios).ravel()[keep]
+    del rho, r, t, crho, keep  # the last level's words: free them before the dedup
     points = unique_rows(np.concatenate(batches))
     return PointSet(
         points,

@@ -86,7 +86,7 @@ def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> l
 
 
 def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = DEFAULT_WORD_CAP) -> PointSet:
-    """``generate_attractor`` with word-major arrays, as it was first vectorized.
+    """``generate_attractor`` with word-major arrays, the reference it must match.
 
     A level holds its words' weights, ratios and (words, d) translations; its
     images are F * r + t per condensation batch, and its children are gathered

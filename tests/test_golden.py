@@ -28,7 +28,7 @@ THREE_MAP_D2_SPEC = {
     ],
 }
 # d = 3, dyadic beside float ratios; the first map's -0.0 translation gives a
-# -0.0 fixed point coordinate, and every image adds it to a +0.0 translation
+# -0.0 fixed point coordinate, whose images are the words' translations, never -0.0
 FOUR_MAP_D3_SPEC = {
     "d": 3,
     "maps": [
