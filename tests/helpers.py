@@ -1,7 +1,8 @@
 """Test-side constructors and comparisons of grids and curves, a reader of the
 profile CSV that the CLI writes but never reads back, a one-offset-at-a-time
-reference of the synthesis's step quantization, and a word-major reference of
-the attractor's word expansion."""
+reference of the synthesis's step quantization, a word-major reference of
+the attractor's word expansion, and ``outcome``, which compares a raised error
+with a reference's by type and message."""
 
 import numpy as np
 
@@ -41,6 +42,14 @@ def profile_from_csv(text: str) -> PiecewiseLinear:
         if s.strip():
             slopes.append(float(s))
     return PiecewiseLinear(np.array(bps), np.array(slopes))
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, CapExceeded) as exc:
+        return type(exc), str(exc)
 
 
 def reference_step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> StepFunction:

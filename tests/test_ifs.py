@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_from_function, reference_attractor, values_close
+from helpers import grid_from_function, outcome, reference_attractor, values_close
 from twoscale import (
     GridSpec,
     PiecewiseLinear,
@@ -371,18 +371,11 @@ def expansion_cases(draw):
     return ifs, condensation, depth, draw(st.integers(1, 4000))
 
 
-def expansion_outcome(fn, *args):
-    try:
-        return fn(*args)
-    except CapExceeded as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=200, deadline=None)
 @given(expansion_cases())
 def test_generate_attractor_matches_the_word_major_reference(case):
-    got = expansion_outcome(generate_attractor, *case)
-    want = expansion_outcome(reference_attractor, *case)
+    got = outcome(generate_attractor, *case)
+    want = outcome(reference_attractor, *case)
     if isinstance(want, tuple):
         assert got == want
         return

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_from_function, reference_offset_steps
+from helpers import grid_from_function, outcome, reference_offset_steps
 from twoscale import (
     CapExceeded,
     DyadicTree,
@@ -204,14 +204,6 @@ def part_steps(grid, dimension, depth, cube_cap):
     comp = synthesize_set(grid, dimension, depth, cube_cap)
     assert [b for b, _ in comp.parts] == list(range(depth))
     return [(np.log2([level.size for level in tree.levels]), tree) for _, tree in comp.parts]
-
-
-def outcome(fn, *args):
-    """What ``fn(*args)`` returns, or the type and message of the error it raises."""
-    try:
-        return fn(*args)
-    except (ValueError, CapExceeded) as exc:
-        return type(exc), str(exc)
 
 
 def assert_matches_reference(grid, dimension, depth, cube_cap):
