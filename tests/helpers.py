@@ -1,6 +1,7 @@
 """Test-side constructors and comparisons of grids and curves, a reader of the
 profile CSV that the CLI writes but never reads back, a one-offset-at-a-time
-reference of the synthesis's step quantization, a word-major reference of
+reference of the synthesis's step quantization, a packed-code reference of
+the cells of subdivision trees and composite sets, a word-major reference of
 the attractor's word expansion, and ``outcome``, which compares a raised error
 with a reference's by type and message."""
 
@@ -92,6 +93,50 @@ def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> l
                               f"reduce depth or raise the cap")
         steps.append((eta.cumulative, subdivision_tree(eta, dimension, offset=b)))
     return steps
+
+
+def reference_grown_levels(splits, d: int) -> list:
+    """Every level's packed cube codes of the tree that splits each cube into
+    its 2^d children where ``splits`` holds: a level-n code packs n d-bit child
+    indices, root-first, and each level is sorted by code."""
+    levels = [np.zeros(1, dtype=np.int64)]
+    children = np.arange(1 << d, dtype=np.int64)
+    for split in splits:
+        prev = levels[-1] << d
+        levels.append((prev[:, None] | children).ravel() if split else prev)
+    return levels
+
+
+def ref_corner_ints(codes, d: int, level: int) -> np.ndarray:
+    """Corner coordinates of level-``level`` codes, one base-2^d digit and one axis
+    at a time: bit q of the digit at depth position p is bit level - p of axis q."""
+    out = np.zeros((codes.size, d), dtype=np.int64)
+    for depth_pos in range(1, level + 1):
+        digit = (codes >> (d * (level - depth_pos))) & ((1 << d) - 1)
+        for q in range(d):
+            out[:, q] |= ((digit >> q) & 1) << (level - depth_pos)
+    return out
+
+
+def reference_tree_cells(splits, d: int, level: int) -> np.ndarray:
+    """The level-``level`` corners of the tree of ``splits``, decoded from its packed codes in code order."""
+    return ref_corner_ints(reference_grown_levels(splits, d)[level], d, level)
+
+
+def reference_composite_cells(d: int, parts, level: int) -> np.ndarray:
+    """The distinct level-``level`` cells of the origin and the parts ``[(b, splits)]``.
+
+    Part b is placed once ``level >= b - 2``, shifted along axis 0 by 4 * 2^-b
+    in units of 2^-level (rounded down below level b), and the rows of the
+    origin and every placed part are deduplicated by ``unique_rows``.
+    """
+    rows = [np.zeros((1, d), dtype=np.int64)]
+    for b, splits in parts:
+        if level >= b - 2:
+            cells = reference_tree_cells(splits, d, level)
+            cells[:, 0] += 4 << (level - b) if level >= b else 4 >> (b - level)
+            rows.append(cells)
+    return unique_rows(np.vstack(rows))
 
 
 def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = DEFAULT_WORD_CAP) -> PointSet:

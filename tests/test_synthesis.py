@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import grid_from_function, outcome, reference_offset_steps
+from helpers import (
+    grid_from_function,
+    outcome,
+    reference_composite_cells,
+    reference_offset_steps,
+    reference_tree_cells,
+)
 from twoscale import (
     CapExceeded,
     DyadicTree,
@@ -18,6 +24,7 @@ from twoscale import (
     subdivision_tree,
     synthesize_set,
 )
+from twoscale.grids import unique_rows
 from twoscale.synthesis import CompositeDyadicSet
 
 
@@ -245,6 +252,58 @@ def lipschitz_targets(draw):
 def test_synthesis_matches_the_one_offset_reference(target, cube_cap):
     grid, d, depth = target
     assert_matches_reference(grid, d, depth, cube_cap)
+
+
+# ---------------------------------------------------------------------------
+# cells against the packed-code reference
+# ---------------------------------------------------------------------------
+
+def tree_splits(tree):
+    """The levels at which a tree splits its cubes: where the next level holds more."""
+    return np.diff([level.size for level in tree.levels]) > 0
+
+
+def masked_tree(d, splits):
+    return subdivision_tree(StepFunction(float(d), d * np.concatenate([[0], np.cumsum(splits)])), d)
+
+
+@st.composite
+def split_masks(draw, dims=(1, 2, 3, 4)):
+    """(d, depth, [(b, splits)]): parts at distinct offsets b < depth that split
+    nowhere above level b, each with at most 14 // d splits."""
+    d = draw(st.sampled_from(dims))
+    depth = draw(st.integers(0, min(14, 62 // d)))
+    parts = []
+    for b in sorted(draw(st.sets(st.integers(0, max(depth - 1, 0)), max_size=4))) if depth else []:
+        splits = np.array([False] * b + draw(st.lists(st.booleans(), min_size=depth - b, max_size=depth - b)))
+        splits[np.flatnonzero(splits)[14 // d:]] = False
+        parts.append((b, splits))
+    return d, depth, parts
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_masks())
+def test_tree_and_composite_cells_match_the_packed_code_reference(case):
+    d, depth, parts = case
+    comp = CompositeDyadicSet(d, depth, [(b, masked_tree(d, splits)) for b, splits in parts])
+    for level in range(depth + 1):
+        assert np.array_equal(comp.cells_at_level(level), reference_composite_cells(d, parts, level))
+        for (_, splits), (_, tree) in zip(parts, comp.parts):
+            got = tree.cells_at_level(level)
+            assert np.array_equal(unique_rows(got), unique_rows(reference_tree_cells(splits, d, level)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lipschitz_targets())
+def test_synthesized_cells_match_the_packed_code_reference_at_every_level(target):
+    grid, d, depth = target
+    try:
+        comp = synthesize_set(grid, d, depth, 200_000)
+    except CapExceeded:
+        return
+    parts = [(b, tree_splits(tree)) for b, tree in comp.parts]
+    for level in range(depth + 1):
+        assert np.array_equal(comp.cells_at_level(level), reference_composite_cells(d, parts, level))
 
 
 def ramp_table(depth, slope, cells=()):
