@@ -73,10 +73,9 @@ def cmd_synth(args) -> tuple[int, dict]:
         for v in report.violations[:10]:
             print(f"  {v.prop} at {v.witness}: {v.magnitude:.6g}", file=sys.stderr)
         return EXIT_USER, {}
-    # the set is freed as soon as its points are exported; it has one part per offset b < depth
+    # the set is freed as soon as its points are exported
     points = export_points(synthesize_set(grid, args.dimension, args.depth), args.depth)
-    meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent,
-            "parts": args.depth}
+    meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent}
     return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "metadata.json": meta}
 
 

@@ -2,13 +2,13 @@
 
 Any object exposing ``dimension``, ``depth`` and
 ``cells_at_level(u) -> (m, d) int array`` can be measured: trees and
-composite sets count their materialized cubes, point samples count occupied
-cells.  A point sample holds its cells at one fine level, exact from the
-integer form of a point file or floored from float coordinates on first use,
-and every coarser level is a shift of them.  ``empirical_branching`` walks
-the levels of a point sample once, finest first, and takes from the same
-pass the ball counts of ``beta(u, v)`` and the whole-set cell counts of the
-box-dimension profile.  Covering numbers use dyadic cells rather than
+composite sets count their cubes, point samples count occupied cells.  A
+point sample holds its cells at one fine level, exact from the integer form
+of a point file or floored from float coordinates on first use, and every
+coarser level is a shift of them, as it is for trees and composite sets.
+``empirical_branching`` walks the levels of a set once, finest first, and
+takes from the same pass the ball counts of ``beta(u, v)`` and the whole-set
+cell counts of the box-dimension profile.  Covering numbers use dyadic cells rather than
 minimal ball covers; the discrepancy is a dimension-dependent additive
 constant that every downstream quantity normalizes away.
 """
@@ -205,15 +205,14 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
 def _cells_by_level(obj, top: int):
     """Distinct cells of levels top, top - 1, ..., 0, finest first.
 
-    A point sample floors or shifts its cells once, at ``top``; each coarser
-    level is the distinct parents, one shift, of the level above.  Other sets
-    are asked level by level: a tree may hold cubes without children, so its
-    cells at one level need not be the parents of the next.
+    The set is asked for its cells once, at ``top``; each coarser level is the
+    distinct parents, one shift, of the level above.  That holds for point
+    samples, and for trees and composite sets, every cube of which has a child.
     """
     cells = obj.cells_at_level(top)
     yield cells
-    for u in range(top - 1, -1, -1):
-        cells = unique_rows(cells >> 1) if isinstance(obj, PointSet) else obj.cells_at_level(u)
+    for _ in range(top):
+        cells = unique_rows(cells >> 1)
         yield cells
 
 

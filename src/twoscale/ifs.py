@@ -181,7 +181,7 @@ def critical_exponent(
 class _CondensationSampler:
     """Point batches for a condensation set, resolved no finer than needed.
 
-    Tree sets are decoded once per requested level; a word of weight rho only
+    Tree sets are resolved once per requested level; a word of weight rho only
     needs resolution depth - rho before its image drops below the target
     scale.
     """
@@ -206,7 +206,7 @@ class _CondensationSampler:
 
     def _at_level(self, level: int) -> np.ndarray:
         if level not in self._cache:
-            pts = self.tree.corner_ints(level) / np.exp2(level)
+            pts = self.tree.cells_at_level(level) / np.exp2(level)
             self._cache[level] = np.vstack([pts, self.ifs.fixed_points])
         return self._cache[level]
 

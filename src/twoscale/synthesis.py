@@ -10,13 +10,11 @@ the origin.
 
 from __future__ import annotations
 
-import bisect
-import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covering import MAX_CELL_LEVEL
 from .grids import CapExceeded, EXACT_TOL, PiecewiseLinear, TwoScaleGrid, unique_rows
 
 DEFAULT_CUBE_CAP = 2_500_000
@@ -93,72 +91,55 @@ def _quantize_rows(g: np.ndarray, step_size: float) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True, eq=False)
 class DyadicTree:
-    """Level-indexed dyadic cube addresses in [0, 1]^d.
+    """The subdivision tree in [0, 1]^d held as its split mask.
 
-    levels[n] holds sorted distinct integer codes; a code packs n child
-    indices (d bits each), root-first.  Every level-(n+1) code extends a
-    level-n code by construction.  The constructor checks the root, then all
-    levels' order in one pass over their codes, and names the first bad level.
+    Level n + 1 splits every level-n cube into its 2^d children where
+    ``splits[n]`` holds, and otherwise keeps only the child at its bottom-left
+    corner.  So the level-n cubes are S x ... x S (d factors) for one sorted
+    set S of axis coordinates, ``levels[n]``, which doubles at each split.
+    Coordinates are int64, so the depth is at most ``MAX_CELL_LEVEL``.
     """
 
     dimension: int
-    depth: int
-    levels: list = field(default_factory=list)
+    splits: np.ndarray
+    levels: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
-        _check_code_bits(self.dimension, self.depth)
-        if len(self.levels) != self.depth + 1:
-            raise ValueError("need one code array per level 0..depth")
-        self.levels[:] = [np.asarray(codes, dtype=np.int64) for codes in self.levels]
-        if self.levels[0].size != 1 or self.levels[0][0] != 0:
-            raise ValueError("level 0 must be the single root cube")
-        codes = np.concatenate(self.levels)
-        ends = list(itertools.accumulate(level.size for level in self.levels))
-        down = codes[1:] <= codes[:-1]
-        down[[end - 1 for end in ends[:-1] if end < codes.size]] = False  # steps into the next level
-        if down.any():  # named by the level of the second code of the first pair out of order
-            raise ValueError(f"level {bisect.bisect_right(ends, int(down.argmax()) + 1)} "
-                             f"addresses must be sorted and distinct")
+        splits = np.array(self.splits, dtype=bool)
+        # levels are grown from the mask once, so it may not change after
+        splits.flags.writeable = False
+        if splits.ndim != 1 or splits.size > MAX_CELL_LEVEL:
+            raise ValueError(f"splits must hold one flag per level, at most {MAX_CELL_LEVEL}: "
+                             "the tree's coordinates are 64-bit integers")
+        levels = [np.zeros(1, dtype=np.int64)]
+        for split in splits:
+            prev = levels[-1] << 1
+            levels.append((prev[:, None] + np.arange(2)).ravel() if split else prev)
+        object.__setattr__(self, "splits", splits)
+        object.__setattr__(self, "levels", levels)
 
-    def corner_ints(self, level: int) -> np.ndarray:
-        """Integer corner coordinates (count, d) at resolution 2^-level.
-
-        Bit d i + q of a code is bit i of coordinate q.  Each gather from
-        ``_digit_table`` decodes 12 // d digits, or, when d > 12, 12 axes of
-        one digit; the columns it decodes past the last axis are dropped.
-        """
-        codes, d = self.levels[level], self.dimension
-        digits, axes = max(1, 12 // d), min(d, 12)
-        out = np.zeros((codes.size, d), dtype=np.int64)
-        for i, q in itertools.product(range(0, level, digits), range(0, d, axes)):
-            run = (codes >> d * i + q) & ((1 << digits * axes) - 1)
-            out[:, q:q + axes] |= _digit_table(digits, axes).take(run, axis=0)[:, :d - q] << i
-        return out
+    @property
+    def depth(self) -> int:
+        return self.splits.size
 
     def cells_at_level(self, level: int) -> np.ndarray:
+        """Corners of the level-``level`` cubes, the d-th power of ``levels[level]``, in lexicographic order."""
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} exceeds materialized depth {self.depth}")
-        return self.corner_ints(level)
+        axis = self.levels[level]
+        cells = np.empty((axis.size ** self.dimension, self.dimension), dtype=np.int64)
+        _write_power(cells, axis)
+        return cells
 
 
-def _check_code_bits(dimension: int, depth: int) -> None:
-    """Refuse a tree whose packed codes, ``dimension`` bits per level, would pass 62 bits."""
-    if dimension * depth > 62:
-        raise ValueError(f"depth {depth} in d = {dimension} needs {dimension * depth}-bit cube codes, "
-                         f"more than 62: the depth may be at most {62 // dimension}")
-
-
-@functools.cache
-def _digit_table(digits: int, axes: int) -> np.ndarray:
-    """Coordinates (2^(digits axes), axes) of every run of ``digits`` digits of
-    ``axes`` bits, whose bit r axes + q is bit r of coordinate q."""
-    bits = (np.arange(1 << digits * axes)[:, None] >> np.arange(digits * axes)) & 1
-    table = (bits.reshape(-1, digits, axes) << np.arange(digits)[:, None]).sum(axis=1)
-    # cached and shared by every call, so none may write to it
-    table.flags.writeable = False
-    return table
+def _write_power(rows: np.ndarray, axis: np.ndarray) -> None:
+    """Fill the contiguous rows (s^d, d) with the d-th Cartesian power of ``axis`` (s,), in lexicographic order."""
+    d = rows.shape[1]
+    power = rows.reshape((axis.size,) * d + (d,))
+    for q in range(d):
+        power[..., q] = axis.reshape((-1,) + (1,) * (d - 1 - q))
 
 
 def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> DyadicTree:
@@ -169,25 +150,13 @@ def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> Dyad
     level-n cube count is exactly 2^eta(n), and when eta vanishes through
     level ``offset`` the set lies in [0, 2^-offset]^d.
     """
-    d = dimension
-    if abs(eta.step_size - d) > EXACT_TOL:
+    if abs(eta.step_size - dimension) > EXACT_TOL:
         raise ValueError("step function increments must equal the dimension")
-    _check_code_bits(d, len(eta))
     if offset < 0 or offset > len(eta):
         raise ValueError("offset out of range")
     if np.any(np.abs(eta.cumulative[: offset + 1]) > EXACT_TOL):
         raise ValueError("step function must vanish through the offset level")
-    return DyadicTree(d, len(eta), _grown_levels(eta.increments, d))
-
-
-def _grown_levels(splits: np.ndarray, d: int) -> list:
-    """Every level's codes of the tree that splits each cube into its 2^d children where ``splits`` holds."""
-    levels = [np.zeros(1, dtype=np.int64)]
-    children = np.arange(1 << d, dtype=np.int64)
-    for split in splits:
-        prev = levels[-1] << d
-        levels.append((prev[:, None] | children).ravel() if split else prev)
-    return levels
+    return DyadicTree(dimension, eta.increments)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +167,9 @@ def _grown_levels(splits: np.ndarray, d: int) -> list:
 class CompositeDyadicSet:
     """Origin point plus one anchored tree per offset b, translated along axis 0.
 
-    Part b is built inside [0, 2^-b]^d and shifted by 4 * 2^-b, so distinct
-    parts are more than 2^-b apart (b the smaller offset) and the whole set
-    lies in [0, 5] x [0, 1]^(d-1).
+    Part b splits nowhere above level b, so it lies in [0, 2^-b]^d, and it is
+    shifted by 4 * 2^-b, so distinct parts are more than 2^-b apart (b the
+    smaller offset) and the whole set lies in [0, 5] x [0, 1]^(d-1).
     """
 
     dimension: int
@@ -213,27 +182,33 @@ class CompositeDyadicSet:
                 raise ValueError("parts must share dimension and depth")
             if b < 0:
                 raise ValueError("offsets must be nonnegative")
-            # inside [0, 2^-b]^d, the one level-b cube is the corner cube, code 0
-            if tree.levels[min(b, self.depth)].tolist() != [0]:
+            if tree.splits[:b].any():
                 raise ValueError(f"part {b} must lie in [0, 2^-{b}]^d")
         if len({b for b, _ in self.parts}) < len(self.parts):
             raise ValueError("offsets must be distinct")
 
     def cells_at_level(self, level: int) -> np.ndarray:
-        """Distinct ambient level-``level`` cell coordinates hit by the set."""
+        """Distinct ambient level-``level`` cell coordinates hit by the set, in lexicographic order.
+
+        Row 0 is the origin cell, which holds every part with b - 2 > level.
+        The other parts follow by decreasing b, each the power of its axis
+        coordinates shifted along axis 0: part b spans [4, 5) * 2^(level - b)
+        there, or the one cell 4 >> (b - level) below level b, so the parts'
+        spans increase and meet neither one another nor the origin, and the
+        table is sorted and distinct as written.
+        """
         if not 0 <= level <= self.depth:
             raise ValueError(f"level {level} exceeds materialized depth {self.depth}")
-        # one table filled part by part, so the sort in unique_rows sees the only
-        # full-size copy; row 0 is the origin cell, which holds every part with b - 2 > level
-        placed = [(b, tree) for b, tree in self.parts if level >= b - 2]
-        cells = np.zeros((1 + sum(tree.levels[level].size for _, tree in placed), self.dimension), dtype=np.int64)
+        d = self.dimension
+        placed = sorted(((b, tree.levels[level]) for b, tree in self.parts if level >= b - 2), key=lambda p: -p[0])
+        cells = np.zeros((1 + sum(axis.size ** d for _, axis in placed), d), dtype=np.int64)
         start = 1
-        for b, tree in placed:
-            rows = cells[start:start + tree.levels[level].size]
-            rows[...] = tree.cells_at_level(level)
+        for b, axis in placed:
+            rows = cells[start:start + axis.size ** d]
+            _write_power(rows, axis)
             rows[:, 0] += PART_OFFSET_NUM << (level - b) if level >= b else PART_OFFSET_NUM >> (b - level)
             start += len(rows)
-        return unique_rows(cells)
+        return cells
 
 
 def synthesize_set(
@@ -248,17 +223,20 @@ def synthesize_set(
     (zero below b) is step-quantized and materialized as an anchored
     subdivision tree; parts are translated by 4 * 2^-b along coordinate 0 and
     the origin is adjoined.  Requires the grid's slope bound to stay within
-    ``dimension``, depth <= min(u_max, MAX_DEPTH) and dimension * depth <= 62.
+    ``dimension`` and depth <= min(u_max, MAX_DEPTH).
 
     One pass quantizes all offsets: one ``grid.evaluate`` over the (b, level)
     table, then, on all rows at once, the float operations of the one-offset
     ``step_quantize(PiecewiseLinear.from_samples(levels, running maximum))``,
-    whose step functions it gives bit for bit.  The first offset b failing a
-    check raises the first it fails, in this order: samples start at (0, 0),
-    profile increasing, quantizer bracket, increments 0 or d (true by
-    construction), running cube total within ``cube_cap``, eta vanishing
-    through level b; an offset failing a one-offset check is re-run to raise it.
+    whose step functions it gives bit for bit.  A grid is zero on its
+    diagonal and finite and nonnegative below it, so every profile starts at
+    0, increases and vanishes through its offset.  The first offset b that
+    leaves the quantizer bracket, or whose cubes 2^eta(n), summed over its
+    levels and the offsets before it, pass ``cube_cap``, raises, the bracket
+    first.
     """
+    if not isinstance(grid, TwoScaleGrid):
+        raise TypeError(f"the target must be a TwoScaleGrid, not {type(grid).__name__}")
     if dimension < 1:
         raise ValueError("dimension must be positive")
     if depth < 1 or depth > grid.spec.u_max + EXACT_TOL:
@@ -266,32 +244,25 @@ def synthesize_set(
     if depth > MAX_DEPTH:
         raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
                          f"the set's level-depth cells reach 5 * 2^depth, beyond 64-bit integers")
-    _check_code_bits(dimension, depth)
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
         raise ValueError(f"grid slope bound {slope:.4g} exceeds the ambient dimension {dimension}")
-    step = float(dimension)
     ns = np.arange(depth + 1, dtype=float)
     bs = ns[:-1, None]
     samples = np.where(ns >= bs, grid.evaluate(np.maximum(ns, bs), bs), 0.0)
     ys = np.maximum.accumulate(np.maximum(samples, 0.0), axis=1)
-    slopes = np.diff(ys, axis=1) / np.diff(ns)
-    g = np.hstack([np.zeros((depth, 1)), np.cumsum(slopes * np.diff(ns), axis=1)])
-    eta, outside = _quantize_rows(g, step)
-    unquantized = (np.abs(ys[:, 0]) > EXACT_TOL) | ~(slopes >= -EXACT_TOL).all(axis=1) | outside
-    unanchored = np.tril(np.abs(eta) > EXACT_TOL).any(axis=1)
+    g = np.hstack([np.zeros((depth, 1)), np.cumsum(np.diff(ys, axis=1), axis=1)])
+    eta, outside = _quantize_rows(g, float(dimension))
     cubes = np.exp2(eta).sum(axis=1)
-    splits = np.abs(np.diff(eta, axis=1)) > EXACT_TOL
+    splits = np.diff(eta, axis=1) > EXACT_TOL
     parts, total = [], 0
     for b in range(depth):
-        if unquantized[b]:  # the one-offset path raises the check that this offset fails
-            step_quantize(PiecewiseLinear.from_samples(ns, ys[b]), step, depth)
+        if outside[b]:
+            raise ValueError("quantizer bracket failed: profile moves faster than step_size")
         total += int(cubes[b])
         if total > cube_cap:
-            raise CapExceeded(f"materialization needs more than {cube_cap} cubes; reduce depth or raise the cap")
-        if unanchored[b]:  # as does the tree's vanishing check
-            subdivision_tree(StepFunction(step, eta[b]), dimension, offset=b)
-        parts.append((b, DyadicTree(dimension, depth, _grown_levels(splits[b], dimension))))
+            raise CapExceeded(f"the set needs more than {cube_cap} cubes, the synthesis cube cap: reduce the depth")
+        parts.append((b, DyadicTree(dimension, splits[b])))
     return CompositeDyadicSet(dimension, depth, parts)
 
 
@@ -319,7 +290,6 @@ def export_points(obj, level: int) -> ExportedPoints:
     """
     if isinstance(obj, DyadicTree):
         nums = obj.cells_at_level(level)
-        nums = nums[np.lexsort(nums.T[::-1])]
         return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64))
     if isinstance(obj, CompositeDyadicSet):
         if not 0 <= level <= obj.depth:

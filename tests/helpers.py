@@ -2,10 +2,12 @@
 profile CSV that the CLI writes but never reads back, a one-offset-at-a-time
 reference of the synthesis's step quantization, a packed-code reference of
 the cells of subdivision trees and composite sets, a word-major reference of
-the attractor's word expansion, and ``outcome``, which compares a raised error
+the attractor's word expansion, a strategy of random split masks, and
+``outcome``, which compares a raised error
 with a reference's by type and message."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from twoscale import PiecewiseLinear, PointSet, StepFunction, TwoScaleGrid, subdivision_tree
 from twoscale.grids import CapExceeded, EXACT_TOL, unique_rows
@@ -89,8 +91,7 @@ def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> l
         eta = reference_step_quantize(profile, float(dimension), depth)
         total += int(np.sum(np.exp2(eta.cumulative)))
         if total > cube_cap:
-            raise CapExceeded(f"materialization needs more than {cube_cap} cubes; "
-                              f"reduce depth or raise the cap")
+            raise CapExceeded(f"the set needs more than {cube_cap} cubes, the synthesis cube cap: reduce the depth")
         steps.append((eta.cumulative, subdivision_tree(eta, dimension, offset=b)))
     return steps
 
@@ -137,6 +138,21 @@ def reference_composite_cells(d: int, parts, level: int) -> np.ndarray:
             cells[:, 0] += 4 << (level - b) if level >= b else 4 >> (b - level)
             rows.append(cells)
     return unique_rows(np.vstack(rows))
+
+
+@st.composite
+def split_masks(draw, dims=(1, 2, 3, 4)):
+    """(d, depth, [(b, splits)]): parts at distinct offsets b < depth that split
+    nowhere above level b, each with at most 14 // d splits; d * depth <= 62
+    keeps the packed-code reference in int64."""
+    d = draw(st.sampled_from(dims))
+    depth = draw(st.integers(0, min(14, 62 // d)))
+    parts = []
+    for b in sorted(draw(st.sets(st.integers(0, max(depth - 1, 0)), max_size=4))) if depth else []:
+        splits = np.array([False] * b + draw(st.lists(st.booleans(), min_size=depth - b, max_size=depth - b)))
+        splits[np.flatnonzero(splits)[14 // d:]] = False
+        parts.append((b, splits))
+    return d, depth, parts
 
 
 def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = DEFAULT_WORD_CAP) -> PointSet:

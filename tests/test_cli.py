@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoscale import GridSpec, cli, cone_extension, plateau_curve, synthesize_set, verify
+from twoscale import cli, verify
 from twoscale.cli import main
 from twoscale.grids import DEFAULT_GRID_STEP
 from twoscale.io import points_from_csv
@@ -53,12 +53,15 @@ def test_synth_witness_lines_print_plain_floats(tmp_path, capsys):
     assert len(lines) == 11 and not any("np." in ln for ln in lines)
 
 
-def test_synth_cap_exit_code(tmp_path):
+def test_synth_cap_exit_code(tmp_path, capsys):
     code = main([
         "synth", "h_kappa_lambda:1.0,0.0", "-d", "1",
         "--depth", "40", "--out", str(tmp_path / "x"),
     ])
     assert code == 3
+    # the CLI cannot raise the cap, so the line says what it can change
+    assert capsys.readouterr().err == ("error: the set needs more than 2500000 cubes, the synthesis cube cap: "
+                                       "reduce the depth\n")
 
 
 def test_estimate_rejects_overdeep_grid(tmp_path):
@@ -209,7 +212,7 @@ def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):
     out = tmp_path / "x"
     code = main(["synth", "h_kappa_lambda:1.0,0.0", "-d", "1", "--depth", "40", "--out", str(out)])
     assert code == 3
-    assert capsys.readouterr().err.startswith("error: materialization needs more than")
+    assert capsys.readouterr().err.startswith("error: the set needs more than")
     assert not out.exists()
 
 
@@ -228,13 +231,25 @@ def test_synth_writes_the_points_and_sidecar_that_estimate_reads(tmp_path, d):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", "h_kappa_lambda:0.9,0.3", "-d", str(d), "--depth", "10", "--out", str(synth)]) == 0
         assert sorted(p.name for p in synth.iterdir()) == ["metadata.json", "points.csv"]
-        # the sidecar counts the parts of the set that synthesis builds
-        parts = synthesize_set(cone_extension(plateau_curve(0.9, 0.3), GridSpec.reaching(10.0)), d, 10).parts
         meta = json.loads((synth / "metadata.json").read_text())
-        assert meta == {"d": d, "depth": 10, "parts": len(parts), "rescale_exponent": 3}
+        assert meta == {"d": d, "depth": 10, "rescale_exponent": 3}
         assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                      "--u-min", "5", "--out", str(est)]) == 0
     assert json.loads((est / "box_dims.json").read_text())["membership"] == "passed"
+
+
+def test_estimate_reads_a_sidecar_that_still_holds_parts(tmp_path):
+    # sidecars written when synth still recorded its part count carry "parts", which nothing reads
+    synth = tmp_path / "synth"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "h_kappa_lambda:0.9,0.3", "--depth", "10", "--out", str(synth)]) == 0
+        meta = json.loads((synth / "metadata.json").read_text())
+        (tmp_path / "old.json").write_text(json.dumps({**meta, "parts": 10}))
+        for sidecar, est in ((synth / "metadata.json", "new"), (tmp_path / "old.json", "old")):
+            assert main(["estimate", str(synth / "points.csv"), "--metadata", str(sidecar), "--u-min", "5",
+                         "--out", str(tmp_path / est)]) == 0
+    for name in ("beta_emp.csv", "g_profile.csv", "spectrum.csv", "box_dims.json"):
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
 @pytest.mark.parametrize("spec", [

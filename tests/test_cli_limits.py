@@ -4,7 +4,7 @@ Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
-60 or above 62 / d, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
+60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
 windows that are empty, ``estimate`` depths that contradict the sidecar or
 lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
 not divide the sample's scale range when ``--u-max`` is omitted (named by
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from twoscale import GridSpec, cone_extension, plateau_curve
-from twoscale.cli import EXIT_CAP, EXIT_USER, main
+from twoscale.cli import EXIT_CAP, EXIT_OK, EXIT_USER, main
 from twoscale.io import grid_to_csv
 from twoscale.operators import MAX_THETA_COUNT
 
@@ -84,29 +84,20 @@ def test_synth_depth_bound_is_where_exported_numerators_overflow(tmp_path):
     assert not (tmp_path / "deep").exists()
 
 
-def test_synth_depth_bound_in_d_3_is_where_packed_cube_codes_overflow(tmp_path):
-    # a code packs d bits per level into an int64, so d = 3 reaches depth 20
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["synth", "h_kappa_lambda:0.05,0.5", "-d", "3", "--depth", "20",
-                     "--out", str(tmp_path / "out")]) == 0
-    # the bound is checked before synthesis, so a target past the cube cap is refused by it too
-    for target in ("h_kappa_lambda:0.05,0.5", "h_kappa_lambda:1.6,0.3"):
-        got, line = run(["synth", target, "-d", "3", "--depth", "21", "--out", str(tmp_path / "deep")])
-        assert got == EXIT_USER
-        assert line == "error: depth 21 in d = 3 needs 63-bit cube codes, more than 62: the depth may be at most 20"
-        assert not (tmp_path / "deep").exists()
-
-
-@pytest.mark.parametrize("d, deepest, bits", [(2, 31, 64), (4, 15, 64), (5, 12, 65), (6, 10, 66),
-                                               (7, 8, 63), (8, 7, 64)])
-def test_synth_depth_bound_in_each_dimension_is_62_bits_of_cube_code(tmp_path, d, deepest, bits):
-    argv = ["synth", "h_kappa_lambda:0.05,0.5", "-d", str(d), "--out"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + [str(tmp_path / "out"), "--depth", str(deepest)]) == 0
-    got, line = run(argv + [str(tmp_path / "deep"), "--depth", str(deepest + 1)])
-    assert got == EXIT_USER
-    assert line == (f"error: depth {deepest + 1} in d = {d} needs {bits}-bit cube codes, "
-                    f"more than 62: the depth may be at most {deepest}")
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_synth_depths_past_the_former_cube_code_width_reach_synthesis(tmp_path, d):
+    # packed cube codes of d bits per level once refused depths past 62 // d; split
+    # masks need no such bound, so a low plateau is written and a high one meets the cap
+    for height, want in ((0.05, EXIT_OK), (0.75 * d, EXIT_CAP)):
+        argv = ["synth", f"h_kappa_lambda:{height:g},0.3", "-d", str(d), "--depth", str(62 // d + 1),
+                "--out", str(tmp_path / f"out{height:g}")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == want, err.getvalue()
+    # depth 61 is still refused in every dimension
+    got, line = run(["synth", "h_kappa_lambda:0.05,0.5", "-d", str(d), "--depth", "61",
+                     "--out", str(tmp_path / "deep")])
+    assert got == EXIT_USER and "depth must be at most 60" in line
     assert not (tmp_path / "deep").exists()
 
 

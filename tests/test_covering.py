@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import split_masks
 from twoscale import (
+    CompositeDyadicSet,
+    DyadicTree,
     GridSpec,
     PointSet,
     StepFunction,
@@ -279,6 +282,19 @@ def ref_branching(points, top):
     strides = [-(-c // covering.MAX_CENTERS) for c in counts]
     centers = sum(len(range(0, c, s)) for c, s in zip(counts, strides))
     return table, counts, centers, max(strides)
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_masks(dims=(1, 2, 3)), st.data())
+def test_every_level_of_trees_and_composites_is_the_parents_of_the_next(case, data):
+    # every cube of a subdivision tree has a child, so one shift gives each coarser level
+    d, depth, parts = case
+    comp = CompositeDyadicSet(d, depth, [(b, DyadicTree(d, splits)) for b, splits in parts])
+    top = data.draw(st.integers(0, depth))
+    for obj in [comp] + [tree for _, tree in comp.parts]:
+        walked = list(covering._cells_by_level(obj, top))[::-1]
+        assert len(walked) == top + 1
+        assert all(np.array_equal(cells, obj.cells_at_level(u)) for u, cells in enumerate(walked))
 
 
 def assert_matches_per_level_flooring(pts, top):

@@ -105,6 +105,19 @@ def test_d4_synth_estimate_outputs(tmp_path, golden, capsys):
     assert digests(est, "estimate_d4") == expected(golden, "estimate_d4")
 
 
+@pytest.mark.parametrize("run, argv", [
+    ("synth_d3_depth21", ["h_kappa_lambda:1.2,0.3", "-d", "3", "--depth", "21"]),
+    ("synth_d4_depth16", ["h_kappa_lambda:1.5,0.3", "-d", "4", "--depth", "16"]),
+])
+def test_synth_outputs_past_the_former_cube_code_width(tmp_path, golden, capsys, run, argv):
+    # one level past the depths that 62-bit packed cube codes allowed in d = 3 and
+    # d = 4; the d = 3 set writes 210,134 rows
+    out = tmp_path / run
+    assert main(["synth", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}/points.csv, metadata.json\n"
+    assert digests(out, run) == expected(golden, run)
+
+
 def test_half_step_d2_synth_estimate_outputs(tmp_path, golden, capsys):
     # the target sampled on a lattice of step 0.5; this target quantizes to the
     # same set as at the default step, so the synth digests equal synth_d2's,

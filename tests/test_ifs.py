@@ -271,7 +271,7 @@ def brute_force_attractor(ifs, condensation, depth):
     if isinstance(condensation, DyadicTree):
         def base(rho):
             level = int(min(condensation.depth, max(0, np.ceil(depth - rho - 1e-9))))
-            return np.vstack([condensation.corner_ints(level) / np.exp2(level), fixed])
+            return np.vstack([condensation.cells_at_level(level) / np.exp2(level), fixed])
     else:
         pts = fixed if condensation is None else np.atleast_2d(condensation)
         flat = np.unique(np.vstack([pts, fixed]), axis=0)
@@ -308,14 +308,8 @@ def small_systems(draw):
 
 
 def small_tree(d, rng, depth=3):
-    """Random DyadicTree: each cube keeps a random nonempty set of children."""
-    levels = [np.zeros(1, dtype=np.int64)]
-    for _ in range(depth):
-        kids = [(int(c) << d) | k for c in levels[-1] for k in range(1 << d)]
-        keep = rng.random(len(kids)) < 0.6
-        keep[:: 1 << d] = True
-        levels.append(np.array(sorted(np.array(kids)[keep]), dtype=np.int64))
-    return DyadicTree(d, depth, levels)
+    """Random DyadicTree: each level splits every cube or none, at random."""
+    return DyadicTree(d, rng.random(depth) < 0.6)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,8 @@
-"""Grid, curve and cube-address kernels against their per-index loop formulations.
+"""Grid and curve kernels against their per-index loop formulations.
 
 Each ``ref_*`` function below is the straightforward loop (or per-call
-index-array) form of a kernel in ``grids.py``, ``operators.py`` or
-``synthesis.py``, or the per-draw, per-component form of a random family in
-``families.py``.  The
+index-array) form of a kernel in ``grids.py`` or ``operators.py``, or the
+per-draw, per-component form of a random family in ``families.py``.  The
 kernels must agree with them exactly: equal values including the sign of
 zero, equal error messages, and equal ``repr`` of validation reports, which
 also pins the order of the witnesses kept under ``MAX_WITNESSES``.
@@ -18,7 +17,6 @@ from hypothesis import strategies as st
 
 from helpers import curve_evaluate, grid_from_function
 from twoscale import (
-    DyadicTree,
     GridSpec,
     SpectrumGrid,
     TwoScaleGrid,
@@ -1011,60 +1009,3 @@ def test_envelopes_keep_no_table_once_yielded():
     second = next(envelopes)
     assert table() is None
     assert second.values.base is not None
-
-
-# ---------------------------------------------------------------------------
-# Cube addresses
-# ---------------------------------------------------------------------------
-
-def ref_corner_ints(tree, level):
-    """Corner coordinates of a tree level, one base-2^d digit and one axis at a time."""
-    codes = tree.levels[level]
-    d = tree.dimension
-    out = np.zeros((codes.size, d), dtype=np.int64)
-    for depth_pos in range(1, level + 1):
-        digit = (codes >> (d * (level - depth_pos))) & ((1 << d) - 1)
-        for q in range(d):
-            out[:, q] |= ((digit >> q) & 1) << (level - depth_pos)
-    return out
-
-
-def tree_with_codes(d, level, codes):
-    """A tree whose deepest level holds ``codes``; the levels above hold the root's chain."""
-    codes = np.unique(np.array(codes, dtype=np.int64)) if level else np.zeros(1, dtype=np.int64)
-    return DyadicTree(d, level, [np.zeros(1, dtype=np.int64)] * level + [codes])
-
-
-@st.composite
-def tree_levels(draw, dims):
-    d = draw(st.sampled_from(dims))
-    level = draw(st.integers(0, 62 // d))
-    top = (1 << d * level) - 1
-    # the all-zero and all-one digits, one bit set, and arbitrary codes
-    code = st.one_of(st.sampled_from([0, top]), st.integers(0, max(d * level - 1, 0)).map(lambda b: (1 << b) & top),
-                     st.integers(0, top))
-    return d, level, draw(st.lists(code, min_size=1, max_size=40))
-
-
-@settings(max_examples=200, deadline=None)
-@given(tree_levels([1, 2, 3]))
-def test_corner_ints_matches_digit_loop(case):
-    d, level, codes = case
-    tree = tree_with_codes(d, level, codes)
-    assert np.array_equal(tree.corner_ints(level), ref_corner_ints(tree, level))
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_corner_ints_matches_digit_loop_at_every_level(d):
-    rng = np.random.default_rng(d)
-    for level in range(62 // d + 1):
-        tree = tree_with_codes(d, level, rng.integers(0, 1 << d * level, size=200, dtype=np.int64))
-        assert np.array_equal(tree.corner_ints(level), ref_corner_ints(tree, level))
-
-
-@settings(max_examples=100, deadline=None)
-@given(tree_levels([4, 5, 7, 12, 13, 20, 31, 62]))
-def test_corner_ints_matches_digit_loop_in_high_dimension(case):
-    d, level, codes = case
-    tree = tree_with_codes(d, level, codes)
-    assert np.array_equal(tree.corner_ints(level), ref_corner_ints(tree, level))
