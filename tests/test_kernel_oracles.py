@@ -1,13 +1,15 @@
-"""Grid and curve kernels against their per-index loop formulations.
+"""Grid, curve and cube-address kernels against their per-index loop formulations.
 
 Each ``ref_*`` function below is the straightforward loop (or per-call
-index-array) form of a kernel in ``grids.py`` or ``operators.py``, or the
-per-draw, per-component form of a random family in ``families.py``.  The
+index-array) form of a kernel in ``grids.py``, ``operators.py`` or
+``synthesis.py``, or the per-draw, per-component form of a random family in
+``families.py``.  The
 kernels must agree with them exactly: equal values including the sign of
 zero, equal error messages, and equal ``repr`` of validation reports, which
 also pins the order of the witnesses kept under ``MAX_WITNESSES``.
 """
 
+import itertools
 import weakref
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import curve_evaluate, grid_from_function
 from twoscale import (
+    DyadicTree,
     GridSpec,
     SpectrumGrid,
     TwoScaleGrid,
@@ -1009,3 +1012,62 @@ def test_envelopes_keep_no_table_once_yielded():
     second = next(envelopes)
     assert table() is None
     assert second.values.base is not None
+
+
+# ---------------------------------------------------------------------------
+# Cube addresses
+# ---------------------------------------------------------------------------
+
+def ref_tree_cells(splits, d, level):
+    """Axis coordinates and cell corners of a tree level, one split bit and one cell at a time.
+
+    A split at level k + 1 sets bit ``level - 1 - k`` of a coordinate freely;
+    every other bit of it is 0.  The cells are the d-tuples of coordinates.
+    """
+    bits = [level - 1 - k for k in range(level) if splits[k]]
+    choices = itertools.product((0, 1), repeat=len(bits))
+    coords = sorted(sum(c << bit for c, bit in zip(choice, bits)) for choice in choices)
+    cells = np.array(list(itertools.product(coords, repeat=d)), dtype=np.int64).reshape(-1, d)
+    return np.array(coords, dtype=np.int64), cells
+
+
+@st.composite
+def sparse_masks(draw, dims, depth_max=62, cell_bits=12):
+    """(d, splits): a mask of up to ``depth_max`` levels whose deepest level holds at most 2^cell_bits cells."""
+    d = draw(st.sampled_from(dims))
+    depth = draw(st.integers(0, depth_max))
+    where = draw(st.lists(st.integers(0, max(depth - 1, 0)), max_size=cell_bits // d, unique=True)) if depth else []
+    splits = np.zeros(depth, dtype=bool)
+    splits[where] = True
+    return d, splits
+
+
+def assert_tree_matches_product_loop(d, splits):
+    tree = DyadicTree(d, splits)
+    for level in range(tree.depth + 1):
+        coords, cells = ref_tree_cells(splits, d, level)
+        assert np.array_equal(tree.levels[level], coords)
+        assert np.array_equal(tree.cells_at_level(level), cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_masks([1, 2, 3], depth_max=20))
+def test_cells_at_level_match_the_product_loop(case):
+    assert_tree_matches_product_loop(*case)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cells_at_level_match_the_product_loop_at_every_level(d):
+    # 62 levels, so the highest coordinate bit is used, with 12 // d splits drawn among them
+    rng = np.random.default_rng(d)
+    for _ in range(5):
+        splits = np.zeros(62, dtype=bool)
+        splits[rng.choice(62, size=12 // d, replace=False)] = True
+        splits[0] = True
+        assert_tree_matches_product_loop(d, splits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_masks([4, 5, 7, 12, 13, 20, 31, 62]))
+def test_cells_at_level_match_the_product_loop_in_high_dimension(case):
+    assert_tree_matches_product_loop(*case)

@@ -116,6 +116,43 @@ def test_tree_depth_is_bounded_where_its_coordinates_stay_64_bit():
         DyadicTree(3, np.zeros(63, dtype=bool))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("splits", [True, [[True, False]], np.zeros((3, 2), dtype=bool), np.ones(63, dtype=bool)],
+                         ids=["scalar", "row", "table", "too-deep"])
+def test_tree_refuses_splits_that_are_not_one_flag_per_level(d, splits):
+    with pytest.raises(ValueError, match="^splits must hold one flag per level, at most 62: "):
+        DyadicTree(d, splits)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tree_mask_is_read_only_and_its_own(d):
+    mask = np.array([True, False, True, True])
+    tree = DyadicTree(d, mask)
+    # the levels were grown from the mask, so neither the caller's array nor the tree's may move them
+    mask[1] = True
+    assert tree.levels[2].tolist() == [0, 2] and not tree.splits[1]
+    with pytest.raises(ValueError):
+        tree.splits[1] = True
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_composite_names_the_part_that_splits_above_its_offset(d, b, where):
+    splits = np.zeros(6, dtype=bool)
+    splits[0 if where == "first" else b - 1] = True
+    with pytest.raises(ValueError, match=rf"^part {b} must lie in \[0, 2\^-{b}\]\^d$"):
+        CompositeDyadicSet(d, 6, [(b, DyadicTree(d, splits))])
+    # a later part's defect is not the one named
+    later = np.roll(splits, 1)
+    with pytest.raises(ValueError, match=rf"^part {b} must"):
+        CompositeDyadicSet(d, 6, [(b, DyadicTree(d, splits)), (b + 1, DyadicTree(d, later))])
+    # the same split at level b keeps the part inside [0, 2^-b]^d
+    inside = np.roll(splits, b - int(np.flatnonzero(splits)[0]))
+    comp = CompositeDyadicSet(d, 6, [(b, DyadicTree(d, inside))])
+    assert comp.parts[0][1].cells_at_level(6).max() < 1 << 6 - b
+
+
 def test_tree_requires_vanishing_prefix_for_offset():
     eta = StepFunction(1.0, np.arange(5, dtype=float))
     with pytest.raises(ValueError):
@@ -276,6 +313,60 @@ def test_synthesis_bracket_failure_inside_the_slope_slack():
     with pytest.raises(ValueError, match="^quantizer bracket failed"):
         synthesize_set(TwoScaleGrid(spec, values), 1, 2)
     assert_matches_reference(TwoScaleGrid(spec, values), 1, 2, 10_000)
+
+
+def lagging_ramp(d, depth, slope, lagging=()):
+    """The grid of slope * (u - v) on the lattice of step 1 up to ``depth``, where
+    each offset b in ``lagging`` stops 1.5e-9 short of a step at level b + 1 and
+    then climbs d + 9e-7 at once, inside the slope slack: for slope d its
+    quantization lags a step behind and leaves the bracket at level b + 2."""
+    u, v = np.indices((depth + 1, depth + 1))
+    values = slope * np.maximum(u - v, 0.0)
+    for b in lagging:
+        values[b + 1, b] = max(values[b + 1, b] - 1.5e-9, 0.0)
+        values[b + 2, b] = values[b + 1, b] + d + 9e-7
+    return TwoScaleGrid(GridSpec(float(depth), 1.0), values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(2, 8), st.sampled_from([0.0, 0.5, 1.0]), st.data())
+def test_synthesis_raises_what_the_one_offset_reference_raises(d, depth, slope, data):
+    # a ramp of the given slope (in units of d) with some offsets lagging and a few cells nudged
+    lagging = data.draw(st.sets(st.integers(0, depth - 2), max_size=3))
+    values = lagging_ramp(d, depth, slope * d, lagging).values.copy()
+    for _ in range(data.draw(st.integers(0, 3))):
+        u = data.draw(st.integers(1, depth))
+        v = data.draw(st.integers(0, u - 1))
+        values[u, v] = max(values[u, v] + data.draw(st.sampled_from([-1.5e-9, 9e-7, 2e-6])), 0.0)
+    grid = TwoScaleGrid(GridSpec(float(depth), 1.0), values)
+    cube_cap = data.draw(st.integers(1, 5_000))
+    if grid.lipschitz_bound() > d + 1e-6:
+        with pytest.raises(ValueError, match="exceeds the ambient dimension"):
+            synthesize_set(grid, d, depth, cube_cap)
+        return
+    assert_matches_reference(grid, d, depth, cube_cap)
+
+
+# slope 1 in d = 1 up to depth 5: offsets 0-4 need 63, 32, 17, 10 and 7 cubes, 63, 95, 112, 122 and 129 in all;
+# a lagging offset 0 needs 32 and a lagging offset 1 needs 17
+@pytest.mark.parametrize("lagging, cube_cap, error, message", [
+    ([0], 10_000, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+    ([2], 10_000, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+    ([], 100, CapExceeded, "the set needs more than 100 cubes, the synthesis cube cap: reduce the depth"),
+    # offset 0 alone is over the cap, before offset 2 leaves the bracket
+    ([2], 50, CapExceeded, "the set needs more than 50 cubes, the synthesis cube cap: reduce the depth"),
+    # offset 1 leaves the bracket before offsets 0-2 pass the cap together
+    ([1], 90, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+    # offset 0 both leaves the bracket and passes the cap: the bracket is checked first
+    ([0], 20, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
+], ids=["bracket", "bracket-later", "cap", "cap-first", "bracket-first", "bracket-before-cap"])
+def test_synthesis_raises_the_first_failing_check_of_the_first_failing_offset(lagging, cube_cap, error, message):
+    grid = lagging_ramp(1, 5, 1.0, lagging)
+    assert grid.lipschitz_bound() <= 1 + 1e-6
+    with pytest.raises(error) as exc:
+        synthesize_set(grid, 1, 5, cube_cap)
+    assert str(exc.value) == message
+    assert_matches_reference(grid, 1, 5, cube_cap)
 
 
 # ---------------------------------------------------------------------------
