@@ -37,9 +37,7 @@ from .synthesis import (
     CompositeDyadicSet,
     DyadicTree,
     ExportedPoints,
-    StepFunction,
     export_points,
-    step_quantize,
     subdivision_tree,
     synthesize_set,
 )

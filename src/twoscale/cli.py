@@ -79,6 +79,14 @@ def cmd_synth(args) -> tuple[int, dict]:
     return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "metadata.json": meta}
 
 
+def _read_points(args, meta: dict, depth: int):
+    """The point list of ``estimate``, refused when the sidecar gives it another dimension."""
+    pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+    if meta.get("d", pts.dimension) != pts.dimension:
+        raise ValueError(f"the point list's dimension {pts.dimension} differs from the sidecar's d {meta['d']}")
+    return pts
+
+
 def cmd_estimate(args) -> tuple[int, dict]:
     meta = tsio.read_set_metadata(Path(args.metadata).read_text()) if args.metadata else {}
     depth = meta.get("depth", args.depth)
@@ -93,7 +101,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
         # are exact only down to a level its dimension sets
         if depth == 0:
             raise ValueError("the sample depth is 0, which leaves no scale to estimate")
-        pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+        pts = _read_points(args, meta, depth)
         deepest = _deepest_ball_level(pts.dimension)
         if depth <= deepest:
             upper, scale = "the sample depth", f"the sample depth {depth}"
@@ -112,7 +120,7 @@ def cmd_estimate(args) -> tuple[int, dict]:
         raise ValueError(f"u_max {spec.u_max} exceeds the sample depth {depth}; "
                          "pass a deeper sample or a smaller --u-max")
     if pts is None:
-        pts = tsio.points_from_csv(Path(args.points).read_text(), depth)
+        pts = _read_points(args, meta, depth)
     coverage = empirical_branching(pts, spec)
     # the whole-set profile: log2 of the cells of each level up to u_max
     gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])

@@ -528,12 +528,13 @@ def _load_json(text: str, what: str):
 
 
 def read_set_metadata(text: str) -> dict:
-    """Parse a metadata sidecar: a JSON object whose "depth", if given, is an integer."""
+    """Parse a metadata sidecar: a JSON object whose "d", "depth" and "rescale_exponent", if given, are integers."""
     meta = _load_json(text, "metadata")
     if not isinstance(meta, dict):
         raise ValueError("metadata must be a JSON object")
-    if "depth" in meta and type(meta["depth"]) is not int:
-        raise ValueError(f"metadata depth must be an integer, got {meta['depth']!r}")
+    for key in ("d", "depth", "rescale_exponent"):
+        if key in meta and type(meta[key]) is not int:
+            raise ValueError(f"metadata {key} must be an integer, got {meta[key]!r}")
     return meta
 
 
@@ -568,8 +569,8 @@ def _json_number(value, key: str) -> float:
     return float(value)
 
 
-def _reject_unknown_keys(obj, known: tuple, what: str) -> None:
-    unknown = [k for k in obj if k not in known] if isinstance(obj, dict) else []
+def _reject_unknown_keys(obj: dict, known: tuple, what: str) -> None:
+    unknown = [k for k in obj if k not in known]
     if unknown:
         raise ValueError(f"malformed IFS spec: unknown {what} {unknown[0]!r}, expected one of {', '.join(known)}")
 
@@ -578,8 +579,9 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
 
-    "d" and "ratio_exp" must be JSON integers, "ratio" and the "translation"
-    coordinates JSON numbers.
+    The spec must be a JSON object and "maps" a list of map objects.  "d" and
+    "ratio_exp" must be JSON integers, "ratio_exp" at least 1, "ratio" a JSON
+    number and "translation" a list of JSON numbers.
     Each map takes exactly one of "ratio_exp" (ratio 2^-k, exact) and a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
@@ -588,17 +590,27 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     """
     data = _load_json(text, "IFS spec")
     try:
+        if not isinstance(data, dict):
+            raise TypeError("the spec must be a JSON object")
         _reject_unknown_keys(data, ("d", "maps", "condensation"), "key")
         d = _json_int(data["d"], "d")
+        maps = data["maps"]
+        if not (isinstance(maps, list) and all(isinstance(m, dict) for m in maps)):
+            raise TypeError("maps must be a list of map objects")
         ratios, translations = [], []
-        for m in data["maps"]:
+        for m in maps:
             _reject_unknown_keys(m, ("ratio_exp", "ratio", "translation"), "map key")
             if "ratio_exp" in m and "ratio" in m:
                 raise ValueError("malformed IFS spec: a map takes one of 'ratio_exp' and 'ratio', got both")
             if "ratio_exp" in m:
-                ratios.append(2.0 ** -_json_int(m["ratio_exp"], "ratio_exp"))
+                k = _json_int(m["ratio_exp"], "ratio_exp")
+                if k < 1:
+                    raise TypeError(f"ratio_exp must be a positive integer, got {k}")
+                ratios.append(2.0 ** -k)
             else:
                 ratios.append(_json_number(m["ratio"], "ratio"))
+            if not isinstance(m["translation"], list):
+                raise TypeError("translation must be a list of numbers")
             translations.append([_json_number(x, "translation coordinate") for x in m["translation"]])
     except KeyError as exc:
         raise ValueError(f"malformed IFS spec: missing key {exc}") from None

@@ -28,64 +28,6 @@ MAX_DEPTH = 60
 
 
 # ---------------------------------------------------------------------------
-# Step quantization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class StepFunction:
-    """Integer-lattice step function with increments in {0, step_size}."""
-
-    step_size: float
-    cumulative: np.ndarray
-
-    def __post_init__(self):
-        cum = np.asarray(self.cumulative, dtype=float)
-        if cum.ndim != 1 or cum.size == 0 or cum[0] != 0.0:
-            raise ValueError("cumulative values must start at 0")
-        inc = np.diff(cum)
-        ok = (np.abs(inc) < EXACT_TOL) | (np.abs(inc - self.step_size) < EXACT_TOL)
-        if not np.all(ok):
-            raise ValueError("increments must be 0 or step_size")
-        cum.flags.writeable = False
-        object.__setattr__(self, "cumulative", cum)
-
-    @property
-    def increments(self) -> np.ndarray:
-        return np.abs(np.diff(self.cumulative)) > EXACT_TOL
-
-    def __len__(self) -> int:
-        return self.cumulative.size - 1
-
-
-def step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> StepFunction:
-    """Quantize an increasing profile into steps of a fixed size.
-
-    eta(n+1) = eta(n) + step_size exactly when g(n+1) - eta(n) >= step_size.
-    Guarantees g(n) - step_size < eta(n) <= g(n) at every integer n <= depth,
-    which requires g to move by at most step_size per unit step.  This is the
-    one-row case of the quantizer that ``synthesize_set`` runs on all offsets.
-    """
-    if step_size <= 0:
-        raise ValueError("step_size must be positive")
-    if not profile.is_increasing():
-        raise ValueError("profile must be increasing")
-    eta, outside = _quantize_rows(profile.evaluate(np.arange(depth + 1, dtype=float))[None], step_size)
-    if outside[0]:
-        raise ValueError("quantizer bracket failed: profile moves faster than step_size")
-    return StepFunction(step_size, eta[0])
-
-
-def _quantize_rows(g: np.ndarray, step_size: float) -> tuple[np.ndarray, np.ndarray]:
-    """The quantization eta of each row of ``g`` (rows, levels), one level at a time for all
-    rows, and which rows leave the bracket g - step_size < eta <= g, each side to EXACT_TOL."""
-    eta = np.zeros(g.shape)
-    for n in range(1, g.shape[1]):
-        prev = eta[:, n - 1]
-        eta[:, n] = np.where(g[:, n] - prev >= step_size - EXACT_TOL, prev + step_size, prev)
-    return eta, ((eta <= g - step_size - EXACT_TOL) | (eta > g + EXACT_TOL)).any(axis=1)
-
-
-# ---------------------------------------------------------------------------
 # Dyadic trees
 # ---------------------------------------------------------------------------
 
@@ -142,21 +84,35 @@ def _write_power(rows: np.ndarray, axis: np.ndarray) -> None:
         power[..., q] = axis.reshape((-1,) + (1,) * (d - 1 - q))
 
 
-def subdivision_tree(eta: StepFunction, dimension: int, offset: int = 0) -> DyadicTree:
-    """Materialize the subdivision set driven by a step function.
+def _quantize_rows(g: np.ndarray, step_size: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quantization eta of each row of ``g`` (rows, levels), one level at a time for all
+    rows, and which rows leave the bracket g - step_size < eta <= g, each side to EXACT_TOL."""
+    eta = np.zeros(g.shape)
+    for n in range(1, g.shape[1]):
+        prev = eta[:, n - 1]
+        eta[:, n] = np.where(g[:, n] - prev >= step_size - EXACT_TOL, prev + step_size, prev)
+    return eta, ((eta <= g - step_size - EXACT_TOL) | (eta > g + EXACT_TOL)).any(axis=1)
 
-    A zero increment keeps only the child sharing the bottom-left corner; a
-    full increment (of size ``dimension``) keeps all 2^d children.  The
-    level-n cube count is exactly 2^eta(n), and when eta vanishes through
-    level ``offset`` the set lies in [0, 2^-offset]^d.
+
+def subdivision_tree(profile: PiecewiseLinear, dimension: int, depth: int) -> DyadicTree:
+    """The subdivision tree of an increasing profile g, to level ``depth``.
+
+    g is quantized in steps of ``dimension``: eta(n + 1) = eta(n) + dimension
+    exactly when g(n + 1) - eta(n) >= dimension, which keeps
+    g(n) - dimension < eta(n) <= g(n) at every level n <= depth as long as g
+    moves by at most ``dimension`` per unit step.  The tree splits every cube
+    where eta steps, so its level-n cube count is exactly 2^eta(n).  This is
+    the one-row case of the quantizer that ``synthesize_set`` runs on all
+    offsets.
     """
-    if abs(eta.step_size - dimension) > EXACT_TOL:
-        raise ValueError("step function increments must equal the dimension")
-    if offset < 0 or offset > len(eta):
-        raise ValueError("offset out of range")
-    if np.any(np.abs(eta.cumulative[: offset + 1]) > EXACT_TOL):
-        raise ValueError("step function must vanish through the offset level")
-    return DyadicTree(dimension, eta.increments)
+    if dimension < 1 or depth < 0:
+        raise ValueError(f"need dimension >= 1 and depth >= 0, got dimension {dimension} and depth {depth}")
+    if not profile.is_increasing():
+        raise ValueError("profile must be increasing")
+    eta, outside = _quantize_rows(profile.evaluate(np.arange(depth + 1, dtype=float))[None], float(dimension))
+    if outside[0]:
+        raise ValueError("quantizer bracket failed: profile moves faster than step_size")
+    return DyadicTree(dimension, np.diff(eta[0]) > EXACT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +183,8 @@ def synthesize_set(
 
     One pass quantizes all offsets: one ``grid.evaluate`` over the (b, level)
     table, then, on all rows at once, the float operations of the one-offset
-    ``step_quantize(PiecewiseLinear.from_samples(levels, running maximum))``,
-    whose step functions it gives bit for bit.  A grid is zero on its
+    ``subdivision_tree(PiecewiseLinear.from_samples(levels, running maximum))``,
+    whose trees it gives bit for bit.  A grid is zero on its
     diagonal and finite and nonnegative below it, so every profile starts at
     0, increases and vanishes through its offset.  The first offset b that
     leaves the quantizer bracket, or whose cubes 2^eta(n), summed over its
@@ -279,24 +235,20 @@ class ExportedPoints:
     rescale_exponent: int = 0
 
 
-def export_points(obj, level: int) -> ExportedPoints:
-    """The level-``level`` cells of a set, as exact dyadic rationals in lexicographic order.
+def export_points(composite: CompositeDyadicSet, level: int) -> ExportedPoints:
+    """The level-``level`` cells of a composite set, as exact dyadic rationals in lexicographic order.
 
-    A tree gives the bottom-left corner of every level-``level`` cube.  A
-    composite set is divided by 8 into the unit cube (recorded in
+    The set is divided by 8 into the unit cube (recorded in
     ``rescale_exponent``) and gives the distinct level-``level`` cells it
     meets there: its own level-``level - 3`` cells, each numerator over
     2^level.  Every row has the exponent ``level``.
     """
-    if isinstance(obj, DyadicTree):
-        nums = obj.cells_at_level(level)
-        return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64))
-    if isinstance(obj, CompositeDyadicSet):
-        if not 0 <= level <= obj.depth:
-            raise ValueError(f"level {level} exceeds materialized depth {obj.depth}")
-        if level >= EXPORT_RESCALE_EXP:
-            nums = obj.cells_at_level(level - EXPORT_RESCALE_EXP)
-        else:
-            nums = unique_rows(obj.cells_at_level(0) >> EXPORT_RESCALE_EXP - level)
-        return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64), EXPORT_RESCALE_EXP)
-    raise TypeError(f"cannot export points from {type(obj).__name__}")
+    if not isinstance(composite, CompositeDyadicSet):
+        raise TypeError(f"cannot export points from {type(composite).__name__}")
+    if not 0 <= level <= composite.depth:
+        raise ValueError(f"level {level} exceeds materialized depth {composite.depth}")
+    if level >= EXPORT_RESCALE_EXP:
+        nums = composite.cells_at_level(level - EXPORT_RESCALE_EXP)
+    else:
+        nums = unique_rows(composite.cells_at_level(0) >> EXPORT_RESCALE_EXP - level)
+    return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64), EXPORT_RESCALE_EXP)

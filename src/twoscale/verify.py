@@ -47,7 +47,7 @@ from .operators import (
     validate_monotone_curve,
     validate_monotone_grid,
 )
-from .synthesis import step_quantize, subdivision_tree, synthesize_set
+from .synthesis import subdivision_tree, synthesize_set
 
 
 @dataclass
@@ -116,7 +116,7 @@ class VerifyContext:
             self.coverages.append(("inhomog_point", rep_a.coverage))
             # configuration B: a synthesized condensation set of dimension 0.8
             ramp = PiecewiseLinear(np.array([0.0]), np.array([0.8]))
-            tree = subdivision_tree(step_quantize(ramp, 1.0, 20), 1)
+            tree = subdivision_tree(ramp, 1, 20)
             psi_tree = empirical_branching(tree, spec)
             self.coverages.append(("inhomog_tree_condensation", psi_tree))
             rep_b = verify_dimension_formula(quarter, tree, psi_tree.grid, 20.0, spec, u_min=16.0)

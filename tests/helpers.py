@@ -9,7 +9,7 @@ with a reference's by type and message."""
 import numpy as np
 from hypothesis import strategies as st
 
-from twoscale import PiecewiseLinear, PointSet, StepFunction, TwoScaleGrid, subdivision_tree
+from twoscale import PiecewiseLinear, PointSet, TwoScaleGrid
 from twoscale.grids import CapExceeded, EXACT_TOL, unique_rows
 from twoscale.ifs import DEFAULT_WORD_CAP, _CondensationSampler
 from twoscale.operators import _curve_weights
@@ -55,7 +55,7 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def reference_step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> StepFunction:
+def reference_step_quantize(profile: PiecewiseLinear, step_size: float, depth: int) -> np.ndarray:
     """The quantizer as a loop over levels: eta(n+1) = eta(n) + step_size exactly
     when g(n+1) - eta(n) >= step_size - EXACT_TOL, then the bracket check."""
     if not profile.is_increasing():
@@ -70,30 +70,35 @@ def reference_step_quantize(profile: PiecewiseLinear, step_size: float, depth: i
     low = g - step_size
     if np.any(eta <= low - EXACT_TOL) or np.any(eta > g + EXACT_TOL):
         raise ValueError("quantizer bracket failed: profile moves faster than step_size")
-    return StepFunction(step_size, eta)
+    return eta
+
+
+def offset_profile(grid, b: int, depth: int) -> PiecewiseLinear:
+    """The profile of offset b: the running maximum of u -> value(u, b), zero
+    below b, sampled at the levels n <= depth."""
+    ns = np.arange(depth + 1, dtype=float)
+    samples = np.maximum(np.where(ns >= b, grid.evaluate(np.maximum(ns, b), float(b)), 0.0), 0.0)
+    return PiecewiseLinear.from_samples(ns, np.maximum.accumulate(samples))
 
 
 def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> list:
-    """The step function and tree of every offset b < depth, one offset at a
-    time, as ``synthesize_set`` makes them after its argument checks.
+    """The quantization eta of every offset b < depth, one offset at a time, as
+    ``synthesize_set`` makes it after its argument checks.
 
-    Offset b samples u -> value(u, b) at the levels n (zero below b), takes its
-    running maximum as a piecewise-linear profile, quantizes it, adds its cubes
-    to a running total against ``cube_cap`` and builds its tree, so the first
-    offset that fails a check raises that check's error.
+    Offset b quantizes its ``offset_profile`` and adds its cubes to a running
+    total against ``cube_cap``, so the first offset that fails a check raises
+    that check's error.  Its eta vanishes through level b, so its tree lies in
+    [0, 2^-b]^d.
     """
-    ns = np.arange(depth + 1, dtype=float)
-    steps, total = [], 0
+    etas, total = [], 0
     for b in range(depth):
-        samples = np.where(ns >= b, grid.evaluate(np.maximum(ns, b), float(b)), 0.0)
-        samples = np.maximum(samples, 0.0)
-        profile = PiecewiseLinear.from_samples(ns, np.maximum.accumulate(samples))
-        eta = reference_step_quantize(profile, float(dimension), depth)
-        total += int(np.sum(np.exp2(eta.cumulative)))
+        eta = reference_step_quantize(offset_profile(grid, b, depth), float(dimension), depth)
+        assert not eta[: b + 1].any()
+        total += int(np.sum(np.exp2(eta)))
         if total > cube_cap:
             raise CapExceeded(f"the set needs more than {cube_cap} cubes, the synthesis cube cap: reduce the depth")
-        steps.append((eta.cumulative, subdivision_tree(eta, dimension, offset=b)))
-    return steps
+        etas.append(eta)
+    return etas
 
 
 def reference_grown_levels(splits, d: int) -> list:

@@ -252,28 +252,35 @@ def test_estimate_reads_a_sidecar_that_still_holds_parts(tmp_path):
         assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
 
 
-@pytest.mark.parametrize("spec", [
-    {"d": 1, "maps": 3},
-    {"d": 1, "maps": [{"ratio_exp": 2, "translation": 0.5}]},
-    {"d": [1], "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio_exp": -2000, "translation": [0.0]}]},
+MALFORMED_SPECS = [
+    ({"d": 1, "maps": 3}, "maps must be a list of map objects"),
+    ({"d": 1, "maps": [{"ratio_exp": 2, "translation": 0.5}]}, "translation must be a list of numbers"),
+    ({"d": [1], "maps": [{"ratio_exp": 2, "translation": [0.0]}]}, "d must be an integer, got [1]"),
+    ({"d": 1, "maps": [{"ratio_exp": -2000, "translation": [0.0]}]}, "ratio_exp must be a positive integer, got -2000"),
     # integer fields are rejected, not truncated, when they are not JSON integers
-    {"d": 1.9, "maps": [{"ratio_exp": 2, "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio_exp": 2.9, "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio_exp": 2, "translation": [None]}]},
+    ({"d": 1.9, "maps": [{"ratio_exp": 2, "translation": [0.0]}]}, "d must be an integer, got 1.9"),
+    ({"d": 1, "maps": [{"ratio_exp": 2.9, "translation": [0.0]}]}, "ratio_exp must be an integer, got 2.9"),
+    ({"d": 1, "maps": [{"ratio_exp": 2, "translation": [None]}]}, "translation coordinate must be a number, got None"),
     # number fields are rejected, not converted, when they are strings or booleans
-    {"d": 1, "maps": [{"ratio": "0.5", "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio": True, "translation": [0.0]}]},
-    {"d": 1, "maps": [{"ratio": 0.5, "translation": ["0.5"]}]},
-    {"d": 1, "maps": [{"ratio": 0.5, "translation": [False]}]},
-    {"d": 1, "maps": [{"ratio": "0.5", "translation": [False]}]},
-])
-def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec):
+    ({"d": 1, "maps": [{"ratio": "0.5", "translation": [0.0]}]}, "ratio must be a number, got '0.5'"),
+    ({"d": 1, "maps": [{"ratio": True, "translation": [0.0]}]}, "ratio must be a number, got True"),
+    ({"d": 1, "maps": [{"ratio": 0.5, "translation": ["0.5"]}]}, "translation coordinate must be a number, got '0.5'"),
+    ({"d": 1, "maps": [{"ratio": 0.5, "translation": [False]}]}, "translation coordinate must be a number, got False"),
+    ({"d": 1, "maps": [{"ratio": "0.5", "translation": [False]}]}, "ratio must be a number, got '0.5'"),
+    # containers of the wrong kind are named, not indexed into
+    ({"d": 1, "maps": {"a": 1}}, "maps must be a list of map objects"),
+    ({"d": 1, "maps": [1]}, "maps must be a list of map objects"),
+    ([1, 2], "the spec must be a JSON object"),
+    ({"d": 1, "maps": [{"ratio": 0.5, "translation": 0.3}]}, "translation must be a list of numbers"),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS, ids=[f"spec{i}" for i in range(len(MALFORMED_SPECS))])
+def test_attractor_rejects_malformed_spec_with_one_error_line(tmp_path, capsys, spec, message):
     path = tmp_path / "ifs.json"
     path.write_text(json.dumps(spec))
     assert main(["attractor", str(path), "--depth", "8", "--out", str(tmp_path / "att")]) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: malformed IFS spec")
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: malformed IFS spec: {message}"]
     assert not (tmp_path / "att").exists()
 
 
@@ -345,6 +352,11 @@ def test_estimate_rejects_depths_without_a_float_scale(tmp_path, capsys, depth):
     ('{"depth": 12.5}', "metadata depth must be an integer, got 12.5"),
     ('{"depth": null}', "metadata depth must be an integer, got None"),
     ('{"depth": 2000}', "point depth must lie in [0, 1023], got 2000"),
+    # d and rescale_exponent are integers too, and rescale_exponent is copied into box_dims.json
+    ('{"d": 1.0, "depth": 4}', "metadata d must be an integer, got 1.0"),
+    ('{"d": "1", "depth": 4}', "metadata d must be an integer, got '1'"),
+    ('{"depth": 4, "rescale_exponent": "x"}', "metadata rescale_exponent must be an integer, got 'x'"),
+    ('{"depth": 4, "rescale_exponent": true}', "metadata rescale_exponent must be an integer, got True"),
 ])
 def test_estimate_rejects_malformed_metadata_with_one_error_line(tmp_path, capsys, meta, message):
     points = tmp_path / "one.csv"
@@ -354,6 +366,24 @@ def test_estimate_rejects_malformed_metadata_with_one_error_line(tmp_path, capsy
                  "--u-min", "2", "--out", str(tmp_path / "est")])
     assert code == 2
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "est").exists()
+
+
+@pytest.mark.parametrize("u_max", [[], ["--u-max", "4"]], ids=["sample-depth", "u-max"])
+def test_estimate_refuses_a_sidecar_d_that_the_point_list_contradicts(tmp_path, capsys, u_max):
+    points = tmp_path / "two.csv"
+    points.write_text("coord_0_num,coord_0_exp,coord_1_num,coord_1_exp\n0,0,0,0\n1,0,1,0\n")
+    for d, code in ((3, 2), (1, 2), (2, 0)):
+        (tmp_path / "meta.json").write_text(json.dumps({"d": d, "depth": 4, "rescale_exponent": 3}))
+        out = tmp_path / f"est{d}"
+        assert main(["estimate", str(points), "--metadata", str(tmp_path / "meta.json"), "--u-min", "2",
+                     *u_max, "--out", str(out)]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        if code:
+            assert err == [f"error: the point list's dimension 2 differs from the sidecar's d {d}"]
+            assert not out.exists()
+        else:
+            assert json.loads((out / "box_dims.json").read_text())["rescale_exponent"] == 3
 
 
 def test_attractor_rejects_deeply_nested_spec_with_one_error_line(tmp_path, capsys):

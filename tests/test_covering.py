@@ -11,14 +11,12 @@ from twoscale import (
     DyadicTree,
     GridSpec,
     PointSet,
-    StepFunction,
     assouad_spectrum,
     box_dims,
     cone_extension,
     empirical_branching,
     plateau_curve,
     scaling_limit,
-    subdivision_tree,
     synthesize_set,
 )
 from twoscale import covering
@@ -26,7 +24,7 @@ from twoscale.grids import EXACT_TOL
 
 
 def full_interval_tree(depth):
-    return subdivision_tree(StepFunction(1.0, np.arange(depth + 1, dtype=float)), 1)
+    return DyadicTree(1, np.ones(depth, dtype=bool))
 
 
 def cell_count(obj, level):

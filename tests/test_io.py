@@ -15,16 +15,15 @@ from hypothesis import strategies as st
 
 from helpers import profile_from_csv
 from twoscale import (
+    DyadicTree,
     GridSpec,
     PiecewiseLinear,
     SpectrumGrid,
-    StepFunction,
     TwoScaleGrid,
     PointSet,
     cone_extension,
     export_points,
     plateau_curve,
-    subdivision_tree,
     synthesize_set,
 )
 from twoscale import io as tsio
@@ -68,8 +67,8 @@ def test_curve_csv_roundtrip():
 
 
 def test_points_roundtrip_with_quantization():
-    tree = subdivision_tree(StepFunction(1.0, np.arange(5, dtype=float)), 1)
-    pts = export_points(tree, 3)
+    nums = DyadicTree(1, np.ones(4, dtype=bool)).cells_at_level(3)
+    pts = ExportedPoints(nums, np.full(len(nums), 3, dtype=np.int64))
     loaded = tsio.points_from_csv(tsio.points_to_csv(pts), depth=8)
     assert np.allclose(np.sort(loaded.points.ravel()), np.sort((pts.numerators / np.exp2(pts.exponents)[:, None]).ravel()))
     assert loaded.depth == 8

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     grid_from_function,
+    offset_profile,
     outcome,
     reference_composite_cells,
     reference_offset_steps,
@@ -16,12 +17,10 @@ from twoscale import (
     DyadicTree,
     GridSpec,
     PiecewiseLinear,
-    StepFunction,
     TwoScaleGrid,
     cone_extension,
     export_points,
     plateau_curve,
-    step_quantize,
     subdivision_tree,
     synthesize_set,
 )
@@ -33,81 +32,99 @@ def constant_slope(slope):
     return PiecewiseLinear(np.array([0.0]), np.array([slope]))
 
 
-# ---------------------------------------------------------------------------
-# step_quantize
-# ---------------------------------------------------------------------------
-
-def test_quantizer_worked_example():
-    eta = step_quantize(constant_slope(0.7), 1.0, 5)
-    assert list(eta.cumulative) == [0.0, 0.0, 1.0, 2.0, 2.0, 3.0]
-
-
-def test_quantizer_degenerate_profiles():
-    assert np.all(step_quantize(constant_slope(0.0), 1.0, 6).cumulative == 0.0)
-    eta = step_quantize(constant_slope(0.5), 0.5, 6)
-    assert np.allclose(eta.cumulative, 0.5 * np.arange(7))
-
-
-def test_quantizer_rejects_decreasing():
-    bad = PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0, -0.2]))
-    with pytest.raises(ValueError):
-        step_quantize(bad, 1.0, 4)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12))
-def test_quantizer_bracket_property(slopes):
-    profile = PiecewiseLinear(np.arange(len(slopes) + 1, dtype=float), np.array(slopes + [0.0]))
-    depth = len(slopes) + 2
-    eta = step_quantize(profile, 1.0, depth)
-    g = profile.evaluate(np.arange(depth + 1, dtype=float))
-    assert np.all(eta.cumulative <= g + 1e-9)
-    assert np.all(eta.cumulative > g - 1.0 - 1e-9)
-
-
-def test_step_function_rejects_bad_increments():
-    with pytest.raises(ValueError):
-        StepFunction(1.0, np.array([0.0, 0.5]))
+def tree_eta(tree):
+    """The step function eta of a tree: d times the number of splits above each level."""
+    return tree.dimension * np.concatenate([[0.0], np.cumsum(tree.splits)])
 
 
 # ---------------------------------------------------------------------------
 # subdivision_tree
 # ---------------------------------------------------------------------------
 
+def test_quantizer_worked_example():
+    tree = subdivision_tree(constant_slope(0.7), 1, 5)
+    assert list(tree_eta(tree)) == [0.0, 0.0, 1.0, 2.0, 2.0, 3.0]
+
+
+def test_quantizer_degenerate_profiles():
+    assert not subdivision_tree(constant_slope(0.0), 1, 6).splits.any()
+    # a profile that moves a full step of d at every level splits every level
+    tree = subdivision_tree(constant_slope(2.0), 2, 6)
+    assert tree.splits.all() and np.array_equal(tree_eta(tree), 2.0 * np.arange(7))
+
+
+def test_quantizer_rejects_decreasing():
+    bad = PiecewiseLinear(np.array([0.0, 1.0]), np.array([1.0, -0.2]))
+    with pytest.raises(ValueError, match="^profile must be increasing$"):
+        subdivision_tree(bad, 1, 4)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quantizer_refuses_a_profile_faster_than_the_dimension(d):
+    with pytest.raises(ValueError, match="^quantizer bracket failed: profile moves faster than step_size$"):
+        subdivision_tree(constant_slope(2.0 * d), d, 4)
+    assert subdivision_tree(constant_slope(float(d)), d, 4).splits.all()
+
+
+@pytest.mark.parametrize("d, depth", [(0, 4), (-1, 4), (1, -1), (2, -5)])
+def test_subdivision_tree_refuses_a_dimension_below_1_or_a_negative_depth(d, depth):
+    # a negative depth would quantize no level and pass as a tree of depth 0
+    with pytest.raises(ValueError, match=rf"^need dimension >= 1 and depth >= 0, got dimension {d} and depth {depth}$"):
+        subdivision_tree(constant_slope(0.0), d, depth)
+    assert subdivision_tree(constant_slope(0.0), 1, 0).depth == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=12), st.integers(1, 3))
+def test_quantizer_bracket_property(slopes, d):
+    profile = PiecewiseLinear(np.arange(len(slopes) + 1, dtype=float), d * np.array(slopes + [0.0]))
+    depth = len(slopes) + 2
+    tree = subdivision_tree(profile, d, depth)
+    eta = tree_eta(tree)
+    g = profile.evaluate(np.arange(depth + 1, dtype=float))
+    assert tree.depth == depth
+    assert np.all(eta <= g + 1e-9)
+    assert np.all(eta > g - d - 1e-9)
+    # the level-n cube count is exactly 2^eta(n)
+    for n in range(depth + 1):
+        assert tree.cells_at_level(n).shape[0] == 2 ** int(eta[n])
+
+
+# ---------------------------------------------------------------------------
+# DyadicTree
+# ---------------------------------------------------------------------------
+
 def test_full_binary_tree_counts():
-    eta = StepFunction(1.0, np.arange(7, dtype=float))
-    tree = subdivision_tree(eta, 1)
+    tree = DyadicTree(1, np.ones(6, dtype=bool))
     for n in range(7):
         assert tree.levels[n].size == 2**n
 
 
 def test_chain_tree_is_single_point():
-    eta = StepFunction(1.0, np.zeros(9))
-    tree = subdivision_tree(eta, 1)
+    tree = DyadicTree(1, np.zeros(8, dtype=bool))
     assert all(tree.levels[n].size == 1 for n in range(9))
-    pts = export_points(tree, 8)
-    assert pts.numerators.shape == (1, 1) and pts.numerators[0, 0] == 0
+    assert tree.cells_at_level(8).tolist() == [[0]]
 
 
 def test_tree_counts_match_step_function_exactly():
     rng = np.random.default_rng(6)
     for d in (1, 2):
         incs = rng.random(10) < 0.6
-        eta = StepFunction(float(d), float(d) * np.concatenate([[0], np.cumsum(incs)]))
-        tree = subdivision_tree(eta, d)
+        tree = DyadicTree(d, incs)
+        eta = tree_eta(tree)
         for n in range(11):
-            assert tree.cells_at_level(n).shape[0] == 2 ** int(eta.cumulative[n])
+            assert tree.cells_at_level(n).shape[0] == 2 ** int(eta[n])
             # one axis coordinate per split above level n
-            assert tree.levels[n].size == 2 ** int(eta.cumulative[n] / d)
+            assert tree.levels[n].size == 2 ** int(eta[n] / d)
 
 
 def test_prefix_count_inside_coarse_cube():
-    eta = StepFunction(1.0, np.array([0.0, 1.0, 1.0, 2.0, 3.0]))
-    tree = subdivision_tree(eta, 1)
+    tree = DyadicTree(1, [True, False, True, True])
+    eta = tree_eta(tree)
     # level-3 cubes inside one fixed level-1 cube number 2^(eta(3)-eta(1))
     prefix = tree.levels[1][0]
     inside = np.sum(tree.levels[3] >> 2 == prefix)
-    assert inside == 2 ** int(eta.cumulative[3] - eta.cumulative[1])
+    assert inside == 2 ** int(eta[3] - eta[1])
 
 
 def test_tree_depth_is_bounded_where_its_coordinates_stay_64_bit():
@@ -151,12 +168,6 @@ def test_composite_names_the_part_that_splits_above_its_offset(d, b, where):
     inside = np.roll(splits, b - int(np.flatnonzero(splits)[0]))
     comp = CompositeDyadicSet(d, 6, [(b, DyadicTree(d, inside))])
     assert comp.parts[0][1].cells_at_level(6).max() < 1 << 6 - b
-
-
-def test_tree_requires_vanishing_prefix_for_offset():
-    eta = StepFunction(1.0, np.arange(5, dtype=float))
-    with pytest.raises(ValueError):
-        subdivision_tree(eta, 1, offset=2)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +231,7 @@ def assert_matches_reference(grid, dimension, depth, cube_cap):
         return
     assert not isinstance(got, tuple), got
     assert len(got) == len(want) == depth
-    for splits, (ref_eta, ref_tree) in zip(got, want):
-        assert np.array_equal(splits, ref_tree.splits)
+    for splits, ref_eta in zip(got, want):
         assert np.array_equal(dimension * np.concatenate([[0.0], np.cumsum(splits)]), ref_eta)
 
 
@@ -251,6 +261,19 @@ def lipschitz_targets(draw):
 def test_synthesis_matches_the_one_offset_reference(target, cube_cap):
     grid, d, depth = target
     assert_matches_reference(grid, d, depth, cube_cap)
+
+
+@settings(max_examples=50, deadline=None)
+@given(lipschitz_targets())
+def test_each_part_is_the_subdivision_tree_of_its_offset_profile(target):
+    # the all-offsets pass and the one-profile builder share one quantizer
+    grid, d, depth = target
+    try:
+        comp = synthesize_set(grid, d, depth, 200_000)
+    except CapExceeded:
+        return
+    for b, tree in comp.parts:
+        assert np.array_equal(subdivision_tree(offset_profile(grid, b, depth), d, depth).splits, tree.splits)
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +396,6 @@ def test_synthesis_raises_the_first_failing_check_of_the_first_failing_offset(la
 # export_points
 # ---------------------------------------------------------------------------
 
-def test_export_full_binary_level_two():
-    eta = StepFunction(1.0, np.arange(5, dtype=float))
-    tree = subdivision_tree(eta, 1)
-    pts = export_points(tree, 2)
-    assert np.allclose((pts.numerators / np.exp2(pts.exponents)[:, None]).ravel(), [0.0, 0.25, 0.5, 0.75])
-    assert pts.rescale_exponent == 0
-
-
-def test_export_count_matches_cube_count():
-    eta = StepFunction(2.0, np.array([0.0, 2.0, 2.0, 4.0]))
-    tree = subdivision_tree(eta, 2)
-    for level in range(4):
-        assert export_points(tree, level).numerators.shape[0] == 2 ** int(eta.cumulative[level])
-
-
 def test_export_composite_rescales_into_unit_cube():
     spec = GridSpec(6.0, 0.5)
     psi = cone_extension(plateau_curve(0.6, 0.5), spec)
@@ -419,12 +427,12 @@ def test_export_order_matches_a_sort_of_every_placed_part_point(d, height, depth
     assert np.all(pts.exponents == level) and pts.rescale_exponent == 3
     # a tree's corners come out sorted the same way
     tree = comp.parts[0][1]
-    assert export_points(tree, level).numerators.tolist() == sorted(tree.cells_at_level(level).tolist())
+    assert tree.cells_at_level(level).tolist() == sorted(tree.cells_at_level(level).tolist())
 
 
 def test_composite_parts_need_distinct_offsets_inside_their_cubes():
-    full = subdivision_tree(StepFunction(1.0, np.arange(7, dtype=float)), 1)
-    late = subdivision_tree(StepFunction(1.0, np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0])), 1, offset=1)
+    full = DyadicTree(1, np.ones(6, dtype=bool))
+    late = DyadicTree(1, [False, True, True, True, True, True])
     CompositeDyadicSet(1, 6, [(0, full), (1, late)])
     with pytest.raises(ValueError, match="distinct"):
         CompositeDyadicSet(1, 6, [(1, late), (1, late)])
@@ -432,8 +440,12 @@ def test_composite_parts_need_distinct_offsets_inside_their_cubes():
         CompositeDyadicSet(1, 6, [(1, full)])
 
 
+def test_export_refuses_a_bare_tree():
+    with pytest.raises(TypeError, match="^cannot export points from DyadicTree$"):
+        export_points(DyadicTree(1, np.ones(4, dtype=bool)), 2)
+
+
 def test_export_level_beyond_depth_errors():
-    eta = StepFunction(1.0, np.arange(3, dtype=float))
-    tree = subdivision_tree(eta, 1)
-    with pytest.raises((ValueError, IndexError)):
-        export_points(tree, 7)
+    comp = synthesize_set(cone_extension(plateau_curve(0.6, 0.5), GridSpec(2.0, 0.5)), 1, 2)
+    with pytest.raises(ValueError, match="^level 7 exceeds materialized depth 2$"):
+        export_points(comp, 7)
