@@ -50,6 +50,7 @@ from .covering import (
 from .ifs import (
     FormulaReport,
     SimilarityIFS,
+    counting_exponent,
     critical_exponent,
     dimension_range,
     generate_attractor,

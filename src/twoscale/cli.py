@@ -15,9 +15,9 @@ import numpy as np
 from . import io as tsio
 from .covering import _deepest_ball_level, box_dims, empirical_branching
 from .grids import CapExceeded, DEFAULT_GRID_STEP, GridSpec, PiecewiseLinear, validate_branching
-from .ifs import critical_exponent, generate_attractor
+from .ifs import counting_exponent, critical_exponent, generate_attractor
 from .operators import DEFAULT_THETA_STEP, assouad_spectrum, cone_extension, plateau_curve, scaling_limit
-from .synthesis import export_points, synthesize_set
+from .synthesis import EXPORT_RESCALE_EXP, export_points, synthesize_set
 from .verify import SUITES, report_payload, run_suite
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def cmd_synth(args) -> tuple[int, dict]:
         return EXIT_USER, {}
     # the set is freed as soon as its points are exported
     points = export_points(synthesize_set(grid, args.dimension, args.depth), args.depth)
-    meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": points.rescale_exponent}
+    meta = {"d": args.dimension, "depth": args.depth, "rescale_exponent": EXPORT_RESCALE_EXP}
     return EXIT_OK, {"points.csv": tsio.points_to_csv(points), "metadata.json": meta}
 
 
@@ -142,10 +142,10 @@ def cmd_estimate(args) -> tuple[int, dict]:
 def cmd_attractor(args) -> tuple[int, dict]:
     _check_depth(args.depth)
     ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
-    sample = generate_attractor(ifs, None, args.depth)
+    sample = generate_attractor(ifs, args.depth)
     info = {
-        "moran_exponent": critical_exponent(ifs, "moran"),
-        "counting_exponent": critical_exponent(ifs, "counting", resolution=min(args.depth, 24.0)),
+        "moran_exponent": critical_exponent(ifs),
+        "counting_exponent": counting_exponent(ifs, min(args.depth, 24.0)),
         "strongly_separated": ifs.strongly_separated,
         "points": int(sample.points.shape[0]),
         "depth": args.depth,

@@ -312,8 +312,8 @@ class PiecewiseLinear:
         out = base + seg_slope * (x - bp[idx])
         return out if out.shape else float(out)
 
-    def is_increasing(self, tol: float = EXACT_TOL) -> bool:
-        return bool(np.all(self.slopes >= -tol))
+    def is_increasing(self) -> bool:
+        return bool(np.all(self.slopes >= -EXACT_TOL))
 
 
 # ---------------------------------------------------------------------------

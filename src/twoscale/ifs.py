@@ -18,7 +18,7 @@ from .grids import CapExceeded, DEFAULT_GRID_STEP, EXACT_TOL, GridSpec, Piecewis
 from .operators import monotone_envelope
 from .synthesis import DyadicTree
 
-DEFAULT_WORD_CAP = 2_000_000
+WORD_CAP = 2_000_000
 MORAN_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
@@ -27,17 +27,18 @@ MORAN_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class SimilarityIFS:
-    """Finite family of contracting similarities plus a condensation point set.
+    """Finite family of contracting similarities plus a condensation set.
 
-    ``condensation`` defaults to the maps' fixed points; fixed points are in
-    any case adjoined wherever the attractor is sampled, which changes nothing
+    ``condensation`` is a point array, a ``DyadicTree`` of the maps'
+    dimension, or None for the maps' fixed points; fixed points are in any
+    case adjoined wherever the attractor is sampled, which changes nothing
     geometrically since they already lie in the homogeneous attractor.
     """
 
     dimension: int
     ratios: np.ndarray
     translations: np.ndarray
-    condensation: np.ndarray | None = None
+    condensation: np.ndarray | DyadicTree | None = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -57,7 +58,11 @@ class SimilarityIFS:
         t.flags.writeable = False
         object.__setattr__(self, "ratios", r)
         object.__setattr__(self, "translations", t)
-        if self.condensation is not None:
+        if isinstance(self.condensation, DyadicTree):
+            if self.condensation.dimension != self.dimension:
+                raise ValueError(f"condensation tree has dimension {self.condensation.dimension}, "
+                                 f"the maps {self.dimension}")
+        elif self.condensation is not None:
             F = np.atleast_2d(np.asarray(self.condensation, dtype=float))
             if F.shape[1] != self.dimension:
                 raise ValueError(f"condensation points have dimension {F.shape[1]}, the maps {self.dimension}")
@@ -96,7 +101,7 @@ class SimilarityIFS:
 # Resolution families
 # ---------------------------------------------------------------------------
 
-def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_WORD_CAP) -> int:
+def count_words_at_resolution(ifs: SimilarityIFS, u: float) -> int:
     """Size of the resolution family, counted by weight without listing its words.
 
     The family holds every word whose weight reaches ``u`` while its parent's
@@ -107,10 +112,10 @@ def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_W
     summed map by map from the empty word outward, so words of bitwise-equal
     weight have bitwise-equal children and grouping them changes no count.
     Weights within 1e-9 of integers >= 1 (dyadic ratios) are snapped to them;
-    such families are exact at any size and ``cap`` does not bound them (a
-    full binary system has 4,194,304 words at u = 22).  Otherwise the
+    such families are exact at any size and ``WORD_CAP`` does not bound them
+    (a full binary system has 4,194,304 words at u = 22).  Otherwise the
     expansion raises ``CapExceeded`` once the counted plus frontier words
-    exceed ``cap``, which also ends it if a map weight is below float
+    exceed ``WORD_CAP``, which also ends it if a map weight is below float
     resolution at ``u``.
     """
     if u <= EXACT_TOL:
@@ -131,28 +136,20 @@ def count_words_at_resolution(ifs: SimilarityIFS, u: float, cap: int = DEFAULT_W
                 else:
                     children[child] = children.get(child, 0) + n
         frontier = children
-        if not dyadic and total + sum(frontier.values()) > cap:
-            raise CapExceeded(f"resolution family exceeds {cap} words")
+        if not dyadic and total + sum(frontier.values()) > WORD_CAP:
+            raise CapExceeded(f"resolution family exceeds {WORD_CAP} words")
     return total
 
 
-def critical_exponent(
-    ifs: SimilarityIFS,
-    method: str = "moran",
-    *,
-    resolution: float = 24.0,
-    cap: int = DEFAULT_WORD_CAP,
-) -> float:
-    """Growth exponent of the resolution families.
+def counting_exponent(ifs: SimilarityIFS, resolution: float) -> float:
+    """log2(#family(resolution)) / resolution, which tends to the Moran
+    exponent with a gap shrinking in the resolution."""
+    return math.log2(count_words_at_resolution(ifs, resolution)) / resolution
 
-    method="moran" solves sum r_i^h = 1 by bisection to ``MORAN_TOL``;
-    method="counting" returns log2(#family(resolution)) / resolution.  The two
-    agree in the limit, with a gap shrinking in the resolution.
-    """
-    if method == "counting":
-        return math.log2(count_words_at_resolution(ifs, resolution, cap)) / resolution
-    if method != "moran":
-        raise ValueError(f"unknown method {method!r}")
+
+def critical_exponent(ifs: SimilarityIFS) -> float:
+    """Growth exponent of the resolution families: the Moran exponent, the
+    root of sum r_i^h = 1, by bisection to ``MORAN_TOL``."""
     r = ifs.ratios
 
     def deficit(h: float) -> float:
@@ -179,21 +176,20 @@ def critical_exponent(
 # ---------------------------------------------------------------------------
 
 class _CondensationSampler:
-    """Point batches for a condensation set, resolved no finer than needed.
+    """Point batches for the condensation set of ``ifs``, resolved no finer than needed.
 
     Tree sets are resolved once per requested level; a word of weight rho only
     needs resolution depth - rho before its image drops below the target
     scale.
     """
 
-    def __init__(self, F, ifs: SimilarityIFS):
+    def __init__(self, ifs: SimilarityIFS):
+        F = ifs.condensation
         self.tree = F if isinstance(F, DyadicTree) else None
         self.ifs = ifs
         self._cache: dict[int, np.ndarray] = {}
         if self.tree is None:
-            if F is None:
-                F = ifs.fixed_points if ifs.condensation is None else ifs.condensation
-            self.flat = unique_rows(np.vstack([np.atleast_2d(np.asarray(F, dtype=float)), ifs.fixed_points]))
+            self.flat = unique_rows(np.vstack([ifs.fixed_points if F is None else F, ifs.fixed_points]))
         else:
             self.flat = None
 
@@ -211,13 +207,8 @@ class _CondensationSampler:
         return self._cache[level]
 
 
-def generate_attractor(
-    ifs: SimilarityIFS,
-    condensation=None,
-    depth: float = 20.0,
-    cap: int = DEFAULT_WORD_CAP,
-) -> PointSet:
-    """Union of word images of the condensation set down to weight ``depth``.
+def generate_attractor(ifs: SimilarityIFS, depth: float) -> PointSet:
+    """Union of word images of the condensation set of ``ifs`` down to weight ``depth``.
 
     Words are expanded level by level: a level holds the weights and ratios
     of its n words as arrays and their translations coordinate-major, as a
@@ -233,19 +224,19 @@ def generate_attractor(
     Fixed points are adjoined to the condensation set.  Tree condensation
     sets are sampled adaptively: a word of weight rho only needs the tree
     resolved to depth - rho before its image drops below the target scale,
-    so a level is grouped by that tree level.  The cap on words (and on
-    4 * cap raw points) is checked before a level's images are built, and
-    the error names the bound exceeded.  The result is within 2^-depth
-    Hausdorff distance of the attractor, so its covering statistics are valid
-    one level short of the depth, where the neighbourhood slack stays below a
-    cell.
+    so a level is grouped by that tree level.  ``WORD_CAP`` on words (and
+    4 * ``WORD_CAP`` on raw points) is checked before a level's images are
+    built, and the error names the bound exceeded.  The result is within
+    2^-depth Hausdorff distance of the attractor, so its covering statistics
+    are valid one level short of the depth, where the neighbourhood slack
+    stays below a cell.
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
     d = ifs.dimension
     # per-map columns, broadcast against a level's n words
     w, ratios, T = ifs.weights[:, None], ifs.ratios[:, None], ifs.translations.T[:, :, None]
-    sampler = _CondensationSampler(condensation, ifs)
+    sampler = _CondensationSampler(ifs)
     batches: list[np.ndarray] = []
     n_words = 0
     n_points = 0
@@ -254,11 +245,11 @@ def generate_attractor(
         groups = sampler.groups(depth - rho)
         n_words += rho.size
         n_points += sum(F.shape[0] * r[sel].size for F, sel in groups)
-        if n_words > cap:
-            raise CapExceeded(f"attractor sample exceeds the cap: {n_words} words, more than {cap}")
-        if n_points > 4 * cap:
+        if n_words > WORD_CAP:
+            raise CapExceeded(f"attractor sample exceeds the cap: {n_words} words, more than {WORD_CAP}")
+        if n_points > 4 * WORD_CAP:
             raise CapExceeded(f"attractor sample exceeds the raw-point bound: "
-                              f"{n_points} points, more than 4 * cap = {4 * cap}")
+                              f"{n_points} points, more than 4 * cap = {4 * WORD_CAP}")
         for F, sel in groups:
             rs = r[sel]
             images = np.empty((rs.size, F.shape[0], d))
@@ -301,12 +292,10 @@ class FormulaReport:
 
 def verify_dimension_formula(
     ifs: SimilarityIFS,
-    condensation,
     psi_condensation: TwoScaleGrid,
     depth: float,
     spec: GridSpec,
     u_min: float,
-    cap: int = DEFAULT_WORD_CAP,
 ) -> FormulaReport:
     """Compare an attractor's empirical branching against its projection formula.
 
@@ -317,8 +306,8 @@ def verify_dimension_formula(
     """
     if not ifs.strongly_separated:
         raise ValueError("dimension formula verification requires strong separation")
-    growth = critical_exponent(ifs, "moran")
-    sample = generate_attractor(ifs, condensation, depth, cap)
+    growth = critical_exponent(ifs)
+    sample = generate_attractor(ifs, depth)
     coverage = empirical_branching(sample, spec)
     prediction = monotone_envelope(psi_condensation, growth)
     coords = spec.coords

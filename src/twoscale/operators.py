@@ -394,7 +394,7 @@ def spectrum_envelope(curve: SpectrumGrid, growth: float) -> SpectrumGrid:
     return SpectrumGrid._adopt(curve.theta_step, out)
 
 
-def plateau_curve(height: float, kink: float, theta_step: float = DEFAULT_THETA_STEP) -> SpectrumGrid:
+def plateau_curve(height: float, kink: float) -> SpectrumGrid:
     """Minimal monotone-class curve: constant height*(1-kink), then height*(1-theta).
 
     These curves generate the monotone class under maxima; kink = 1 gives the
@@ -404,9 +404,9 @@ def plateau_curve(height: float, kink: float, theta_step: float = DEFAULT_THETA_
         raise ValueError(f"height must be nonnegative and finite, got {height}")
     if not 0 <= kink <= 1:
         raise ValueError("kink must lie in [0, 1]")
-    m = round(1.0 / theta_step)
-    th = np.arange(m + 1) * theta_step
-    return SpectrumGrid(theta_step, height * (1.0 - np.maximum(th, kink)))
+    m = round(1.0 / DEFAULT_THETA_STEP)
+    th = np.arange(m + 1) * DEFAULT_THETA_STEP
+    return SpectrumGrid(DEFAULT_THETA_STEP, height * (1.0 - np.maximum(th, kink)))
 
 
 def upper_spectrum(curve: SpectrumGrid) -> SpectrumGrid:
@@ -429,7 +429,6 @@ def commuting_deviation(
     grid: TwoScaleGrid,
     growths: Sequence[float],
     u_min: float,
-    theta_step: float = DEFAULT_THETA_STEP,
 ) -> list[DeviationReport]:
     """Sup-norm gap between limit-then-project and project-then-limit, one report per growth.
 
@@ -439,11 +438,11 @@ def commuting_deviation(
     envelopes do not depend on growth, so each is taken once, and each
     envelope is dropped before the next one is built.
     """
-    limit = scaling_limit(grid, u_min, theta_step)
+    limit = scaling_limit(grid, u_min)
     envelopes = _monotone_envelopes(grid, growths)
     reports = []
     for g in growths:
-        via_grid = scaling_limit(next(envelopes), u_min, theta_step)
+        via_grid = scaling_limit(next(envelopes), u_min)
         via_curve = spectrum_envelope(limit, g)
         gap = np.abs(via_grid.values - via_curve.values)
         k = int(np.argmax(gap))

@@ -17,7 +17,7 @@ import numpy as np
 from .covering import MAX_CELL_LEVEL
 from .grids import CapExceeded, EXACT_TOL, PiecewiseLinear, TwoScaleGrid, unique_rows
 
-DEFAULT_CUBE_CAP = 2_500_000
+CUBE_CAP = 2_500_000
 
 # Composite parts sit at 4 * 2^-b along coordinate 0, so the ambient box is
 # [0, 5]^d; exports divide by 8 to land in the unit cube.
@@ -47,8 +47,7 @@ class DyadicTree:
     levels: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        _check_dimension(self.dimension)
         splits = np.array(self.splits, dtype=bool)
         # levels are grown from the mask once, so it may not change after
         splits.flags.writeable = False
@@ -74,6 +73,12 @@ class DyadicTree:
         cells = np.empty((axis.size ** self.dimension, self.dimension), dtype=np.int64)
         _write_power(cells, axis)
         return cells
+
+
+def _check_dimension(dimension) -> None:
+    """Refuse a dimension that is not a positive integer; a bool or a float is none, a numpy integer is."""
+    if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)) or dimension < 1:
+        raise ValueError(f"dimension must be a positive integer, got {dimension}")
 
 
 def _write_power(rows: np.ndarray, axis: np.ndarray) -> None:
@@ -105,8 +110,9 @@ def subdivision_tree(profile: PiecewiseLinear, dimension: int, depth: int) -> Dy
     the one-row case of the quantizer that ``synthesize_set`` runs on all
     offsets.
     """
-    if dimension < 1 or depth < 0:
-        raise ValueError(f"need dimension >= 1 and depth >= 0, got dimension {dimension} and depth {depth}")
+    _check_dimension(dimension)
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if not profile.is_increasing():
         raise ValueError("profile must be increasing")
     eta, outside = _quantize_rows(profile.evaluate(np.arange(depth + 1, dtype=float))[None], float(dimension))
@@ -171,7 +177,6 @@ def synthesize_set(
     grid: TwoScaleGrid,
     dimension: int,
     depth: int,
-    cube_cap: int = DEFAULT_CUBE_CAP,
 ) -> CompositeDyadicSet:
     """Compact dyadic set whose empirical branching tracks ``grid``.
 
@@ -188,13 +193,12 @@ def synthesize_set(
     diagonal and finite and nonnegative below it, so every profile starts at
     0, increases and vanishes through its offset.  The first offset b that
     leaves the quantizer bracket, or whose cubes 2^eta(n), summed over its
-    levels and the offsets before it, pass ``cube_cap``, raises, the bracket
+    levels and the offsets before it, pass ``CUBE_CAP``, raises, the bracket
     first.
     """
     if not isinstance(grid, TwoScaleGrid):
         raise TypeError(f"the target must be a TwoScaleGrid, not {type(grid).__name__}")
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
+    _check_dimension(dimension)
     if depth < 1 or depth > grid.spec.u_max + EXACT_TOL:
         raise ValueError("depth must lie within the grid's scale range")
     if depth > MAX_DEPTH:
@@ -216,8 +220,8 @@ def synthesize_set(
         if outside[b]:
             raise ValueError("quantizer bracket failed: profile moves faster than step_size")
         total += int(cubes[b])
-        if total > cube_cap:
-            raise CapExceeded(f"the set needs more than {cube_cap} cubes, the synthesis cube cap: reduce the depth")
+        if total > CUBE_CAP:
+            raise CapExceeded(f"the set needs more than {CUBE_CAP} cubes, the synthesis cube cap: reduce the depth")
         parts.append((b, DyadicTree(dimension, splits[b])))
     return CompositeDyadicSet(dimension, depth, parts)
 
@@ -232,16 +236,15 @@ class ExportedPoints:
 
     numerators: np.ndarray
     exponents: np.ndarray
-    rescale_exponent: int = 0
 
 
 def export_points(composite: CompositeDyadicSet, level: int) -> ExportedPoints:
     """The level-``level`` cells of a composite set, as exact dyadic rationals in lexicographic order.
 
-    The set is divided by 8 into the unit cube (recorded in
-    ``rescale_exponent``) and gives the distinct level-``level`` cells it
-    meets there: its own level-``level - 3`` cells, each numerator over
-    2^level.  Every row has the exponent ``level``.
+    The set is divided by 2^``EXPORT_RESCALE_EXP`` = 8 into the unit cube
+    and gives the distinct level-``level`` cells it meets there: its own
+    level-``level - 3`` cells, each numerator over 2^level.  Every row has
+    the exponent ``level``.
     """
     if not isinstance(composite, CompositeDyadicSet):
         raise TypeError(f"cannot export points from {type(composite).__name__}")
@@ -251,4 +254,4 @@ def export_points(composite: CompositeDyadicSet, level: int) -> ExportedPoints:
         nums = composite.cells_at_level(level - EXPORT_RESCALE_EXP)
     else:
         nums = unique_rows(composite.cells_at_level(0) >> EXPORT_RESCALE_EXP - level)
-    return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64), EXPORT_RESCALE_EXP)
+    return ExportedPoints(nums, np.full(nums.shape[0], level, dtype=np.int64))

@@ -9,9 +9,10 @@ with a reference's by type and message."""
 import numpy as np
 from hypothesis import strategies as st
 
-from twoscale import PiecewiseLinear, PointSet, TwoScaleGrid
+from twoscale import PiecewiseLinear, PointSet, TwoScaleGrid, synthesis
+from twoscale import ifs as ifs_module
 from twoscale.grids import CapExceeded, EXACT_TOL, unique_rows
-from twoscale.ifs import DEFAULT_WORD_CAP, _CondensationSampler
+from twoscale.ifs import _CondensationSampler
 from twoscale.operators import _curve_weights
 
 
@@ -81,16 +82,16 @@ def offset_profile(grid, b: int, depth: int) -> PiecewiseLinear:
     return PiecewiseLinear.from_samples(ns, np.maximum.accumulate(samples))
 
 
-def reference_offset_steps(grid, dimension: int, depth: int, cube_cap: int) -> list:
+def reference_offset_steps(grid, dimension: int, depth: int) -> list:
     """The quantization eta of every offset b < depth, one offset at a time, as
     ``synthesize_set`` makes it after its argument checks.
 
     Offset b quantizes its ``offset_profile`` and adds its cubes to a running
-    total against ``cube_cap``, so the first offset that fails a check raises
-    that check's error.  Its eta vanishes through level b, so its tree lies in
-    [0, 2^-b]^d.
+    total against ``synthesis.CUBE_CAP``, read at the call, so the first
+    offset that fails a check raises that check's error.  Its eta vanishes
+    through level b, so its tree lies in [0, 2^-b]^d.
     """
-    etas, total = [], 0
+    etas, total, cube_cap = [], 0, synthesis.CUBE_CAP
     for b in range(depth):
         eta = reference_step_quantize(offset_profile(grid, b, depth), float(dimension), depth)
         assert not eta[: b + 1].any()
@@ -160,8 +161,9 @@ def split_masks(draw, dims=(1, 2, 3, 4)):
     return d, depth, parts
 
 
-def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = DEFAULT_WORD_CAP) -> PointSet:
-    """``generate_attractor`` with word-major arrays, the reference it must match.
+def reference_attractor(ifs, depth: float) -> PointSet:
+    """``generate_attractor`` with word-major arrays, the reference it must match,
+    under the ``ifs.WORD_CAP`` of the call.
 
     A level holds its words' weights, ratios and (words, d) translations; its
     images are F * r + t per condensation batch, and its children are gathered
@@ -169,8 +171,8 @@ def reference_attractor(ifs, condensation=None, depth: float = 20.0, cap: int = 
     """
     if depth <= 0:
         raise ValueError("depth must be positive")
-    w = ifs.weights
-    sampler = _CondensationSampler(condensation, ifs)
+    w, cap = ifs.weights, ifs_module.WORD_CAP
+    sampler = _CondensationSampler(ifs)
     batches: list[np.ndarray] = []
     n_words = 0
     n_points = 0

@@ -10,18 +10,24 @@ of ``y`` in the module that ``from . import module`` binds.  A parameter or
 local variable of the same name hides the name in its function, so it is no
 use.
 
-The public members of every public class (methods, properties and
-classmethods, not dataclass fields) are held to the same rule by name: each
-needs an ``.member`` attribute use somewhere in the package.  Members are
-matched by name only, not by the type of the receiver, so a member that only
-tests call still passes while the package uses a same-named member of any
-other class; such a member has to be found by reading its receivers.
+The public members of every public class (methods, properties, cached
+properties and classmethods, not dataclass fields) are held to the same rule
+by name: each needs an ``.member`` attribute use somewhere in the package.
+Members are matched by name only, not by the type of the receiver, so a
+member that only tests call still passes while the package uses a
+same-named member of any other class; such a member has to be found by
+reading its receivers.
+
+So are the optional parameters of every public function, method and
+constructor: each must be passed, by position, by keyword or by unpacking,
+by some package call to a callable of that name.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+from functools import cached_property
 from pathlib import Path
 
 import twoscale
@@ -98,12 +104,13 @@ def package_sources() -> dict:
 
 
 def public_members(cls) -> set:
-    """Names of the methods, properties and classmethods that ``cls`` defines itself, not ``_``-prefixed."""
+    """Names of the methods, properties, cached properties and classmethods that ``cls``
+    defines itself, not ``_``-prefixed."""
     fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
     return {
         name for name, value in vars(cls).items()
         if not name.startswith("_") and name not in fields
-        and (inspect.isfunction(value) or isinstance(value, (property, classmethod, staticmethod)))
+        and (inspect.isfunction(value) or isinstance(value, (property, cached_property, classmethod, staticmethod)))
     }
 
 
@@ -180,3 +187,106 @@ def test_a_same_named_local_is_no_use():
         assert used_names({**sources, "cli": caller}) == {("grids", "rescale")}
     # so is a call from another function of the defining module
     assert used_names({"grids": sources["grids"] + "\ndef g(x):\n    return rescale(x)\n"}) == {("grids", "rescale")}
+
+
+# cli.main's argv is for callers outside the package: the console script
+# calls it with none, and the benchmark harness and the tests pass a list
+UNPASSED_EXEMPT = {"main(argv)"}
+
+
+def optional_parameters_of(name: str, obj) -> list:
+    """(callable name, parameter, position) of every parameter with a default of the function
+    ``obj``, or of the class ``obj``'s constructor and of its public methods, classmethods and
+    staticmethods.  The position counts the arguments that a call by that name writes before
+    the parameter, so a method's leaves out self; it is None for a keyword-only parameter."""
+    found = []
+
+    def add(name, params):
+        for position, p in enumerate(params):
+            if p.default is not inspect.Parameter.empty:
+                positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
+                found.append((name, p.name, position if positional else None))
+
+    if not inspect.isclass(obj) or "__init__" in vars(obj):  # an inherited constructor is not the class's own
+        add(name, inspect.signature(obj).parameters.values())
+    for member in public_members(obj) if inspect.isclass(obj) else ():
+        value = vars(obj)[member]
+        if isinstance(value, (classmethod, staticmethod)):
+            add(member, inspect.signature(getattr(obj, member)).parameters.values())
+        elif inspect.isfunction(value):
+            add(member, list(inspect.signature(value).parameters.values())[1:])
+    return found
+
+
+def optional_parameters(sources: dict) -> list:
+    """``optional_parameters_of`` every public function and class of ``sources``."""
+    return [found for module, name in public_definitions(sources)
+            for found in optional_parameters_of(name, getattr(importlib.import_module(f"twoscale.{module}"), name))]
+
+
+def call_shapes(sources: dict) -> dict:
+    """{called name: [(positional count, keyword names)]} of every call in ``sources``, keyed
+    by the bare or attribute name it calls.  A call with a ``*`` or ``**`` argument has the
+    shape (inf, None), which passes every parameter."""
+    shapes = {}
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
+            shape = (float("inf"), None) if unpacks else (len(node.args), {k.arg for k in node.keywords})
+            shapes.setdefault(name, []).append(shape)
+    return shapes
+
+
+def unpassed(optional: list, shapes: dict) -> list:
+    """"name(parameter)" of every optional parameter that no call by its callable's name passes."""
+    return sorted(
+        f"{name}({param})" for name, param, position in optional
+        if not any(keywords is None or param in keywords or (position is not None and count > position)
+                   for count, keywords in shapes.get(name, []))
+    )
+
+
+def test_every_optional_parameter_is_passed_by_a_call_inside_the_package():
+    """A default that no package call overrides is a constant in disguise: it becomes a module
+    constant, which tests patch, or it goes.  Calls are matched to callables by name only, like
+    the members above.  ``cli.main``'s ``argv`` is exempt because its callers are outside the
+    package: the console script, the benchmark harness and the tests."""
+    sources = package_sources()
+    found = unpassed(optional_parameters(sources), call_shapes(sources))
+    assert [name for name in found if name not in UNPASSED_EXEMPT] == []
+
+
+def test_a_parameter_is_passed_by_position_by_keyword_or_by_unpacking():
+    optional = [("f", "b", 1), ("f", "c", None), ("g", "y", 1)]
+    callers = {
+        "f(1)\nC().g(1)\n": ["f(b)", "f(c)", "g(y)"],
+        "f(1, 2)\nC().g(1, 2)\n": ["f(c)"],
+        "f(1, c=3)\nC().g(1, y=2)\n": ["f(b)"],
+        # a keyword-only parameter is never passed by position
+        "f(1, 2, 3)\n": ["f(c)", "g(y)"],
+        "f(*xs)\nC().g(1, **kw)\n": [],
+    }
+    for caller, expected in callers.items():
+        assert unpassed(optional, call_shapes({"cli": caller})) == expected, caller
+
+
+def test_a_method_position_leaves_out_self_and_a_classmethod_position_cls():
+    @dataclasses.dataclass
+    class Spec:
+        size: int
+        step: float = 0.5
+
+        def scaled(self, by=2):
+            return self
+
+        @classmethod
+        def make(cls, size, step=0.5):
+            return cls(size, step)
+
+    found = set(optional_parameters_of("Spec", Spec))
+    assert found == {("Spec", "step", 1), ("scaled", "by", 0), ("make", "step", 1)}
+    # an exception class inherits its constructor, which is no parameter of its own
+    assert optional_parameters_of("Failure", type("Failure", (ValueError,), {})) == []

@@ -10,7 +10,8 @@ from twoscale import (
     generate_attractor,
     validate_branching,
 )
-from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
+from twoscale import ifs as ifs_module
+from twoscale.ifs import count_words_at_resolution
 
 
 def test_subadditivity_scan_above_n_256():
@@ -38,25 +39,27 @@ def test_subadditivity_count_is_exact_above_n_256(entry):
     assert witness == (i * 0.25, (i - 1) * 0.25, j * 0.25)
 
 
-def test_word_and_attractor_caps():
+def test_word_and_attractor_caps(monkeypatch):
     # the float word expansion stops at the cap
+    monkeypatch.setattr(ifs_module, "WORD_CAP", 1000)
     nondyadic = SimilarityIFS(1, np.array([0.3, 0.3]), np.array([[0.0], [0.7]]))
     with pytest.raises(CapExceeded):
-        count_words_at_resolution(nondyadic, 18.0, cap=1000)
+        count_words_at_resolution(nondyadic, 18.0)
     binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
     with pytest.raises(CapExceeded):
-        generate_attractor(binary, None, 18.0, cap=1000)
+        generate_attractor(binary, 18.0)
 
 
-def test_dyadic_word_count_ignores_the_cap():
+def test_dyadic_word_count_ignores_the_cap(monkeypatch):
     # dyadic weights are snapped to integers and their families are not capped:
-    # a full binary system counts 2^u words, above the default cap from u = 21 on
+    # a full binary system counts 2^u words, above the cap from u = 21 on
     binary = SimilarityIFS(1, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
-    assert count_words_at_resolution(binary, 18.0, cap=1000) == 1 << 18
-    assert count_words_at_resolution(binary, 21.0) == 1 << 21 > DEFAULT_WORD_CAP
-    # the same family with a float ratio is capped
+    assert count_words_at_resolution(binary, 21.0) == 1 << 21 > ifs_module.WORD_CAP
     nearly = SimilarityIFS(1, np.array([0.5, 0.5 - 1e-6]), np.array([[0.0], [0.5]]))
     assert count_words_at_resolution(nearly, 10.0) == 1 << 10
+    monkeypatch.setattr(ifs_module, "WORD_CAP", 1000)
+    assert count_words_at_resolution(binary, 18.0) == 1 << 18
+    # the same family with a float ratio is capped
     with pytest.raises(CapExceeded):
-        count_words_at_resolution(nearly, 10.0, cap=1000)
+        count_words_at_resolution(nearly, 10.0)
 

@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from twoscale import (
     GridSpec,
     PiecewiseLinear,
     SimilarityIFS,
+    counting_exponent,
     critical_exponent,
     dimension_range,
     generate_attractor,
@@ -17,7 +20,8 @@ from twoscale import (
     monotone_envelope,
 )
 from twoscale.grids import EXACT_TOL, CapExceeded
-from twoscale.ifs import DEFAULT_WORD_CAP, count_words_at_resolution
+from twoscale import ifs as ifs_module
+from twoscale.ifs import count_words_at_resolution
 from twoscale.synthesis import DyadicTree
 
 
@@ -89,6 +93,15 @@ def test_condensation_validation_names_the_dimensions_apart_from_the_range():
             SimilarityIFS(1, ratios, translations, np.array([[point]]))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_condensation_tree_is_kept_as_given_and_must_share_the_maps_dimension(d):
+    ratios, translations = np.array([0.25, 0.25]), np.zeros((2, d))
+    tree = DyadicTree(d, [True, False])
+    assert SimilarityIFS(d, ratios, translations, tree).condensation is tree
+    with pytest.raises(ValueError, match=f"^condensation tree has dimension {d + 1}, the maps {d}$"):
+        SimilarityIFS(d, ratios, translations, DyadicTree(d + 1, [True, False]))
+
+
 # ---------------------------------------------------------------------------
 # word weights: SimilarityIFS.weights summed along a word
 # ---------------------------------------------------------------------------
@@ -154,7 +167,7 @@ def test_near_dyadic_weights_count_as_their_integers():
 
 
 def test_dyadic_family_counts_are_exact_and_uncapped():
-    assert count_words_at_resolution(binary_full(), 22.0) == 4_194_304 > DEFAULT_WORD_CAP
+    assert count_words_at_resolution(binary_full(), 22.0) == 4_194_304 > ifs_module.WORD_CAP
     assert count_words_at_resolution(binary_full(), 100.0) == 2**100
 
 
@@ -177,18 +190,18 @@ def test_count_words_rejects_resolutions_within_tolerance_of_zero():
 def test_counting_exponent_beyond_int64_word_counts():
     # 2^64 and 2^200 words: the logarithm is taken of the exact integer count
     for resolution in (63.0, 64.0, 200.0):
-        assert critical_exponent(binary_full(), "counting", resolution=resolution) == 1.0
+        assert counting_exponent(binary_full(), resolution) == 1.0
 
 
 def test_critical_exponent_closed_forms():
-    assert critical_exponent(binary_full(), "moran") == pytest.approx(1.0, abs=1e-9)
-    assert critical_exponent(quarter_cantor(), "moran") == pytest.approx(0.5, abs=1e-9)
+    assert critical_exponent(binary_full()) == pytest.approx(1.0, abs=1e-9)
+    assert critical_exponent(quarter_cantor()) == pytest.approx(0.5, abs=1e-9)
     mixed = SimilarityIFS(1, np.array([0.5, 0.25]), np.array([[0.0], [0.75]]))
     golden = -np.log2((np.sqrt(5.0) - 1.0) / 2.0)
-    assert critical_exponent(mixed, "moran") == pytest.approx(golden, abs=1e-6)
-    assert critical_exponent(binary_full(), "counting", resolution=24.0) == pytest.approx(1.0)
+    assert critical_exponent(mixed) == pytest.approx(golden, abs=1e-6)
+    assert counting_exponent(binary_full(), 24.0) == pytest.approx(1.0)
     single = SimilarityIFS(1, np.array([0.5]), np.array([[0.0]]))
-    assert critical_exponent(single, "moran") == 0.0
+    assert critical_exponent(single) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +209,14 @@ def test_critical_exponent_closed_forms():
 # ---------------------------------------------------------------------------
 
 def test_attractor_of_full_binary_fills_the_interval():
-    sample = generate_attractor(binary_full(), np.array([[0.0]]), 10.0)
+    sample = generate_attractor(replace(binary_full(), condensation=np.array([[0.0]])), 10.0)
     for u in range(9):
         assert sample.cells_at_level(u).shape[0] == 2**u
 
 
 def test_attractor_deeper_is_superset():
-    shallow = generate_attractor(quarter_cantor(), None, 8.0)
-    deep = generate_attractor(quarter_cantor(), None, 12.0)
+    shallow = generate_attractor(quarter_cantor(), 8.0)
+    deep = generate_attractor(quarter_cantor(), 12.0)
     a = {tuple(p) for p in shallow.points}
     b = {tuple(p) for p in deep.points}
     assert a <= b
@@ -211,7 +224,7 @@ def test_attractor_deeper_is_superset():
 
 def test_attractor_single_map_fixed_point():
     single = SimilarityIFS(1, np.array([0.5]), np.array([[0.0]]))
-    sample = generate_attractor(single, None, 8.0)
+    sample = generate_attractor(single, 8.0)
     assert np.allclose(sample.points, 0.0)
 
 
@@ -259,7 +272,7 @@ def test_dimension_range_cases():
 # brute-force oracles for attractor sampling and word counting
 # ---------------------------------------------------------------------------
 
-def brute_force_attractor(ifs, condensation, depth):
+def brute_force_attractor(ifs, depth):
     """Every word of weight <= depth, its condensation image, then row dedup.
 
     The condensation per word follows the documented rule: point arrays and
@@ -267,7 +280,7 @@ def brute_force_attractor(ifs, condensation, depth):
     ceil(depth - weight) (clamped to [0, tree.depth]); fixed points are
     always adjoined.
     """
-    fixed = ifs.fixed_points
+    fixed, condensation = ifs.fixed_points, ifs.condensation
     if isinstance(condensation, DyadicTree):
         def base(rho):
             level = int(min(condensation.depth, max(0, np.ceil(depth - rho - 1e-9))))
@@ -322,8 +335,9 @@ def test_generate_attractor_matches_brute_force(ifs, kind, depth, seed):
         "points": rng.random((3, ifs.dimension)),
         "tree": small_tree(ifs.dimension, rng),
     }[kind]
-    points, n_words, raw = brute_force_attractor(ifs, condensation, depth)
-    sample = generate_attractor(ifs, condensation, depth)
+    ifs = replace(ifs, condensation=condensation)
+    points, n_words, raw = brute_force_attractor(ifs, depth)
+    sample = generate_attractor(ifs, depth)
     assert np.array_equal(sample.points, points)
     assert sample.metadata["word_count"] == n_words
     assert sample.metadata["raw_points"] == raw
@@ -340,7 +354,7 @@ def test_count_words_matches_enumeration_for_float_ratios(ratios, u):
 
 @st.composite
 def expansion_cases(draw):
-    """(ifs, condensation, depth, cap): d = 1-3, 1-5 maps of ratio 2^-k or a float,
+    """(ifs, depth, cap): d = 1-3, 1-5 maps of ratio 2^-k or a float,
     translation coordinates at 0.0, -0.0, 1 - r or between, no, array or tree
     condensation, integer or fractional depths, and caps that often stop the expansion."""
     d = draw(st.integers(1, 3))
@@ -353,7 +367,6 @@ def expansion_cases(draw):
     t[edge == 0] = 0.0
     t[edge == 1] = -0.0
     t = np.where(edge == 2, 1.0 - ratios[:, None], t)
-    ifs = SimilarityIFS(d, ratios, t)
     condensation = None
     kind = draw(st.sampled_from(["none", "points", "tree"]))
     if kind == "points":
@@ -362,14 +375,16 @@ def expansion_cases(draw):
     elif kind == "tree":
         condensation = small_tree(d, rng, int(rng.integers(0, 4)))
     depth = draw(st.one_of(st.integers(1, 10).map(float), st.floats(0.1, 10.0)))
-    return ifs, condensation, depth, draw(st.integers(1, 4000))
+    return SimilarityIFS(d, ratios, t, condensation), depth, draw(st.integers(1, 4000))
 
 
 @settings(max_examples=200, deadline=None)
 @given(expansion_cases())
 def test_generate_attractor_matches_the_word_major_reference(case):
-    got = outcome(generate_attractor, *case)
-    want = outcome(reference_attractor, *case)
+    ifs, depth, cap = case
+    with patch.object(ifs_module, "WORD_CAP", cap):
+        got = outcome(generate_attractor, ifs, depth)
+        want = outcome(reference_attractor, ifs, depth)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -380,29 +395,33 @@ def test_generate_attractor_matches_the_word_major_reference(case):
     assert (got.depth, got.metadata) == (want.depth, want.metadata)
 
 
-def test_count_words_cap_boundary():
+def test_count_words_cap_boundary(monkeypatch):
     ifs = SimilarityIFS(1, np.array([0.3, 0.45, 0.2]), np.zeros((3, 1)))
     family = len(words_at_resolution(ifs, 9.0))
-    assert count_words_at_resolution(ifs, 9.0, cap=family) == family
+    monkeypatch.setattr(ifs_module, "WORD_CAP", family)
+    assert count_words_at_resolution(ifs, 9.0) == family
+    monkeypatch.setattr(ifs_module, "WORD_CAP", family - 1)
     with pytest.raises(CapExceeded):
-        count_words_at_resolution(ifs, 9.0, cap=family - 1)
+        count_words_at_resolution(ifs, 9.0)
 
 
 @pytest.mark.parametrize("condensation", [None, np.linspace(0.0, 1.0, 11)[:, None]])
-def test_generate_attractor_cap_boundary(condensation):
+def test_generate_attractor_cap_boundary(monkeypatch, condensation):
     # word-bound with the fixed points only, point-bound with 11 condensation points;
     # one short of either bound, the last level exceeds it and the error names it
-    ifs = SimilarityIFS(1, np.array([0.3, 0.45]), np.array([[0.0], [0.55]]))
-    meta = generate_attractor(ifs, condensation, 8.0).metadata
+    ifs = SimilarityIFS(1, np.array([0.3, 0.45]), np.array([[0.0], [0.55]]), condensation)
+    meta = generate_attractor(ifs, 8.0).metadata
     words, raw = meta["word_count"], meta["raw_points"]
     cap = max(words, -(-raw // 4))
-    assert generate_attractor(ifs, condensation, 8.0, cap=cap).metadata == meta
+    monkeypatch.setattr(ifs_module, "WORD_CAP", cap)
+    assert generate_attractor(ifs, 8.0).metadata == meta
     if condensation is None:
         assert cap == words
         message = f"attractor sample exceeds the cap: {words} words, more than {cap - 1}"
     else:
         assert cap > words
         message = f"attractor sample exceeds the raw-point bound: {raw} points, more than 4 * cap = {4 * cap - 4}"
+    monkeypatch.setattr(ifs_module, "WORD_CAP", cap - 1)
     with pytest.raises(CapExceeded) as exc:
-        generate_attractor(ifs, condensation, 8.0, cap=cap - 1)
+        generate_attractor(ifs, 8.0)
     assert str(exc.value) == message

@@ -60,7 +60,8 @@ def test_profile_csv_roundtrip():
 
 
 def test_curve_csv_roundtrip():
-    curve = plateau_curve(0.8, 0.5, 1.0 / 16.0)
+    # the plateau curve of height 0.8 and kink 0.5 at theta step 1/16
+    curve = SpectrumGrid(1.0 / 16.0, 0.8 * (1.0 - np.maximum(np.arange(17) / 16.0, 0.5)))
     back = tsio.curve_from_csv(tsio.curve_to_csv(curve))
     assert back.theta_step == curve.theta_step
     assert np.allclose(back.values, curve.values, atol=1e-12)
@@ -88,7 +89,7 @@ def parent_format_points(composite) -> ExportedPoints:
     rows = {(0,) * composite.dimension}.union(
         *(exact_units(tree.cells_at_level(depth), b, depth) for b, tree in composite.parts))
     nums = np.array(sorted(rows), dtype=np.int64)
-    return ExportedPoints(nums, np.full(len(nums), depth + 3, dtype=np.int64), 3)
+    return ExportedPoints(nums, np.full(len(nums), depth + 3, dtype=np.int64))
 
 
 @pytest.mark.parametrize("d, height, depth", [(1, 0.8, 14), (2, 1.45, 10), (3, 2.2, 7)])

@@ -965,31 +965,30 @@ def test_operators_refuse_what_their_output_checks_refused():
             assert message == f"ValueError: growth must be nonnegative and finite, got {growth}"
 
 
-def ref_commuting_deviation(grid, growth, u_min, theta_step=DEFAULT_THETA_STEP):
+def ref_commuting_deviation(grid, growth, u_min):
     """The one-growth composition: limit of the projection against projection of the limit."""
     envelope = TwoScaleGrid(grid.spec, ref_monotone_envelope(grid, growth))
-    via_grid = scaling_limit(envelope, u_min, theta_step)
-    via_curve = spectrum_envelope(scaling_limit(grid, u_min, theta_step), growth)
+    via_grid = scaling_limit(envelope, u_min)
+    via_curve = spectrum_envelope(scaling_limit(grid, u_min), growth)
     gap = np.abs(via_grid.values - via_curve.values)
     k = int(np.argmax(gap))
     return float(gap[k]), float(via_grid.thetas[k])
 
 
 @settings(max_examples=100, deadline=None)
-@given(grids, st.lists(st.sampled_from(GROWTHS), min_size=1, max_size=5), st.sampled_from(THETA_STEPS),
-       st.floats(0.05, 0.95))
-def test_several_growths_share_one_path_with_one_growth(params, growths, theta_step, frac):
+@given(grids, st.lists(st.sampled_from(GROWTHS), min_size=1, max_size=5), st.floats(0.05, 0.95))
+def test_several_growths_share_one_path_with_one_growth(params, growths, frac):
     grid = make_grid(params)
     u_min = frac * grid.spec.u_max
     envelopes = list(_monotone_envelopes(grid, growths))
-    reports = commuting_deviation(grid, growths, u_min, theta_step)
+    reports = commuting_deviation(grid, growths, u_min)
     assert len(envelopes) == len(reports) == len(growths)
     for growth, envelope, report in zip(growths, envelopes, reports):
         assert same_bits(envelope.values, monotone_envelope(grid, growth).values)
         assert same_bits(envelope.values, ref_monotone_envelope(grid, growth))
         assert_clean_grid(envelope)
-        assert [report] == commuting_deviation(grid, [growth], u_min, theta_step)
-        assert (report.sup_deviation, report.witness_theta) == ref_commuting_deviation(grid, growth, u_min, theta_step)
+        assert [report] == commuting_deviation(grid, [growth], u_min)
+        assert (report.sup_deviation, report.witness_theta) == ref_commuting_deviation(grid, growth, u_min)
         assert report.window == (u_min, grid.spec.u_max)
 
 

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from twoscale import (
     export_points,
     plateau_curve,
     subdivision_tree,
+    synthesis,
     synthesize_set,
 )
 from twoscale.grids import unique_rows
@@ -66,12 +69,28 @@ def test_quantizer_refuses_a_profile_faster_than_the_dimension(d):
     assert subdivision_tree(constant_slope(float(d)), d, 4).splits.all()
 
 
-@pytest.mark.parametrize("d, depth", [(0, 4), (-1, 4), (1, -1), (2, -5)])
-def test_subdivision_tree_refuses_a_dimension_below_1_or_a_negative_depth(d, depth):
+@pytest.mark.parametrize("depth", [-1, -5])
+def test_subdivision_tree_refuses_a_negative_depth(depth):
     # a negative depth would quantize no level and pass as a tree of depth 0
-    with pytest.raises(ValueError, match=rf"^need dimension >= 1 and depth >= 0, got dimension {d} and depth {depth}$"):
-        subdivision_tree(constant_slope(0.0), d, depth)
+    with pytest.raises(ValueError, match=rf"^depth must be nonnegative, got {depth}$"):
+        subdivision_tree(constant_slope(0.0), 1, depth)
     assert subdivision_tree(constant_slope(0.0), 1, 0).depth == 0
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, True, np.float64(1.0)])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_tree_builder_refuses_a_dimension_that_is_not_a_positive_integer(bad, d):
+    # a float or a bool used to pass the check and fail late, inside numpy, at a cell table
+    grid = cone_extension(plateau_curve(0.5 * d, 0.3), GridSpec(4.0))
+    message = rf"^dimension must be a positive integer, got {bad}$"
+    for build in (lambda: DyadicTree(bad, [True, False]), lambda: subdivision_tree(constant_slope(0.5), bad, 4),
+                  lambda: synthesize_set(grid, bad, 4)):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # numpy integers are integers
+    assert DyadicTree(np.int64(d), [True, False]).cells_at_level(1).shape == (2**d, d)
+    assert subdivision_tree(constant_slope(0.5 * d), np.int32(d), 4).cells_at_level(2).shape[1] == d
+    assert synthesize_set(grid, np.int64(d), 4).cells_at_level(2).shape[1] == d
 
 
 @settings(max_examples=50, deadline=None)
@@ -204,28 +223,30 @@ def test_synthesize_rejects_steep_grids():
         synthesize_set(steep, 1, 6)
 
 
-def test_synthesize_cap():
+def test_synthesize_cap(monkeypatch):
     spec = GridSpec(40.0, 0.5)
     lin = grid_from_function(spec, lambda u, v: u - v)
+    monkeypatch.setattr(synthesis, "CUBE_CAP", 10_000)
     with pytest.raises(CapExceeded, match="^the set needs more than 10000 cubes, the synthesis cube cap: "
                                           "reduce the depth$"):
-        synthesize_set(lin, 1, 40, cube_cap=10_000)
+        synthesize_set(lin, 1, 40)
 
 
 # ---------------------------------------------------------------------------
 # synthesize_set against the one-offset-at-a-time reference
 # ---------------------------------------------------------------------------
 
-def part_splits(grid, dimension, depth, cube_cap):
+def part_splits(grid, dimension, depth):
     """The split mask of each part of the set: part b splits at level n where its eta steps."""
-    comp = synthesize_set(grid, dimension, depth, cube_cap)
+    comp = synthesize_set(grid, dimension, depth)
     assert [b for b, _ in comp.parts] == list(range(depth))
     return [tree.splits for _, tree in comp.parts]
 
 
-def assert_matches_reference(grid, dimension, depth, cube_cap):
-    got = outcome(part_splits, grid, dimension, depth, cube_cap)
-    want = outcome(reference_offset_steps, grid, dimension, depth, cube_cap)
+def assert_matches_reference(grid, dimension, depth):
+    """The set's split masks, or its error, against the reference's, both under the current ``CUBE_CAP``."""
+    got = outcome(part_splits, grid, dimension, depth)
+    want = outcome(reference_offset_steps, grid, dimension, depth)
     if isinstance(want, tuple):
         assert got == want
         return
@@ -260,7 +281,8 @@ def lipschitz_targets(draw):
 @given(lipschitz_targets(), st.integers(1, 100_000))
 def test_synthesis_matches_the_one_offset_reference(target, cube_cap):
     grid, d, depth = target
-    assert_matches_reference(grid, d, depth, cube_cap)
+    with patch.object(synthesis, "CUBE_CAP", cube_cap):
+        assert_matches_reference(grid, d, depth)
 
 
 @settings(max_examples=50, deadline=None)
@@ -269,7 +291,8 @@ def test_each_part_is_the_subdivision_tree_of_its_offset_profile(target):
     # the all-offsets pass and the one-profile builder share one quantizer
     grid, d, depth = target
     try:
-        comp = synthesize_set(grid, d, depth, 200_000)
+        with patch.object(synthesis, "CUBE_CAP", 200_000):
+            comp = synthesize_set(grid, d, depth)
     except CapExceeded:
         return
     for b, tree in comp.parts:
@@ -297,7 +320,8 @@ def test_tree_and_composite_cells_match_the_packed_code_reference(case):
 def test_synthesized_cells_match_the_packed_code_reference_at_every_level(target):
     grid, d, depth = target
     try:
-        comp = synthesize_set(grid, d, depth, 200_000)
+        with patch.object(synthesis, "CUBE_CAP", 200_000):
+            comp = synthesize_set(grid, d, depth)
     except CapExceeded:
         return
     parts = [(b, tree.splits) for b, tree in comp.parts]
@@ -335,7 +359,7 @@ def test_synthesis_bracket_failure_inside_the_slope_slack():
     values = np.array([[0.0, 0.0, 0.0], [1 - 1.5e-9, 0.0, 0.0], [2 - 1.5e-9 + 9e-7, 1.0, 0.0]])
     with pytest.raises(ValueError, match="^quantizer bracket failed"):
         synthesize_set(TwoScaleGrid(spec, values), 1, 2)
-    assert_matches_reference(TwoScaleGrid(spec, values), 1, 2, 10_000)
+    assert_matches_reference(TwoScaleGrid(spec, values), 1, 2)
 
 
 def lagging_ramp(d, depth, slope, lagging=()):
@@ -363,11 +387,12 @@ def test_synthesis_raises_what_the_one_offset_reference_raises(d, depth, slope, 
         values[u, v] = max(values[u, v] + data.draw(st.sampled_from([-1.5e-9, 9e-7, 2e-6])), 0.0)
     grid = TwoScaleGrid(GridSpec(float(depth), 1.0), values)
     cube_cap = data.draw(st.integers(1, 5_000))
-    if grid.lipschitz_bound() > d + 1e-6:
-        with pytest.raises(ValueError, match="exceeds the ambient dimension"):
-            synthesize_set(grid, d, depth, cube_cap)
-        return
-    assert_matches_reference(grid, d, depth, cube_cap)
+    with patch.object(synthesis, "CUBE_CAP", cube_cap):
+        if grid.lipschitz_bound() > d + 1e-6:
+            with pytest.raises(ValueError, match="exceeds the ambient dimension"):
+                synthesize_set(grid, d, depth)
+            return
+        assert_matches_reference(grid, d, depth)
 
 
 # slope 1 in d = 1 up to depth 5: offsets 0-4 need 63, 32, 17, 10 and 7 cubes, 63, 95, 112, 122 and 129 in all;
@@ -383,13 +408,15 @@ def test_synthesis_raises_what_the_one_offset_reference_raises(d, depth, slope, 
     # offset 0 both leaves the bracket and passes the cap: the bracket is checked first
     ([0], 20, ValueError, "quantizer bracket failed: profile moves faster than step_size"),
 ], ids=["bracket", "bracket-later", "cap", "cap-first", "bracket-first", "bracket-before-cap"])
-def test_synthesis_raises_the_first_failing_check_of_the_first_failing_offset(lagging, cube_cap, error, message):
+def test_synthesis_raises_the_first_failing_check_of_the_first_failing_offset(
+        monkeypatch, lagging, cube_cap, error, message):
     grid = lagging_ramp(1, 5, 1.0, lagging)
     assert grid.lipschitz_bound() <= 1 + 1e-6
+    monkeypatch.setattr(synthesis, "CUBE_CAP", cube_cap)
     with pytest.raises(error) as exc:
-        synthesize_set(grid, 1, 5, cube_cap)
+        synthesize_set(grid, 1, 5)
     assert str(exc.value) == message
-    assert_matches_reference(grid, 1, 5, cube_cap)
+    assert_matches_reference(grid, 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +429,6 @@ def test_export_composite_rescales_into_unit_cube():
     comp = synthesize_set(psi, 1, 6)
     pts = export_points(comp, 6)
     floats = pts.numerators / np.exp2(pts.exponents)[:, None]
-    assert pts.rescale_exponent == 3
     assert floats.min() >= 0.0 and floats.max() < 5.0 / 8.0
     # one row per level-6 cell of the set divided by 8, a level-3 cell before the division
     assert np.array_equal(pts.numerators, comp.cells_at_level(3)) and np.all(pts.exponents == 6)
@@ -424,7 +450,7 @@ def test_export_order_matches_a_sort_of_every_placed_part_point(d, height, depth
             point[0] += 4 << depth >> b
             expected.add(tuple(c >> depth + 3 - level for c in point))
     assert pts.numerators.tolist() == [list(p) for p in sorted(expected)]
-    assert np.all(pts.exponents == level) and pts.rescale_exponent == 3
+    assert np.all(pts.exponents == level)
     # a tree's corners come out sorted the same way
     tree = comp.parts[0][1]
     assert tree.cells_at_level(level).tolist() == sorted(tree.cells_at_level(level).tolist())
