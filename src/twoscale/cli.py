@@ -17,7 +17,7 @@ from .covering import _deepest_ball_level, box_dims, empirical_branching
 from .grids import CapExceeded, DEFAULT_GRID_STEP, GridSpec, PiecewiseLinear, validate_branching
 from .ifs import counting_exponent, critical_exponent, generate_attractor
 from .operators import DEFAULT_THETA_STEP, assouad_spectrum, cone_extension, plateau_curve, scaling_limit
-from .synthesis import EXPORT_RESCALE_EXP, export_points, synthesize_set
+from .synthesis import EXPORT_RESCALE_EXP, check_dimension, check_synthesis_depth, export_points, synthesize_set
 from .verify import SUITES, report_payload, run_suite
 
 EXIT_OK = 0
@@ -63,11 +63,11 @@ def _check_depth(depth: int) -> None:
 
 def cmd_synth(args) -> tuple[int, dict]:
     _check_depth(args.depth)
-    if args.dimension < 1:
-        raise ValueError(f"dimension must be at least 1, got {args.dimension}")
-    # synthesis reads the target only up to --depth
-    grid = _load_target_grid(args.psi_spec, GridSpec.reaching(float(args.depth), args.grid_step))
-    report = validate_branching(grid, args.dimension, tol=args.grid_step * args.dimension)
+    check_dimension(args.dimension)
+    check_synthesis_depth(args.depth)
+    # synthesis reads the target only at the integer levels up to --depth, all on this lattice
+    grid = _load_target_grid(args.psi_spec, GridSpec(float(args.depth)))
+    report = validate_branching(grid, args.dimension, tol=DEFAULT_GRID_STEP * args.dimension)
     if not report.passed:
         print(f"error: target grid fails the branching axioms: {report.summary()}", file=sys.stderr)
         for v in report.violations[:10]:
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("synth", help="materialize a dyadic set realizing a target grid")
     p.add_argument("psi_spec", help="grid CSV, gamma_inverse:<curve.csv>, or h_kappa_lambda:k,l")
     p.add_argument("-d", "--dimension", type=int, default=1)
-    _add_options(p, "--grid-step", "--depth", "--out")
+    _add_options(p, "--depth", "--out")
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("estimate", help="covering statistics and spectra of a point sample")

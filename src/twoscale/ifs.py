@@ -16,7 +16,7 @@ import numpy as np
 from .covering import CoverageGrid, PointSet, empirical_branching
 from .grids import CapExceeded, DEFAULT_GRID_STEP, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid, unique_rows
 from .operators import monotone_envelope
-from .synthesis import DyadicTree
+from .synthesis import DyadicTree, check_dimension
 
 WORD_CAP = 2_000_000
 MORAN_TOL = 1e-9
@@ -41,8 +41,7 @@ class SimilarityIFS:
     condensation: np.ndarray | DyadicTree | None = None
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be at least 1, got {self.dimension}")
+        check_dimension(self.dimension)
         r = np.asarray(self.ratios, dtype=float)
         t = np.atleast_2d(np.asarray(self.translations, dtype=float))
         if r.ndim != 1 or r.size == 0:

@@ -47,7 +47,7 @@ class DyadicTree:
     levels: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_dimension(self.dimension)
+        check_dimension(self.dimension)
         splits = np.array(self.splits, dtype=bool)
         # levels are grown from the mask once, so it may not change after
         splits.flags.writeable = False
@@ -75,7 +75,7 @@ class DyadicTree:
         return cells
 
 
-def _check_dimension(dimension) -> None:
+def check_dimension(dimension) -> None:
     """Refuse a dimension that is not a positive integer; a bool or a float is none, a numpy integer is."""
     if isinstance(dimension, bool) or not isinstance(dimension, (int, np.integer)) or dimension < 1:
         raise ValueError(f"dimension must be a positive integer, got {dimension}")
@@ -110,7 +110,7 @@ def subdivision_tree(profile: PiecewiseLinear, dimension: int, depth: int) -> Dy
     the one-row case of the quantizer that ``synthesize_set`` runs on all
     offsets.
     """
-    _check_dimension(dimension)
+    check_dimension(dimension)
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if not profile.is_increasing():
@@ -173,6 +173,15 @@ class CompositeDyadicSet:
         return cells
 
 
+def check_synthesis_depth(depth: int) -> None:
+    """Refuse a synthesis depth outside [1, ``MAX_DEPTH``], before any target is built."""
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
+                         f"the set's level-depth cells reach 5 * 2^depth, beyond 64-bit integers")
+
+
 def synthesize_set(
     grid: TwoScaleGrid,
     dimension: int,
@@ -198,12 +207,10 @@ def synthesize_set(
     """
     if not isinstance(grid, TwoScaleGrid):
         raise TypeError(f"the target must be a TwoScaleGrid, not {type(grid).__name__}")
-    _check_dimension(dimension)
-    if depth < 1 or depth > grid.spec.u_max + EXACT_TOL:
+    check_dimension(dimension)
+    check_synthesis_depth(depth)
+    if depth > grid.spec.u_max + EXACT_TOL:
         raise ValueError("depth must lie within the grid's scale range")
-    if depth > MAX_DEPTH:
-        raise ValueError(f"depth must be at most {MAX_DEPTH}, got {depth}: "
-                         f"the set's level-depth cells reach 5 * 2^depth, beyond 64-bit integers")
     slope = grid.lipschitz_bound()
     if slope > dimension + 1e-6:
         raise ValueError(f"grid slope bound {slope:.4g} exceeds the ambient dimension {dimension}")

@@ -99,7 +99,6 @@ class VerifyContext:
         return {
             "curve": curve,
             "target": target,
-            "composite": composite,
             "coverage": coverage,
             "measure_spec": measure_spec,
         }
@@ -120,7 +119,7 @@ class VerifyContext:
         self.coverages.append(("inhomog_tree_condensation", psi_tree))
         rep_b = verify_dimension_formula(replace(quarter, condensation=tree), psi_tree.grid, 20.0, spec, u_min=16.0)
         self.coverages.append(("inhomog_tree_attractor", rep_b.coverage))
-        return {"A": rep_a, "B": rep_b, "ifs": quarter, "spec": spec}
+        return {"A": rep_a, "B": rep_b}
 
 
 # ---------------------------------------------------------------------------

@@ -141,13 +141,6 @@ def test_synth_outputs_are_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("step", ["2", "3"])
-def test_synth_accepts_a_step_that_reaches_past_depth(tmp_path, step):
-    # 3 does not divide 64, so this one needs the lattice sized to --depth
-    assert main(["synth", "h_kappa_lambda:0.8,0.5", "--depth", "15", "--grid-step", step,
-                 "--out", str(tmp_path / "x")]) == 0
-
-
 @pytest.mark.parametrize("row", ["5", "9,3", "-9,3", "1,1024", "1,-1075"])
 def test_estimate_rejects_bad_point_rows_with_one_error_line(tmp_path, capsys, row):
     # a ragged row, a point beyond x = 1, a negative point, and exponents for
@@ -197,6 +190,7 @@ def test_attractor_rejects_unknown_spec_keys_by_name(tmp_path, capsys, spec, lin
     ["synth", "h_kappa_lambda:0.8,0.5", "--seed", "3"],
     ["synth", "h_kappa_lambda:0.8,0.5", "--u-min", "4"],
     ["synth", "h_kappa_lambda:0.8,0.5", "--u-max", "64"],
+    ["synth", "h_kappa_lambda:0.8,0.5", "--grid-step", "0.5"],
     ["estimate", "points.csv", "--seed", "3"],
     ["attractor", "ifs.json", "--u-min", "99"],
     ["attractor", "ifs.json", "--theta-step", "7"],

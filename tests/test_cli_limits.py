@@ -3,17 +3,18 @@
 Non-finite scales and steps, lattices whose float table numpy cannot
 describe, theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
-numbers, negative verify seeds, dimensions below 1, ``synth`` depths above
-60, ``synth`` and ``attractor`` depths beyond the float range, ``estimate``
+numbers, negative verify seeds, dimensions below 1, ``synth`` depths below 1
+or above 60 (refused before the target is built), ``synth`` and
+``attractor`` depths beyond the float range, ``estimate``
 windows that are empty, ``estimate`` depths that contradict the sidecar or
 lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
 not divide the sample's scale range when ``--u-max`` is omitted (named by
 the options given, not by a ``u_max`` never passed), IFS specs of dimension
 below 1 or without a key they need, grid CSV rows with v > u or repeated, and
 outputs that cannot be written are user errors (exit 2); a lattice too large to allocate is a resource failure (exit 3).
-``synth`` has no scale range option: its lattice reaches ``--depth``, so
-its lattice limits are reached through ``--grid-step``, and ``estimate``'s
-``--u-max`` rows hold the scale-range limits.
+``synth`` has no lattice option: it samples its target on the default
+lattice up to ``--depth``, so ``estimate``'s ``--grid-step`` and
+``--u-max`` rows hold the lattice limits.
 None of them may end in a traceback, and a failing command leaves ``--out``
 as it was.
 """
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 
 from twoscale import GridSpec, cone_extension, plateau_curve
+from twoscale import cli
 from twoscale.cli import EXIT_CAP, EXIT_OK, EXIT_USER, main
 from twoscale.io import grid_to_csv
 from twoscale.operators import MAX_THETA_COUNT
@@ -43,22 +45,33 @@ def run(argv):
 
 
 @pytest.mark.parametrize("options, code, message", [
-    (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
-    (["--grid-step", "nan"], EXIT_USER, "positive and finite"),
-    (["-d", "0"], EXIT_USER, "dimension must be at least 1"),
-    (["-d", "-1"], EXIT_USER, "dimension must be at least 1"),
+    (["-d", "0"], EXIT_USER, "dimension must be a positive integer, got 0"),
+    (["-d", "-1"], EXIT_USER, "dimension must be a positive integer, got -1"),
     # exported numerators reach 5 * 2^depth
     (["--depth", "61"], EXIT_USER, "depth must be at most 60"),
     (["--depth", "62"], EXIT_USER, "depth must be at most 60"),
-    # a (6e8 + 1)^2 float table, 2.5 EiB: more than any address space maps
-    (["--grid-step", "1e-8"], EXIT_CAP, "out of memory"),
-    # a table numpy refuses to describe at all
-    (["--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
 ])
 def test_synth_rejects_lattice_options_beyond_their_limits(tmp_path, options, code, message):
     argv = ["synth", "h_kappa_lambda:0.8,0.5", "--depth", "6", "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
     assert got == code and message in line
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("depth, message", [
+    ("0", "error: depth must be at least 1, got 0"),
+    ("61", "error: depth must be at most 60, got 61: "),
+    ("800", "error: depth must be at most 60, got 800: "),
+    ("100000", "error: depth must be at most 60, got 100000: "),
+])
+def test_synth_refuses_a_depth_it_cannot_synthesize_before_building_the_target(tmp_path, monkeypatch, depth, message):
+    # a lattice sized to a depth of 100000 once ran out of memory before the depth was checked
+    def unreachable(*args):
+        raise AssertionError("the target was built")
+
+    monkeypatch.setattr(cli, "_load_target_grid", unreachable)
+    got, line = run(["synth", "h_kappa_lambda:0.8,0.5", "--depth", depth, "--out", str(tmp_path / "out")])
+    assert got == EXIT_USER and line.startswith(message)
     assert not (tmp_path / "out").exists()
 
 
@@ -291,8 +304,9 @@ def test_estimate_refuses_a_sidecar_depth_of_0_before_reading_the_points(tmp_pat
 
 
 @pytest.mark.parametrize("spec, message", [
-    ('{"d": 0, "maps": [{"ratio": 0.5, "translation": []}]}', "error: dimension must be at least 1, got 0"),
-    ('{"d": -1, "maps": [{"ratio": 0.5, "translation": [0.0]}]}', "error: dimension must be at least 1, got -1"),
+    ('{"d": 0, "maps": [{"ratio": 0.5, "translation": []}]}', "error: dimension must be a positive integer, got 0"),
+    ('{"d": -1, "maps": [{"ratio": 0.5, "translation": [0.0]}]}',
+     "error: dimension must be a positive integer, got -1"),
     ('{"maps": [{"ratio": 0.5, "translation": [0.0]}]}', "error: malformed IFS spec: missing key 'd'"),
     ('{"d": 1}', "error: malformed IFS spec: missing key 'maps'"),
     ('{"d": 1, "maps": [{"ratio": 0.5}]}', "error: malformed IFS spec: missing key 'translation'"),

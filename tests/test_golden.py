@@ -119,12 +119,10 @@ def test_synth_outputs_past_the_former_cube_code_width(tmp_path, golden, capsys,
 
 
 def test_half_step_d2_synth_estimate_outputs(tmp_path, golden, capsys):
-    # the target sampled on a lattice of step 0.5; this target quantizes to the
-    # same set as at the default step, so the synth digests equal synth_d2's,
-    # and the estimate, on a lattice of step 0.5 too, writes its own grid
+    # synth reads the target only at integer levels, so its digests equal
+    # synth_d2's; the estimate, on a lattice of step 0.5, writes its own grid
     synth, est = tmp_path / "synth_d2_step05", tmp_path / "estimate_d2_step05"
-    assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12", "--grid-step", "0.5",
-                 "--out", str(synth)]) == 0
+    assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12", "--out", str(synth)]) == 0
     assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
     assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
                  "--u-max", "10", "--u-min", "5", "--grid-step", "0.5", "--out", str(est)]) == 0

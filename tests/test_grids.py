@@ -25,19 +25,6 @@ def linear_grid(spec, slope=1.0):
 # GridSpec / TwoScaleGrid basics
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("u, step, n", [(14.0, 0.25, 56), (14.0, 0.1, 140), (15.0, 2.0, 8), (0.85, 0.25, 4),
-                                        (1.0 - 1e-10, 0.5, 2), (1.0 + 1e-10, 0.5, 2), (0.0, 0.25, 1)])
-def test_spec_reaching_is_the_least_multiple_of_the_step(u, step, n):
-    spec = GridSpec.reaching(u, step)
-    assert spec.n == n and spec.step == step and spec.u_max == n * step
-
-
-@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
-def test_spec_reaching_refuses_steps_like_the_constructor(step):
-    with pytest.raises(ValueError, match="positive and finite"):
-        GridSpec.reaching(14.0, step)
-
-
 def test_spec_requires_divisible_step():
     GridSpec(4.0, 0.25)
     with pytest.raises(ValueError):

@@ -102,6 +102,18 @@ def test_a_condensation_tree_is_kept_as_given_and_must_share_the_maps_dimension(
         SimilarityIFS(d, ratios, translations, DyadicTree(d + 1, [True, False]))
 
 
+@pytest.mark.parametrize("bad", [1.0, True, np.float64(2.0), 0, -1])
+def test_ifs_refuses_a_dimension_that_is_not_a_positive_integer(bad):
+    # a float or a bool used to pass here and fail late, inside numpy, in generate_attractor
+    with pytest.raises(ValueError, match=rf"^dimension must be a positive integer, got {bad}$"):
+        SimilarityIFS(bad, np.array([0.5, 0.5]), np.array([[0.0], [0.5]]))
+
+
+def test_ifs_accepts_a_numpy_integer_dimension():
+    ifs = SimilarityIFS(np.int64(2), np.array([0.5, 0.5]), np.array([[0.0, 0.0], [0.5, 0.5]]))
+    assert generate_attractor(ifs, 4).points.shape[1] == 2
+
+
 # ---------------------------------------------------------------------------
 # word weights: SimilarityIFS.weights summed along a word
 # ---------------------------------------------------------------------------

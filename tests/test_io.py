@@ -102,7 +102,7 @@ def test_estimate_reads_the_parent_format_list_as_the_points_synth_writes(tmp_pa
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["synth", f"h_kappa_lambda:{height},0.3", "-d", str(d), "--depth", str(depth),
                      "--out", str(synth)]) == 0
-    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec.reaching(float(depth))), d, depth)
+    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec(float(depth))), d, depth)
     (tmp_path / "parent.csv").write_text(tsio.points_to_csv(parent_format_points(composite)))
     for points, out in ((synth / "points.csv", "est"), (tmp_path / "parent.csv", "est_parent")):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -115,7 +115,7 @@ def test_estimate_reads_the_parent_format_list_as_the_points_synth_writes(tmp_pa
 @pytest.mark.parametrize("d, height", [(1, 0.8), (2, 1.45), (3, 2.2)])
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_synth_points_and_the_parent_format_list_meet_the_same_cells(d, height, depth):
-    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec.reaching(float(depth))), d, depth)
+    composite = synthesize_set(cone_extension(plateau_curve(height, 0.3), GridSpec(float(depth))), d, depth)
     new = tsio.points_from_csv(tsio.points_to_csv(export_points(composite, depth)), depth)
     parent = tsio.points_from_csv(tsio.points_to_csv(parent_format_points(composite)), depth)
     for level in range(depth + 1):
@@ -130,7 +130,7 @@ def test_tree_file_parts_place_onto_the_points_of_the_same_synth_run(tmp_path, d
     depth = 9
     assert main(["synth", spec, "-d", str(d), "--depth", str(depth), "--out", str(tmp_path)]) == 0
     height, kink = map(float, spec.removeprefix("h_kappa_lambda:").split(","))
-    grid = cone_extension(plateau_curve(height, kink), GridSpec.reaching(float(depth)))
+    grid = cone_extension(plateau_curve(height, kink), GridSpec(float(depth)))
     parts = synthesize_set(grid, d, depth).parts
     assert [b for b, _ in parts] == list(range(depth))
     placed = {(0,) * d}  # the origin
@@ -639,7 +639,7 @@ def bench_set():
     exporting once caches the decode tables.  The writer and the reader run on
     that list's 88,422 rows, 11 blocks, since on a list shorter than one block
     the temporaries of that block alone outweigh the result."""
-    composite = synthesize_set(cone_extension(plateau_curve(1.47, 0.3), GridSpec.reaching(14.0)), 2, 14)
+    composite = synthesize_set(cone_extension(plateau_curve(1.47, 0.3), GridSpec(14.0)), 2, 14)
     assert export_points(composite, 14).numerators.shape == (5_481, 2)
     points = parent_format_points(composite)
     assert points.numerators.shape == (88_422, 2)

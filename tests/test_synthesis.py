@@ -216,6 +216,17 @@ def test_synthesize_part_separation():
             assert gap > 2.0 ** -min(b, b2) - 1e-12
 
 
+@pytest.mark.parametrize("depth, message", [(0, "^depth must be at least 1, got 0$"),
+                                            (-3, "^depth must be at least 1, got -3$"),
+                                            (61, "^depth must be at most 60, got 61: "),
+                                            (9, "^depth must lie within the grid's scale range$")])
+def test_synthesize_refuses_a_depth_outside_one_to_60_or_beyond_the_target(depth, message):
+    # the bounds synth checks before it builds a target hold for the library call too
+    grid = cone_extension(plateau_curve(0.05, 0.5), GridSpec(8.0 if depth == 9 else 64.0))
+    with pytest.raises(ValueError, match=message):
+        synthesize_set(grid, 1, depth)
+
+
 def test_synthesize_rejects_steep_grids():
     spec = GridSpec(6.0, 0.5)
     steep = grid_from_function(spec, lambda u, v: 1.6 * (u - v))
@@ -264,7 +275,7 @@ def lipschitz_targets(draw):
     # the packed-code reference needs d * depth <= 62
     depth = draw(st.integers(1, min(20, 62 // d)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spec = GridSpec.reaching(float(depth), step)
+    spec = GridSpec(float(depth), step)
     i = np.arange(spec.n + 1)
     if draw(st.booleans()):
         # multiples of d * step that move by at most one multiple per lattice step,
