@@ -173,6 +173,9 @@ def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path
     (["--u-max", "inf"], EXIT_USER, "positive and finite"),
     (["--u-max", "nan"], EXIT_USER, "positive and finite"),
     (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
+    (["--grid-step", "nan"], EXIT_USER, "positive and finite"),
+    # a (4e6 + 1)^2 float table, 116 TiB: more than any machine allocates
+    (["--grid-step", "1e-6"], EXIT_CAP, "out of memory"),
     # tables numpy refuses to describe at all
     (["--u-max", "1e10"], EXIT_USER, "u_max 10000000000.0 and step 0.25"),
     (["--u-max", "1e300"], EXIT_USER, "u_max 1e+300 and step 0.25"),

@@ -25,6 +25,12 @@ def linear_grid(spec, slope=1.0):
 # GridSpec / TwoScaleGrid basics
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("step", [0.0, -1.0, np.inf, np.nan])
+def test_spec_refuses_steps_that_are_not_positive_and_finite(step):
+    with pytest.raises(ValueError, match="positive and finite"):
+        GridSpec(14.0, step)
+
+
 def test_spec_requires_divisible_step():
     GridSpec(4.0, 0.25)
     with pytest.raises(ValueError):
