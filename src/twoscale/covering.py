@@ -92,8 +92,8 @@ class CoverageGrid:
     """Empirical branching grid plus measurement metadata and its membership report."""
 
     grid: TwoScaleGrid
-    metadata: dict = field(default_factory=dict)
-    membership: ValidationReport | None = None
+    metadata: dict
+    membership: ValidationReport
 
 
 def _deepest_ball_level(d: int) -> int:
@@ -250,11 +250,9 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     report = validate_branching(grid, np.inf, tol=slack)
     strides = -(-counts // MAX_CENTERS)
     meta = {
-        "depth_used": int(obj.depth),
         "cells_per_level": counts.tolist(),
         "centers_sampled": int((-(-counts // strides)).sum()),
         "center_stride": int(strides.max()),
-        "membership_slack": slack,
     }
     return CoverageGrid(grid, meta, report)
 

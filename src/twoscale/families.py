@@ -45,7 +45,7 @@ def _plateau_maximum(heights: np.ndarray, kinks: np.ndarray) -> SpectrumGrid:
 def random_monotone_limit_curve(
     rng: np.random.Generator,
     lipschitz: float,
-    growth: float = 0.0,
+    growth: float,
 ) -> SpectrumGrid:
     """Random monotone-class curve via increasing-ratio sampling.
 

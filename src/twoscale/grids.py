@@ -9,7 +9,7 @@ results are deterministic and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -97,7 +97,7 @@ class GridSpec:
     def coords(self) -> np.ndarray:
         return np.arange(self.n + 1) * self.step
 
-    def index_of(self, x: float, what: str = "coordinate") -> int:
+    def index_of(self, x: float, what: str) -> int:
         i = round(x / self.step)
         if abs(i * self.step - x) > 1e-9 or not 0 <= i <= self.n:
             raise ValueError(f"{what} {x!r} is not lattice-aligned for step {self.step}")
@@ -315,8 +315,8 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    violations: tuple = ()
-    counts: dict = field(default_factory=dict)
+    violations: tuple
+    counts: dict
 
     @property
     def passed(self) -> bool:
@@ -356,11 +356,7 @@ class _Collector:
         return ValidationReport(tuple(self.violations), dict(self.counts))
 
 
-def validate_branching(
-    grid: TwoScaleGrid,
-    lipschitz: float = np.inf,
-    tol: float = EXACT_TOL,
-) -> ValidationReport:
+def validate_branching(grid: TwoScaleGrid, lipschitz: float, tol: float) -> ValidationReport:
     """Check the two-scale branching axioms on the lattice.
 
     Checked, each with slack ``tol``: zero diagonal, subadditivity over scale
@@ -456,9 +452,7 @@ def excess_bound(grid: TwoScaleGrid, lipschitz: float) -> np.ndarray:
     return np.maximum.accumulate(row)
 
 
-def lipschitz_approximation(
-    grid: TwoScaleGrid, lipschitz: float, check: bool = True
-) -> TwoScaleGrid:
+def lipschitz_approximation(grid: TwoScaleGrid, lipschitz: float) -> TwoScaleGrid:
     """Nearest lipschitz-bounded branching grid, built by anchored extensions.
 
     For each lattice anchor b the column u -> value(u, b) is replaced by its
@@ -466,7 +460,8 @@ def lipschitz_approximation(
     by differencing, and the pointwise maximum over anchors is returned.  The
     output deviates from the input by at most the derived bound of
     :func:`excess_bound` at every lattice point, and reproduces the input
-    exactly when that bound vanishes.
+    exactly when that bound vanishes.  The input must satisfy the branching
+    axioms, which :func:`validate_branching` checks; they are not re-checked here.
 
     All minorants come from one running minimum over the (n + 1)^2 table
     G[b, i] = g_b(i), with the float operations of the one-anchor scan.  At a
@@ -477,10 +472,6 @@ def lipschitz_approximation(
     """
     if lipschitz < 0:
         raise ValueError("lipschitz must be nonnegative")
-    if check:
-        report = validate_branching(grid, np.inf, tol=EXACT_TOL)
-        if not report.passed:
-            raise ValueError(f"input is not a branching grid: {report.summary()}")
     V = grid.values
     n = grid.spec.n
     cap = lipschitz * grid.spec.step

@@ -85,15 +85,15 @@ class SimilarityIFS:
 
     @property
     def strongly_separated(self) -> bool:
-        """Pairwise positive distance between map images of the unit cube."""
+        """Pairwise positive distance between map images of the unit cube.
+
+        Two boxes are apart when some axis separates them.  The bounds are
+        compared directly: a squared gap below about 1e-162 underflows to 0.
+        """
         lo = self.translations
         hi = self.translations + self.ratios[:, None]
-        for a in range(self.n_maps):
-            for b in range(a + 1, self.n_maps):
-                gap = np.maximum(np.maximum(lo[a] - hi[b], lo[b] - hi[a]), 0.0)
-                if float(np.sqrt(np.sum(gap * gap))) <= 0.0:
-                    return False
-        return True
+        return all(bool(np.any((lo[a] > hi[b]) | (lo[b] > hi[a])))
+                   for a in range(self.n_maps) for b in range(a + 1, self.n_maps))
 
 
 # ---------------------------------------------------------------------------

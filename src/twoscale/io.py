@@ -20,7 +20,7 @@ import numpy as np
 from .grids import GridSpec, PiecewiseLinear, TwoScaleGrid
 from .operators import SpectrumGrid
 from .covering import MAX_CELL_LEVEL, PointSet
-from .synthesis import ExportedPoints
+from .synthesis import ExportedPoints, check_dimension
 from .ifs import SimilarityIFS
 
 # Exponents e for which 2.0 ** e is a finite nonzero float.
@@ -575,13 +575,13 @@ def _reject_unknown_keys(obj: dict, known: tuple, what: str) -> None:
         raise ValueError(f"malformed IFS spec: unknown {what} {unknown[0]!r}, expected one of {', '.join(known)}")
 
 
-def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
+def ifs_from_json(text: str, base_dir: Path) -> SimilarityIFS:
     """Parse {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}, ...],
     "condensation": "point" | <point CSV path> | omitted}.
 
     The spec must be a JSON object and "maps" a list of map objects.  "d" and
     "ratio_exp" must be JSON integers, "ratio_exp" at least 1, "ratio" a JSON
-    number and "translation" a list of JSON numbers.
+    number and "translation" a list of d JSON numbers.
     Each map takes exactly one of "ratio_exp" (ratio 2^-k, exact) and a float "ratio".  An
     omitted condensation means the maps' fixed points; a point-list path must
     end in .csv and is read relative to ``base_dir``.  Any other value is
@@ -594,6 +594,7 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
             raise TypeError("the spec must be a JSON object")
         _reject_unknown_keys(data, ("d", "maps", "condensation"), "key")
         d = _json_int(data["d"], "d")
+        check_dimension(d)
         maps = data["maps"]
         if not (isinstance(maps, list) and all(isinstance(m, dict) for m in maps)):
             raise TypeError("maps must be a list of map objects")
@@ -611,7 +612,10 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
                 ratios.append(_json_number(m["ratio"], "ratio"))
             if not isinstance(m["translation"], list):
                 raise TypeError("translation must be a list of numbers")
-            translations.append([_json_number(x, "translation coordinate") for x in m["translation"]])
+            translation = [_json_number(x, "translation coordinate") for x in m["translation"]]
+            if len(translation) != d:
+                raise TypeError(f"translation must have d = {d} coordinates, got {len(translation)}")
+            translations.append(translation)
     except KeyError as exc:
         raise ValueError(f"malformed IFS spec: missing key {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -621,7 +625,7 @@ def ifs_from_json(text: str, base_dir=None) -> SimilarityIFS:
     if cond == "point":
         F = np.zeros((1, d))
     elif isinstance(cond, str) and cond.endswith(".csv"):
-        path = Path(base_dir or ".") / cond
+        path = base_dir / cond
         # only the coordinates are used, so the cells are taken at level 0
         F = points_from_csv(path.read_text(), 0).points
     elif cond is not None:

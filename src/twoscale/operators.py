@@ -142,9 +142,7 @@ def _cone_weights(spec: GridSpec, theta_step: float):
 # Curve validators
 # ---------------------------------------------------------------------------
 
-def validate_limit_curve(
-    curve: SpectrumGrid, lipschitz: float = np.inf, tol: float = EXACT_TOL
-) -> ValidationReport:
+def validate_limit_curve(curve: SpectrumGrid, lipschitz: float, tol: float) -> ValidationReport:
     """Check membership in the scaling-limit class.
 
     Conditions: value 0 at theta = 1, decreasing, lipschitz-bounded steps, and
@@ -173,41 +171,37 @@ def validate_limit_curve(
     return col.report()
 
 
-def validate_monotone_curve(
-    curve: SpectrumGrid, lipschitz: float, growth: float, tol: float = EXACT_TOL
-) -> ValidationReport:
+def validate_monotone_curve(curve: SpectrumGrid, lipschitz: float, growth: float) -> ValidationReport:
     """Check the monotone limit subclass with floor ``growth``.
 
     Conditions: decreasing, lipschitz-bounded, endpoints (0 at theta = 1,
     >= growth at theta = 0), and value/(1 - theta) increasing.  Subadditivity
-    is implied by these and is not re-checked here.
+    is implied by these and is not re-checked here.  Each holds to ``EXACT_TOL``.
     """
     v = curve.values
     th = curve.thetas
     col = _Collector()
 
     end = np.array([abs(v[-1])])
-    col.add_array("endpoint_zero", end > tol, end, lambda i: (1.0,))
+    col.add_array("endpoint_zero", end > EXACT_TOL, end, lambda i: (1.0,))
     start = np.array([growth - v[0]])
-    col.add_array("floor_at_zero", start > tol, start, lambda i: (0.0,))
+    col.add_array("floor_at_zero", start > EXACT_TOL, start, lambda i: (0.0,))
 
     inc = np.diff(v)
-    col.add_array("decreasing", inc > tol, inc, lambda i: (th[i + 1],))
+    col.add_array("decreasing", inc > EXACT_TOL, inc, lambda i: (th[i + 1],))
     if np.isfinite(lipschitz):
         drop = -np.diff(v) - lipschitz * curve.theta_step
-        col.add_array("lipschitz", drop > tol, drop, lambda i: (th[i + 1],))
+        col.add_array("lipschitz", drop > EXACT_TOL, drop, lambda i: (th[i + 1],))
 
     ratio = v[:-1] / (1.0 - th[:-1])
     dec = -np.diff(ratio)
-    col.add_array("ratio_increasing", dec > tol, dec, lambda i: (th[i + 1],))
+    col.add_array("ratio_increasing", dec > EXACT_TOL, dec, lambda i: (th[i + 1],))
     return col.report()
 
 
-def validate_monotone_grid(
-    grid: TwoScaleGrid, lipschitz: float, growth: float, tol: float = EXACT_TOL
-) -> ValidationReport:
-    """Branching checks plus diagonal monotonicity and first-column growth."""
-    base = validate_branching(grid, lipschitz, tol)
+def validate_monotone_grid(grid: TwoScaleGrid, lipschitz: float, growth: float) -> ValidationReport:
+    """Branching checks plus diagonal monotonicity and first-column growth, each to ``EXACT_TOL``."""
+    base = validate_branching(grid, lipschitz, EXACT_TOL)
     V = grid.values
     n = grid.spec.n
     coords = grid.spec.coords
@@ -219,12 +213,12 @@ def validate_monotone_grid(
     # of constant u - v = d >= 1 must be nondecreasing along its n - d steps
     drop = -np.diff(_diagonals(V)[1], axis=1)
     d = np.arange(n + 1)[:, None]
-    bad = (drop > tol) & (d >= 1) & (d + np.arange(n) < n)
+    bad = (drop > EXACT_TOL) & (d >= 1) & (d + np.arange(n) < n)
     col.add_array("diagonal_monotone", bad, drop, lambda i, k: (coords[i + k + 1], coords[k + 1]))
 
     first = V[:, 0]
     gap = growth * (coords[:, None] - coords[None, :]) - (first[:, None] - first[None, :])
-    bad = (gap > tol) & (coords[None, :] < coords[:, None])
+    bad = (gap > EXACT_TOL) & (coords[None, :] < coords[:, None])
     col.add_array("column_growth", bad, gap, lambda a, b: (coords[a], coords[b]))
     return col.report()
 

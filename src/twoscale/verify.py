@@ -57,7 +57,7 @@ class CriterionResult:
     cid: int
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -142,7 +142,7 @@ def criterion_1(ctx: VerifyContext) -> CriterionResult:
         else:
             beta = families.random_perturbed_branching(rng, spec, lips)
         eta = excess_bound(beta, lips)
-        psi = lipschitz_approximation(beta, lips, check=False)
+        psi = lipschitz_approximation(beta, lips)
         report = validate_branching(psi, lips, tol=slack)
         if not report.passed:
             bad_outputs += 1
@@ -183,9 +183,9 @@ def criterion_2(ctx: VerifyContext) -> CriterionResult:
         cproj = spectrum_envelope(curve, growth)
         cagain = spectrum_envelope(cproj, growth)
         idempotency = max(idempotency, float(np.abs(cagain.values - cproj.values).max()))
-        if not validate_monotone_grid(proj, lips, growth, EXACT_TOL).passed:
+        if not validate_monotone_grid(proj, lips, growth).passed:
             class_violations += 1
-        if not validate_monotone_curve(cproj, lips, growth, EXACT_TOL).passed:
+        if not validate_monotone_curve(cproj, lips, growth).passed:
             class_violations += 1
         # each grid majorant is the lift of a majorant curve; compare on the
         # lattice entries j <= i, where the lift is defined
@@ -496,7 +496,7 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, seed: int = 0) -> list[CriterionResult]:
+def run_suite(suite: str, seed: int) -> list[CriterionResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     ctx = VerifyContext(seed)

@@ -19,14 +19,16 @@ same-named member of any other class; such a member has to be found by
 reading its receivers.
 
 So are the optional parameters of every public function, method and
-constructor: each must be passed, by position, by keyword or by unpacking,
-by some package call to a callable of that name.
+constructor: each needs two values in use, so some package call to a
+callable of that name must leave it out, and another must pass it, by
+position, by keyword or by unpacking, as an expression unlike its default.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import textwrap
 from functools import cached_property
 from pathlib import Path
 
@@ -191,30 +193,58 @@ def test_a_same_named_local_is_no_use():
 
 # cli.main's argv is for callers outside the package: the console script
 # calls it with none, and the benchmark harness and the tests pass a list
-UNPASSED_EXEMPT = {"main(argv)"}
+ONE_VALUED_EXEMPT = {"main(argv)"}
+# what a call with a * or ** argument passes for each parameter: some value other than the default
+UNPACKED = object()
+
+
+def written_defaults(obj) -> dict:
+    """{parameter: its default as written, unparsed} of the function ``obj``, or of the class
+    ``obj``'s own ``__init__`` or else its dataclass fields, where ``field(default=x)`` is
+    written ``x``."""
+    node = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
+    if isinstance(node, ast.ClassDef):
+        init = [stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"]
+        if init:
+            node = init[0]
+        else:
+            written = {}
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                    value = stmt.value
+                    if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+                        value = next((k.value for k in value.keywords if k.arg == "default"), value)
+                    written[stmt.target.id] = ast.unparse(value)
+            return written
+    args = node.args
+    positional = args.posonlyargs + args.args
+    pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+             *zip(args.kwonlyargs, args.kw_defaults)]
+    return {a.arg: ast.unparse(default) for a, default in pairs if default is not None}
 
 
 def optional_parameters_of(name: str, obj) -> list:
-    """(callable name, parameter, position) of every parameter with a default of the function
-    ``obj``, or of the class ``obj``'s constructor and of its public methods, classmethods and
-    staticmethods.  The position counts the arguments that a call by that name writes before
-    the parameter, so a method's leaves out self; it is None for a keyword-only parameter."""
+    """(callable name, parameter, position, default as written) of every parameter with a default
+    of the function ``obj``, or of the class ``obj``'s constructor and of its public methods,
+    classmethods and staticmethods.  The position counts the arguments that a call by that name
+    writes before the parameter, so a method's leaves out self; it is None for a keyword-only
+    parameter."""
     found = []
 
-    def add(name, params):
+    def add(name, params, source):
         for position, p in enumerate(params):
             if p.default is not inspect.Parameter.empty:
                 positional = p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-                found.append((name, p.name, position if positional else None))
+                found.append((name, p.name, position if positional else None, written_defaults(source)[p.name]))
 
     if not inspect.isclass(obj) or "__init__" in vars(obj):  # an inherited constructor is not the class's own
-        add(name, inspect.signature(obj).parameters.values())
+        add(name, inspect.signature(obj).parameters.values(), obj)
     for member in public_members(obj) if inspect.isclass(obj) else ():
         value = vars(obj)[member]
         if isinstance(value, (classmethod, staticmethod)):
-            add(member, inspect.signature(getattr(obj, member)).parameters.values())
+            add(member, inspect.signature(getattr(obj, member)).parameters.values(), value.__func__)
         elif inspect.isfunction(value):
-            add(member, list(inspect.signature(value).parameters.values())[1:])
+            add(member, list(inspect.signature(value).parameters.values())[1:], value)
     return found
 
 
@@ -224,45 +254,62 @@ def optional_parameters(sources: dict) -> list:
             for found in optional_parameters_of(name, getattr(importlib.import_module(f"twoscale.{module}"), name))]
 
 
-def call_shapes(sources: dict) -> dict:
-    """{called name: [(positional count, keyword names)]} of every call in ``sources``, keyed
-    by the bare or attribute name it calls.  A call with a ``*`` or ``**`` argument has the
-    shape (inf, None), which passes every parameter."""
-    shapes = {}
+def call_arguments(sources: dict) -> dict:
+    """{called name: [(positional arguments, {keyword: argument})]} of every call in ``sources``,
+    keyed by the bare or attribute name it calls, each argument unparsed.  A call with a ``*`` or
+    ``**`` argument is ``UNPACKED`` instead."""
+    calls = {}
     for source in sources.values():
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call) or not isinstance(node.func, (ast.Name, ast.Attribute)):
                 continue
             name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             unpacks = any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords)
-            shape = (float("inf"), None) if unpacks else (len(node.args), {k.arg for k in node.keywords})
-            shapes.setdefault(name, []).append(shape)
-    return shapes
+            call = UNPACKED if unpacks else ([ast.unparse(a) for a in node.args],
+                                             {k.arg: ast.unparse(k.value) for k in node.keywords})
+            calls.setdefault(name, []).append(call)
+    return calls
 
 
-def unpassed(optional: list, shapes: dict) -> list:
-    """"name(parameter)" of every optional parameter that no call by its callable's name passes."""
-    return sorted(
-        f"{name}({param})" for name, param, position in optional
-        if not any(keywords is None or param in keywords or (position is not None and count > position)
-                   for count, keywords in shapes.get(name, []))
-    )
+def passed_value(call, param: str, position):
+    """What ``call`` passes for the parameter: its argument unparsed, ``UNPACKED``, or None
+    when the call leaves it out."""
+    if call is UNPACKED:
+        return UNPACKED
+    args, keywords = call
+    if param in keywords:
+        return keywords[param]
+    return args[position] if position is not None and position < len(args) else None
 
 
-def test_every_optional_parameter_is_passed_by_a_call_inside_the_package():
-    """A default that no package call overrides is a constant in disguise: it becomes a module
-    constant, which tests patch, or it goes.  Calls are matched to callables by name only, like
-    the members above.  ``cli.main``'s ``argv`` is exempt because its callers are outside the
+def one_valued(optional: list, calls: dict) -> list:
+    """"name(parameter)" of every optional parameter that the calls by its callable's name do not
+    both leave at its default, by omission, and set to an expression other than the default's."""
+    flagged = []
+    for name, param, position, default in optional:
+        values = [passed_value(call, param, position) for call in calls.get(name, [])]
+        if None not in values or all(value in (None, default) for value in values):
+            flagged.append(f"{name}({param})")
+    return sorted(flagged)
+
+
+def test_every_optional_parameter_has_two_values_in_use_inside_the_package():
+    """A default that every package call leaves alone, or that every call overrides, or that
+    calls only restate, is one value in use: it becomes a constant or a required parameter.  So
+    each optional parameter needs a package call that omits it and another that passes an
+    expression unlike the default's.  Calls are matched to callables by name only, like the
+    members above.  ``cli.main``'s ``argv`` is exempt because its callers are outside the
     package: the console script, the benchmark harness and the tests."""
     sources = package_sources()
-    found = unpassed(optional_parameters(sources), call_shapes(sources))
-    assert [name for name in found if name not in UNPASSED_EXEMPT] == []
+    found = one_valued(optional_parameters(sources), call_arguments(sources))
+    assert [name for name in found if name not in ONE_VALUED_EXEMPT] == []
 
 
 def test_a_parameter_is_passed_by_position_by_keyword_or_by_unpacking():
-    optional = [("f", "b", 1), ("f", "c", None), ("g", "y", 1)]
+    optional = [("f", "b", 1, "0"), ("f", "c", None, "0"), ("g", "y", 1, "0")]
+    # each caller module also calls f(1) and C().g(1), leaving every parameter at its default
     callers = {
-        "f(1)\nC().g(1)\n": ["f(b)", "f(c)", "g(y)"],
+        "": ["f(b)", "f(c)", "g(y)"],
         "f(1, 2)\nC().g(1, 2)\n": ["f(c)"],
         "f(1, c=3)\nC().g(1, y=2)\n": ["f(b)"],
         # a keyword-only parameter is never passed by position
@@ -270,7 +317,26 @@ def test_a_parameter_is_passed_by_position_by_keyword_or_by_unpacking():
         "f(*xs)\nC().g(1, **kw)\n": [],
     }
     for caller, expected in callers.items():
-        assert unpassed(optional, call_shapes({"cli": caller})) == expected, caller
+        calls = call_arguments({"cli": "f(1)\nC().g(1)\n" + caller})
+        assert one_valued(optional, calls) == expected, caller
+
+
+def test_a_parameter_needs_a_call_that_omits_it_and_one_that_passes_another_value():
+    optional = [("f", "b", 1, "EXACT_TOL"), ("f", "c", None, "None")]
+    callers = {
+        # passing the default's own expression is no override, by position or by keyword
+        "f(1)\nf(1, EXACT_TOL, c=None)\nf(1, b=EXACT_TOL)\n": ["f(b)", "f(c)"],
+        # omission counts as the default, so every call overriding is one value too
+        "f(1, 1e-07, c=x)\nf(1, b=2.0, c=y)\n": ["f(b)", "f(c)"],
+        "f(1)\nf(1, 1e-07)\n": ["f(c)"],
+        # a keyword-only parameter is passed by keyword alone
+        "f(1)\nf(1, 2, 3)\nf(1, c=z)\n": [],
+        # an unpacking passes a value unlike the default, but never leaves it
+        "f(1)\nf(*xs)\n": [],
+        "f(**kw)\nf(1, b=2.0, c=y)\n": ["f(b)", "f(c)"],
+    }
+    for caller, expected in callers.items():
+        assert one_valued(optional, call_arguments({"cli": caller})) == expected, caller
 
 
 def test_a_method_position_leaves_out_self_and_a_classmethod_position_cls():
@@ -287,6 +353,15 @@ def test_a_method_position_leaves_out_self_and_a_classmethod_position_cls():
             return cls(size, step)
 
     found = set(optional_parameters_of("Spec", Spec))
-    assert found == {("Spec", "step", 1), ("scaled", "by", 0), ("make", "step", 1)}
+    assert found == {("Spec", "step", 1, "0.5"), ("scaled", "by", 0, "2"), ("make", "step", 1, "0.5")}
     # an exception class inherits its constructor, which is no parameter of its own
     assert optional_parameters_of("Failure", type("Failure", (ValueError,), {})) == []
+
+    # a class's own constructor gives its defaults as written there
+    half = 0.25
+
+    class Sampler:
+        def __init__(self, size, step=half * 2):
+            self.size, self.step = size, step
+
+    assert optional_parameters_of("Sampler", Sampler) == [("Sampler", "step", 1, "half * 2")]

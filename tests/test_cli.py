@@ -266,6 +266,10 @@ MALFORMED_SPECS = [
     ({"d": 1, "maps": [1]}, "maps must be a list of map objects"),
     ([1, 2], "the spec must be a JSON object"),
     ({"d": 1, "maps": [{"ratio": 0.5, "translation": 0.3}]}, "translation must be a list of numbers"),
+    # a translation of another length than d, alone or in a ragged list
+    ({"d": 1, "maps": [{"ratio": 0.25, "translation": [0.0]}, {"ratio": 0.25, "translation": [0.5, 0.5]}]},
+     "translation must have d = 1 coordinates, got 2"),
+    ({"d": 2, "maps": [{"ratio": 0.25, "translation": [0.5]}]}, "translation must have d = 2 coordinates, got 1"),
 ]
 
 

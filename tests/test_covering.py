@@ -357,7 +357,6 @@ def test_empirical_interval_tracks_linear_grid():
     )
     assert np.max(np.abs(cov.grid.values - np.tril(target))) <= 3.0
     assert cov.membership.passed
-    assert cov.metadata["depth_used"] == 12
 
 
 def test_empirical_depth_guard():

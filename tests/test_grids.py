@@ -274,13 +274,6 @@ def test_minorant_random_against_oracle():
         assert np.allclose(g, brute_minorant(h, coords, lip, anchor), atol=1e-10)
 
 
-def test_minorant_rejects_decreasing_samples():
-    spec = GridSpec(2.0, 1.0)
-    falls = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="increasing_u"):
-        lipschitz_approximation(TwoScaleGrid(spec, falls), 1.0)
-
-
 # ---------------------------------------------------------------------------
 # lipschitz_approximation
 # ---------------------------------------------------------------------------
@@ -302,13 +295,6 @@ def test_approximation_fixes_members_and_zero():
     assert values_close(lipschitz_approximation(member, 1.0), member, tol=1e-9)
     zero = TwoScaleGrid(spec, np.zeros((spec.n + 1, spec.n + 1)))
     assert values_close(lipschitz_approximation(zero, 1.0), zero, tol=0.0)
-
-
-def test_approximation_rejects_non_branching_input():
-    spec = GridSpec(4.0, 1.0)
-    bad = grid_from_function(spec, lambda u, v: (u - v) ** 2)
-    with pytest.raises(ValueError, match="branching"):
-        lipschitz_approximation(bad, 1.0)
 
 
 def test_excess_bound_is_monotone_and_tight():

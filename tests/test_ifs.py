@@ -83,6 +83,23 @@ def test_ifs_validation():
     assert not binary_full().strongly_separated
 
 
+@pytest.mark.parametrize("ratios, translations, separated", [
+    # a gap of 1e-200 on every axis, whose square underflows to 0
+    ([1e-200, 0.5], [[0.0], [2e-200]], True),
+    ([1e-200, 0.5], [[0.0, 0.0], [2e-200, 2e-200]], True),
+    # one separating axis is enough
+    ([0.25, 0.25], [[0.0, 0.0], [0.5, 0.0]], True),
+    # touching images
+    ([1e-200, 0.5], [[0.0], [1e-200]], False),
+    ([0.5, 0.25], [[0.0, 0.0], [0.5, 0.25]], False),
+    # overlapping images
+    ([0.5, 0.5], [[0.0], [0.25]], False),
+    ([0.5, 0.5], [[0.0, 0.0], [0.25, 0.5]], False),
+])
+def test_strong_separation_compares_the_image_bounds_on_each_axis(ratios, translations, separated):
+    assert SimilarityIFS(len(translations[0]), np.array(ratios), np.array(translations)).strongly_separated is separated
+
+
 def test_condensation_validation_names_the_dimensions_apart_from_the_range():
     ratios, translations = np.array([0.25, 0.25]), np.array([[0.0], [0.75]])
     with pytest.raises(ValueError, match="^condensation points have dimension 2, the maps 1$"):

@@ -156,18 +156,18 @@ def test_ifs_json_variants(tmp_path):
         ],
         "condensation": "point",
     }
-    ifs = tsio.ifs_from_json(json.dumps(spec))
+    ifs = tsio.ifs_from_json(json.dumps(spec), tmp_path)
     assert np.allclose(ifs.ratios, [0.25, 0.25])
     assert np.allclose(ifs.condensation, [[0.0]])
 
     del spec["condensation"]
-    ifs = tsio.ifs_from_json(json.dumps(spec))
+    ifs = tsio.ifs_from_json(json.dumps(spec), tmp_path)
     assert ifs.condensation is None
 
     for bad in ("interval", "", 5):
         spec["condensation"] = bad
         with pytest.raises(ValueError, match="condensation"):
-            tsio.ifs_from_json(json.dumps(spec))
+            tsio.ifs_from_json(json.dumps(spec), tmp_path)
 
 
 def test_csv_condensation_set_is_read_as_written(tmp_path):

@@ -180,9 +180,9 @@ def ref_monotone_envelope(grid, growth):
     return ref_clean_triangle(n, out)
 
 
-def ref_validate_monotone_grid(grid, lipschitz, growth, tol=EXACT_TOL):
+def ref_validate_monotone_grid(grid, lipschitz, growth):
     """The per-diagonal loop: one witness batch per diagonal, in diagonal order."""
-    base = ref_validate_branching(grid, lipschitz, tol)
+    base = ref_validate_branching(grid, lipschitz, EXACT_TOL)
     V = grid.values
     n = grid.spec.n
     coords = grid.spec.coords
@@ -195,13 +195,13 @@ def ref_validate_monotone_grid(grid, lipschitz, growth, tol=EXACT_TOL):
         drop = -np.diff(diag)
         col.add_array(
             "diagonal_monotone",
-            drop > tol,
+            drop > EXACT_TOL,
             drop,
             lambda k, d=d: (coords[k + 1 + d], coords[k + 1]),
         )
     first = V[:, 0]
     gap = growth * (coords[:, None] - coords[None, :]) - (first[:, None] - first[None, :])
-    bad = (gap > tol) & (coords[None, :] < coords[:, None])
+    bad = (gap > EXACT_TOL) & (coords[None, :] < coords[:, None])
     col.add_array("column_growth", bad, gap, lambda a, b: (coords[a], coords[b]))
     return col.report()
 
@@ -422,7 +422,7 @@ def test_grid_construction_accepts_nested_lists():
 def test_lipschitz_approximation_matches_anchor_loop(params, lipschitz):
     grid = make_grid(params)
     expected = outcome(ref_lipschitz_approximation, grid, lipschitz)
-    got = outcome(lambda: lipschitz_approximation(grid, lipschitz, check=False).values)
+    got = outcome(lambda: lipschitz_approximation(grid, lipschitz).values)
     if isinstance(expected, str):
         assert got == expected
     else:
@@ -432,7 +432,7 @@ def test_lipschitz_approximation_matches_anchor_loop(params, lipschitz):
 @pytest.mark.parametrize("lipschitz", [0.0, 1.0, np.inf])
 def test_lipschitz_approximation_matches_anchor_loop_at_n_256(lipschitz):
     for grid in big_grids():
-        got = lipschitz_approximation(grid, lipschitz, check=False).values
+        got = lipschitz_approximation(grid, lipschitz).values
         assert same_bits(got, ref_lipschitz_approximation(grid, lipschitz))
 
 
@@ -499,21 +499,21 @@ def planted_monotone_grid(params, growth, plant):
     return TwoScaleGrid(env.spec, vals)
 
 
-def largest_drop(grid, tol):
-    """The largest step down along any diagonal u - v = d >= 1, if it exceeds ``tol``."""
+def largest_drop(grid):
+    """The largest step down along any diagonal u - v = d >= 1, if it exceeds ``EXACT_TOL``."""
     V, n = grid.values, grid.spec.n
     drops = [V[k + d, k] - V[k + 1 + d, k + 1] for d in range(1, n + 1) for k in range(n - d)]
-    return max((x for x in drops if x > tol), default=0.0)
+    return max((x for x in drops if x > EXACT_TOL), default=0.0)
 
 
 def witnesses(report, prop):
     return sorted((v.witness, v.magnitude) for v in report.violations if v.prop == prop)
 
 
-def assert_same_monotone_report(got, ref, grid, tol):
+def assert_same_monotone_report(got, ref, grid):
     """Equal outcome and counts; equal witnesses for every property within the
     cap; and the worst diagonal drop reported, however many drops there are."""
-    assert got.worst("diagonal_monotone") == largest_drop(grid, tol)
+    assert got.worst("diagonal_monotone") == largest_drop(grid)
     assert got.passed == ref.passed
     assert got.counts == ref.counts
     for prop, count in ref.counts.items():
@@ -525,13 +525,12 @@ def assert_same_monotone_report(got, ref, grid, tol):
 # first-column growth failures
 @settings(max_examples=150, deadline=None)
 @given(grids, st.sampled_from([0.0, 0.3, 0.7, 1.0, 2.5]), st.sampled_from([0.0, 0.5]),
-       st.sampled_from(["raw", "envelope", "drops"]), st.sampled_from(LIPSCHITZ),
-       st.sampled_from([EXACT_TOL, 0.05]))
-def test_validate_monotone_grid_matches_diagonal_loop(params, growth, extra, plant, lipschitz, tol):
+       st.sampled_from(["raw", "envelope", "drops"]), st.sampled_from(LIPSCHITZ))
+def test_validate_monotone_grid_matches_diagonal_loop(params, growth, extra, plant, lipschitz):
     grid = planted_monotone_grid(params, growth, plant)
-    got = validate_monotone_grid(grid, lipschitz, growth + extra, tol)
-    ref = ref_validate_monotone_grid(grid, lipschitz, growth + extra, tol)
-    assert_same_monotone_report(got, ref, grid, tol)
+    got = validate_monotone_grid(grid, lipschitz, growth + extra)
+    ref = ref_validate_monotone_grid(grid, lipschitz, growth + extra)
+    assert_same_monotone_report(got, ref, grid)
 
 
 def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice():
@@ -542,9 +541,9 @@ def test_validate_monotone_grid_matches_diagonal_loop_on_the_criterion_2_lattice
             params = (spec.n, spec.step, "branching", int(rng.integers(2**32)))
             grid = planted_monotone_grid(params, growth, plant)
             for extra in (0.0, 0.5):
-                got = validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
-                ref = ref_validate_monotone_grid(grid, 1.0, growth + extra, EXACT_TOL)
-                assert_same_monotone_report(got, ref, grid, EXACT_TOL)
+                got = validate_monotone_grid(grid, 1.0, growth + extra)
+                ref = ref_validate_monotone_grid(grid, 1.0, growth + extra)
+                assert_same_monotone_report(got, ref, grid)
 
 
 def test_validate_monotone_grid_reports_a_late_drop_beyond_the_witness_cap():
@@ -555,11 +554,11 @@ def test_validate_monotone_grid_reports_a_late_drop_beyond_the_witness_cap():
     vals[np.arange(2, 81, 2), np.arange(1, 80, 2)] = 0.4
     vals[30, 20] -= 0.3
     grid = TwoScaleGrid(spec, np.tril(vals))
-    got = validate_monotone_grid(grid, np.inf, 0.0, EXACT_TOL)
+    got = validate_monotone_grid(grid, np.inf, 0.0)
     assert got.counts["diagonal_monotone"] == 41
     assert got.worst("diagonal_monotone") == pytest.approx(0.3)
     assert (30.0, 20.0) in [v.witness for v in got.violations]
-    ref = ref_validate_monotone_grid(grid, np.inf, 0.0, EXACT_TOL)
+    ref = ref_validate_monotone_grid(grid, np.inf, 0.0)
     assert ref.worst("diagonal_monotone") == pytest.approx(0.1)
 
 
@@ -645,7 +644,7 @@ def test_validate_limit_curve_matches_reference(params, lipschitz, tol):
 def test_validate_limit_curve_matches_reference_beyond_the_witness_cap():
     rng = np.random.default_rng(5)
     curve = random_curve(rng, 1 / 64, "noise")
-    got = validate_limit_curve(curve)
+    got = validate_limit_curve(curve, np.inf, EXACT_TOL)
     assert got.counts["subadditivity"] > MAX_WITNESSES
     assert repr(got) == repr(ref_validate_limit_curve(curve))
     for _ in range(50):
@@ -911,7 +910,7 @@ def test_monotone_envelope_output_is_clean(params, growth):
 @settings(max_examples=100, deadline=None)
 @given(grids, st.sampled_from(LIPSCHITZ + [-0.0]))
 def test_lipschitz_approximation_output_is_clean(params, lipschitz):
-    assert_clean_grid(lipschitz_approximation(make_grid(params), lipschitz, check=False))
+    assert_clean_grid(lipschitz_approximation(make_grid(params), lipschitz))
 
 
 @settings(max_examples=100, deadline=None)
@@ -936,7 +935,7 @@ def test_spectrum_envelope_output_is_clean(params, growth):
 
 def test_outputs_at_n_256_are_clean():
     for grid in big_grids():
-        assert_clean_grid(lipschitz_approximation(grid, 1.0, check=False))
+        assert_clean_grid(lipschitz_approximation(grid, 1.0))
         assert_clean_grid(monotone_envelope(grid, 0.3))
         assert_clean_curve(spectrum_envelope(scaling_limit(grid, 16.0), 0.3))
     assert_clean_grid(pointwise_max(big_grids()))
@@ -948,7 +947,7 @@ def test_operators_refuse_what_their_output_checks_refused():
     grid = make_grid((spec.n, spec.step, "branching", 3))
     with np.errstate(over="ignore", invalid="ignore"):  # the overflows are the point
         # the lipschitz steps overflow: the anchor scan puts NaN in the output
-        message = outcome(lipschitz_approximation, grid, 1e308, False)
+        message = outcome(lipschitz_approximation, grid, 1e308)
         assert message == outcome(ref_lipschitz_approximation, grid, 1e308)
         assert message == "ValueError: values must be finite on the lattice"
         # the growth ramp overflows
