@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -126,22 +127,23 @@ def test_local_covering_two_dimensional():
     assert covering._max_ball_count(cells, 4).tolist() == [1, 1, 1, 2, 3]
 
 
-def exact_ball_count(cells, u, v):
-    """Direct O(n^2) ball test in Python integers, in units of 2^-u.
+def exact_ball_counts(cells, u):
+    """Direct O(n^2) ball test in Python integers, in units of 2^-u, at every radius 2^s, s = 0..u.
 
-    The closed ball of radius 2^(u-v) around a cell's corner c meets the cell
+    The closed ball of radius 2^s around a cell's corner c meets the cell
     [k, k+1]^d when the nearest point of that cell lies within the radius.
     """
-    r2 = 4 ** (u - v)
     rows = [[int(x) for x in row] for row in cells]
-    best = 0
+    best = [0] * (u + 1)
     for c in rows:
-        hits = 0
-        for k in rows:
-            dist2 = sum((min(max(x, a), a + 1) - x) ** 2 for a, x in zip(k, c))
-            hits += dist2 <= r2
-        best = max(best, hits)
+        dists = sorted(sum((min(max(x, a), a + 1) - x) ** 2 for a, x in zip(k, c)) for k in rows)
+        best = [max(b, bisect.bisect_right(dists, 4**s)) for s, b in enumerate(best)]
     return best
+
+
+def exact_ball_count(cells, u, v):
+    """Max over cell corners of the cells meeting the closed ball of radius 2^(u-v)."""
+    return exact_ball_counts(cells, u)[u - v]
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,6 +253,44 @@ def test_ball_count_is_exact_on_both_sides_of_a_squared_span_sum_of_2_31(a, b):
     cells[:, 0] += 4 << level
     counts = covering._max_ball_count(cells, level)
     assert counts.tolist() == [exact_ball_count(cells, level, level - s) for s in range(level + 1)]
+
+
+def clustered_cells(rng, d, level, n):
+    """n distinct level-``level`` cells, clustered at every scale, with both corners of the cube.
+
+    Each cell sits a random offset of random scale 2^0 .. 2^level from one of
+    a few cluster seeds, so the ball counts change at many radii; the two
+    corners make the squared span sum d (2^level - 1)^2, which picks the
+    gap type and the binning.
+    """
+    top = (1 << level) - 1
+    seeds = rng.integers(0, top + 1, size=(4, d))
+    scales = 1 << rng.integers(0, level + 1, size=(4 * n, 1))
+    cells = seeds[rng.integers(0, 4, size=4 * n)] + rng.integers(0, scales, size=(4 * n, d), endpoint=True)
+    cells = np.unique(np.clip(cells, 0, top), axis=0)[: n - 2]
+    return np.vstack([np.zeros((1, d), dtype=np.int64), cells, np.full((1, d), top)])
+
+
+# d (2^level - 1)^2 picks the path: int32 gaps below 2^31, float32 binning up
+# to 2^26 - 2, float64 up to 2^54 - 1, then a sorted search
+@pytest.mark.parametrize("d, level, gaps, binning", [
+    (2, 10, np.int32, "float32"), (2, 14, np.int32, "float64"), (2, 16, np.int64, "float64"),
+    (2, 28, np.int64, "searchsorted"), (3, 10, np.int32, "float32"), (3, 14, np.int32, "float64"),
+    (3, 15, np.int64, "float64"), (3, 28, np.int64, "searchsorted"),
+])
+def test_ball_count_over_many_chunks_matches_exact_ball_oracle(monkeypatch, d, level, gaps, binning):
+    # 300 cells: BALL_PAIRS = 2^15 measures 109 centers a chunk, a last chunk of
+    # 82; 1 and 3 measure one center a chunk
+    cells = clustered_cells(np.random.default_rng(level * d), d, level, 300)
+    assert cells.shape[0] == 300
+    reach = d * ((1 << level) - 1) ** 2
+    assert (np.int32 if reach < 1 << 31 else np.int64) is gaps
+    assert binning == ("float32" if reach <= FLOAT32_BOUND else "float64" if reach <= FLOAT64_BOUND else "searchsorted")
+    want = exact_ball_counts(cells, level)
+    assert len(set(want)) > 3
+    for pairs in (1, 3, 1 << 15):
+        monkeypatch.setattr(covering, "BALL_PAIRS", pairs)
+        assert covering._max_ball_count(cells, level).tolist() == want
 
 
 def test_ball_count_rejects_cells_whose_squared_gaps_wrap_int64():
