@@ -25,7 +25,8 @@ from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, unique_r
 MAX_CENTERS = 100_000
 # deepest level whose cell indices and d = 1 ball reach c + 2^level fit in int64
 MAX_CELL_LEVEL = 62
-# (center, cell) pairs measured at once by the d >= 2 ball count
+# (center, cell) pairs measured at once by the d >= 2 ball count, the size of
+# each of its per-call work arrays; 2^14 and 2^16 measured slower
 BALL_PAIRS = 1 << 15
 
 
@@ -113,7 +114,14 @@ def _check_ball_level(d: int, level: int) -> None:
         raise ValueError(f"ball counts in d = {d} are exact only up to level {deepest}, not {level}")
 
 
-def _radius_bins(d2: np.ndarray, reach: int) -> np.ndarray:
+def _bin_float(reach: int):
+    """Float type whose exponent bits bin every D2 up to ``reach`` (see ``_radius_bins``), or None."""
+    if reach <= (1 << 26) - 2:
+        return np.float32
+    return np.float64 if reach <= (1 << 54) - 1 else None
+
+
+def _radius_bins(d2: np.ndarray, reach: int, work: np.ndarray | None = None) -> np.ndarray:
     """Smallest s >= 0 with D2 <= 4^s, for squared gap sums D2 of at most ``reach``.
 
     That is ceil(bit_length(max(D2 - 1, 0)) / 2), or (e + 2) >> 1 for the
@@ -122,12 +130,15 @@ def _radius_bins(d2: np.ndarray, reach: int) -> np.ndarray:
     where it rounds up onto an even power of two: float32 first does so at
     D2 = 2^26 - 1 and float64 at D2 = 2^54, so each serves a ``reach``
     below that.  Beyond both, ``np.searchsorted`` finds the bin among the
-    4^s.
+    4^s.  Given a ``work`` array of d2's shape and ``_bin_float(reach)``
+    type, the cast goes there and ``d2`` is overwritten with D2 - 1;
+    without one, ``d2`` is left as it is.
     """
-    if reach > (1 << 54) - 1:
+    float_type = _bin_float(reach)
+    if float_type is None:
         # 4^0 .. 4^31, every power of 4 that int64 holds
         return np.searchsorted(4 ** np.arange(32, dtype=np.int64), d2)
-    x = np.maximum(d2 - 1, 0.5, dtype=np.float32 if reach <= (1 << 26) - 2 else np.float64)
+    x = np.maximum(d2 - 1 if work is None else np.subtract(d2, 1, out=d2), 0.5, out=work, dtype=float_type)
     info = np.finfo(x.dtype)
     s = x.view(f"i{x.itemsize}")
     s -= (info.maxexp - 3) << info.nmant  # the exponent field, bias + e, becomes e + 2
@@ -153,7 +164,9 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
 
     D2 is at most the squared sum of the cells' spans along the axes, the
     reach that picks the binning, and is measured in int32 while that bound
-    is below 2^31, otherwise in int64.
+    is below 2^31, otherwise in int64.  The pairs go through one set of work
+    arrays per call, so the kernel's speed does not depend on what the
+    process freed before.
     """
     stride = max(1, -(-cells.shape[0] // MAX_CENTERS))
     centers = cells[::stride]
@@ -182,19 +195,24 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     width = max(level + 2, (max(reach - 1, 0).bit_length() + 3) // 2)
     best = np.zeros(level + 1, dtype=np.int64)
     chunk = max(1, BALL_PAIRS // cells.shape[0])
+    # every chunk writes into row prefixes of these
+    shape = (min(chunk, centers.shape[0]), cells.shape[0])
+    gap_work, shift_work, d2_work = (np.empty(shape, dtype=dtype) for _ in range(3))
+    float_work = None if _bin_float(reach) is None else np.empty(shape, dtype=_bin_float(reach))
     for start in range(0, centers.shape[0], chunk):
         c = centers[start:start + chunk]
         n = c.shape[0]
+        gap, shift, d2 = gap_work[:n], shift_work[:n], d2_work[:n]
         for q in range(d):
             # the gap max(k - c, c - k - 1) is delta or ~delta, whichever is not negative
-            gap = axes[q] - c[:, q, None]
-            gap ^= gap >> sign
-            gap *= gap
+            np.subtract(axes[q], c[:, q, None], out=gap)
+            gap ^= np.right_shift(gap, sign, out=shift)
             if q:
+                gap *= gap
                 d2 += gap
             else:
-                d2 = gap
-        s = _radius_bins(d2, reach)
+                np.multiply(gap, gap, out=d2)
+        s = _radius_bins(d2, reach, None if float_work is None else float_work[:n])
         s += width * np.arange(n, dtype=s.dtype)[:, None]
         bins = np.bincount(s.ravel(), minlength=n * width)
         counts = np.cumsum(bins.reshape(n, width)[:, :level + 1], axis=1)

@@ -212,6 +212,15 @@ def test_ball_count_matches_exact_ball_oracle_at_the_branch_boundaries(d, level)
 FLOAT32_BOUND, FLOAT64_BOUND = (1 << 26) - 2, (1 << 54) - 1
 
 
+def radius_bins_both_ways(d2, reach):
+    """``_radius_bins`` of d2 without a work array, which must leave d2 as it is, and with one."""
+    bins = covering._radius_bins(d2, reach).tolist()
+    float_type = covering._bin_float(reach)
+    work = None if float_type is None else np.empty(d2.shape, dtype=float_type)
+    assert covering._radius_bins(d2.copy(), reach, work).tolist() == bins
+    return bins
+
+
 @pytest.mark.parametrize("bound", [FLOAT32_BOUND, FLOAT64_BOUND, (1 << 31) - 1])
 def test_radius_bins_match_bit_length_around_each_binning_bound(bound):
     # every D2 in a window around the bound, binned with the reach at and past it:
@@ -222,14 +231,15 @@ def test_radius_bins_match_bit_length_around_each_binning_bound(bound):
         dtype = np.int32 if reach < 1 << 31 else np.int64
         d2 = np.arange(bound - (1 << 12), reach + 1, dtype=np.int64)
         want = [(max(int(v) - 1, 0).bit_length() + 1) // 2 for v in d2]
-        assert covering._radius_bins(d2.astype(dtype), reach).tolist() == want
+        assert radius_bins_both_ways(d2.astype(dtype), reach) == want
 
 
 @pytest.mark.parametrize("reach", [1 << 14, FLOAT64_BOUND, FLOAT64_BOUND + 1])
 def test_radius_bins_match_bit_length_on_the_smallest_gaps(reach):
     d2 = np.arange(1 << 14, dtype=np.int32 if reach < 1 << 31 else np.int64)
     want = [(max(int(v) - 1, 0).bit_length() + 1) // 2 for v in d2]
-    assert covering._radius_bins(d2, reach).tolist() == want
+    assert radius_bins_both_ways(d2, reach) == want
+    assert d2.tolist() == list(range(1 << 14))
 
 
 @pytest.mark.parametrize("d", [2, 3])
