@@ -25,8 +25,8 @@ from .grids import EXACT_TOL, GridSpec, TwoScaleGrid, ValidationReport, unique_r
 MAX_CENTERS = 100_000
 # deepest level whose cell indices and d = 1 ball reach c + 2^level fit in int64
 MAX_CELL_LEVEL = 62
-# (center, cell) pairs measured at once by the d >= 2 ball count, the size of
-# each of its per-call work arrays; 2^14 and 2^16 measured slower
+# (center, cell) pairs measured at once by the d >= 2 ball count, and so about
+# the size of each of its per-call work arrays; 2^14 and 2^16 measured slower
 BALL_PAIRS = 1 << 15
 
 
@@ -198,7 +198,8 @@ def _max_ball_count(cells: np.ndarray, level: int) -> np.ndarray:
     # every chunk writes into row prefixes of these
     shape = (min(chunk, centers.shape[0]), cells.shape[0])
     gap_work, shift_work, d2_work = (np.empty(shape, dtype=dtype) for _ in range(3))
-    float_work = None if _bin_float(reach) is None else np.empty(shape, dtype=_bin_float(reach))
+    float_type = _bin_float(reach)
+    float_work = None if float_type is None else np.empty(shape, dtype=float_type)
     for start in range(0, centers.shape[0], chunk):
         c = centers[start:start + chunk]
         n = c.shape[0]
