@@ -40,21 +40,6 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
     return tsio.grid_from_csv(Path(spec_arg).read_text())
 
 
-def _lattice_to(u_max: int, step: float, scale: str) -> GridSpec:
-    """The lattice of ``step`` up to ``u_max``, a scale range the user did not pass.
-
-    It is refused in terms of the options they did pass: ``--grid-step``, and
-    the ``scale`` that set ``u_max``.
-    """
-    try:
-        return GridSpec(float(u_max), step)
-    except ValueError:
-        if not 0 < step < np.inf:
-            raise ValueError(f"--grid-step must be positive and finite, got {step:g}") from None
-        raise ValueError(f"--grid-step {step:g} must divide {scale} into a whole number of steps, "
-                         "at most 2^30 - 2") from None
-
-
 def _check_depth(depth: int) -> None:
     """Reject a ``--depth`` that ``float()`` cannot convert, before anything does."""
     if abs(depth) > sys.float_info.max:
@@ -102,33 +87,38 @@ def cmd_estimate(args) -> tuple[int, dict]:
         if depth == 0:
             raise ValueError("the sample depth is 0, which leaves no scale to estimate")
         pts = _read_points(args, meta, depth)
-        deepest = _deepest_ball_level(pts.dimension)
-        if depth <= deepest:
-            upper, scale = "the sample depth", f"the sample depth {depth}"
-        else:
+        top = min(depth, _deepest_ball_level(pts.dimension))
+        upper, scale = "the sample depth", f"the sample depth {depth}"
+        if top < depth:
             upper = "the deepest exact level"
-            scale = f"the deepest exact level {deepest} of d = {pts.dimension} ball counts"
-        spec = _lattice_to(min(depth, deepest), args.grid_step, scale)
+            scale = f"{upper} {top} of d = {pts.dimension} ball counts"
     else:
-        spec = GridSpec(args.u_max, args.grid_step)
-        upper, scale = "--u-max", f"--u-max {spec.u_max:g}"
+        # converted here, not by argparse, whose error adds a usage line; compared
+        # with the depth as an int, so no number of digits escapes the check
+        try:
+            top = int(args.u_max)
+        except ValueError:
+            raise ValueError(f"--u-max must be a whole number of levels, got {args.u_max!r}") from None
+        if top > depth:
+            raise ValueError(f"u_max {top} exceeds the sample depth {depth}; "
+                             "pass a deeper sample or a smaller --u-max")
+        upper, scale = "--u-max", f"--u-max {top}"
+    u_min = top / 2 if args.u_min is None else args.u_min
     # the spectrum reads scales from --u-min and the box dimensions from max(--u-min, 1)
-    if not (0 < args.u_min and max(args.u_min, 1.0) < spec.u_max):
+    if not (0 < u_min and max(u_min, 1.0) < top):
         raise ValueError(f"the window [max(--u-min, 1), {upper}] must be nonempty with --u-min > 0, "
-                         f"got --u-min {args.u_min:g} and {scale}")
-    if spec.u_max > depth:
-        raise ValueError(f"u_max {spec.u_max} exceeds the sample depth {depth}; "
-                         "pass a deeper sample or a smaller --u-max")
+                         f"got --u-min {u_min:g} and {scale}")
     if pts is None:
         pts = _read_points(args, meta, depth)
-    coverage = empirical_branching(pts, spec)
-    # the whole-set profile: log2 of the cells of each level up to u_max
-    gs = np.log2(coverage.metadata["cells_per_level"][: int(spec.u_max) + 1])
+    coverage = empirical_branching(pts, top)
+    # the whole-set profile: log2 of the cells of each level up to top
+    gs = np.log2(coverage.metadata["cells_per_level"])
     us = np.arange(gs.size, dtype=float)
-    curve = assouad_spectrum(scaling_limit(coverage.grid, args.u_min, args.theta_step))
-    lo, hi = box_dims(us, gs, (max(args.u_min, 1.0), spec.u_max))
+    curve = assouad_spectrum(scaling_limit(coverage.grid, u_min, args.theta_step))
+    window = (max(u_min, 1.0), float(top))
+    lo, hi = box_dims(us, gs, window)
     profile = PiecewiseLinear.from_samples(us, gs)
-    box = {"lower_box": lo, "upper_box": hi, "window": [max(args.u_min, 1.0), spec.u_max],
+    box = {"lower_box": lo, "upper_box": hi, "window": list(window),
            "quasi_assouad_estimate": float(curve.values[-1]), "membership": coverage.membership.summary(),
            "rescale_exponent": meta.get("rescale_exponent", 0)}
     return EXIT_OK, {
@@ -169,10 +159,11 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 _OPTIONS = {
-    "--grid-step": {"type": float, "default": DEFAULT_GRID_STEP},
-    "--u-max": {"type": float, "default": None},
+    # a whole level; cmd_estimate converts it
+    "--u-max": {"default": None},
     "--theta-step": {"type": float, "default": DEFAULT_THETA_STEP},
-    "--u-min": {"type": float, "default": 16.0},
+    # None: half the top scale
+    "--u-min": {"type": float, "default": None},
     "--depth": {"type": int, "default": 20},
     "--out": {"default": "out"},
 }
@@ -196,7 +187,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("estimate", help="covering statistics and spectra of a point sample")
     p.add_argument("points", help="point list CSV")
     p.add_argument("--metadata", help="metadata JSON sidecar", default=None)
-    _add_options(p, "--grid-step", "--u-max", "--theta-step", "--u-min", "--depth", "--out")
+    _add_options(p, "--u-max", "--theta-step", "--u-min", "--depth", "--out")
     p.set_defaults(fn=cmd_estimate, depth=None)
 
     p = sub.add_parser("attractor", help="sample an inhomogeneous attractor from an IFS spec")

@@ -235,21 +235,22 @@ def _cells_by_level(obj, top: int):
         yield cells
 
 
-def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
-    """Measure the two-scale branching grid of a materialized set.
+def empirical_branching(obj, top: int) -> CoverageGrid:
+    """Measure the two-scale branching grid of a materialized set up to level ``top``.
 
-    Counts are taken on the integer level sublattice, in one pass over the
-    levels, and interpolated onto ``spec``.  The result is checked against
-    the branching axioms with slack 2 + d (ball/cell discrepancy plus the
-    covering product constant); the report is attached, not raised.  The
-    metadata records the distinct cells of every level 0..top as
-    ``cells_per_level``, the whole-set profile of the sample, and the centers
-    the ball counts measured over all levels as ``centers_sampled``.
+    A dyadic set fixes beta only at integer levels, so the counts, taken in
+    one pass over the levels, fill the grid on ``GridSpec(top, 1.0)``; a
+    caller comparing it with a finer lattice interpolates it there.  The
+    measured values are checked against the branching axioms with slack
+    2 + d (ball/cell discrepancy plus the covering product constant); the
+    report is attached, not raised.  The metadata records the distinct cells
+    of every level 0..top as ``cells_per_level``, the whole-set profile of
+    the sample, and the centers the ball counts measured over all levels as
+    ``centers_sampled``.
     """
     d = obj.dimension
-    top = int(np.ceil(spec.u_max - 1e-9))
     if top > obj.depth:
-        raise ValueError(f"spec.u_max {spec.u_max} exceeds usable depth {obj.depth}")
+        raise ValueError(f"top level {top} exceeds usable depth {obj.depth}")
     first_bad = _deepest_ball_level(d) + 1
     if top >= first_bad:
         # the error of the shallowest failing level: its cells, then its ball count
@@ -260,13 +261,8 @@ def empirical_branching(obj, spec: GridSpec) -> CoverageGrid:
     for u, cells in zip(range(top, -1, -1), _cells_by_level(obj, top)):
         counts[u] = cells.shape[0]
         table[u, :u] = np.log2(_max_ball_count(cells, u)[u:0:-1])
-    integer_grid = TwoScaleGrid(GridSpec(float(top), 1.0), table)
-    coords = spec.coords
-    uu, vv = np.meshgrid(coords, coords, indexing="ij")
-    # the upper triangle evaluates the mirrored point; the grid drops it
-    grid = TwoScaleGrid(spec, integer_grid.evaluate(np.maximum(uu, vv), np.minimum(vv, uu)))
-    slack = 2.0 + d
-    report = validate_branching(grid, np.inf, tol=slack)
+    grid = TwoScaleGrid(GridSpec(float(top), 1.0), table)
+    report = validate_branching(grid, np.inf, tol=2.0 + d)
     strides = -(-counts // MAX_CENTERS)
     meta = {
         "cells_per_level": counts.tolist(),

@@ -233,6 +233,14 @@ def _grid_weights(spec: GridSpec, u, v):
     return corners, coeffs
 
 
+def _on_lattice(grid: TwoScaleGrid, spec: GridSpec) -> TwoScaleGrid:
+    """``grid`` interpolated onto the finer lattice of ``spec``, to compare a measured grid with a target."""
+    coords = spec.coords
+    uu, vv = np.meshgrid(coords, coords, indexing="ij")
+    # the upper triangle evaluates the mirrored point; the grid drops it
+    return TwoScaleGrid(spec, grid.evaluate(np.maximum(uu, vv), np.minimum(vv, uu)))
+
+
 # ---------------------------------------------------------------------------
 # Piecewise-linear profiles
 # ---------------------------------------------------------------------------

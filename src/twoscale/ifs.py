@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .covering import CoverageGrid, PointSet, empirical_branching
-from .grids import CapExceeded, DEFAULT_GRID_STEP, EXACT_TOL, GridSpec, PiecewiseLinear, TwoScaleGrid, unique_rows
+from .grids import CapExceeded, DEFAULT_GRID_STEP, EXACT_TOL, PiecewiseLinear, TwoScaleGrid, _on_lattice, unique_rows
 from .operators import monotone_envelope
 from .synthesis import DyadicTree, check_dimension
 
@@ -293,13 +293,14 @@ def verify_dimension_formula(
     ifs: SimilarityIFS,
     psi_condensation: TwoScaleGrid,
     depth: float,
-    spec: GridSpec,
     u_min: float,
 ) -> FormulaReport:
     """Compare an attractor's empirical branching against its projection formula.
 
     The prediction is the monotone envelope of the condensation grid with
-    growth equal to the Moran exponent.  Deviations are normalized by u and
+    growth equal to the Moran exponent, and the comparison runs on that
+    grid's lattice: the attractor is measured at the integer levels that
+    reach its ``u_max`` and interpolated there.  Deviations are normalized by u and
     maximized over the window [u_min, u_max]; the window is part of the
     report since the formula's error term is asymptotic.
     """
@@ -307,10 +308,11 @@ def verify_dimension_formula(
         raise ValueError("dimension formula verification requires strong separation")
     growth = critical_exponent(ifs)
     sample = generate_attractor(ifs, depth)
-    coverage = empirical_branching(sample, spec)
+    spec = psi_condensation.spec
+    coverage = empirical_branching(sample, math.ceil(spec.u_max - EXACT_TOL))
     prediction = monotone_envelope(psi_condensation, growth)
     coords = spec.coords
-    dev = np.abs(coverage.grid.values - prediction.values)
+    dev = np.abs(_on_lattice(coverage.grid, spec).values - prediction.values)
     norm = dev / np.maximum(1.0, coords)[:, None]
     rows = coords >= u_min - EXACT_TOL
     norm_win = np.where(rows[:, None], norm, 0.0)

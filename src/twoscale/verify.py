@@ -21,6 +21,7 @@ from .grids import (
     PiecewiseLinear,
     TwoScaleGrid,
     _lower_mask,
+    _on_lattice,
     excess_bound,
     lipschitz_approximation,
     validate_branching,
@@ -94,14 +95,9 @@ class VerifyContext:
         psi_build = cone_extension(curve, build_spec)
         target = cone_extension(curve, measure_spec)
         composite = synthesize_set(psi_build, dimension=1, depth=20)
-        coverage = empirical_branching(composite, measure_spec)
+        coverage = empirical_branching(composite, 19)
         self.coverages.append(("attain_composite", coverage))
-        return {
-            "curve": curve,
-            "target": target,
-            "coverage": coverage,
-            "measure_spec": measure_spec,
-        }
+        return {"curve": curve, "target": target, "measured": _on_lattice(coverage.grid, measure_spec)}
 
     @cached_property
     def inhomog_artifacts(self) -> dict:
@@ -110,14 +106,15 @@ class VerifyContext:
         # configuration A: a one-point condensation set
         psi_zero = TwoScaleGrid(spec, np.zeros((spec.n + 1, spec.n + 1)))
         point_ifs = replace(quarter, condensation=np.array([[0.0]]))
-        rep_a = verify_dimension_formula(point_ifs, psi_zero, 20.0, spec, u_min=16.0)
+        rep_a = verify_dimension_formula(point_ifs, psi_zero, 20.0, u_min=16.0)
         self.coverages.append(("inhomog_point", rep_a.coverage))
         # configuration B: a synthesized condensation set of dimension 0.8
         ramp = PiecewiseLinear(np.array([0.0]), np.array([0.8]))
         tree = subdivision_tree(ramp, 1, 20)
-        psi_tree = empirical_branching(tree, spec)
+        psi_tree = empirical_branching(tree, 19)
         self.coverages.append(("inhomog_tree_condensation", psi_tree))
-        rep_b = verify_dimension_formula(replace(quarter, condensation=tree), psi_tree.grid, 20.0, spec, u_min=16.0)
+        tree_ifs = replace(quarter, condensation=tree)
+        rep_b = verify_dimension_formula(tree_ifs, _on_lattice(psi_tree.grid, spec), 20.0, u_min=16.0)
         self.coverages.append(("inhomog_tree_attractor", rep_b.coverage))
         return {"A": rep_a, "B": rep_b}
 
@@ -229,13 +226,13 @@ def criterion_4(ctx: VerifyContext) -> CriterionResult:
     """Synthesized set attains its target grid up to a log envelope."""
     art = ctx.attain_artifacts
     target = art["target"]
-    coverage = art["coverage"]
-    spec = art["measure_spec"]
+    measured = art["measured"]
+    spec = measured.spec
     coords = spec.coords
     uu, vv = np.meshgrid(coords, coords, indexing="ij")
     log_gap = np.log2(np.maximum(uu - vv, 0.0) + 1.0)
     envelope = 4.0 + 2.0 * log_gap
-    dev = np.abs(coverage.grid.values - target.values)
+    dev = np.abs(measured.values - target.values)
     margin = np.where(vv <= uu, dev - envelope, -np.inf)
     i, j = np.unravel_index(int(np.argmax(margin)), margin.shape)
     fit_c1 = float(np.where(vv <= uu, dev - 2.0 * log_gap, -np.inf).max())
@@ -263,7 +260,7 @@ def criterion_5(ctx: VerifyContext) -> CriterionResult:
     honestly rather than recalibrated.
     """
     art = ctx.attain_artifacts
-    estimate = assouad_spectrum(scaling_limit(art["coverage"].grid, 15.0))
+    estimate = assouad_spectrum(scaling_limit(art["measured"], 15.0))
     reference = assouad_spectrum(art["curve"])
     gap = np.abs(estimate.values - reference.values)
     k = int(np.argmax(gap))

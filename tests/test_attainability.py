@@ -15,10 +15,11 @@ import json
 import numpy as np
 import pytest
 
-from twoscale import GridSpec, empirical_branching, lipschitz_approximation, synthesize_set
+from twoscale import GridSpec, empirical_branching, lipschitz_approximation, synthesize_set, validate_branching
 from twoscale import io as tsio
 from twoscale.cli import main
 from twoscale.families import random_branching_grid, random_perturbed_branching
+from twoscale.grids import _on_lattice
 
 ENVELOPE_C1 = 4.0
 
@@ -26,13 +27,13 @@ ENVELOPE_C1 = 4.0
 def fitted_constant(grid, depth: int) -> float:
     """The additive constant that the set synthesized from ``grid`` at ``depth``
     needs: the largest deviation of its measured grid from ``grid`` beyond
-    2 log2(u - v + 1), measured one level short of ``depth`` on the lattice of
-    step 0.25, as criterion 4 measures."""
+    2 log2(u - v + 1), measured one level short of ``depth`` and compared on
+    the lattice of step 0.25, as criterion 4 compares."""
     spec = GridSpec(depth - 1.0, 0.25)
-    coverage = empirical_branching(synthesize_set(grid, 1, depth), spec)
+    measured = _on_lattice(empirical_branching(synthesize_set(grid, 1, depth), depth - 1).grid, spec)
     i, j = np.tril_indices(spec.n + 1)
     u, v = spec.coords[i], spec.coords[j]
-    deviation = np.abs(coverage.grid.values[i, j] - grid.evaluate(u, v))
+    deviation = np.abs(measured.values[i, j] - grid.evaluate(u, v))
     return float(np.max(deviation - 2.0 * np.log2(u - v + 1.0)))
 
 
@@ -51,6 +52,16 @@ def test_random_admissible_targets_are_attained_inside_the_envelope():
     # the diagonal, where the deviation is 0, makes every constant at least 0
     assert min(constants) >= 0.0
     assert max(constants) <= ENVELOPE_C1, constants
+
+
+def test_membership_verdicts_agree_on_the_measured_levels_and_their_quarter_refinement():
+    # membership is checked on the integer levels that a set fixes; interpolating
+    # them onto the lattice of step 0.25 changes no verdict at the slack 2 + d
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        coverage = empirical_branching(synthesize_set(random_branching_grid(rng, GridSpec(16.0, 0.25), 1.0), 1, 16), 16)
+        refined = validate_branching(_on_lattice(coverage.grid, GridSpec(16.0, 0.25)), np.inf, tol=3.0)
+        assert refined.passed == coverage.membership.passed
 
 
 def test_an_admissible_target_keeps_membership_through_synth_and_estimate(tmp_path):

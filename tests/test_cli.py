@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twoscale import cli, verify
+from twoscale import GridSpec, assouad_spectrum, cli, empirical_branching, scaling_limit, verify
 from twoscale.cli import main
-from twoscale.grids import DEFAULT_GRID_STEP
-from twoscale.io import points_from_csv
+from twoscale.grids import _on_lattice
+from twoscale.io import grid_to_csv, points_from_csv
 from twoscale.operators import DEFAULT_THETA_STEP
 
 
@@ -28,13 +28,41 @@ def test_synth_estimate_pipeline(tmp_path):
     est = tmp_path / "est"
     code = main([
         "estimate", str(out / "points.csv"), "--metadata", str(out / "metadata.json"),
-        "--u-max", "8", "--grid-step", "0.5", "--u-min", "4", "--out", str(est),
+        "--u-max", "8", "--u-min", "4", "--out", str(est),
     ])
     assert code == 0
     for name in ("beta_emp.csv", "g_profile.csv", "spectrum.csv", "box_dims.json"):
         assert (est / name).exists()
     box = json.loads((est / "box_dims.json").read_text())
     assert 0.0 <= box["lower_box"] <= box["upper_box"]
+    # with the sidecar alone the window is the upper half of the sample's levels
+    assert main(["estimate", str(out / "points.csv"), "--metadata", str(out / "metadata.json"),
+                 "--out", str(tmp_path / "default")]) == 0
+    assert json.loads((tmp_path / "default" / "box_dims.json").read_text())["window"] == [6.0, 12.0]
+
+
+@pytest.mark.parametrize("target, d, depth, top, u_min, refined_gap", [
+    ("h_kappa_lambda:0.8,0.5", 1, 20, 16, 8, 0.0),  # the README pipeline
+    ("h_kappa_lambda:1.45,0.3", 2, 12, 10, 5, 0.0),  # the estimate_d2 golden
+    # the estimate_d3 golden: at theta = 0.6875 the refinement's u = 8.75 reads
+    # an interpolated ratio above every measured level's
+    ("h_kappa_lambda:2.2,0.3", 3, 10, 10, 5, 0.0119135912833),
+], ids=["readme-d1", "estimate-d2", "estimate-d3"])
+def test_estimate_writes_the_measured_levels_that_a_finer_lattice_only_interpolates(
+        tmp_path, target, d, depth, top, u_min, refined_gap):
+    synth, est = tmp_path / "synth", tmp_path / "est"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", target, "-d", str(d), "--depth", str(depth), "--out", str(synth)]) == 0
+        assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
+                     "--u-max", str(top), "--u-min", str(u_min), "--out", str(est)]) == 0
+    grid = empirical_branching(points_from_csv((synth / "points.csv").read_text(), depth), top).grid
+    assert (est / "beta_emp.csv").read_bytes() == grid_to_csv(grid).encode()
+    # the lattice of step 0.25 adds window scales between the levels, so its
+    # spectrum is never below the measured grid's
+    measured = assouad_spectrum(scaling_limit(grid, u_min)).values
+    refined = assouad_spectrum(scaling_limit(_on_lattice(grid, GridSpec(float(top), 0.25)), u_min)).values
+    assert np.all(refined >= measured - 1e-12)
+    assert np.max(refined - measured) == pytest.approx(refined_gap, abs=1e-12)
 
 
 def test_synth_rejects_invalid_target(tmp_path):
@@ -129,7 +157,7 @@ def test_estimate_lattice_defaults_are_the_library_constants(monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "cmd_estimate", lambda args: (seen.append(args), (0, {}))[1])
     assert main(["estimate", "points.csv"]) == 0
-    assert seen[0].grid_step == DEFAULT_GRID_STEP and seen[0].theta_step == DEFAULT_THETA_STEP
+    assert seen[0].theta_step == DEFAULT_THETA_STEP
 
 
 def test_synth_outputs_are_byte_identical(tmp_path):
@@ -192,6 +220,7 @@ def test_attractor_rejects_unknown_spec_keys_by_name(tmp_path, capsys, spec, lin
     ["synth", "h_kappa_lambda:0.8,0.5", "--u-max", "64"],
     ["synth", "h_kappa_lambda:0.8,0.5", "--grid-step", "0.5"],
     ["estimate", "points.csv", "--seed", "3"],
+    ["estimate", "points.csv", "--grid-step", "0.5"],
     ["attractor", "ifs.json", "--u-min", "99"],
     ["attractor", "ifs.json", "--theta-step", "7"],
 ])
@@ -288,7 +317,7 @@ def test_estimate_rejects_levels_beyond_exact_ball_counts(tmp_path, capsys):
     # from level 32 on, d = 2 squared gaps no longer fit in int64
     points = tmp_path / "two.csv"
     points.write_text("coord_0_num,coord_0_exp,coord_1_num,coord_1_exp\n0,0,0,0\n1,0,1,0\n")
-    argv = ["estimate", str(points), "--depth", "40", "--u-min", "20", "--grid-step", "1"]
+    argv = ["estimate", str(points), "--depth", "40", "--u-min", "20"]
     assert main(argv + ["--u-max", "34", "--out", str(tmp_path / "deep")]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: ball counts in d = 2 are exact only up to level 31, not 32"]
@@ -306,7 +335,7 @@ def test_estimate_rejects_levels_beyond_int64_cells(tmp_path, capsys):
     # x = 1 lies in the last cell at every level; at level 63 floor(2^63) wraps int64
     points = tmp_path / "one.csv"
     points.write_text("coord_0_num,coord_0_exp\n0,0\n1,0\n")
-    argv = ["estimate", str(points), "--depth", "70", "--u-min", "20", "--grid-step", "1"]
+    argv = ["estimate", str(points), "--depth", "70", "--u-min", "20"]
     assert main(argv + ["--u-max", "63", "--out", str(tmp_path / "deep")]) == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == ["error: point cells are exact only up to level 62, not 63"]
@@ -328,7 +357,7 @@ def test_estimate_counts_cells_of_numerators_beyond_float_precision(tmp_path, nu
     points = tmp_path / "close.csv"
     points.write_text("coord_0_num,coord_0_exp\n" + "".join(f"{n},60\n" for n in numerators))
     assert main(["estimate", str(points), "--depth", "60", "--u-max", "60", "--u-min", "20",
-                 "--grid-step", "1", "--out", str(tmp_path / "est")]) == 0
+                 "--out", str(tmp_path / "est")]) == 0
     rows = (tmp_path / "est" / "beta_emp.csv").read_text().splitlines()
     assert f"60,0,{np.log2(cells):.15g}" in rows
 
@@ -428,7 +457,7 @@ def test_estimate_floors_points_and_refuses_those_outside_the_cube(tmp_path, cap
     # which rounding onto the depth lattice used to pull into the cube
     points = tmp_path / "out.csv"
     points.write_text("coord_0_num,coord_0_exp\n0,0\n1048577,20\n")
-    argv = ["--depth", "10", "--u-min", "2", "--grid-step", "1"]
+    argv = ["--depth", "10", "--u-min", "2"]
     assert main(["estimate", str(points)] + argv + ["--out", str(tmp_path / "est")]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: points must lie in the unit cube [0, 1]^d"]
     # 1 + 2^-40 lies within the slack and counts in the last cell; 3/4 - 2^-20 is

@@ -1,20 +1,22 @@
 """Lattice options at and beyond their limits end in one ``error:`` line.
 
-Non-finite scales and steps, lattices whose float table numpy cannot
-describe, theta counts above the documented bound, plateau heights that are
+``--u-max`` values that are not a whole level or that exceed the sample
+depth (compared as integers, so no number of digits escapes the check),
+theta counts above the documented bound, plateau heights that are
 not finite and nonnegative, ``h_kappa_lambda`` targets that are not two
 numbers, negative verify seeds, dimensions below 1, ``synth`` depths below 1
 or above 60 (refused before the target is built), ``synth`` and
 ``attractor`` depths beyond the float range, ``estimate``
 windows that are empty, ``estimate`` depths that contradict the sidecar or
-lie outside [0, 1023], a sample depth of 0 or a ``--grid-step`` that does
-not divide the sample's scale range when ``--u-max`` is omitted (named by
-the options given, not by a ``u_max`` never passed), IFS specs of dimension
+lie outside [0, 1023], a sample depth of 0 or a window that the sample's
+scale range leaves empty when ``--u-max`` is omitted (named by the options
+given, not by a ``u_max`` never passed), IFS specs of dimension
 below 1 or without a key they need, grid CSV rows with v > u or repeated, and
-outputs that cannot be written are user errors (exit 2); a lattice too large to allocate is a resource failure (exit 3).
-``synth`` has no lattice option: it samples its target on the default
-lattice up to ``--depth``, so ``estimate``'s ``--grid-step`` and
-``--u-max`` rows hold the lattice limits.
+outputs that cannot be written are user errors (exit 2); a theta lattice too
+large to allocate is a resource failure (exit 3).  ``synth`` has no lattice
+option: it samples its target on the default lattice up to ``--depth``.
+``estimate`` measures on the integer levels up to ``--u-max``, so its
+``--u-max`` and ``--theta-step`` rows hold the lattice limits.
 None of them may end in a traceback, and a failing command leaves ``--out``
 as it was.
 """
@@ -170,16 +172,11 @@ def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path
 
 
 @pytest.mark.parametrize("options, code, message", [
-    (["--u-max", "inf"], EXIT_USER, "positive and finite"),
-    (["--u-max", "nan"], EXIT_USER, "positive and finite"),
-    (["--grid-step", "inf"], EXIT_USER, "positive and finite"),
-    (["--grid-step", "nan"], EXIT_USER, "positive and finite"),
-    # a (4e6 + 1)^2 float table, 116 TiB: more than any machine allocates
-    (["--grid-step", "1e-6"], EXIT_CAP, "out of memory"),
-    # tables numpy refuses to describe at all
-    (["--u-max", "1e10"], EXIT_USER, "u_max 10000000000.0 and step 0.25"),
-    (["--u-max", "1e300"], EXIT_USER, "u_max 1e+300 and step 0.25"),
-    (["--u-max", "1e300", "--grid-step", "1e-300"], EXIT_USER, "and step 1e-300"),
+    # compared with the depth as an int, never converted to a float
+    (["--u-max", "1" + "0" * 399], EXIT_USER, "u_max 1" + "0" * 399 + " exceeds the sample depth 4; "),
+    (["--u-max", "10.5"], EXIT_USER, "error: --u-max must be a whole number of levels, got '10.5'"),
+    (["--u-max", "0"], EXIT_USER, "got --u-min 1 and --u-max 0"),
+    (["--u-max", "-1"], EXIT_USER, "got --u-min 1 and --u-max -1"),
     (["--theta-step", "1e-300"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
     (["--theta-step", "5e-324"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
     (["--theta-step", str(0.5 / MAX_THETA_COUNT)], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
@@ -192,11 +189,12 @@ def test_estimate_rejects_lattice_options_beyond_their_limits(tmp_path, options,
             "--out", str(tmp_path / "out"), *options]
     got, line = run(argv)
     assert got == code and message in line
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("window", [
     ["--u-max", "1", "--u-min", "0.5"],
-    ["--u-min", "20", "--u-max", "12"],
+    ["--u-min", "20", "--u-max", "4"],
     ["--u-min", "4", "--u-max", "4"],
     ["--u-min", "0", "--u-max", "4"],
     ["--u-min", "-1", "--u-max", "4"],
@@ -275,18 +273,25 @@ def test_estimate_defaults_u_max_to_the_deepest_exact_level(tmp_path, d, depth, 
     assert run(argv + ["--u-max", str(top + 1)]) == (EXIT_USER, f"error: {refusal}")
 
 
+@pytest.mark.parametrize("options, window", [
+    ([], [6.0, 12.0]),
+    (["--u-max", "9"], [4.5, 9.0]),
+    (["--u-max", "2"], [1.0, 2.0]),
+])
+def test_estimate_defaults_u_min_to_half_the_scale_range(tmp_path, options, window):
+    # a fixed default of 16 refused every sample shallower than 16
+    (tmp_path / "two.csv").write_text(TWO_POINTS[2])
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["estimate", str(tmp_path / "two.csv"), "--depth", "12", "--out", str(out), *options]) == 0
+    assert json.loads((out / "box_dims.json").read_text())["window"] == window
+
+
 @pytest.mark.parametrize("options, message", [
-    (["--depth", "20", "--grid-step", "0.3"],
-     "error: --grid-step 0.3 must divide the sample depth 20 into a whole number of steps, at most 2^30 - 2"),
-    (["--depth", "40", "--grid-step", "0.3"],
-     "error: --grid-step 0.3 must divide the deepest exact level 31 of d = 2 ball counts into a whole number "
-     "of steps, at most 2^30 - 2"),
-    (["--depth", "20", "--grid-step", "1e-300"],
-     "error: --grid-step 1e-300 must divide the sample depth 20 into a whole number of steps, at most 2^30 - 2"),
-    (["--depth", "20", "--grid-step", "inf"], "error: --grid-step must be positive and finite, got inf"),
     (["--depth", "0"], "error: the sample depth is 0, which leaves no scale to estimate"),
+    # the default --u-min is half the scale range
     (["--depth", "1"], "error: the window [max(--u-min, 1), the sample depth] must be nonempty with --u-min > 0, "
-                       "got --u-min 16 and the sample depth 1"),
+                       "got --u-min 0.5 and the sample depth 1"),
     (["--depth", "40", "--u-min", "31"],
      "error: the window [max(--u-min, 1), the deepest exact level] must be nonempty with --u-min > 0, "
      "got --u-min 31 and the deepest exact level 31 of d = 2 ball counts"),

@@ -155,7 +155,7 @@ def test_local_covering_matches_exact_ball_oracle(d, spread, u, data):
                               min_size=1, max_size=12))
     pts = PointSet(np.array(rows, dtype=float) / side, 12)
     cells = pts.cells_at_level(u)
-    grid = empirical_branching(pts, GridSpec(float(u), 1.0)).grid
+    grid = empirical_branching(pts, u).grid
     for v in range(u):
         count = exact_ball_count(cells, u, v)
         assert local_covering(pts, u, v) == count
@@ -250,7 +250,7 @@ def test_ball_count_of_a_composite_set_matches_exact_ball_oracle(d):
         cells = comp.cells_at_level(level)
         counts = covering._max_ball_count(cells, level)
         assert counts.tolist() == [exact_ball_count(cells, level, level - s) for s in range(level + 1)]
-    grid = empirical_branching(comp, GridSpec(8.0, 1.0)).grid
+    grid = empirical_branching(comp, 8).grid
     assert grid.values[8, 0] == np.log2(exact_ball_count(comp.cells_at_level(8), 8, 0))
 
 
@@ -353,7 +353,7 @@ def assert_matches_per_level_flooring(pts, top):
     table, counts, centers, stride = ref_branching(pts.points, top)
     walked = list(covering._cells_by_level(pts, top))[::-1]
     assert all(np.array_equal(a, ref_occupied_cells(pts.points, u)) for u, a in enumerate(walked))
-    cov = empirical_branching(pts, GridSpec(float(top), 1.0))
+    cov = empirical_branching(pts, top)
     assert np.array_equal(cov.grid.values, table)
     assert cov.metadata["cells_per_level"] == counts
     assert cov.metadata["centers_sampled"] == centers
@@ -387,7 +387,7 @@ def test_strided_centers_come_in_lexicographic_order(monkeypatch, d, top):
     rng = np.random.default_rng(40 + d)
     pts = PointSet(np.vstack([rng.random((30, d)) ** 3, np.eye(d)]), 12)
     assert_matches_per_level_flooring(pts, top)
-    assert empirical_branching(pts, GridSpec(float(top), 1.0)).metadata["center_stride"] > 1
+    assert empirical_branching(pts, top).metadata["center_stride"] > 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +395,14 @@ def test_strided_centers_come_in_lexicographic_order(monkeypatch, d, top):
 # ---------------------------------------------------------------------------
 
 def test_empirical_single_point_is_flat():
-    cov = empirical_branching(PointSet(np.array([[0.5]]), 12), GridSpec(10.0, 0.5))
+    cov = empirical_branching(PointSet(np.array([[0.5]]), 12), 10)
+    assert cov.grid.spec == GridSpec(10.0, 1.0)
     assert np.max(cov.grid.values) <= 1.0
     assert cov.membership.passed
 
 
 def test_empirical_interval_tracks_linear_grid():
-    cov = empirical_branching(full_interval_tree(12), GridSpec(11.0, 0.25))
+    cov = empirical_branching(full_interval_tree(12), 11)
     target = np.maximum(
         cov.grid.spec.coords[:, None] - cov.grid.spec.coords[None, :], 0.0
     )
@@ -411,7 +412,7 @@ def test_empirical_interval_tracks_linear_grid():
 
 def test_empirical_depth_guard():
     with pytest.raises(ValueError, match="depth"):
-        empirical_branching(full_interval_tree(6), GridSpec(10.0, 0.5))
+        empirical_branching(full_interval_tree(6), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +450,7 @@ def test_box_dims_empty_window():
 
 def test_cells_per_level_matches_cell_counts():
     tree = full_interval_tree(6)
-    counts = empirical_branching(tree, GridSpec(6.0, 1.0)).metadata["cells_per_level"]
+    counts = empirical_branching(tree, 6).metadata["cells_per_level"]
     assert counts == [cell_count(tree, u) for u in range(7)] == [2**u for u in range(7)]
 
 
@@ -458,13 +459,13 @@ def test_cells_per_level_matches_cell_counts():
 # ---------------------------------------------------------------------------
 
 def test_spectrum_estimate_point_is_tiny():
-    cov = empirical_branching(PointSet(np.array([[0.25]]), 16), GridSpec(15.0, 0.25))
+    cov = empirical_branching(PointSet(np.array([[0.25]]), 16), 15)
     est = assouad_spectrum(scaling_limit(cov.grid, 8.0))
     assert np.max(est.values) <= 0.1
 
 
 def test_spectrum_estimate_interval_near_one_on_resolved_thetas():
-    cov = empirical_branching(full_interval_tree(17), GridSpec(16.0, 0.25))
+    cov = empirical_branching(full_interval_tree(17), 16)
     est = assouad_spectrum(scaling_limit(cov.grid, 12.0))
     resolved = est.thetas <= 0.25
     assert np.max(np.abs(est.values[resolved] - 1.0)) <= 0.15

@@ -118,19 +118,6 @@ def test_synth_outputs_past_the_former_cube_code_width(tmp_path, golden, capsys,
     assert digests(out, run) == expected(golden, run)
 
 
-def test_half_step_d2_synth_estimate_outputs(tmp_path, golden, capsys):
-    # synth reads the target only at integer levels, so its digests equal
-    # synth_d2's; the estimate, on a lattice of step 0.5, writes its own grid
-    synth, est = tmp_path / "synth_d2_step05", tmp_path / "estimate_d2_step05"
-    assert main(["synth", "h_kappa_lambda:1.45,0.3", "-d", "2", "--depth", "12", "--out", str(synth)]) == 0
-    assert capsys.readouterr().out == f"wrote {synth}/points.csv, metadata.json\n"
-    assert main(["estimate", str(synth / "points.csv"), "--metadata", str(synth / "metadata.json"),
-                 "--u-max", "10", "--u-min", "5", "--grid-step", "0.5", "--out", str(est)]) == 0
-    assert capsys.readouterr().out == f"wrote {est}/beta_emp.csv, g_profile.csv, spectrum.csv, box_dims.json\n"
-    assert digests(synth, "synth_d2_step05") == expected(golden, "synth_d2_step05")
-    assert digests(est, "estimate_d2_step05") == expected(golden, "estimate_d2_step05")
-
-
 def attractor_digests(tmp_path, capsys, spec: dict, run: str) -> dict:
     path = tmp_path / f"{run}.json"
     path.write_text(json.dumps(spec))
