@@ -175,6 +175,10 @@ def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path
     # compared with the depth as an int, never converted to a float
     (["--u-max", "1" + "0" * 399], EXIT_USER, "u_max 1" + "0" * 399 + " exceeds the sample depth 4; "),
     (["--u-max", "10.5"], EXIT_USER, "error: --u-max must be a whole number of levels, got '10.5'"),
+    # non-finite scales and float notation are not levels either
+    (["--u-max", "inf"], EXIT_USER, "error: --u-max must be a whole number of levels, got 'inf'"),
+    (["--u-max", "nan"], EXIT_USER, "error: --u-max must be a whole number of levels, got 'nan'"),
+    (["--u-max", "1e10"], EXIT_USER, "error: --u-max must be a whole number of levels, got '1e10'"),
     (["--u-max", "0"], EXIT_USER, "got --u-min 1 and --u-max 0"),
     (["--u-max", "-1"], EXIT_USER, "got --u-min 1 and --u-max -1"),
     (["--theta-step", "1e-300"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
