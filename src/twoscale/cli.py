@@ -40,14 +40,28 @@ def _load_target_grid(spec_arg: str, grid_spec: GridSpec):
     return tsio.grid_from_csv(Path(spec_arg).read_text())
 
 
-def _check_depth(depth: int) -> None:
-    """Reject a ``--depth`` that ``float()`` cannot convert, before anything does."""
-    if abs(depth) > sys.float_info.max:
-        raise ValueError(f"--depth has {len(str(abs(depth)))} digits, more than a float holds")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it on one line, like every other user error
+        raise ValueError(message)
+
+
+def _whole(text: str, what: str = "a whole number", least: float = float("-inf")) -> int:
+    """An argparse type: the int that ``text`` spells, if it is at least ``least``."""
+    try:
+        if (n := int(text)) >= least:
+            return n
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+
+
+def _depth(text: str) -> int:
+    if abs(depth := _whole(text)) > sys.float_info.max:  # float() could not convert it
+        raise argparse.ArgumentTypeError(f"has {len(str(abs(depth)))} digits, more than a float holds")
+    return depth
 
 
 def cmd_synth(args) -> tuple[int, dict]:
-    _check_depth(args.depth)
     check_dimension(args.dimension)
     check_synthesis_depth(args.depth)
     # synthesis reads the target only at the integer levels up to --depth, all on this lattice
@@ -93,12 +107,8 @@ def cmd_estimate(args) -> tuple[int, dict]:
             upper = "the deepest exact level"
             scale = f"{upper} {top} of d = {pts.dimension} ball counts"
     else:
-        # converted here, not by argparse, whose error adds a usage line; compared
-        # with the depth as an int, so no number of digits escapes the check
-        try:
-            top = int(args.u_max)
-        except ValueError:
-            raise ValueError(f"--u-max must be a whole number of levels, got {args.u_max!r}") from None
+        # an int, so no number of digits escapes the comparison
+        top = args.u_max
         if top > depth:
             raise ValueError(f"u_max {top} exceeds the sample depth {depth}; "
                              "pass a deeper sample or a smaller --u-max")
@@ -121,32 +131,21 @@ def cmd_estimate(args) -> tuple[int, dict]:
     box = {"lower_box": lo, "upper_box": hi, "window": list(window),
            "quasi_assouad_estimate": float(curve.values[-1]), "membership": coverage.membership.summary(),
            "rescale_exponent": meta.get("rescale_exponent", 0)}
-    return EXIT_OK, {
-        "beta_emp.csv": tsio.grid_to_csv(coverage.grid),
-        "g_profile.csv": tsio.profile_to_csv(profile),
-        "spectrum.csv": tsio.curve_to_csv(curve),
-        "box_dims.json": box,
-    }
+    return EXIT_OK, {"beta_emp.csv": tsio.grid_to_csv(coverage.grid), "g_profile.csv": tsio.profile_to_csv(profile),
+                     "spectrum.csv": tsio.curve_to_csv(curve), "box_dims.json": box}
 
 
 def cmd_attractor(args) -> tuple[int, dict]:
-    _check_depth(args.depth)
     ifs = tsio.ifs_from_json(Path(args.ifs).read_text(), Path(args.ifs).parent)
     sample = generate_attractor(ifs, args.depth)
-    info = {
-        "moran_exponent": critical_exponent(ifs),
-        "counting_exponent": counting_exponent(ifs, min(args.depth, 24.0)),
-        "strongly_separated": ifs.strongly_separated,
-        "points": int(sample.points.shape[0]),
-        "depth": args.depth,
-    }
-    info.update(sample.metadata)
+    info = {"moran_exponent": critical_exponent(ifs),
+            "counting_exponent": counting_exponent(ifs, min(args.depth, 24.0)),
+            "strongly_separated": ifs.strongly_separated, "points": int(sample.points.shape[0]),
+            "depth": args.depth, **sample.metadata}
     return EXIT_OK, {"attractor_points.csv": tsio.float_points_to_csv(sample.points), "attractor_info.json": info}
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     results = run_suite(args.suite, args.seed)
     payload = report_payload(args.suite, args.seed, results)
     code = EXIT_OK if payload["all_passed"] else EXIT_CRITERIA
@@ -159,12 +158,11 @@ def cmd_verify(args) -> tuple[int, dict]:
 
 
 _OPTIONS = {
-    # a whole level; cmd_estimate converts it
-    "--u-max": {"default": None},
+    "--u-max": {"type": lambda text: _whole(text, "a whole number of levels"), "default": None},
     "--theta-step": {"type": float, "default": DEFAULT_THETA_STEP},
     # None: half the top scale
     "--u-min": {"type": float, "default": None},
-    "--depth": {"type": int, "default": 20},
+    "--depth": {"type": _depth, "default": 20},
     "--out": {"default": "out"},
 }
 
@@ -175,12 +173,12 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="twoscale", description=__doc__)
+    parser = _Parser(prog="twoscale", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="materialize a dyadic set realizing a target grid")
     p.add_argument("psi_spec", help="grid CSV, gamma_inverse:<curve.csv>, or h_kappa_lambda:k,l")
-    p.add_argument("-d", "--dimension", type=int, default=1)
+    p.add_argument("-d", "--dimension", type=_whole, default=1)
     _add_options(p, "--depth", "--out")
     p.set_defaults(fn=cmd_synth)
 
@@ -197,12 +195,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda text: _whole(text, "a nonnegative whole number", 0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_verify)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         code, files = args.fn(args)
         if files:
             tsio.write_outputs(Path(args.out), files)

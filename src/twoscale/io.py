@@ -373,13 +373,14 @@ def check_point_depth(depth: int) -> None:
 def points_from_csv(text: str, depth: int) -> PointSet:
     """Read a point list as written; each cell is the floor of the exact point.
 
-    The header is the first non-blank line and must start with
-    ``coord_0_num``; its fields give d.  The rows below it are read in blocks
-    of about ``ROW_BLOCK`` rows by ``_read_block``: a block in the form
-    ``points_to_csv`` writes is parsed at once, and any other block, only that
-    block, row by row, with the same result.  Rows are numbered from the
-    header (row 1), blank lines skipped, and a bad row is reported by its
-    number, the first one in file order when there are several.  ``depth``
+    The header is the first non-blank line, and its fields, each stripped,
+    must be those of ``_points_header(d)`` for some d >= 1.  The rows below it
+    are read in blocks of about ``ROW_BLOCK`` rows by ``_read_block``: a block
+    in the form ``points_to_csv`` writes is parsed at once, and any other
+    block, only that block, row by row, with the same result.  Rows are
+    numbered from the header (row 1), blank lines skipped, and a bad row is
+    reported by its number, the first one in file order when there are
+    several.  ``depth``
     must pass ``check_point_depth``.  The sample's cells come from the
     integer numerators and exponents, so they are exact for every numerator,
     not only for those a float holds.  Each block is written straight into
@@ -391,11 +392,13 @@ def points_from_csv(text: str, depth: int) -> PointSet:
     # rows in it past another line break make the first block
     pos = text.find("\n", len(text) - len(text.lstrip())) + 1 or len(text)
     head, *rest = text[:pos].lstrip().splitlines(keepends=True) or [""]
-    if not head.strip().startswith("coord_0_num"):
-        raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
     d = (head.count(",") + 1) // 2
+    # the last field first: a wide header of other fields is refused before it is split
+    if (d < 1 or head.rpartition(",")[2].strip() != f"coord_{d - 1}_exp"
+            or [field.strip() for field in head.split(",")] != _points_header(d).split(",")):
+        raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
     # every row read has 2d - 1 commas, whatever line breaks end it
-    bound = (text.count(",") - head.count(",")) // max(2 * d - 1, 1)
+    bound = (text.count(",") - head.count(",")) // (2 * d - 1)
     pts = np.empty((bound, d))
     cells = np.empty((bound, d), dtype=np.int64)
     rows = 0

@@ -140,10 +140,12 @@ def test_verify_attain_suite_is_deterministic_and_honest(tmp_path):
     assert code1 == code2 == 1
 
 
-def test_verify_unknown_suite_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "bogus"])
-    assert exc.value.code == 2
+def test_verify_unknown_suite_exits_2(tmp_path, capsys):
+    assert main(["verify", "bogus", "--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["error: argument suite: invalid choice: 'bogus' "
+                                "(choose from 'core', 'operators', 'attain', 'inhomog', 'all')"]
+    assert "usage:" not in out + err and not (tmp_path / "out").exists()
 
 
 def test_verify_accepts_every_suite_of_the_suite_table(monkeypatch, capsys):
@@ -224,10 +226,11 @@ def test_attractor_rejects_unknown_spec_keys_by_name(tmp_path, capsys, spec, lin
     ["attractor", "ifs.json", "--u-min", "99"],
     ["attractor", "ifs.json", "--theta-step", "7"],
 ])
-def test_commands_reject_options_they_do_not_read(argv):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+def test_commands_reject_options_they_do_not_read(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [f"error: unrecognized arguments: {' '.join(argv[2:])}"]
+    assert "usage:" not in out + err and not (tmp_path / "out").exists()
 
 
 def test_synth_error_after_synthesis_leaves_no_partial_output(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Lattice options at and beyond their limits end in one ``error:`` line.
 
+Argument errors (an unknown option, a missing argument, a bad choice, or a
+value that is not a whole number or not a number) are user errors too: the
+parser prints no usage block.
 ``--u-max`` values that are not a whole level or that exceed the sample
 depth (compared as integers, so no number of digits escapes the check),
 theta counts above the documented bound, plateau heights that are
@@ -38,12 +41,51 @@ POINTS = "coord_0_num,coord_0_exp\n0,0\n1,2\n3,3\n1,0\n"
 
 
 def run(argv):
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     lines = err.getvalue().strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "usage:" not in out.getvalue() + err.getvalue()
     return code, lines[0]
+
+
+SYNTH = ["synth", "h_kappa_lambda:0.8,0.5"]
+ESTIMATE = ["estimate", "points.csv", "--depth", "4"]
+ATTRACTOR = ["attractor", "ifs.json"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SYNTH + ["--depth", "2.5"], "error: argument --depth: must be a whole number, got '2.5'"),
+    (ESTIMATE + ["--depth", "2.5"], "error: argument --depth: must be a whole number, got '2.5'"),
+    (ATTRACTOR + ["--depth", "2.5"], "error: argument --depth: must be a whole number, got '2.5'"),
+    (SYNTH + ["-d", "two"], "error: argument -d/--dimension: must be a whole number, got 'two'"),
+    (["verify", "core", "--seed", "x"], "error: argument --seed: must be a nonnegative whole number, got 'x'"),
+    (ESTIMATE + ["--theta-step", "abc"], "error: argument --theta-step: invalid float value: 'abc'"),
+    (ESTIMATE + ["--u-min", "abc"], "error: argument --u-min: invalid float value: 'abc'"),
+    (SYNTH + ["--bogus", "1"], "error: unrecognized arguments: --bogus 1"),
+    (["synth", "--depth", "6"], "error: the following arguments are required: psi_spec"),
+    (["verify", "nosuch"], "error: argument suite: invalid choice: 'nosuch' "
+                           "(choose from 'core', 'operators', 'attain', 'inhomog', 'all')"),
+])
+def test_argument_errors_end_in_one_error_line_and_leave_out_as_it_was(tmp_path, monkeypatch, argv, message):
+    # argparse used to print a usage block and its own error line, and to exit through SystemExit
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.txt").write_text("earlier run\n")
+    assert run(argv + ["--out", str(out)]) == (EXIT_USER, message)
+    assert [p.name for p in out.iterdir()] == ["kept.txt"] and (out / "kept.txt").read_text() == "earlier run\n"
+
+
+def test_a_missing_command_is_an_argument_error():
+    assert run([]) == (EXIT_USER, "error: the following arguments are required: command")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: twoscale synth")
 
 
 @pytest.mark.parametrize("options, code, message", [
@@ -77,14 +119,15 @@ def test_synth_refuses_a_depth_it_cannot_synthesize_before_building_the_target(t
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "attractor"])
+@pytest.mark.parametrize("command", ["synth", "estimate", "attractor"])
 def test_depths_beyond_the_float_range_end_in_one_error_line(tmp_path, command):
     spec = tmp_path / "ifs.json"
     spec.write_text('{"d": 1, "maps": [{"ratio_exp": 1, "translation": [0.0]}, '
                     '{"ratio_exp": 1, "translation": [0.5]}]}')
-    source = {"synth": "h_kappa_lambda:0.8,0.5", "attractor": str(spec)}[command]
-    argv = [command, source, "--depth", "1" + "0" * 400, "--out", str(tmp_path / "out")]
-    assert run(argv) == (EXIT_USER, "error: --depth has 401 digits, more than a float holds")
+    (tmp_path / "points.csv").write_text(POINTS)
+    source = {"synth": "h_kappa_lambda:0.8,0.5", "estimate": str(tmp_path / "points.csv"), "attractor": str(spec)}
+    argv = [command, source[command], "--depth", "1" + "0" * 400, "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, "error: argument --depth: has 401 digits, more than a float holds")
     assert not (tmp_path / "out").exists()
 
 
@@ -143,7 +186,7 @@ def test_synth_rejects_plateau_targets_that_are_not_two_numbers(tmp_path, target
 @pytest.mark.parametrize("suite", ["core", "operators", "attain", "inhomog", "all"])
 def test_verify_rejects_a_negative_seed_for_every_suite(tmp_path, suite):
     got, line = run(["verify", suite, "--seed", "-1", "--out", str(tmp_path / "out")])
-    assert got == EXIT_USER and line == "error: --seed must be nonnegative, got -1"
+    assert got == EXIT_USER and line == "error: argument --seed: must be a nonnegative whole number, got '-1'"
     assert not (tmp_path / "out").exists()
 
 
@@ -174,11 +217,11 @@ def test_estimate_failing_over_earlier_outputs_leaves_them_as_they_were(tmp_path
 @pytest.mark.parametrize("options, code, message", [
     # compared with the depth as an int, never converted to a float
     (["--u-max", "1" + "0" * 399], EXIT_USER, "u_max 1" + "0" * 399 + " exceeds the sample depth 4; "),
-    (["--u-max", "10.5"], EXIT_USER, "error: --u-max must be a whole number of levels, got '10.5'"),
+    (["--u-max", "10.5"], EXIT_USER, "error: argument --u-max: must be a whole number of levels, got '10.5'"),
     # non-finite scales and float notation are not levels either
-    (["--u-max", "inf"], EXIT_USER, "error: --u-max must be a whole number of levels, got 'inf'"),
-    (["--u-max", "nan"], EXIT_USER, "error: --u-max must be a whole number of levels, got 'nan'"),
-    (["--u-max", "1e10"], EXIT_USER, "error: --u-max must be a whole number of levels, got '1e10'"),
+    (["--u-max", "inf"], EXIT_USER, "error: argument --u-max: must be a whole number of levels, got 'inf'"),
+    (["--u-max", "nan"], EXIT_USER, "error: argument --u-max: must be a whole number of levels, got 'nan'"),
+    (["--u-max", "1e10"], EXIT_USER, "error: argument --u-max: must be a whole number of levels, got '1e10'"),
     (["--u-max", "0"], EXIT_USER, "got --u-min 1 and --u-max 0"),
     (["--u-max", "-1"], EXIT_USER, "got --u-min 1 and --u-max -1"),
     (["--theta-step", "1e-300"], EXIT_USER, f"at most {MAX_THETA_COUNT}"),
@@ -244,13 +287,16 @@ def test_estimate_accepts_a_depth_that_the_sidecar_repeats(tmp_path):
 
 @pytest.mark.parametrize("depth", ["-1", "1024", pytest.param("1" + "0" * 400, id="401-digits")])
 def test_estimate_checks_the_sample_depth_before_it_sets_the_scale_range(tmp_path, depth):
-    # without --u-max the depth sets the lattice, so it is checked first
+    # without --u-max the depth sets the lattice, so it is checked first; a --depth
+    # beyond the float range is refused sooner, as an argument
+    refusal = f"error: point depth must lie in [0, 1023], got {depth}"
     argv = ["estimate", str(tmp_path / "missing.csv"), "--depth", depth, "--out", str(tmp_path / "out")]
-    assert run(argv) == (EXIT_USER, f"error: point depth must lie in [0, 1023], got {depth}")
+    beyond_float = "error: argument --depth: has 401 digits, more than a float holds"
+    assert run(argv) == (EXIT_USER, beyond_float if len(depth) > 400 else refusal)
     (tmp_path / "meta.json").write_text(f'{{"depth": {depth}}}')
     argv = ["estimate", str(tmp_path / "missing.csv"), "--metadata", str(tmp_path / "meta.json"),
             "--out", str(tmp_path / "out")]
-    assert run(argv) == (EXIT_USER, f"error: point depth must lie in [0, 1023], got {depth}")
+    assert run(argv) == (EXIT_USER, refusal)
     assert not (tmp_path / "out").exists()
 
 
@@ -305,6 +351,15 @@ def test_estimate_errors_name_the_options_given_when_u_max_is_omitted(tmp_path, 
     argv = ["estimate", str(tmp_path / "two.csv"), "--out", str(tmp_path / "out"), *options]
     assert run(argv) == (EXIT_USER, message)
     assert "u_max" not in message
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("header", ["coord_0_num", "coord_0_numXYZ,whatever", "coord_0_num,coord_0_exp,junk"])
+def test_estimate_refuses_a_point_list_header_that_is_not_the_written_one(tmp_path, header):
+    # the last two once read as d = 1, and estimate exited 0
+    (tmp_path / "points.csv").write_text(header + POINTS[POINTS.index("\n"):])
+    argv = ["estimate", str(tmp_path / "points.csv"), "--depth", "4", "--out", str(tmp_path / "out")]
+    assert run(argv) == (EXIT_USER, "error: expected point list header coord_0_num,coord_0_exp,...")
     assert not (tmp_path / "out").exists()
 
 

@@ -177,6 +177,36 @@ def test_csv_condensation_set_is_read_as_written(tmp_path):
     assert tsio.ifs_from_json(json.dumps(spec), tmp_path).condensation.tolist() == [[0.1875], [0.1875]]
 
 
+@pytest.mark.parametrize("header", [
+    "coord_0_num",
+    "coord_0_numXYZ,whatever",
+    "coord_0_num,coord_0_exp,junk",
+    "coord_0_num,coord_0_exp,coord_1_num",
+    "coord_0_num,coord_0_exp,coord_0_num,coord_0_exp",
+    "coord_0_exp,coord_0_num",
+    "coord_0_num,coord_0_expo",
+    "coord_0_num;coord_0_exp",
+    "x,y",
+])
+def test_points_from_csv_refuses_any_header_but_the_written_one(tmp_path, header):
+    # a header that only began with coord_0_num once passed, with d taken from its commas
+    with pytest.raises(ValueError, match=r"^expected point list header coord_0_num,coord_0_exp,\.\.\.$"):
+        tsio.points_from_csv(f"{header}\n1,1\n", depth=8)
+    # the condensation set of an IFS spec is read by the same function
+    (tmp_path / "cond.csv").write_text(f"{header}\n1,1\n")
+    spec = {"d": 1, "maps": [{"ratio_exp": 2, "translation": [0.0]}], "condensation": "cond.csv"}
+    with pytest.raises(ValueError, match="^expected point list header"):
+        tsio.ifs_from_json(json.dumps(spec), tmp_path)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_points_from_csv_reads_the_written_header_with_spaces_around_its_fields(d):
+    header = tsio.points_to_csv(ExportedPoints(np.zeros((1, d), dtype=np.int64), np.zeros(1, dtype=np.int64)))
+    assert header.splitlines()[0] == ",".join(f"coord_{q}_num,coord_{q}_exp" for q in range(d))
+    spaced = " , ".join(header.splitlines()[0].split(",")) + " \n" + ",".join(["1,1"] * d) + "\n"
+    assert tsio.points_from_csv(spaced, depth=8).points.tolist() == [[0.5] * d]
+
+
 def test_points_from_csv_rejects_ragged_rows():
     with pytest.raises(ValueError, match="row 3"):
         tsio.points_from_csv("coord_0_num,coord_0_exp\n1,1\n5\n", depth=8)
@@ -233,9 +263,10 @@ def per_row_points_csv(points):
 
 def per_row_points_reader(text, depth):
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("coord_0_num"):
+    header = [field.strip() for field in lines[0].split(",")] if lines else []
+    d = len(header) // 2
+    if d < 1 or header != [f"coord_{q}_{part}" for q in range(d) for part in ("num", "exp")]:
         raise ValueError("expected point list header coord_0_num,coord_0_exp,...")
-    d = (lines[0].count(",") + 1) // 2
     pts = []
     for k, ln in enumerate(lines[1:], start=2):
         parts = [int(tok) for tok in ln.split(",")]
@@ -353,6 +384,11 @@ H2 = "coord_0_num,coord_0_exp,coord_1_num,coord_1_exp"
     "coord_1_num,coord_1_exp\n1,3\n",
     "coord_0_numerator,e\n1,3\n",
     "coord_0_num\n1,3\n",
+    "coord_0_numXYZ,whatever\n1,3\n",
+    f"{H1},junk\n1,3\n",
+    f" coord_0_num , coord_0_exp ,\tcoord_1_num,coord_1_exp\n1,3,1,2\n",
+    "coord_0_num,coord_0_exp,coord_2_num,coord_2_exp\n1,3,1,2\n",
+    "coord_0_exp,coord_0_num\n1,3\n",
     f"{H1}\n",
     f"{H1}\n\n1,3\n",
     f"{H1}\n1,3\r\n",
